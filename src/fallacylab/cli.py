@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .errors import FallacyLabError, ProviderError, UnknownSchemaError
+from .errors import FallacyLabError, ProviderError
 from .gateway import (
     Gateway,
     HttpProvider,
@@ -51,7 +51,6 @@ class RunConfig:
     mode: str = "replay"  # live | replay | record
     cassette: str | None = None
     batch_size: int = 20
-    random_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("live", "replay", "record"):
@@ -102,7 +101,6 @@ def parse_config(
         mode=mode or values.get("mode", "replay"),
         cassette=cassette or values.get("cassette") or None,
         batch_size=int(values.get("batch_size", "20")),
-        random_seed=int(values.get("random_seed", "0")),
     )
 
 
@@ -185,7 +183,7 @@ def derive(code_text: str, kb_path: str | None) -> None:
         code = parse_code(code_text)
         kb = _load_kb(kb_path, code)
         tuples = derive_instances(code, kb)
-        note = ordering_diagnostic(code, kb)
+        note = ordering_diagnostic(code, kb, tuples)
     except (FallacyLabError, ValueError, OSError) as exc:
         _fail(EXIT_INPUT, str(exc))
         return
@@ -209,14 +207,10 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
         code = parse_code(code_text)
         run = _resolve_run(config_path, mode, cassette)
         provider = _make_provider(run, "generator")
-    except (UnknownSchemaError, FallacyLabError, ValueError, OSError) as exc:
+    except (FallacyLabError, ValueError, OSError) as exc:
         _fail(EXIT_INPUT, str(exc))
         return
-    gateway = Gateway(
-        provider,
-        generation_temperature=run.generator.temperature,
-        batch_size=run.batch_size,
-    )
+    gateway = Gateway(provider, generation_temperature=run.generator.temperature)
     try:
         bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
         _finish_provider(provider)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .kb import FactRecord, KnowledgeBase
 from .labels import FallacyCode, definitions_block, parse_code
-from .parser import ParseError, parse_program, serialize_clause
+from .parser import ParseError, parse_program
 from .schemas import ValidTuple, schema_for, validate_kb_against_schema
 
 log = logging.getLogger(__name__)
@@ -142,11 +142,6 @@ JUDGE_TEMPLATE = PromptTemplate(
     ),
 )
 
-TEMPLATES = {
-    t.id: t
-    for t in (GEN_FACTS_TEMPLATE, TRANSFORM_TEMPLATE, SCORE_TEMPLATE, JUDGE_TEMPLATE)
-}
-
 
 # ---------------------------------------------------------------------------
 # Providers
@@ -183,8 +178,19 @@ class Provider(Protocol):
     def complete(self, prompt: str, *, temperature: float) -> str: ...
 
 
+#: Failures worth retrying besides HTTP 429 and 5xx.
+_TRANSPORT_ERRORS = (
+    requests.ConnectionError,
+    requests.Timeout,
+    requests.exceptions.ChunkedEncodingError,  # connection dropped mid-body
+    ConnectionError,
+    TimeoutError,
+)
+
+
 class HttpProvider:
-    """Chat-completion style HTTP backend with exponential-backoff retries."""
+    """Chat-completion style HTTP backend.  Transport errors, 429 and 5xx are
+    retried with exponential backoff; any other failure raises at once."""
 
     def __init__(self, config: ProviderConfig, *, session=None, sleep=time.sleep):
         if not config.endpoint:
@@ -213,16 +219,30 @@ class HttpProvider:
                 response = self._session.post(
                     self.config.endpoint, json=payload, headers=headers, timeout=120
                 )
-                if response.status_code in (429,) or response.status_code >= 500:
-                    raise ProviderError(f"status {response.status_code}")
-                response.raise_for_status()
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retryable here
+            except _TRANSPORT_ERRORS as exc:
                 last_error = exc
-                if attempt < self.config.max_retries:
-                    self._sleep(2**attempt)
+            except OSError as exc:  # e.g. requests' InvalidURL: retrying cannot help
+                raise ProviderError(f"request failed: {exc}") from None
+            else:
+                status = response.status_code
+                if status != 429 and status < 500:
+                    return _chat_content(response)
+                last_error = ProviderError(f"status {status}")
+            if attempt < self.config.max_retries:
+                self._sleep(2**attempt)
         raise ProviderError(f"provider failed after retries: {last_error}")
+
+
+def _chat_content(response) -> str:
+    """The reply text of a response that retrying cannot change."""
+    if response.status_code >= 400:
+        raise ProviderError(f"status {response.status_code}: request rejected")
+    try:
+        return response.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ProviderError(
+            f"status {response.status_code}: malformed response body ({exc!r})"
+        ) from None
 
 
 class ReplayProvider:
@@ -329,27 +349,17 @@ _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*$")
 class Gateway:
     """High-level LLM operations over one provider."""
 
-    def __init__(
-        self,
-        provider: Provider,
-        *,
-        generation_temperature: float = 1.0,
-        batch_size: int = 20,
-    ):
+    def __init__(self, provider: Provider, *, generation_temperature: float = 1.0):
         self.provider = provider
         self.generation_temperature = generation_temperature
-        self.batch_size = batch_size
 
     # -- fact generation ----------------------------------------------------
 
     def generate_facts(
-        self, code: FallacyCode, seed: KnowledgeBase, n: int | None = None
+        self, code: FallacyCode, seed: KnowledgeBase, n: int
     ) -> list[FactRecord]:
-        """Ask the model for ``n`` new fact groups (default: the configured
-        batch size); keep only groups that parse and validate cleanly against
-        the schema."""
-        if n is None:
-            n = self.batch_size
+        """Ask the model for ``n`` new fact groups; keep only groups that
+        parse and validate cleanly against the schema."""
         if n <= 0:
             raise EmptyYieldError("requested zero fact combinations")
         if not seed.facts:
@@ -358,7 +368,7 @@ class Gateway:
         prompt = GEN_FACTS_TEMPLATE.render(
             n=n,
             fallacy_type=code.display_name,
-            prolog_facts=_grouped_fact_text(seed),
+            prolog_facts=seed.fact_text(),
             prolog_rule=schema.source(),
         )
         response = self.provider.complete(
@@ -551,17 +561,6 @@ def _extract_json(text: str) -> str:
         inner = _strip_fences(stripped).strip()
         return inner
     return stripped
-
-
-def _grouped_fact_text(kb: KnowledgeBase) -> str:
-    lines: list[str] = []
-    current: int | None = None
-    for record in kb.facts:
-        if current is not None and record.group_id != current:
-            lines.append("")
-        current = record.group_id
-        lines.append(serialize_clause(record.clause, record.comment))
-    return "\n".join(lines)
 
 
 def _group_count(records: Sequence[FactRecord]) -> int:

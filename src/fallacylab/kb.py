@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engine import Atom, Clause, Int, Struct, Term, is_ground
+from .engine import Clause, Struct, Term, indicator, is_ground
 from .errors import SealedError
-from .parser import ParsedClause, parse_program, serialize_clause
+from .parser import parse_program, serialize_clause
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class KnowledgeBase:
             self.facts.append(FactRecord(clause, comment, group_id))
         else:
             self.rules.append(clause)
-        name, arity = _indicator(clause)
-        self._by_indicator.setdefault((name, arity), []).append(clause)
+        self._by_indicator.setdefault(indicator(clause.head), []).append(clause)
         return self
 
     def add_record(self, record: FactRecord) -> "KnowledgeBase":
@@ -84,25 +83,14 @@ class KnowledgeBase:
         return self._by_indicator.get((name, arity), [])
 
     def fact_indicators(self) -> set[tuple[str, int]]:
-        return {_indicator(r.clause) for r in self.facts}
+        return {indicator(r.clause.head) for r in self.facts}
 
     def fact_args(self, name: str, arity: int) -> Iterator[tuple[Term, ...]]:
         """Argument tuples of every stored fact occurrence of a predicate."""
         for record in self.facts:
             head = record.clause.head
-            if _indicator(record.clause) == (name, arity):
+            if indicator(head) == (name, arity):
                 yield head.args if isinstance(head, Struct) else ()
-
-    def constants(self) -> list[Term]:
-        """Distinct atoms and integers in fact arguments, first-seen order."""
-        seen: list[Term] = []
-        for record in self.facts:
-            head = record.clause.head
-            args = head.args if isinstance(head, Struct) else ()
-            for arg in args:
-                if isinstance(arg, (Atom, Int)) and arg not in seen:
-                    seen.append(arg)
-        return seen
 
     def max_group_id(self) -> int:
         return max((r.group_id for r in self.facts), default=-1)
@@ -110,7 +98,7 @@ class KnowledgeBase:
     # -- text round trip ------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str, *, seal: bool = True) -> "KnowledgeBase":
+    def from_text(cls, text: str) -> "KnowledgeBase":
         kb = cls()
         for parsed in parse_program(text):
             kb.assertz(
@@ -118,10 +106,10 @@ class KnowledgeBase:
                 comment=parsed.comment,
                 group_id=parsed.group_id if parsed.group_id is not None else 0,
             )
-        return kb.seal() if seal else kb
+        return kb.seal()
 
-    def serialize(self) -> str:
-        """Canonical text: fact groups separated by blank lines, rules last."""
+    def fact_text(self) -> str:
+        """Commented fact lines, fact groups separated by blank lines."""
         lines: list[str] = []
         current_group: int | None = None
         for record in self.facts:
@@ -129,31 +117,10 @@ class KnowledgeBase:
                 lines.append("")
             current_group = record.group_id
             lines.append(serialize_clause(record.clause, record.comment))
-        if self.rules:
-            if lines:
-                lines.append("")
-            for rule in self.rules:
-                lines.append(serialize_clause(rule))
-        return "\n".join(lines) + "\n" if lines else ""
+        return "\n".join(lines)
 
-
-def _indicator(clause: Clause) -> tuple[str, int]:
-    head = clause.head
-    if isinstance(head, Struct):
-        return head.functor, len(head.args)
-    return head.name, 0
-
-
-def records_from_parsed(parsed: Iterable[ParsedClause]) -> list[FactRecord]:
-    """Fact records (with groups and comments) from parser output."""
-    out = []
-    for item in parsed:
-        if item.clause.is_fact:
-            out.append(
-                FactRecord(
-                    item.clause,
-                    item.comment,
-                    item.group_id if item.group_id is not None else 0,
-                )
-            )
-    return out
+    def serialize(self) -> str:
+        """Canonical text: fact groups separated by blank lines, rules last."""
+        rules = "\n".join(serialize_clause(rule) for rule in self.rules)
+        parts = [part for part in (self.fact_text(), rules) if part]
+        return "\n\n".join(parts) + "\n" if parts else ""

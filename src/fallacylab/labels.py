@@ -34,10 +34,6 @@ class FallacyCode(enum.Enum):
     def display_name(self) -> str:
         return DISPLAY_NAMES[self]
 
-    @property
-    def has_schema(self) -> bool:
-        return self in SCHEMA_CODES
-
 
 #: Codes backed by an executable rule schema, in catalog order.
 SCHEMA_CODES: tuple[FallacyCode, ...] = (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -353,9 +353,6 @@ class EvalReport:
     ranked_mean: Fraction | None
     kappa: Fraction | None
     label_total: int
-    score_histogram: Mapping[tuple[str, FallacyCode, int], int] = field(
-        default_factory=dict
-    )
 
     def to_json_dict(self) -> dict:
         return {

@@ -120,7 +120,8 @@ def _classify(word: str, line: int, col: int) -> str:
 class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = [t for t in tokens if t.kind != "COMMENT"]
-        self._comments = [t for t in tokens if t.kind == "COMMENT"]
+        # A comment runs to the end of its line, so a line holds at most one.
+        self.comments = {t.line: t.value for t in tokens if t.kind == "COMMENT"}
         self.pos = 0
 
     def peek(self) -> Token | None:
@@ -138,12 +139,6 @@ class _TokenStream:
         self.pos += 1
         return tok
 
-    def comment_on_line(self, line: int) -> str | None:
-        for tok in self._comments:
-            if tok.line == line:
-                return tok.value
-        return None
-
 
 def parse_program(text: str) -> list[ParsedClause]:
     """Parse program text into clauses with comments and block ordinals."""
@@ -159,7 +154,7 @@ def parse_program(text: str) -> list[ParsedClause]:
         start_tok = stream.peek()
         clause = _parse_clause(stream, anon)
         end_tok = stream._tokens[stream.pos - 1]
-        comment = stream.comment_on_line(end_tok.line)
+        comment = stream.comments.get(end_tok.line)
         separated = prev_end == 0 or any(
             n in blank for n in range(prev_end + 1, start_tok.line)
         )

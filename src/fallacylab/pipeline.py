@@ -83,9 +83,10 @@ def generate_bundle(code: FallacyCode, n: int, gateway: Gateway) -> GenerationBu
     generated = gateway.generate_facts(code, seed, n)
     kb = seed.extended(records=generated)
     baseline = {t.args for t in derive_instances(code, seed)}
-    tuples = [t for t in derive_instances(code, kb) if t.args not in baseline]
+    derived = derive_instances(code, kb)
+    tuples = [t for t in derived if t.args not in baseline]
     diagnostics = []
-    note = ordering_diagnostic(code, kb)
+    note = ordering_diagnostic(code, kb, derived)
     if note:
         diagnostics.append(note)
     sentences: list[tuple[str, FallacyCode]] = []

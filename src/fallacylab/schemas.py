@@ -33,6 +33,7 @@ from .engine import (
     Var,
     compare_terms,
     findall,
+    indicator,
     is_ground,
 )
 from .errors import SignatureError, UnknownSchemaError
@@ -159,10 +160,6 @@ class FallacySchema:
     def arity(self) -> int:
         return len(self.query_head.args)
 
-    @property
-    def required_predicates(self) -> tuple[tuple[str, int], ...]:
-        return self.signatures
-
     def source(self) -> str:
         """The schema as canonical rule text, with auxiliary glosses."""
         lines = [serialize_clause(rule) for rule in self.rules]
@@ -254,12 +251,9 @@ def validate_kb_against_schema(
         fact_clauses = [c for c in kb if c.is_fact]
 
     for clause in fact_clauses:
-        head = clause.head
-        name, arity = (
-            (head.functor, len(head.args)) if isinstance(head, Struct) else (head.name, 0)
-        )
+        name, arity = indicator(clause.head)
         text = serialize_clause(clause)
-        if not is_ground(head):
+        if not is_ground(clause.head):
             findings.append(Finding("non_ground_fact", text))
         if name not in expected:
             findings.append(
@@ -303,7 +297,8 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
 
     Solutions are deduplicated preserving first occurrence.  Raises
     SignatureError when the base holds an arity-mismatched fact for a schema
-    predicate; engine errors propagate.
+    predicate, or any clause for a predicate the schema itself defines
+    (``pd``, ``im_t``, ``oc``); engine errors propagate.
     """
     schema = schema_for(code)
     if not kb.sealed:
@@ -337,6 +332,13 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
             raise SignatureError(
                 f"{name} facts must have arity {expected[name]}, found {arity}"
             )
+    defined = [indicator(rule.head) for rule in schema.rules] + list(schema.derived)
+    for name, arity in defined:
+        if kb.clauses(name, arity):
+            raise SignatureError(
+                f"{name}/{arity} is defined by the {schema.code.value} schema; "
+                "the knowledge base must not define it"
+            )
 
 
 # -- direct-lookup recheck, independent of the solver ------------------------
@@ -366,11 +368,7 @@ def _check_body(body: list[Literal], binding: dict[str, Term], kb: KnowledgeBase
         rhs = _lookup_value(lit.rhs, binding)
         return compare_terms(lhs, rhs) < 0 and _check_body(rest, binding, kb)
     assert isinstance(lit, Goal)
-    name, arity = (
-        (lit.term.functor, len(lit.term.args))
-        if isinstance(lit.term, Struct)
-        else (lit.term.name, 0)
-    )
+    name, arity = indicator(lit.term)
     pattern = lit.term.args if isinstance(lit.term, Struct) else ()
     if lit.negated:
         return not _goal_holds(name, arity, pattern, binding, kb) and _check_body(
@@ -448,20 +446,21 @@ def _im_closure(kb: KnowledgeBase) -> set[tuple[Term, Term]]:
 # ---------------------------------------------------------------------------
 
 
-def ordering_diagnostic(code: FallacyCode, kb: KnowledgeBase) -> str | None:
+def ordering_diagnostic(
+    code: FallacyCode, kb: KnowledgeBase, derived: Sequence[ValidTuple]
+) -> str | None:
     """Explain an empty derivation caused solely by the term-order builtin.
 
-    Returns a message when the schema body uses ``@<``, the derivation is
-    empty, and dropping the order constraints would make it non-empty.
+    ``derived`` is what ``derive_instances(code, kb)`` returned.  Returns a
+    message when the schema body uses ``@<``, ``derived`` is empty, and
+    dropping the order constraints would make the derivation non-empty.
     The atom spellings then sort against the intended reading; the seed facts
     must be respelled rather than the order redefined.
     """
     schema = schema_for(code)
     main = schema.rules[0]
     order_lits = [l for l in main.body if isinstance(l, TermLess)]
-    if not order_lits:
-        return None
-    if derive_instances(code, kb):
+    if not order_lits or derived:
         return None
 
     relaxed_main = Clause(

@@ -138,7 +138,7 @@ def build_generate_cassette() -> None:
         ScriptedProvider([AF_GROUPS, AF_SENTENCES], "gen-model"),
         HERE / "cassette_generate_af.jsonl",
     )
-    gateway = Gateway(provider, generation_temperature=1.0, batch_size=20)
+    gateway = Gateway(provider, generation_temperature=1.0)
     bundle = generate_bundle(FallacyCode.AF, 5, gateway)
     assert len(bundle.sentences) == 5, bundle.sentences
     provider.save()

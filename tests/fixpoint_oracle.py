@@ -149,6 +149,18 @@ def _fact_multiset(kb: KnowledgeBase) -> dict[str, Counter]:
     return facts
 
 
+def _constants(kb: KnowledgeBase) -> list[Term]:
+    """Distinct atoms and integers in fact arguments, first-seen order."""
+    seen: list[Term] = []
+    for record in kb.facts:
+        head = record.clause.head
+        args = head.args if isinstance(head, Struct) else ()
+        for arg in args:
+            if isinstance(arg, (Atom, Int)) and arg not in seen:
+                seen.append(arg)
+    return seen
+
+
 def _im_closure(facts: dict[str, Counter]) -> set[tuple[Term, Term]]:
     edges: dict[Term, set[Term]] = {}
     for (a, b) in facts.get("im", Counter()):
@@ -186,7 +198,7 @@ def oracle_tuples(code: FallacyCode, kb: KnowledgeBase) -> set[tuple[Term, ...]]
     fact_sets = {pred: set(counter) for pred, counter in facts.items()}
     closure = _im_closure(facts)
     only_cause = set(_only_cause_pairs(facts))
-    constants = kb.constants()
+    constants = _constants(kb)
 
     variables: list[str] = list(spec.head)
     for lit in spec.body:

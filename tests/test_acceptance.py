@@ -95,7 +95,8 @@ def test_criterion_1_seed_derivation_fidelity():
     problems = []
     for code in SCHEMA_CODES:
         kb = load_seed(code)
-        derived = {t.args for t in derive_instances(code, kb)}
+        tuples = derive_instances(code, kb)
+        derived = {t.args for t in tuples}
         documented = DOCUMENTED_SEED_TUPLES[code]
         if derived != documented:
             problems.append(f"{code.value}: derived {derived} != documented")
@@ -103,7 +104,7 @@ def test_criterion_1_seed_derivation_fidelity():
         if derived != independent:
             problems.append(f"{code.value}: derived {derived} != oracle {independent}")
         if code is FallacyCode.FS:
-            note = ordering_diagnostic(code, kb)
+            note = ordering_diagnostic(code, kb, tuples)
             if not note or "term-order" not in note:
                 problems.append("FS: missing ordering diagnostic")
     elapsed = time.perf_counter() - start

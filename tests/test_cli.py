@@ -74,6 +74,26 @@ def test_derive_unknown_code_exit_two(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "code, facts, defined",
+    [
+        ("AF", "hr(o, r).\nrri(r, i).\nrui(r, k).\npd(x, y, z, w).\n", "pd/4"),
+        ("FC", "hp(x, p).\nipo(x, w).\nlp(w, p).\npd(X, P, W) :- hp(X, P).\n", "pd/3"),
+        ("IT", "im(a, b).\nim(c, b).\nim_t(a, c).\n", "im_t/2"),
+        ("WD", "cs(a, b).\noc(a, b).\n", "oc/2"),
+    ],
+)
+def test_derive_kb_defining_schema_predicate_exit_two(runner, tmp_path, code, facts, defined):
+    path = tmp_path / "kb.pl"
+    path.write_text(facts)
+    result = run(runner, "derive", "--code", code, "--kb", path)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and defined in result.stderr
+    assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # generate (replay)
 # ---------------------------------------------------------------------------

@@ -111,6 +111,65 @@ def test_http_provider_retries_then_errors(monkeypatch):
     assert session.posts == 3  # initial try plus two retries
 
 
+class _Response:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
+
+
+class _ScriptedSession:
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.posts = 0
+
+    def post(self, *a, **k):
+        self.posts += 1
+        return self.responses.pop(0)
+
+
+@pytest.mark.parametrize(
+    "status, body, shown",
+    [
+        (401, {"error": "unauthorized"}, "status 401"),
+        (403, {"error": "forbidden"}, "status 403"),
+        (404, {"error": "not found"}, "status 404"),
+        (200, ValueError("Expecting value"), "status 200"),
+        (200, {"choices": []}, "status 200"),
+    ],
+)
+def test_http_provider_fails_at_once_when_retry_cannot_help(status, body, shown):
+    session = _ScriptedSession([_Response(status, body)])
+    sleeps = []
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=3),
+        session=session,
+        sleep=sleeps.append,
+    )
+    with pytest.raises(ProviderError, match=shown):
+        provider.complete("x", temperature=0.0)
+    assert session.posts == 1
+    assert sleeps == []
+
+
+def test_http_provider_retries_rate_limit_and_server_errors():
+    ok = {"choices": [{"message": {"content": "hi"}}]}
+    session = _ScriptedSession([_Response(429, {}), _Response(503, {}), _Response(200, ok)])
+    sleeps = []
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=3),
+        session=session,
+        sleep=sleeps.append,
+    )
+    assert provider.complete("x", temperature=0.0) == "hi"
+    assert session.posts == 3
+    assert sleeps == [1, 2]
+
+
 def test_http_provider_parses_chat_response():
     class Response:
         status_code = 200
@@ -374,10 +433,3 @@ def test_generate_facts_drops_group_containing_rules():
     records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 2)
     assert len({r.group_id for r in records}) == 1
 
-
-def test_generate_facts_defaults_to_batch_size():
-    provider = FakeProvider(["\n\n".join(af_group(i) for i in range(4))])
-    gateway = Gateway(provider, batch_size=4)
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF))
-    assert len({r.group_id for r in records}) == 4
-    assert "generate 4 new" in provider.calls[0][0]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, Struct, TermLess, Var
 from fallacylab.errors import ParseError, SealedError, UnknownSchemaError
-from fallacylab.kb import KnowledgeBase, records_from_parsed
+from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import parse_program, serialize_clause
 from fallacylab.seeds import SEED_SOURCES, load_seed
@@ -91,6 +91,23 @@ def test_comment_only_lines_do_not_split_groups():
     text = "a(x).\n% just a note\nb(x).\n"
     groups = [p.group_id for p in parse_program(text)]
     assert groups == [0, 0]
+
+
+def test_each_fact_keeps_its_own_comment_in_a_large_file():
+    n = 3000
+    text = "".join(f"f(c{i}, d{i}). % fact number {i}\n" for i in range(n))
+    parsed = parse_program(text)
+    assert [p.comment for p in parsed] == [f"fact number {i}" for i in range(n)]
+
+
+def test_comment_only_lines_attach_to_no_clause():
+    text = "% header\na(x).\n% between\nb(y).\n% trailer\n"
+    assert [p.comment for p in parse_program(text)] == [None, None]
+
+
+def test_clauses_ending_on_one_line_share_its_comment():
+    text = "a(x). b(y). % both\nc(z,\n  w). % end line\nd(u, % start line\n  v).\n"
+    assert [p.comment for p in parse_program(text)] == ["both", "both", "end line", None]
 
 
 def test_rules_carry_no_group():
@@ -184,12 +201,6 @@ def test_extended_leaves_original_untouched():
     assert len(bigger.facts) == len(base.facts) + 1
     assert len(base.facts) == 2
     assert bigger.sealed
-
-
-def test_records_from_parsed_keeps_groups_and_comments():
-    parsed = parse_program("a(x). % one\n\nb(y). % two\n")
-    records = records_from_parsed(parsed)
-    assert [(r.comment, r.group_id) for r in records] == [("one", 0), ("two", 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from fallacylab import schemas
+from fallacylab.cli import main
 from fallacylab.engine import Atom, Goal
 from fallacylab.errors import FlounderError, SignatureError, UnknownSchemaError
+from fallacylab.gateway import Gateway
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
 from fallacylab.parser import parse_program
@@ -18,8 +22,10 @@ from fallacylab.schemas import (
     schema_for,
     validate_kb_against_schema,
 )
+from fallacylab.pipeline import generate_bundle
 from fallacylab.seeds import load_seed
 
+from conftest import FakeProvider
 from fixpoint_oracle import engine_counts, oracle_counts, oracle_tuples, random_kb
 
 
@@ -29,6 +35,10 @@ def kb_from(text: str) -> KnowledgeBase:
 
 def atoms(*names: str) -> tuple[Atom, ...]:
     return tuple(Atom(n) for n in names)
+
+
+FS_SATISFIED = "ha(scene, act_flip).\nha(scene, dark_onset).\nrc(no_photons, dark_onset).\n"
+FS_MISORDERED = "ha(scene, zz_flip).\nha(scene, dark_onset).\nrc(no_photons, dark_onset).\n"
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +133,19 @@ def test_derive_wd_seed():
 def test_derive_fs_seed_is_empty_with_diagnostic():
     kb = load_seed(FallacyCode.FS)
     assert derive_instances(FallacyCode.FS, kb) == []
-    note = ordering_diagnostic(FallacyCode.FS, kb)
+    note = ordering_diagnostic(FallacyCode.FS, kb, [])
     assert note is not None and "term-order" in note
     assert "pd(lightbulb_switch, darkness_emission)" in note
 
 
 def test_ordering_diagnostic_is_none_when_unrelated():
-    assert ordering_diagnostic(FallacyCode.FC, load_seed(FallacyCode.FC)) is None
-    satisfied = kb_from(
-        "ha(scene, act_flip).\nha(scene, dark_onset).\nrc(no_photons, dark_onset).\n"
-    )
-    assert derive_instances(FallacyCode.FS, satisfied) != []
-    assert ordering_diagnostic(FallacyCode.FS, satisfied) is None
+    fc_seed = load_seed(FallacyCode.FC)
+    fc_derived = derive_instances(FallacyCode.FC, fc_seed)
+    assert ordering_diagnostic(FallacyCode.FC, fc_seed, fc_derived) is None
+    satisfied = kb_from(FS_SATISFIED)
+    fs_derived = derive_instances(FallacyCode.FS, satisfied)
+    assert fs_derived != []
+    assert ordering_diagnostic(FallacyCode.FS, satisfied, fs_derived) is None
 
 
 def test_derive_requires_sealed_kb():
@@ -159,6 +170,58 @@ def test_derive_deduplicates_preserving_first_occurrence():
     assert len(out) == 1
     # The raw engine stream still carries the duplicate.
     assert sum(engine_counts(FallacyCode.FC, kb).values()) == 2
+
+
+def test_derive_allows_pd_of_another_arity():
+    kb = kb_from("hp(x, p).\nipo(x, w).\nlp(w, p).\npd(x).\n")
+    assert [t.args for t in derive_instances(FallacyCode.FC, kb)] == [atoms("x", "p", "w")]
+
+
+# ---------------------------------------------------------------------------
+# One derivation per diagnostic
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def findall_calls(monkeypatch):
+    calls = []
+    real = schemas.findall
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schemas, "findall", counting)
+    return calls
+
+
+def test_derive_cli_fs_seed_queries_twice(findall_calls):
+    result = CliRunner().invoke(main, ["derive", "--code", "FS"])
+    assert result.exit_code == 0 and "term-order" in result.stderr
+    assert len(findall_calls) == 2  # the derivation, then the relaxed query
+
+
+def test_derive_cli_fs_satisfied_queries_once(findall_calls, tmp_path):
+    path = tmp_path / "fs.pl"
+    path.write_text(FS_SATISFIED)
+    result = CliRunner().invoke(main, ["derive", "--code", "FS", "--kb", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout == "pd(act_flip, dark_onset)\n"
+    assert len(findall_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "group, responses, queries",
+    [
+        (FS_SATISFIED, ["The switch went dark."], 2),  # seed, extended
+        (FS_MISORDERED, [], 3),  # seed, extended, relaxed
+    ],
+)
+def test_generate_bundle_fs_derives_each_base_once(findall_calls, group, responses, queries):
+    provider = FakeProvider([group] + responses)
+    bundle = generate_bundle(FallacyCode.FS, 1, Gateway(provider))
+    assert len(findall_calls) == queries
+    assert bool(bundle.tuples) == bool(responses)
+    assert bool(bundle.diagnostics) == (not responses)
 
 
 # ---------------------------------------------------------------------------
