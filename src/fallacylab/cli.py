@@ -5,7 +5,7 @@ Exit codes are a stable contract: 0 success, 1 validation findings,
 """
 from __future__ import annotations
 
-import json
+import functools
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ from .metrics import build_report, load_benchmark, load_predictions
 from .pipeline import (
     generate_bundle,
     judge_benchmark,
+    load_sentences,
     score_sentences,
     write_bundle,
     write_report,
@@ -91,7 +92,6 @@ def parse_config(
             model_name=values.get(f"{prefix}.model", "unspecified"),
             temperature=float(values.get(f"{prefix}.temperature", "1.0")),
             max_retries=int(values.get(f"{prefix}.max_retries", "3")),
-            parallelism_limit=int(values.get(f"{prefix}.parallelism", "4")),
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
         )
 
@@ -125,9 +125,23 @@ def _resolve_run(config, mode, cassette) -> RunConfig:
     )
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _exit_codes(body):
+    """Map a command's errors to the exit-code contract: a provider failure
+    exits 3, any other package error or a bad input or output path exits 2.
+    An AssertionError (a failed soundness recheck) is a bug and propagates."""
+
+    @functools.wraps(body)
+    def wrapper(*args, **kwargs):
+        try:
+            return body(*args, **kwargs)
+        except ProviderError as exc:
+            code, message = EXIT_PROVIDER, str(exc)
+        except (FallacyLabError, ValueError, OSError) as exc:
+            code, message = EXIT_INPUT, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
+
+    return wrapper
 
 
 def _load_kb(kb_path: str | None, code: FallacyCode | None) -> KnowledgeBase:
@@ -138,11 +152,11 @@ def _load_kb(kb_path: str | None, code: FallacyCode | None) -> KnowledgeBase:
     return load_seed(code)
 
 
-def _code_option(required: bool = True):
+def _code_option():
     return click.option(
         "--code",
         "code_text",
-        required=required,
+        required=True,
         help="Fallacy code (AF, FC, ...), alias, or full name.",
     )
 
@@ -161,15 +175,12 @@ def main(verbose: bool) -> None:
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
 @_code_option()
+@_exit_codes
 def validate(kb_path: str, code_text: str) -> None:
     """Check a fact file against a schema's predicate signatures."""
-    try:
-        code = parse_code(code_text)
-        kb = KnowledgeBase.from_text(Path(kb_path).read_text(encoding="utf-8"))
-        report = validate_kb_against_schema(code, kb)
-    except (FallacyLabError, ValueError, OSError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    code = parse_code(code_text)
+    kb = KnowledgeBase.from_text(Path(kb_path).read_text(encoding="utf-8"))
+    report = validate_kb_against_schema(code, kb)
     click.echo(report.render())
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)
 
@@ -177,16 +188,13 @@ def validate(kb_path: str, code_text: str) -> None:
 @main.command()
 @_code_option()
 @click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@_exit_codes
 def derive(code_text: str, kb_path: str | None) -> None:
     """Print derived fallacy tuples, one per line in canonical syntax."""
-    try:
-        code = parse_code(code_text)
-        kb = _load_kb(kb_path, code)
-        tuples = derive_instances(code, kb)
-        note = ordering_diagnostic(code, kb, tuples)
-    except (FallacyLabError, ValueError, OSError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    code = parse_code(code_text)
+    kb = _load_kb(kb_path, code)
+    tuples = derive_instances(code, kb)
+    note = ordering_diagnostic(code, kb, tuples)
     for item in tuples:
         click.echo(item.render())
     if note:
@@ -201,26 +209,16 @@ def derive(code_text: str, kb_path: str | None) -> None:
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
+@_exit_codes
 def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
     """Run the full generation loop for one code and write its artifacts."""
-    try:
-        code = parse_code(code_text)
-        run = _resolve_run(config_path, mode, cassette)
-        provider = _make_provider(run, "generator")
-    except (FallacyLabError, ValueError, OSError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    code = parse_code(code_text)
+    run = _resolve_run(config_path, mode, cassette)
+    provider = _make_provider(run, "generator")
     gateway = Gateway(provider, generation_temperature=run.generator.temperature)
-    try:
-        bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
-        _finish_provider(provider)
-        paths = write_bundle(bundle, out_dir)
-    except ProviderError as exc:
-        _fail(EXIT_PROVIDER, str(exc))
-        return
-    except (FallacyLabError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
+    _finish_provider(provider)
+    paths = write_bundle(bundle, out_dir)
     for note in bundle.diagnostics:
         click.echo(f"diagnostic: {note}", err=True)
     for path in paths:
@@ -235,34 +233,15 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
+@_exit_codes
 def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> None:
     """Triple-score labeled sentences and summarize per-code means."""
-    try:
-        rows = []
-        for line in Path(sentences_path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            labels = record.get("labels") or [record.get("code")]
-            rows.append(
-                (str(record["id"]), str(record["sentence"]), parse_code(labels[0]))
-            )
-        run = _resolve_run(config_path, mode, cassette)
-        provider = _make_provider(run, "evaluator")
-    except (FallacyLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
-    gateway = Gateway(provider)
-    try:
-        scored = score_sentences(rows, gateway)
-        _finish_provider(provider)
-        paths = write_scores(scored, method_tag, out_dir)
-    except ProviderError as exc:
-        _fail(EXIT_PROVIDER, str(exc))
-        return
-    except (FallacyLabError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    rows = load_sentences(sentences_path)
+    run = _resolve_run(config_path, mode, cassette)
+    provider = _make_provider(run, "evaluator")
+    scored = score_sentences(rows, Gateway(provider))
+    _finish_provider(provider)
+    paths = write_scores(scored, method_tag, out_dir)
     for path in paths:
         click.echo(str(path))
     sys.exit(EXIT_OK)
@@ -281,29 +260,19 @@ def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> N
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
+@_exit_codes
 def eval_cmd(benchmark_path, predictions_path, mode, cassette, config_path, out_dir) -> None:
     """Compute detection and categorization metrics for a benchmark."""
-    try:
-        entries = load_benchmark(benchmark_path)
-    except (FallacyLabError, ValueError, OSError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
-    try:
-        if predictions_path:
-            preds = load_predictions(predictions_path)
-        else:
-            run = _resolve_run(config_path, mode, cassette)
-            provider = _make_provider(run, "evaluator")
-            preds = judge_benchmark(entries, Gateway(provider))
-            _finish_provider(provider)
-        report = build_report(entries, preds)
-        paths = write_report(report, preds, out_dir)
-    except ProviderError as exc:
-        _fail(EXIT_PROVIDER, str(exc))
-        return
-    except (FallacyLabError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-        return
+    entries = load_benchmark(benchmark_path)
+    if predictions_path:
+        preds = load_predictions(predictions_path)
+    else:
+        run = _resolve_run(config_path, mode, cassette)
+        provider = _make_provider(run, "evaluator")
+        preds = judge_benchmark(entries, Gateway(provider))
+        _finish_provider(provider)
+    report = build_report(entries, preds)
+    paths = write_report(report, preds, out_dir)
     for path in paths:
         click.echo(str(path))
     click.echo(report.to_text(), nl=False)

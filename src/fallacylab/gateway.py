@@ -14,7 +14,6 @@ import logging
 import os
 import re
 import string
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .errors import (
     TemplateError,
     UnknownLabelError,
 )
+from .jsonl import read_jsonl, write_jsonl
 from .kb import FactRecord, KnowledgeBase
 from .labels import FallacyCode, definitions_block, parse_code
 from .parser import ParseError, parse_program
@@ -154,7 +154,6 @@ class ProviderConfig:
     model_name: str = "unspecified"
     temperature: float = 1.0
     max_retries: int = 3
-    parallelism_limit: int = 4
     credentials_env: str | None = None
 
     def __post_init__(self):
@@ -251,7 +250,6 @@ class ReplayProvider:
     def __init__(self, cassette_path: str | Path, *, model_name: str = "unspecified"):
         self.model_name = model_name
         self.request_count = 0
-        self._lock = threading.Lock()
         self._queues: dict[str, deque[str]] = {}
         for entry in load_cassette(cassette_path):
             self._queues.setdefault(entry["fingerprint"], deque()).append(
@@ -260,15 +258,14 @@ class ReplayProvider:
 
     def complete(self, prompt: str, *, temperature: float) -> str:
         key = fingerprint(self.model_name, temperature, prompt)
-        with self._lock:
-            self.request_count += 1
-            queue = self._queues.get(key)
-            if not queue:
-                raise ReplayMissError(
-                    f"no recorded response for fingerprint {key[:12]}... "
-                    f"(prompt starts: {prompt[:60]!r})"
-                )
-            return queue.popleft()
+        self.request_count += 1
+        queue = self._queues.get(key)
+        if not queue:
+            raise ReplayMissError(
+                f"no recorded response for fingerprint {key[:12]}... "
+                f"(prompt starts: {prompt[:60]!r})"
+            )
+        return queue.popleft()
 
 
 class RecordingProvider:
@@ -278,7 +275,6 @@ class RecordingProvider:
         self.inner = inner
         self.model_name = inner.model_name
         self.path = Path(cassette_path)
-        self._lock = threading.Lock()
         self._entries: list[dict[str, str]] = []
 
     @property
@@ -288,8 +284,7 @@ class RecordingProvider:
     def complete(self, prompt: str, *, temperature: float) -> str:
         response = self.inner.complete(prompt, temperature=temperature)
         key = fingerprint(self.model_name, temperature, prompt)
-        with self._lock:
-            self._entries.append({"fingerprint": key, "response": response})
+        self._entries.append({"fingerprint": key, "response": response})
         return response
 
     def save(self) -> None:
@@ -297,16 +292,11 @@ class RecordingProvider:
 
 
 def load_cassette(path: str | Path) -> list[dict[str, str]]:
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            entries.append(json.loads(line))
-    return entries
+    return list(read_jsonl(path, required=("fingerprint", "response")))
 
 
 def write_cassette(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
-    lines = [json.dumps(e, sort_keys=True, ensure_ascii=True) for e in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(path, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ prediction's explicit logic_error boolean is true.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import (
     DivisionDomainError,
@@ -22,6 +21,7 @@ from .errors import (
     MismatchError,
 )
 from .gateway import JudgeVerdict, ScoreTriple
+from .jsonl import read_jsonl
 from .labels import FallacyCode, parse_code
 
 #: Maximum number of labels a prediction may carry: all types minus one.
@@ -76,34 +76,28 @@ class Prediction:
 
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
     entries = []
-    for record in _read_jsonl(path):
-        try:
-            entries.append(
-                BenchmarkEntry(
-                    id=str(record["id"]),
-                    sentence=str(record["sentence"]),
-                    labels=tuple(parse_code(c) for c in record.get("labels", [])),
-                    source=str(record.get("source", "bench")),
-                )
+    for record in read_jsonl(path, required=("id", "sentence")):
+        entries.append(
+            BenchmarkEntry(
+                id=str(record["id"]),
+                sentence=str(record["sentence"]),
+                labels=tuple(parse_code(c) for c in record.get("labels", [])),
+                source=str(record.get("source", "bench")),
             )
-        except KeyError as exc:
-            raise JsonlFormatError(f"benchmark record missing {exc}") from None
+        )
     return entries
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     preds = []
-    for record in _read_jsonl(path):
-        try:
-            preds.append(
-                Prediction(
-                    entry_id=str(record["id"]),
-                    logic_error=bool(record["logic_error"]),
-                    labels=tuple(parse_code(c) for c in record.get("labels", [])),
-                )
+    for record in read_jsonl(path, required=("id", "logic_error")):
+        preds.append(
+            Prediction(
+                entry_id=str(record["id"]),
+                logic_error=bool(record["logic_error"]),
+                labels=tuple(parse_code(c) for c in record.get("labels", [])),
             )
-        except KeyError as exc:
-            raise JsonlFormatError(f"prediction record missing {exc}") from None
+        )
     return preds
 
 
@@ -114,21 +108,6 @@ def predictions_from_verdicts(
         Prediction(entry_id=i, logic_error=v.logic_error, labels=v.logic_fallacies)
         for i, v in zip(ids, verdicts)
     ]
-
-
-def _read_jsonl(path: str | Path) -> Iterable[dict]:
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
-        if not isinstance(record, dict):
-            raise JsonlFormatError(f"{path}:{line_no}: expected an object")
-        yield record
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Sequence
 
 from .gateway import Gateway, ScoreTriple
 from .kb import FactRecord, KnowledgeBase
-from .labels import FallacyCode
+from .jsonl import read_jsonl, write_jsonl
+from .labels import FallacyCode, parse_code
 from .metrics import (
     BenchmarkEntry,
     EvalReport,
@@ -110,24 +111,29 @@ def write_bundle(bundle: GenerationBundle, out_dir: str | Path) -> list[Path]:
     )
 
     sentences_path = out / f"{code.lower()}_sentences.jsonl"
-    lines = []
-    for i, (sentence, label) in enumerate(bundle.sentences):
-        lines.append(
-            json.dumps(
-                {
-                    "id": f"{code}-{i:03d}",
-                    "sentence": sentence,
-                    "labels": [label.value],
-                    "source": "augmented",
-                },
-                sort_keys=True,
-                ensure_ascii=True,
-            )
-        )
-    sentences_path.write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
+    write_jsonl(
+        sentences_path,
+        (
+            {
+                "id": f"{code}-{i:03d}",
+                "sentence": sentence,
+                "labels": [label.value],
+                "source": "augmented",
+            }
+            for i, (sentence, label) in enumerate(bundle.sentences)
+        ),
     )
     return [facts_path, tuples_path, sentences_path]
+
+
+def load_sentences(path: str | Path) -> list[tuple[str, str, FallacyCode]]:
+    """(id, sentence, code) rows of a labeled-sentence file; the code is the
+    first of ``labels``, or ``code`` when there are none."""
+    rows = []
+    for record in read_jsonl(path, required=("id", "sentence")):
+        labels = record.get("labels") or [record.get("code")]
+        rows.append((str(record["id"]), str(record["sentence"]), parse_code(labels[0])))
+    return rows
 
 
 def score_sentences(
@@ -143,22 +149,19 @@ def write_scores(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jsonl_path = out / "scores.jsonl"
-    lines = []
-    for rid, triple in scored:
-        lines.append(
-            json.dumps(
-                {
-                    "id": rid,
-                    "sentence": triple.sentence,
-                    "code": triple.code.value,
-                    "scores": list(triple.scores),
-                    "mean": round(float(triple.mean), 6),
-                },
-                sort_keys=True,
-                ensure_ascii=True,
-            )
-        )
-    jsonl_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(
+        jsonl_path,
+        (
+            {
+                "id": rid,
+                "sentence": triple.sentence,
+                "code": triple.code.value,
+                "scores": list(triple.scores),
+                "mean": round(float(triple.mean), 6),
+            }
+            for rid, triple in scored
+        ),
+    )
 
     stats = score_stats([t for _, t in scored], method_tag)
     summary_path = out / "score_summary.txt"
@@ -191,17 +194,15 @@ def write_report(
     text_path = out / "report.txt"
     text_path.write_text(report.to_text(), encoding="utf-8")
     preds_path = out / "predictions.jsonl"
-    lines = [
-        json.dumps(
+    write_jsonl(
+        preds_path,
+        (
             {
                 "id": p.entry_id,
                 "logic_error": p.logic_error,
                 "labels": [c.value for c in p.labels],
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-        )
-        for p in preds
-    ]
-    preds_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+            }
+            for p in preds
+        ),
+    )
     return [json_path, text_path, preds_path]

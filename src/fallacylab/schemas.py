@@ -71,7 +71,6 @@ PREDICATE_VOCABULARY: dict[str, tuple[int, str]] = {
 }
 
 _DERIVED_GLOSSES = {
-    "im_t": "im_t(A, B): B is reachable from A through one or more im/2 steps",
     "oc": "oc(X, P): X is the only recorded cause of P "
     "(cs(X, P) holds and no other Z has cs(Z, P))",
 }
@@ -296,9 +295,9 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     """All ground ``pd`` instantiations of the schema over a sealed base.
 
     Solutions are deduplicated preserving first occurrence.  Raises
-    SignatureError when the base holds an arity-mismatched fact for a schema
-    predicate, or any clause for a predicate the schema itself defines
-    (``pd``, ``im_t``, ``oc``); engine errors propagate.
+    SignatureError when the base holds an arity-mismatched fact or a rule for
+    a schema fact predicate, or any clause for a predicate the schema itself
+    defines (``pd``, ``im_t``, ``oc``); engine errors propagate.
     """
     schema = schema_for(code)
     if not kb.sealed:
@@ -331,6 +330,13 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
         if name in expected and arity != expected[name]:
             raise SignatureError(
                 f"{name} facts must have arity {expected[name]}, found {arity}"
+            )
+    for rule in kb.rules:
+        name, arity = indicator(rule.head)
+        if (name, arity) in schema.signatures:
+            raise SignatureError(
+                f"{name}/{arity} is a fact predicate of the {schema.code.value} "
+                "schema; the knowledge base must not define it by a rule"
             )
     defined = [indicator(rule.head) for rule in schema.rules] + list(schema.derived)
     for name, arity in defined:

@@ -9,10 +9,10 @@ replay mode.  Rerun after changing any prompt template:
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from fallacylab.gateway import Gateway, RecordingProvider
+from fallacylab.jsonl import write_jsonl
 from fallacylab.labels import FallacyCode
 from fallacylab.metrics import load_benchmark
 from fallacylab.pipeline import generate_bundle, judge_benchmark, score_sentences
@@ -125,18 +125,10 @@ SENTENCES_TO_SCORE = [
 SCORE_RESPONSES = ["3", "3", "3", "2", "3", "3"]
 
 
-def write_jsonl(path: Path, records) -> None:
-    path.write_text(
-        "\n".join(json.dumps(r, sort_keys=True, ensure_ascii=True) for r in records)
-        + "\n",
-        encoding="utf-8",
-    )
-
-
-def build_generate_cassette() -> None:
+def build_generate_cassette(out_dir: Path) -> None:
     provider = RecordingProvider(
         ScriptedProvider([AF_GROUPS, AF_SENTENCES], "gen-model"),
-        HERE / "cassette_generate_af.jsonl",
+        out_dir / "cassette_generate_af.jsonl",
     )
     gateway = Gateway(provider, generation_temperature=1.0)
     bundle = generate_bundle(FallacyCode.AF, 5, gateway)
@@ -144,18 +136,18 @@ def build_generate_cassette() -> None:
     provider.save()
 
 
-def build_eval_cassette() -> None:
-    write_jsonl(HERE / "benchmark_small.jsonl", BENCHMARK)
-    entries = load_benchmark(HERE / "benchmark_small.jsonl")
+def build_eval_cassette(out_dir: Path) -> None:
+    write_jsonl(out_dir / "benchmark_small.jsonl", BENCHMARK)
+    entries = load_benchmark(out_dir / "benchmark_small.jsonl")
     provider = RecordingProvider(
-        ScriptedProvider(VERDICTS, "eval-model"), HERE / "cassette_eval.jsonl"
+        ScriptedProvider(VERDICTS, "eval-model"), out_dir / "cassette_eval.jsonl"
     )
     preds = judge_benchmark(entries, Gateway(provider))
     assert len(preds) == len(entries)
     provider.save()
 
     write_jsonl(
-        HERE / "predictions_small.jsonl",
+        out_dir / "predictions_small.jsonl",
         [
             {"id": e["id"], "logic_error": bool(e["labels"]), "labels": e["labels"]}
             for e in BENCHMARK
@@ -163,10 +155,10 @@ def build_eval_cassette() -> None:
     )
 
 
-def build_score_cassette() -> None:
-    write_jsonl(HERE / "sentences_small.jsonl", SENTENCES_TO_SCORE)
+def build_score_cassette(out_dir: Path) -> None:
+    write_jsonl(out_dir / "sentences_small.jsonl", SENTENCES_TO_SCORE)
     provider = RecordingProvider(
-        ScriptedProvider(SCORE_RESPONSES, "eval-model"), HERE / "cassette_score.jsonl"
+        ScriptedProvider(SCORE_RESPONSES, "eval-model"), out_dir / "cassette_score.jsonl"
     )
     gateway = Gateway(provider)
     rows = [
@@ -177,11 +169,11 @@ def build_score_cassette() -> None:
     provider.save()
 
 
-def main() -> None:
-    build_generate_cassette()
-    build_eval_cassette()
-    build_score_cassette()
-    print("fixtures written to", HERE)
+def main(out_dir: Path = HERE) -> None:
+    build_generate_cassette(out_dir)
+    build_eval_cassette(out_dir)
+    build_score_cassette(out_dir)
+    print("fixtures written to", out_dir)
 
 
 if __name__ == "__main__":

@@ -81,6 +81,8 @@ def test_derive_unknown_code_exit_two(runner):
         ("FC", "hp(x, p).\nipo(x, w).\nlp(w, p).\npd(X, P, W) :- hp(X, P).\n", "pd/3"),
         ("IT", "im(a, b).\nim(c, b).\nim_t(a, c).\n", "im_t/2"),
         ("WD", "cs(a, b).\noc(a, b).\n", "oc/2"),
+        ("AF", "hr(o, r).\nrri(r, i).\nrui(r, k) :- hr(o, r).\n", "rui/2"),
+        ("WD", "cs(a, b).\ncs(c, b) :- cs(a, b).\n", "cs/2"),
     ],
 )
 def test_derive_kb_defining_schema_predicate_exit_two(runner, tmp_path, code, facts, defined):
@@ -299,6 +301,67 @@ def test_eval_missing_benchmark_exit_two(runner, tmp_path):
         tmp_path,
     )
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# input and output errors (exit 2)
+# ---------------------------------------------------------------------------
+
+
+def _replay_args(cassette, out):
+    config = DATA_DIR / "replay.cfg"
+    return ["--mode", "replay", "--cassette", cassette, "--config", config, "--out", out]
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+BAD_INPUTS = {
+    "generate-out-is-file": lambda tmp: (
+        ["generate", "--code", "AF", "--n", 5,
+         *_replay_args(DATA_DIR / "cassette_generate_af.jsonl", _write(tmp / "taken", ""))],
+        [f"{tmp / 'taken'}"],
+    ),
+    "score-out-is-file": lambda tmp: (
+        ["score", "--sentences", DATA_DIR / "sentences_small.jsonl",
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", _write(tmp / "taken", ""))],
+        [f"{tmp / 'taken'}"],
+    ),
+    "eval-out-is-file": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", _write(tmp / "taken", "")],
+        [f"{tmp / 'taken'}"],
+    ),
+    "sentences-line-not-object": lambda tmp: (
+        ["score", "--sentences", _write(tmp / "s.jsonl", "[1]\n"),
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
+        [f"{tmp / 's.jsonl'}:1"],
+    ),
+    "cassette-line-without-fingerprint": lambda tmp: (
+        ["score", "--sentences", DATA_DIR / "sentences_small.jsonl",
+         *_replay_args(_write(tmp / "c.jsonl", '{"response": "3"}\n'), tmp / "out")],
+        [f"{tmp / 'c.jsonl'}:1", "'fingerprint'"],
+    ),
+    "benchmark-line-without-sentence": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '\n{"id": "b0", "labels": ["AF"]}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:2", "'sentence'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_or_output_exit_two(runner, tmp_path, case):
+    args, expected = BAD_INPUTS[case](tmp_path)
+    result = run(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert all(text in result.stderr for text in expected), result.stderr
+    assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from fallacylab.labels import FallacyCode
 from fallacylab.schemas import ValidTuple, validate_kb_against_schema
 from fallacylab.seeds import load_seed
 
-from conftest import FakeProvider
+from conftest import DATA_DIR, FakeProvider
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,19 @@ def test_record_then_replay_round_trip(tmp_path):
     assert len(load_cassette(path)) == 1
     replay = ReplayProvider(path, model_name="m")
     assert replay.complete("ping", temperature=0.5) == "pong"
+
+
+def test_build_cassettes_reproduces_committed_fixtures(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "build_cassettes", DATA_DIR / "build_cassettes.py"
+    )
+    build_cassettes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_cassettes)
+    build_cassettes.main(tmp_path)
+    built = sorted(path.name for path in tmp_path.iterdir())
+    assert built == sorted(path.name for path in DATA_DIR.glob("*.jsonl"))
+    for name in built:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
 
 
 def test_http_provider_retries_then_errors(monkeypatch):
