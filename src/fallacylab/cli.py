@@ -52,6 +52,9 @@ class RunConfig:
     mode: str = "replay"  # live | replay | record
     cassette: str | None = None
     batch_size: int = 20
+    #: Fact generation and sentence transformation; scoring and judging
+    #: always run at temperature 0.
+    generation_temperature: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("live", "replay", "record"):
@@ -60,6 +63,8 @@ class RunConfig:
             raise ValueError("replay mode requires a cassette path")
         if self.mode == "record" and not self.cassette:
             raise ValueError("record mode requires a cassette path to write")
+        if not 0.0 <= self.generation_temperature <= 2.0:
+            raise ValueError("generator.temperature must be within [0, 2]")
 
 
 def parse_config(
@@ -90,7 +95,6 @@ def parse_config(
         return ProviderConfig(
             endpoint=values.get(f"{prefix}.endpoint", ""),
             model_name=values.get(f"{prefix}.model", "unspecified"),
-            temperature=float(values.get(f"{prefix}.temperature", "1.0")),
             max_retries=int(values.get(f"{prefix}.max_retries", "3")),
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
         )
@@ -101,6 +105,7 @@ def parse_config(
         mode=mode or values.get("mode", "replay"),
         cassette=cassette or values.get("cassette") or None,
         batch_size=int(values.get("batch_size", "20")),
+        generation_temperature=float(values.get("generator.temperature", "1.0")),
     )
 
 
@@ -215,7 +220,7 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
     code = parse_code(code_text)
     run = _resolve_run(config_path, mode, cassette)
     provider = _make_provider(run, "generator")
-    gateway = Gateway(provider, generation_temperature=run.generator.temperature)
+    gateway = Gateway(provider, generation_temperature=run.generation_temperature)
     bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
     _finish_provider(provider)
     paths = write_bundle(bundle, out_dir)

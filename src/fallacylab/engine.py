@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .errors import DepthLimitError, FlounderError
 
@@ -248,7 +248,7 @@ def compare_terms(t1: Term, t2: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Clause sources and derived predicates
+# Clause sources
 # ---------------------------------------------------------------------------
 
 
@@ -256,14 +256,6 @@ class ClauseSource(Protocol):
     """What the solver needs from a knowledge base."""
 
     def clauses(self, name: str, arity: int) -> Sequence[Clause]: ...
-
-
-#: A derived predicate computes ground argument tuples natively instead of
-#: resolving against clauses.  It receives the clause source and the (possibly
-#: partially bound) call arguments and yields one ground tuple per derivation.
-DerivedPredicate = Callable[[ClauseSource, tuple[Term, ...]], Iterable[tuple[Term, ...]]]
-
-DerivedMap = Mapping[tuple[str, int], DerivedPredicate]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,6 @@ def solve(
     kb: ClauseSource,
     *,
     depth_limit: int = 10_000,
-    derived: DerivedMap | None = None,
 ) -> Iterator[dict[str, Term]]:
     """Depth-first, left-to-right SLD resolution.
 
@@ -345,7 +336,6 @@ def solve(
     resolved on the same branch fails that branch, which makes ground
     transitive-closure queries terminate on cyclic fact graphs.
     """
-    derived_map: DerivedMap = derived or {}
     goals = tuple(goals)
     projection = _query_var_names(goals)
     counter = itertools.count()
@@ -393,21 +383,8 @@ def solve(
                         "negated goal selected with unbound shared variable(s): "
                         + ", ".join(sorted(leaked))
                     )
-            if not _provable(goal_term, kb, depth_limit, derived_map):
+            if not _provable(goal_term, kb, depth_limit):
                 frames.append((rest, subst, depth + 1, visited))
-            continue
-
-        name, arity = indicator(goal_term)
-        hook = derived_map.get((name, arity))
-        if hook is not None:
-            alternatives = []
-            call_args = goal_term.args if isinstance(goal_term, Struct) else ()
-            for out_args in hook(kb, call_args):
-                candidate = Struct(name, tuple(out_args)) if out_args else Atom(name)
-                extended = unify(goal_term, candidate, subst)
-                if extended is not None:
-                    alternatives.append((rest, extended, depth + 1, visited))
-            frames.extend(reversed(alternatives))
             continue
 
         ground_goal = is_ground(goal_term)
@@ -415,7 +392,7 @@ def solve(
             continue
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
-        for clause in kb.clauses(name, arity):
+        for clause in kb.clauses(*indicator(goal_term)):
             renamed = _rename_clause(clause, counter)
             extended = unify(goal_term, renamed.head, subst)
             if extended is None:
@@ -437,10 +414,8 @@ def _resolved_literal_vars(lit: Literal, subst: Substitution) -> set[str]:
     return term_vars(resolve(lit.lhs, subst)) | term_vars(resolve(lit.rhs, subst))
 
 
-def _provable(
-    goal_term: GoalTerm, kb: ClauseSource, depth_limit: int, derived: DerivedMap
-) -> bool:
-    for _ in solve([Goal(goal_term)], kb, depth_limit=depth_limit, derived=derived):
+def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
+    for _ in solve([Goal(goal_term)], kb, depth_limit=depth_limit):
         return True
     return False
 
@@ -451,13 +426,12 @@ def findall(
     kb: ClauseSource,
     *,
     depth_limit: int = 10_000,
-    derived: DerivedMap | None = None,
 ) -> list[Term]:
     """``template`` instantiated under every solution, in solution order.
 
     Duplicates are preserved; deduplication is the caller's concern.
     """
     out = []
-    for solution in solve(goals, kb, depth_limit=depth_limit, derived=derived):
+    for solution in solve(goals, kb, depth_limit=depth_limit):
         out.append(resolve(template, solution))
     return out

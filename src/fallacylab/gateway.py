@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import re
-import string
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -54,18 +53,10 @@ class PromptTemplate:
     query: str
 
     def render(self, **values: object) -> str:
-        text = f"{self.instruction}\n\n{self.query}"
-        fields = {
-            name
-            for _, name, _, _ in string.Formatter().parse(text)
-            if name is not None
-        }
-        missing = fields - set(values)
-        if missing:
-            raise TemplateError(
-                f"template {self.id!r} missing placeholder(s): {sorted(missing)}"
-            )
-        return text.format(**values)
+        try:
+            return f"{self.instruction}\n\n{self.query}".format(**values)
+        except KeyError as exc:
+            raise TemplateError(f"template {self.id!r} missing placeholder {exc}") from None
 
 
 GEN_FACTS_TEMPLATE = PromptTemplate(
@@ -152,13 +143,8 @@ JUDGE_TEMPLATE = PromptTemplate(
 class ProviderConfig:
     endpoint: str = ""
     model_name: str = "unspecified"
-    temperature: float = 1.0
     max_retries: int = 3
     credentials_env: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0, 2]")
 
 
 def fingerprint(model: str, temperature: float, prompt: str) -> str:

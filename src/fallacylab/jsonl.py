@@ -5,14 +5,20 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import JsonlFormatError
+from .errors import FallacyLabError, JsonlFormatError
+from .labels import FallacyCode, parse_code
+
+T = TypeVar("T")
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[dict]:
-    """Yield each non-blank line's object; a line that is not an object, or
-    lacks a ``required`` key, raises JsonlFormatError naming ``path:line``."""
+def read_jsonl(
+    path: str | Path, required: Sequence[str] = (), parse: Callable[[dict], T] = dict
+) -> Iterator[T]:
+    """Yield ``parse`` of each non-blank line's object.  A line that is not an
+    object, lacks a ``required`` key, or that ``parse`` rejects with a package
+    error raises JsonlFormatError naming ``path:line``."""
     for line_no, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
     ):
@@ -29,7 +35,19 @@ def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[dict]
             raise JsonlFormatError(
                 f"{path}:{line_no}: missing key(s) {', '.join(map(repr, missing))}"
             )
-        yield record
+        try:
+            item = parse(record)
+        except FallacyLabError as exc:
+            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
+        yield item
+
+
+def read_labels(record: dict) -> tuple[FallacyCode, ...]:
+    """The codes of a record's ``labels`` list; none when the key is absent."""
+    labels = record.get("labels", [])
+    if not isinstance(labels, list):
+        raise JsonlFormatError(f"'labels' must be a list, found {labels!r}")
+    return tuple(parse_code(label) for label in labels)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

@@ -8,9 +8,9 @@ number of concurrent solver runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .engine import Clause, Struct, Term, indicator, is_ground
+from .engine import Clause, indicator, is_ground
 from .errors import SealedError
 from .parser import parse_program, serialize_clause
 
@@ -81,16 +81,6 @@ class KnowledgeBase:
     def clauses(self, name: str, arity: int) -> list[Clause]:
         """Clauses for one predicate, in insertion order."""
         return self._by_indicator.get((name, arity), [])
-
-    def fact_indicators(self) -> set[tuple[str, int]]:
-        return {indicator(r.clause.head) for r in self.facts}
-
-    def fact_args(self, name: str, arity: int) -> Iterator[tuple[Term, ...]]:
-        """Argument tuples of every stored fact occurrence of a predicate."""
-        for record in self.facts:
-            head = record.clause.head
-            if indicator(head) == (name, arity):
-                yield head.args if isinstance(head, Struct) else ()
 
     def max_group_id(self) -> int:
         return max((r.group_id for r in self.facts), default=-1)

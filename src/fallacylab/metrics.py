@@ -21,8 +21,8 @@ from .errors import (
     MismatchError,
 )
 from .gateway import JudgeVerdict, ScoreTriple
-from .jsonl import read_jsonl
-from .labels import FallacyCode, parse_code
+from .jsonl import read_jsonl, read_labels
+from .labels import FallacyCode
 
 #: Maximum number of labels a prediction may carry: all types minus one.
 MAX_PREDICTED_LABELS = len(FallacyCode) - 1
@@ -75,30 +75,26 @@ class Prediction:
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
-    entries = []
-    for record in read_jsonl(path, required=("id", "sentence")):
-        entries.append(
-            BenchmarkEntry(
-                id=str(record["id"]),
-                sentence=str(record["sentence"]),
-                labels=tuple(parse_code(c) for c in record.get("labels", [])),
-                source=str(record.get("source", "bench")),
-            )
+    def entry(record: dict) -> BenchmarkEntry:
+        return BenchmarkEntry(
+            id=str(record["id"]),
+            sentence=str(record["sentence"]),
+            labels=read_labels(record),
+            source=str(record.get("source", "bench")),
         )
-    return entries
+
+    return list(read_jsonl(path, ("id", "sentence"), entry))
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    preds = []
-    for record in read_jsonl(path, required=("id", "logic_error")):
-        preds.append(
-            Prediction(
-                entry_id=str(record["id"]),
-                logic_error=bool(record["logic_error"]),
-                labels=tuple(parse_code(c) for c in record.get("labels", [])),
-            )
+    def prediction(record: dict) -> Prediction:
+        return Prediction(
+            entry_id=str(record["id"]),
+            logic_error=bool(record["logic_error"]),
+            labels=read_labels(record),
         )
-    return preds
+
+    return list(read_jsonl(path, ("id", "logic_error"), prediction))
 
 
 def predictions_from_verdicts(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .gateway import Gateway, ScoreTriple
 from .kb import FactRecord, KnowledgeBase
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, read_labels, write_jsonl
 from .labels import FallacyCode, parse_code
 from .metrics import (
     BenchmarkEntry,
@@ -129,11 +129,11 @@ def write_bundle(bundle: GenerationBundle, out_dir: str | Path) -> list[Path]:
 def load_sentences(path: str | Path) -> list[tuple[str, str, FallacyCode]]:
     """(id, sentence, code) rows of a labeled-sentence file; the code is the
     first of ``labels``, or ``code`` when there are none."""
-    rows = []
-    for record in read_jsonl(path, required=("id", "sentence")):
-        labels = record.get("labels") or [record.get("code")]
-        rows.append((str(record["id"]), str(record["sentence"]), parse_code(labels[0])))
-    return rows
+    def row(record: dict) -> tuple[str, str, FallacyCode]:
+        codes = read_labels(record) or (parse_code(record.get("code")),)
+        return str(record["id"]), str(record["sentence"]), codes[0]
+
+    return list(read_jsonl(path, ("id", "sentence"), row))
 
 
 def score_sentences(

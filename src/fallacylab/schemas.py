@@ -5,25 +5,28 @@ tuple of arguments a guaranteed instance of that fallacy, over a fixed
 24-predicate fact vocabulary.  Body literals are ordered so that every
 negated literal is ground by the time it is selected.
 
-Two auxiliaries are not plain clauses:
+A derivation first builds one fact table: the argument tuples of the base's
+facts per predicate, plus each auxiliary relation of the schema, computed
+once natively.  The engine has no derived predicates:
 
-* ``im_t/2`` (transitive closure of ``im/2``) is a clause pair; the solver's
-  ground-goal visited set keeps it terminating on cyclic graphs.
+* ``im_t/2`` (transitive closure of ``im/2``) is a clause pair for the
+  solver, whose ground-goal visited set keeps it terminating on cyclic
+  graphs; the table holds the closure for the recheck.
 * ``oc/2`` (X is the only recorded cause of P) needs negation over a
-  conjunction, which the engine's literals cannot express; it is evaluated
-  natively and registered as a derived predicate.
+  conjunction, which the engine's literals cannot express; its rows are
+  given to the solver as ordinary facts.
 
 ``derive_instances`` re-checks every tuple it returns literal by literal
-against the fact store, independent of the solver, before handing it out.
+against the fact table, independent of the solver, before handing it out.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .engine import (
     Clause,
-    DerivedMap,
     Goal,
     Literal,
     NotEqual,
@@ -37,7 +40,7 @@ from .engine import (
     is_ground,
 )
 from .errors import SignatureError, UnknownSchemaError
-from .kb import KnowledgeBase
+from .kb import FactRecord, KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
 from .parser import parse_program, serialize_clause, serialize_term
 
@@ -130,18 +133,46 @@ _SIGNATURES: dict[FallacyCode, tuple[str, ...]] = {
 }
 
 
-def _solve_only_cause(kb, args: tuple[Term, ...]) -> Iterator[tuple[Term, ...]]:
-    """Derived oc/2: yield (X, P) once per cs(X, P) occurrence whose cause is
-    unique for P."""
+#: Argument tuples per (name, arity), in insertion order, duplicates kept.
+FactTable = dict[tuple[str, int], list[tuple[Term, ...]]]
+
+#: An auxiliary relation computed natively: its rows, read off the fact table.
+Auxiliary = Callable[[FactTable], list[tuple[Term, ...]]]
+
+
+def _solve_only_cause(table: FactTable) -> list[tuple[Term, ...]]:
+    """oc/2: one (X, P) row per cs(X, P) occurrence whose cause is unique for
+    P, in cs order."""
+    occurrences = table.get(("cs", 2), [])
     causes: dict[Term, set[Term]] = {}
-    occurrences: list[tuple[Term, Term]] = []
-    for fact_args in kb.fact_args("cs", 2):
-        x, p = fact_args
-        causes.setdefault(p, set()).add(x)
-        occurrences.append((x, p))
     for x, p in occurrences:
-        if len(causes[p]) == 1:
-            yield (x, p)
+        causes.setdefault(p, set()).add(x)
+    return [(x, p) for x, p in occurrences if len(causes[p]) == 1]
+
+
+def _im_closure(table: FactTable) -> list[tuple[Term, ...]]:
+    """im_t/2: each (A, C) joined by a path of im/2 facts, once."""
+    edges: dict[Term, list[Term]] = {}
+    for a, b in table.get(("im", 2), []):
+        edges.setdefault(a, []).append(b)
+    closure: list[tuple[Term, ...]] = []
+    for start, successors in edges.items():
+        stack = list(successors)
+        visited: set[Term] = set()
+        while stack:
+            node = stack.pop()
+            if node in visited:
+                continue
+            visited.add(node)
+            closure.append((start, node))
+            stack.extend(edges.get(node, ()))
+    return closure
+
+
+_DERIVED: dict[FallacyCode, dict[tuple[str, int], Auxiliary]] = {
+    FallacyCode.IT: {("im_t", 2): _im_closure},
+    FallacyCode.WD: {("oc", 2): _solve_only_cause},
+}
 
 
 @dataclass(frozen=True)
@@ -149,7 +180,9 @@ class FallacySchema:
     code: FallacyCode
     rules: tuple[Clause, ...]
     signatures: tuple[tuple[str, int], ...]
-    derived: DerivedMap = field(default_factory=dict)
+    #: Auxiliary relations the fact table holds, each computed once per
+    #: derivation.
+    derived: Mapping[tuple[str, int], Auxiliary] = field(default_factory=dict)
 
     @property
     def query_head(self) -> Struct:
@@ -159,10 +192,16 @@ class FallacySchema:
     def arity(self) -> int:
         return len(self.query_head.args)
 
+    @property
+    def fact_auxiliaries(self) -> list[tuple[str, int]]:
+        """Auxiliaries no rule defines: the solver reads their rows as facts."""
+        defined = {indicator(rule.head) for rule in self.rules}
+        return [key for key in self.derived if key not in defined]
+
     def source(self) -> str:
         """The schema as canonical rule text, with auxiliary glosses."""
         lines = [serialize_clause(rule) for rule in self.rules]
-        for (name, _arity) in self.derived:
+        for (name, _arity) in self.fact_auxiliaries:
             lines.append(f"% {_DERIVED_GLOSSES[name]}")
         return "\n".join(lines)
 
@@ -171,10 +210,7 @@ def _build_schema(code: FallacyCode) -> FallacySchema:
     parsed = parse_program(_SCHEMA_SOURCES[code])
     rules = tuple(item.clause for item in parsed)
     signatures = tuple((name, PREDICATE_VOCABULARY[name][0]) for name in _SIGNATURES[code])
-    derived: DerivedMap = {}
-    if code is FallacyCode.WD:
-        derived = {("oc", 2): _solve_only_cause}
-    return FallacySchema(code, rules, signatures, derived)
+    return FallacySchema(code, rules, signatures, _DERIVED.get(code, {}))
 
 
 _SCHEMAS: dict[FallacyCode, FallacySchema] = {
@@ -291,6 +327,39 @@ class ValidTuple:
         return serialize_term(Struct("pd", self.args))
 
 
+def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
+    """The argument tuples of the base's facts, then each of the schema's
+    auxiliary relations, computed once."""
+    table: FactTable = {}
+    for record in kb.facts:
+        head = record.clause.head
+        table.setdefault(indicator(head), []).append(
+            head.args if isinstance(head, Struct) else ()
+        )
+    for key, relation in schema.derived.items():
+        table[key] = relation(table)
+    return table
+
+
+def schema_solutions(
+    schema: FallacySchema, kb: KnowledgeBase, table: FactTable, rules: Sequence[Clause]
+) -> Counter:
+    """How often each instantiation of the schema's query head is a solution,
+    keyed in first-solution order.
+
+    The solver runs over the base, plus ``rules``, plus the table's rows of
+    each auxiliary no rule defines, given as ordinary facts.
+    """
+    rows = [
+        FactRecord(Clause(Struct(key[0], args)))
+        for key in schema.fact_auxiliaries
+        for args in table[key]
+    ]
+    program = kb.extended(rules, records=rows)
+    head = schema.query_head
+    return Counter(findall(head, [Goal(head)], program))
+
+
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     """All ground ``pd`` instantiations of the schema over a sealed base.
 
@@ -302,21 +371,14 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     schema = schema_for(code)
     if not kb.sealed:
         raise ValueError("knowledge base must be sealed before derivation")
-    _check_signatures(schema, kb)
+    table = fact_table(schema, kb)
+    _check_signatures(schema, kb, table)
 
-    program = kb.extended(schema.rules)
-    head = schema.query_head
-    results = findall(head, [Goal(head)], program, derived=schema.derived)
-
-    seen: set[tuple[Term, ...]] = set()
     out: list[ValidTuple] = []
-    for term in results:
-        if not isinstance(term, Struct) or not is_ground(term):
+    for term in schema_solutions(schema, kb, table, schema.rules):
+        if not is_ground(term):
             continue
-        if term.args in seen:
-            continue
-        seen.add(term.args)
-        if not confirm_instance(code, kb, term.args):
+        if not confirm_instance(code, table, term.args):
             raise AssertionError(
                 f"soundness recheck failed for {serialize_term(term)}"
             )
@@ -324,9 +386,9 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     return out
 
 
-def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
+def _check_signatures(schema: FallacySchema, kb: KnowledgeBase, table: FactTable) -> None:
     expected = dict(schema.signatures)
-    for name, arity in kb.fact_indicators():
+    for name, arity in table:
         if name in expected and arity != expected[name]:
             raise SignatureError(
                 f"{name} facts must have arity {expected[name]}, found {arity}"
@@ -350,66 +412,47 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
 # -- direct-lookup recheck, independent of the solver ------------------------
 
 
-def confirm_instance(code: FallacyCode, kb: KnowledgeBase, args: Sequence[Term]) -> bool:
-    """Re-check one candidate tuple literal by literal via fact lookup."""
+def confirm_instance(code: FallacyCode, table: FactTable, args: Sequence[Term]) -> bool:
+    """Re-check one candidate tuple literal by literal via lookups in the
+    ``fact_table`` of the schema and the base."""
     schema = schema_for(code)
     main = schema.rules[0]
     head_names = [v.name for v in main.head.args]  # heads use distinct variables
     if len(head_names) != len(args):
         return False
     binding = dict(zip(head_names, args))
-    return _check_body(list(main.body), binding, kb)
+    return _check_body(list(main.body), binding, table)
 
 
-def _check_body(body: list[Literal], binding: dict[str, Term], kb: KnowledgeBase) -> bool:
+def _check_body(body: list[Literal], binding: dict[str, Term], table: FactTable) -> bool:
     if not body:
         return True
     lit, rest = body[0], body[1:]
     if isinstance(lit, NotEqual):
         return _lookup_value(lit.lhs, binding) != _lookup_value(lit.rhs, binding) and _check_body(
-            rest, binding, kb
+            rest, binding, table
         )
     if isinstance(lit, TermLess):
         lhs = _lookup_value(lit.lhs, binding)
         rhs = _lookup_value(lit.rhs, binding)
-        return compare_terms(lhs, rhs) < 0 and _check_body(rest, binding, kb)
+        return compare_terms(lhs, rhs) < 0 and _check_body(rest, binding, table)
     assert isinstance(lit, Goal)
-    name, arity = indicator(lit.term)
     pattern = lit.term.args if isinstance(lit.term, Struct) else ()
+    rows = table.get(indicator(lit.term), [])
     if lit.negated:
-        return not _goal_holds(name, arity, pattern, binding, kb) and _check_body(
-            rest, binding, kb
-        )
-    for extended in _goal_matches(name, arity, pattern, binding, kb):
-        if _check_body(rest, extended, kb):
+        holds = next(_goal_matches(pattern, rows, binding), None) is not None
+        return not holds and _check_body(rest, binding, table)
+    for extended in _goal_matches(pattern, rows, binding):
+        if _check_body(rest, extended, table):
             return True
     return False
 
 
-def _goal_matches(name, arity, pattern, binding, kb) -> Iterator[dict[str, Term]]:
-    if name == "im_t" and arity == 2:
-        pair = tuple(_lookup_value(p, binding) for p in pattern)
-        if any(isinstance(v, Var) for v in pair):
-            raise AssertionError("recheck expects ground im_t goals")
-        if pair in _im_closure(kb):
-            yield binding
-        return
-    if name == "oc" and arity == 2:
-        for out_args in _solve_only_cause(kb, pattern):
-            extended = _match_args(pattern, out_args, binding)
-            if extended is not None:
-                yield extended
-        return
-    for fact_args in kb.fact_args(name, arity):
-        extended = _match_args(pattern, fact_args, binding)
+def _goal_matches(pattern, rows, binding) -> Iterator[dict[str, Term]]:
+    for row in rows:
+        extended = _match_args(pattern, row, binding)
         if extended is not None:
             yield extended
-
-
-def _goal_holds(name, arity, pattern, binding, kb) -> bool:
-    for _ in _goal_matches(name, arity, pattern, binding, kb):
-        return True
-    return False
 
 
 def _match_args(pattern, values, binding):
@@ -427,24 +470,6 @@ def _lookup_value(term: Term, binding: dict[str, Term]) -> Term:
     if isinstance(term, Var):
         return binding.get(term.name, term)
     return term
-
-
-def _im_closure(kb: KnowledgeBase) -> set[tuple[Term, Term]]:
-    edges: dict[Term, set[Term]] = {}
-    for a, b in kb.fact_args("im", 2):
-        edges.setdefault(a, set()).add(b)
-    closure: set[tuple[Term, Term]] = set()
-    for start in list(edges):
-        stack = list(edges[start])
-        visited: set[Term] = set()
-        while stack:
-            node = stack.pop()
-            if node in visited:
-                continue
-            visited.add(node)
-            closure.add((start, node))
-            stack.extend(edges.get(node, ()))
-    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +497,14 @@ def ordering_diagnostic(
     relaxed_main = Clause(
         main.head, tuple(l for l in main.body if not isinstance(l, TermLess))
     )
-    relaxed = kb.extended((relaxed_main,) + schema.rules[1:])
-    head = schema.query_head
-    candidates = findall(head, [Goal(head)], relaxed, derived=schema.derived)
-    distinct: list[Struct] = []
-    for term in candidates:
-        if isinstance(term, Struct) and term not in distinct:
-            distinct.append(term)
-    if not distinct:
+    candidates = list(
+        schema_solutions(
+            schema, kb, fact_table(schema, kb), (relaxed_main,) + schema.rules[1:]
+        )
+    )
+    if not candidates:
         return None
-    shown = "; ".join(serialize_term(t) for t in distinct[:5])
+    shown = "; ".join(serialize_term(t) for t in candidates[:5])
     constraint = ", ".join(
         f"{serialize_term(l.lhs)} @< {serialize_term(l.rhs)}" for l in order_lits
     )

@@ -19,11 +19,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from fallacylab.engine import Atom, Goal, Int, Struct, Term, findall
+from fallacylab.engine import Atom, Int, Struct, Term
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import parse_program
-from fallacylab.schemas import schema_for
+from fallacylab.schemas import fact_table, schema_for, schema_solutions
 
 
 @dataclass(frozen=True)
@@ -306,10 +306,8 @@ def _join(assignments, arg_names, tuples_with_counts) -> list[tuple[dict, int]]:
 def engine_counts(code: FallacyCode, kb: KnowledgeBase) -> Counter:
     """Raw findall multiset from the engine, before deduplication."""
     schema = schema_for(code)
-    program = kb.extended(schema.rules)
-    head = schema.query_head
-    results = findall(head, [Goal(head)], program, derived=schema.derived)
-    return Counter(tuple(t.args) for t in results)
+    solutions = schema_solutions(schema, kb, fact_table(schema, kb), schema.rules)
+    return Counter({term.args: count for term, count in solutions.items()})
 
 
 # ---------------------------------------------------------------------------

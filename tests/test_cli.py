@@ -349,6 +349,27 @@ BAD_INPUTS = {
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
         [f"{tmp / 'b.jsonl'}:2", "'sentence'"],
     ),
+    "sentences-labels-not-list": lambda tmp: (
+        ["score", "--sentences", _write(tmp / "s.jsonl", '{"id": "s0", "sentence": "x", "labels": 5}\n'),
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
+        [f"{tmp / 's.jsonl'}:1", "'labels'"],
+    ),
+    "benchmark-labels-not-list": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": 5}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:1", "'labels'"],
+    ),
+    "predictions-labels-not-list": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--predictions", _write(tmp / "p.jsonl", '{"id": "s0", "logic_error": true, "labels": 5}\n'),
+         "--out", tmp / "out"],
+        [f"{tmp / 'p.jsonl'}:1", "'labels'"],
+    ),
+    "benchmark-unknown-label": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:1", "'ZZ'"],
+    ),
 }
 
 
@@ -382,10 +403,19 @@ def test_parse_config_round_trip(tmp_path):
     )
     run_config = parse_config(path)
     assert run_config.generator.model_name == "g"
-    assert run_config.generator.temperature == 0.5
+    assert run_config.generation_temperature == 0.5
     assert run_config.evaluator.model_name == "e"
     assert run_config.mode == "record"
     assert run_config.batch_size == 7
+
+
+def test_run_config_validates_generation_temperature(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("generator.temperature = 2.5\ncassette = tape.jsonl\n")
+    with pytest.raises(ValueError):
+        parse_config(path)
+    path.write_text("evaluator.temperature = 9\ncassette = tape.jsonl\n")
+    assert parse_config(path).generation_temperature == 1.0
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):

@@ -280,15 +280,3 @@ def test_clause_local_variable_in_negation_is_existential():
     out = [s["X"] for s in solve([Goal(Struct("safe", (Var("X"),)))], kb)]
     assert out == [Atom("a")]
 
-
-def test_negation_over_derived_predicate_uses_hook():
-    from fallacylab.labels import FallacyCode
-    from fallacylab.schemas import schema_for
-
-    kb = kb_from("cs(push, fall).\ncs(trip, fall).\n")
-    hook = schema_for(FallacyCode.WD).derived
-    # Two recorded causes: oc fails, so its negation succeeds.
-    goal = Goal(Struct("oc", (Atom("push"), Atom("fall"))), negated=True)
-    assert list(solve([goal], kb, derived=hook)) == [{}]
-    kb2 = kb_from("cs(push, fall).\n")
-    assert list(solve([goal], kb2, derived=hook)) == []

@@ -206,11 +206,6 @@ def test_http_provider_parses_chat_response():
     assert provider.complete("x", temperature=0.0) == "hi"
 
 
-def test_provider_config_validates_temperature():
-    with pytest.raises(ValueError):
-        ProviderConfig(temperature=2.5)
-
-
 # ---------------------------------------------------------------------------
 # Fact generation
 # ---------------------------------------------------------------------------

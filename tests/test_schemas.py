@@ -17,6 +17,7 @@ from fallacylab.schemas import (
     PREDICATE_VOCABULARY,
     confirm_instance,
     derive_instances,
+    fact_table,
     ordering_diagnostic,
     schema_catalog,
     schema_for,
@@ -25,7 +26,7 @@ from fallacylab.schemas import (
 from fallacylab.pipeline import generate_bundle
 from fallacylab.seeds import load_seed
 
-from conftest import FakeProvider
+from conftest import DATA_DIR, FakeProvider
 from fixpoint_oracle import engine_counts, oracle_counts, oracle_tuples, random_kb
 
 
@@ -91,6 +92,13 @@ def test_catalog_lists_all_eleven():
     for code in SCHEMA_CODES:
         assert f"% {code.value}:" in text
     assert text.count("pd(") == 11
+
+
+def test_catalog_matches_committed_text():
+    # The catalog is embedded in prompts, so cassette fingerprints hang on
+    # every byte of it.
+    expected = (DATA_DIR / "schema_catalog.txt").read_text(encoding="utf-8")
+    assert schema_catalog() + "\n" == expected
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +232,32 @@ def test_generate_bundle_fs_derives_each_base_once(findall_calls, group, respons
     assert bool(bundle.diagnostics) == (not responses)
 
 
+@pytest.mark.parametrize(
+    "code, text, key, name",
+    [
+        (FallacyCode.IT, "im(a, b).\nim(c, b).\nim(d, e).\nim(f, e).\n", ("im_t", 2), "_im_closure"),
+        (FallacyCode.WD, "cs(a, x).\ncs(b, y).\ncs(c, z).\n", ("oc", 2), "_solve_only_cause"),
+    ],
+    ids=["IT", "WD"],
+)
+def test_derivation_computes_each_auxiliary_once(monkeypatch, code, text, key, name):
+    calls = []
+    real = getattr(schemas, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    # Count the relation wherever it is reached: by module name or through
+    # the schema.
+    monkeypatch.setattr(schemas, name, counting)
+    derived = schema_for(code).derived
+    if key in derived:
+        monkeypatch.setitem(derived, key, counting)
+    assert len(derive_instances(code, kb_from(text))) >= 3
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Validation reports
 # ---------------------------------------------------------------------------
@@ -268,14 +302,15 @@ def test_every_derived_tuple_passes_direct_lookup_recheck():
     for trial in range(60):
         code = SCHEMA_CODES[trial % len(SCHEMA_CODES)]
         kb = random_kb(code, rng)
+        table = fact_table(schema_for(code), kb)
         for item in derive_instances(code, kb):
-            assert confirm_instance(code, kb, item.args)
+            assert confirm_instance(code, table, item.args)
 
 
 def test_confirm_instance_rejects_wrong_tuple():
-    kb = load_seed(FallacyCode.FC)
+    table = fact_table(schema_for(FallacyCode.FC), load_seed(FallacyCode.FC))
     assert not confirm_instance(
-        FallacyCode.FC, kb, atoms("building", "survives_fire", "chimney")
+        FallacyCode.FC, table, atoms("building", "survives_fire", "chimney")
     )
 
 
