@@ -4,18 +4,27 @@ Terms, unification with an occurs check, depth-first SLD resolution over an
 insertion-ordered clause store, negation as failure, the two builtin
 comparisons (``\\=`` and ``@<``), and findall.
 
+The solver asks its clause source for the candidates of each resolved goal
+(see ``ClauseSource``); a source may leave out clauses whose head cannot
+unify with the goal, but keeps the rest in insertion order, so an indexed
+source yields the same solutions in the same order as a full scan.  A clause
+without variables (every fact of a knowledge base) is unified as it is; the
+others are renamed apart, from variable names computed once per clause.
+
 The solver is deliberately small: no cut, no assert during solving, no
 arithmetic evaluation, no general tabling.  A ground-goal visited set makes
 the one recursive construct used downstream (transitive closure) terminate on
 cyclic graphs; everything else is plain SLD resolution.
 
 Solver runs are single-use generators confined to one thread.  A sealed
-knowledge base is immutable and may back any number of concurrent runs.
+knowledge base's contents are immutable and it may back any number of
+concurrent runs; its argument indexes are filled on first lookup.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .errors import DepthLimitError, FlounderError
@@ -133,18 +142,12 @@ class Clause:
     def is_fact(self) -> bool:
         return not self.body
 
-
-def literal_vars(lit: Literal) -> set[str]:
-    if isinstance(lit, Goal):
-        return term_vars(lit.term)
-    return term_vars(lit.lhs) | term_vars(lit.rhs)
-
-
-def clause_vars(clause: Clause) -> set[str]:
-    out = term_vars(clause.head)
-    for lit in clause.body:
-        out |= literal_vars(lit)
-    return out
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        """Names of the clause's variables in first-occurrence order,
+        computed once per clause."""
+        literals = (Goal(self.head),) + self.body
+        return tuple(dict.fromkeys(name for lit in literals for name in _ordered_names(lit)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,11 @@ def compare_terms(t1: Term, t2: Term) -> int:
 class ClauseSource(Protocol):
     """What the solver needs from a knowledge base."""
 
-    def clauses(self, name: str, arity: int) -> Sequence[Clause]: ...
+    def candidates(self, goal: GoalTerm) -> Sequence[Clause]:
+        """Clauses of the goal's predicate to try against ``goal``, a
+        resolved goal term, in insertion order.  Each clause whose head can
+        unify with the goal must be included; the others may be left out."""
+        ...
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +278,7 @@ class _Scope:
 
 
 def _rename_clause(clause: Clause, counter) -> Clause:
-    mapping = {name: Var(f"{name}#{next(counter)}") for name in clause_vars(clause)}
-    if not mapping:
-        return clause
+    mapping = {name: Var(f"{name}#{next(counter)}") for name in clause.variables}
 
     def ren_term(t: Term) -> Term:
         if isinstance(t, Var):
@@ -326,7 +331,7 @@ def solve(
 ) -> Iterator[dict[str, Term]]:
     """Depth-first, left-to-right SLD resolution.
 
-    Clauses are tried in knowledge-base insertion order.  Yields one
+    Candidate clauses are tried in knowledge-base insertion order.  Yields one
     substitution per solution, restricted to the query's named variables.
 
     A negated literal must be ground when selected, except for variables
@@ -392,14 +397,15 @@ def solve(
             continue
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
-        for clause in kb.clauses(*indicator(goal_term)):
-            renamed = _rename_clause(clause, counter)
-            extended = unify(goal_term, renamed.head, subst)
+        for clause in kb.candidates(goal_term):
+            if clause.variables:
+                clause = _rename_clause(clause, counter)
+            extended = unify(goal_term, clause.head, subst)
             if extended is None:
                 continue
             alternatives.append(
                 (
-                    renamed.body + (_Scope(goal_term),) + rest,
+                    clause.body + (_Scope(goal_term),) + rest,
                     extended,
                     depth + 1,
                     branch_visited,
@@ -429,9 +435,13 @@ def findall(
 ) -> list[Term]:
     """``template`` instantiated under every solution, in solution order.
 
-    Duplicates are preserved; deduplication is the caller's concern.
+    Duplicates are preserved; deduplication is the caller's concern.  A
+    query variable a solution leaves unbound stays as it is.
     """
     out = []
     for solution in solve(goals, kb, depth_limit=depth_limit):
-        out.append(resolve(template, solution))
+        # An unbound variable is projected onto itself; as a binding it would
+        # send ``walk`` round in a loop.
+        bound = {name: term for name, term in solution.items() if term != Var(name)}
+        out.append(resolve(template, bound))
     return out

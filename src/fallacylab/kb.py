@@ -2,15 +2,20 @@
 
 Facts carry an optional inline comment and a group id tying together the
 facts of one generated instance.  A knowledge base is mutable while loading
-in a single thread; after ``seal()`` it is immutable and can safely back any
-number of concurrent solver runs.
+in a single thread; after ``seal()`` its contents are immutable and it can
+safely back any number of concurrent solver runs.
+
+The solver picks clauses through per-argument-position indexes
+(``candidates``).  Each index is built on the first lookup that needs it, not
+while loading, so a base that is only validated or serialized builds none; a
+fill racing another on the same position builds the same table twice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .engine import Clause, indicator, is_ground
+from .engine import Atom, Clause, GoalTerm, Int, Struct, Term, indicator, is_ground
 from .errors import SealedError
 from .parser import parse_program, serialize_clause
 
@@ -31,6 +36,11 @@ class KnowledgeBase:
         self.facts: list[FactRecord] = []
         self.rules: list[Clause] = []
         self._by_indicator: dict[tuple[str, int], list[Clause]] = {}
+        #: (name, arity) -> argument position -> (buckets by constant, the
+        #: clauses with a variable or compound there); see ``candidates``.
+        self._indexes: dict[
+            tuple[str, int], dict[int, tuple[dict[Term, list[Clause]], list[Clause]]]
+        ] = {}
         self.sealed = False
 
     # -- loading ----------------------------------------------------------
@@ -49,7 +59,9 @@ class KnowledgeBase:
             self.facts.append(FactRecord(clause, comment, group_id))
         else:
             self.rules.append(clause)
-        self._by_indicator.setdefault(indicator(clause.head), []).append(clause)
+        key = indicator(clause.head)
+        self._by_indicator.setdefault(key, []).append(clause)
+        self._indexes.pop(key, None)
         return self
 
     def add_record(self, record: FactRecord) -> "KnowledgeBase":
@@ -81,6 +93,48 @@ class KnowledgeBase:
     def clauses(self, name: str, arity: int) -> list[Clause]:
         """Clauses for one predicate, in insertion order."""
         return self._by_indicator.get((name, arity), [])
+
+    def candidates(self, goal: GoalTerm) -> Sequence[Clause]:
+        """The clauses to try against a resolved goal, in insertion order.
+
+        Each argument of ``goal`` that is an atom or integer selects a bucket
+        of its position's index: the clauses holding that constant there,
+        plus those holding a variable or compound there.  The smallest
+        bucket is returned; a goal with no such argument gets every clause
+        of its predicate.
+        """
+        key = indicator(goal)
+        best = self.clauses(*key)
+        if isinstance(goal, Struct):
+            for position, arg in enumerate(goal.args):
+                if best and isinstance(arg, (Atom, Int)):
+                    buckets, others = self._position_index(key, position)
+                    bucket = buckets.get(arg, others)
+                    if len(bucket) < len(best):
+                        best = bucket
+        return best
+
+    def _position_index(
+        self, key: tuple[str, int], position: int
+    ) -> tuple[dict[Term, list[Clause]], list[Clause]]:
+        positions = self._indexes.setdefault(key, {})
+        index = positions.get(position)
+        if index is None:
+            buckets: dict[Term, list[Clause]] = {}
+            others: list[Clause] = []
+            for clause in self._by_indicator[key]:
+                arg = clause.head.args[position]  # type: ignore[union-attr]
+                if isinstance(arg, (Atom, Int)):
+                    bucket = buckets.get(arg)
+                    if bucket is None:
+                        bucket = buckets[arg] = list(others)
+                    bucket.append(clause)
+                else:
+                    others.append(clause)
+                    for bucket in buckets.values():
+                        bucket.append(clause)
+            index = positions[position] = (buckets, others)
+        return index
 
     def max_group_id(self) -> int:
         return max((r.group_id for r in self.facts), default=-1)

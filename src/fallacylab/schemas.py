@@ -17,7 +17,8 @@ once natively.  The engine has no derived predicates:
   given to the solver as ordinary facts.
 
 ``derive_instances`` re-checks every tuple it returns literal by literal
-against the fact table, independent of the solver, before handing it out.
+against the fact table, independent of the solver, before handing it out;
+the table indexes its own rows on bound argument positions for that.
 """
 from __future__ import annotations
 
@@ -133,8 +134,40 @@ _SIGNATURES: dict[FallacyCode, tuple[str, ...]] = {
 }
 
 
-#: Argument tuples per (name, arity), in insertion order, duplicates kept.
-FactTable = dict[tuple[str, int], list[tuple[Term, ...]]]
+class FactTable(dict):
+    """Argument tuples per (name, arity), in insertion order, duplicates kept.
+
+    ``matching`` reads a per-position index of a predicate's rows, keyed by
+    value and built on first use, so the table must be complete before it
+    is first called.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._indexes: dict[tuple[tuple[str, int], int], dict[Term, list[tuple[Term, ...]]]] = {}
+
+    def matching(
+        self, key: tuple[str, int], bound: Sequence[tuple[int, Term]]
+    ) -> list[tuple[Term, ...]]:
+        """Rows of ``key`` that may hold every bound ``(position, value)``:
+        the smallest of their buckets, in insertion order, or every row when
+        nothing is bound.  Callers still match each row in full."""
+        best = self.get(key, [])
+        for position, value in bound:
+            bucket = self._index(key, position).get(value, [])
+            if len(bucket) < len(best):
+                best = bucket
+        return best
+
+    def _index(self, key: tuple[str, int], position: int) -> dict[Term, list[tuple[Term, ...]]]:
+        index = self._indexes.get((key, position))
+        if index is None:
+            index = {}
+            for row in self.get(key, []):
+                index.setdefault(row[position], []).append(row)
+            self._indexes[key, position] = index
+        return index
+
 
 #: An auxiliary relation computed natively: its rows, read off the fact table.
 Auxiliary = Callable[[FactTable], list[tuple[Term, ...]]]
@@ -330,7 +363,7 @@ class ValidTuple:
 def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
     """The argument tuples of the base's facts, then each of the schema's
     auxiliary relations, computed once."""
-    table: FactTable = {}
+    table = FactTable()
     for record in kb.facts:
         head = record.clause.head
         table.setdefault(indicator(head), []).append(
@@ -438,7 +471,12 @@ def _check_body(body: list[Literal], binding: dict[str, Term], table: FactTable)
         return compare_terms(lhs, rhs) < 0 and _check_body(rest, binding, table)
     assert isinstance(lit, Goal)
     pattern = lit.term.args if isinstance(lit.term, Struct) else ()
-    rows = table.get(indicator(lit.term), [])
+    bound = [
+        (position, value)
+        for position, value in enumerate(_lookup_value(pat, binding) for pat in pattern)
+        if not isinstance(value, Var)
+    ]
+    rows = table.matching(indicator(lit.term), bound)
     if lit.negated:
         holds = next(_goal_matches(pattern, rows, binding), None) is not None
         return not holds and _check_body(rest, binding, table)

@@ -67,6 +67,23 @@ def test_derive_emits_ordering_diagnostic_on_stderr(runner):
     assert "term-order" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "facts, printed",
+    [
+        ("hr(a, 1).\nrri(1, x).\nrui(1, y).\n", "pd(a, 1, x, y)\n"),
+        ("hr(a, r).\nrri(r, f(x)).\nrui(r, f(y)).\n", "pd(a, r, f(x), f(y))\n"),
+    ],
+    ids=["integer", "compound"],
+)
+def test_derive_kb_with_integer_and_compound_arguments(runner, tmp_path, facts, printed):
+    path = tmp_path / "af.pl"
+    path.write_text(facts)
+    result = run(runner, "derive", "--code", "AF", "--kb", path)
+    assert result.exit_code == 0
+    assert result.stdout == printed
+    assert result.stderr == ""
+
+
 def test_derive_unknown_code_exit_two(runner):
     result = run(runner, "derive", "--code", "XX")
     assert result.exit_code == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fallacylab.engine import (
     Atom,
+    Clause,
     Goal,
     Int,
     NotEqual,
@@ -16,6 +17,7 @@ from fallacylab.engine import (
     Var,
     compare_terms,
     findall,
+    indicator,
     is_ground,
     resolve,
     solve,
@@ -266,6 +268,13 @@ def test_findall_preserves_duplicates():
     ]
 
 
+def test_findall_keeps_unbound_query_variable():
+    # A is unified only with the rule's own variable, so no solution binds it.
+    kb = kb_from("q(a).\np(X, X) :- q(a).\n")
+    goal = Goal(Struct("p", (Struct("f", (Var("A"),)), Struct("f", (Var("A"),)))))
+    assert findall(Struct("ans", (Var("A"),)), [goal], kb) == [Struct("ans", (Var("A"),))]
+
+
 def test_is_ground():
     assert is_ground(Struct("f", (Atom("a"), Int(1))))
     assert not is_ground(Struct("f", (Atom("a"), Var("X"))))
@@ -280,3 +289,75 @@ def test_clause_local_variable_in_negation_is_existential():
     out = [s["X"] for s in solve([Goal(Struct("safe", (Var("X"),)))], kb)]
     assert out == [Atom("a")]
 
+
+# ---------------------------------------------------------------------------
+# Argument indexing against a full scan
+# ---------------------------------------------------------------------------
+
+
+class FullScan:
+    """Every clause of the goal's predicate, in insertion order: the
+    unindexed reference for ``KnowledgeBase.candidates``."""
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+
+    def candidates(self, goal):
+        return self.kb.clauses(*indicator(goal))
+
+
+_constants = st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Int(1), Int(2)])
+_ground_args = st.one_of(_constants, _constants.map(lambda t: Struct("f", (t,))))
+_rule_vars = st.sampled_from([Var("X"), Var("Y"), Var("Z")])
+_head_args = st.one_of(_ground_args, _rule_vars, _rule_vars.map(lambda v: Struct("f", (v,))))
+_query_vars = st.sampled_from([Var("A"), Var("B"), Var("C")])
+_query_args = st.one_of(_query_vars, _ground_args, _query_vars.map(lambda v: Struct("f", (v,))))
+
+
+def _pair(name, args):
+    return st.tuples(args, args).map(lambda pair: Struct(name, pair))
+
+
+_q_facts = st.lists(_pair("q", _ground_args).map(Clause), min_size=2, max_size=10)
+_p_bodies = st.lists(
+    _pair("q", st.one_of(_rule_vars, _ground_args)).map(Goal), min_size=1, max_size=2
+).map(tuple)
+_p_clause = st.one_of(
+    _pair("p", _ground_args).map(Clause), st.builds(Clause, _pair("p", _head_args), _p_bodies)
+)
+_var_headed = st.builds(Clause, st.just(Struct("p", (Var("X"), Var("Y")))), _p_bodies)
+# p/2 mixes facts and rules; one variable-headed rule sits between the others.
+_p_clauses = st.tuples(
+    st.lists(_p_clause, max_size=6), _var_headed, st.lists(_p_clause, max_size=6)
+).map(lambda parts: parts[0] + [parts[1]] + parts[2])
+# ``none/2`` has no clauses.
+_queries = st.lists(
+    st.sampled_from(["p", "p", "q", "none"]).flatmap(lambda name: _pair(name, _query_args)),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _canonical(term, names: dict[str, str]):
+    """``term`` with each internal variable named by first occurrence."""
+    if isinstance(term, Var) and "#" in term.name:
+        return Var(names.setdefault(term.name, f"_G{len(names)}"))
+    if isinstance(term, Struct):
+        return Struct(term.functor, tuple(_canonical(a, names) for a in term.args))
+    return term
+
+
+@given(_q_facts, _p_clauses, _queries)
+@settings(max_examples=300, deadline=None)
+def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
+    kb = KnowledgeBase()
+    for clause in q_facts + p_clauses:
+        kb.assertz(clause)
+    kb.seal()
+    goals = [Goal(term) for term in query]
+    template = Struct("ans", tuple(query))
+    indexed = findall(template, goals, kb)
+    scanned = findall(template, goals, FullScan(kb))
+    # Same solutions, order and multiplicity; internal variables may carry
+    # other numbers, since rules left out by the index are not renamed.
+    assert [_canonical(t, {}) for t in indexed] == [_canonical(t, {}) for t in scanned]

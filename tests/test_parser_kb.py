@@ -194,6 +194,30 @@ def test_duplicate_fact_stored_twice():
     assert len(kb.clauses("f", 1)) == 2
 
 
+def test_candidates_keep_variable_headed_clauses_in_insertion_order():
+    clauses = [
+        item.clause
+        for item in parse_program(
+            "p(a, 1).\np(X, 2) :- q(X).\np(b, 1).\np(f(a), 1).\np(a, 3).\n"
+        )
+    ]
+    kb = KnowledgeBase()
+    for clause in clauses:
+        kb.assertz(clause)
+    a1, var, b1, compound, a3 = clauses
+    p = lambda *args: Struct("p", args)  # noqa: E731
+    assert kb.candidates(p(Atom("a"), Var("V"))) == [a1, var, compound, a3]
+    # The smallest bucket wins: four clauses can match a at 0, three 1 at 1.
+    assert kb.candidates(p(Atom("a"), Int(1))) == [a1, b1, compound]
+    assert kb.candidates(p(Atom("zz"), Var("V"))) == [var, compound]
+    assert kb.candidates(p(Var("V"), Var("W"))) == clauses
+    assert kb.candidates(Struct("absent", (Atom("a"),))) == []
+    # A clause asserted after a lookup is seen by the next one.
+    late = parse_program("p(a, 1).")[0].clause
+    kb.assertz(late)
+    assert kb.candidates(p(Atom("a"), Int(1))) == [a1, b1, compound, late]
+
+
 def test_extended_leaves_original_untouched():
     base = load_seed(FallacyCode.IT)
     extra = parse_program("im(x_cause, y_effect).")[0].clause

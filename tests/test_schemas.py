@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from fallacylab import schemas
+from fallacylab import engine, schemas
 from fallacylab.cli import main
 from fallacylab.engine import Atom, Goal
 from fallacylab.errors import FlounderError, SignatureError, UnknownSchemaError
@@ -256,6 +256,63 @@ def test_derivation_computes_each_auxiliary_once(monkeypatch, code, text, key, n
         monkeypatch.setitem(derived, key, counting)
     assert len(derive_instances(code, kb_from(text))) >= 3
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Scaling in the number of fact groups
+# ---------------------------------------------------------------------------
+
+#: One instance per group, over constants private to the group (``{i}``).
+GROUPS = {
+    FallacyCode.ID: "he(act_{i}, short_{i}, day_{i}).\nhe(act_{i}, long_{i}, week_{i}).\n"
+    "vc(short_{i}, repeat_{i}, long_{i}).",
+    FallacyCode.FA: "hp(thing_{i}, shared_{i}).\nhp(other_{i}, shared_{i}).\n"
+    "hp(thing_{i}, extra_{i}).",
+    FallacyCode.FP: "ef(cond_{i}, fact_{i}).\nfp(fact_{i}, premise_{i}).\n"
+    "po(obs_{i}, premise_{i}).\nfplc(premise_{i}, obs_{i}, concl_{i}).",
+    FallacyCode.AF: "hr(object_{i}, rule_{i}).\nrri(rule_{i}, sane_{i}).\nrui(rule_{i}, absurd_{i}).",
+    FallacyCode.FC: "hp(part_{i}, prop_{i}).\nipo(part_{i}, whole_{i}).\nlp(whole_{i}, prop_{i}).",
+    FallacyCode.BQ: "ca(claim_{i}, arg_{i}).\nema(arg_{i}, means_{i}).\nemrc(means_{i}, claim_{i}).",
+    FallacyCode.CT: "qc(quote_{i}, meant_{i}).\nqoc(quote_{i}, misread_{i}).\n"
+    "froc(misread_{i}, linked_{i}).\nifqoc(linked_{i}, concl_{i}).",
+    FallacyCode.IE: "cc(fwd_{i}, back_{i}).\ncc(lose_{i}, gain_{i}).\nim(fwd_{i}, lose_{i}).",
+    FallacyCode.IT: "im(rain_{i}, wet_{i}).\nim(hose_{i}, wet_{i}).",
+    FallacyCode.WD: "cs(cause_{i}, effect_{i}).",
+    FallacyCode.FS: "ha(scene_{i}, ev_{i}_a).\nha(scene_{i}, ev_{i}_b).\nrc(root_{i}, ev_{i}_b).",
+}
+
+
+def _derivation_work(monkeypatch, code: FallacyCode, n_groups: int) -> tuple[int, int]:
+    """Unifications made by the solver and rows matched by the recheck while
+    deriving ``n_groups`` groups of ``code``."""
+    kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(n_groups)))
+    counts = {"unify": 0, "match": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    # The solver's head unifications, with the argument-wise calls each makes.
+    monkeypatch.setattr(engine, "unify", counting("unify", engine.unify))
+    monkeypatch.setattr(schemas, "_match_args", counting("match", schemas._match_args))
+    derived = derive_instances(code, kb)
+    monkeypatch.undo()
+    assert len(derived) == n_groups * (2 if code is FallacyCode.IT else 1)
+    return counts["unify"], counts["match"]
+
+
+@pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
+def test_derivation_work_grows_linearly_in_groups(monkeypatch, code):
+    small_unify, small_match = _derivation_work(monkeypatch, code, 12)
+    large_unify, large_match = _derivation_work(monkeypatch, code, 48)
+    assert large_match <= 4.5 * small_match
+    # IE's body pairs every cc fact with every other before im(A, B) can
+    # filter, so its solver work stays quadratic.
+    if code is not FallacyCode.IE:
+        assert large_unify <= 4.5 * small_unify
 
 
 # ---------------------------------------------------------------------------
