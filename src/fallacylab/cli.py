@@ -2,6 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 validation findings,
 2 input error, 3 provider error.
+
+Every ``click.echo`` names its stream: without ``file=``, click caches the
+current ``sys.stdout`` or ``sys.stderr`` for good, which would keep each
+stream an in-process caller swaps in (and all its output) alive.
 """
 from __future__ import annotations
 
@@ -143,7 +147,7 @@ def _exit_codes(body):
             code, message = EXIT_PROVIDER, str(exc)
         except (FallacyLabError, ValueError, OSError) as exc:
             code, message = EXIT_INPUT, str(exc)
-        click.echo(f"error: {message}", err=True)
+        click.echo(f"error: {message}", file=sys.stderr)
         sys.exit(code)
 
     return wrapper
@@ -186,7 +190,7 @@ def validate(kb_path: str, code_text: str) -> None:
     code = parse_code(code_text)
     kb = KnowledgeBase.from_text(Path(kb_path).read_text(encoding="utf-8"))
     report = validate_kb_against_schema(code, kb)
-    click.echo(report.render())
+    click.echo(report.render(), file=sys.stdout)
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)
 
 
@@ -201,9 +205,9 @@ def derive(code_text: str, kb_path: str | None) -> None:
     tuples = derive_instances(code, kb)
     note = ordering_diagnostic(code, kb, tuples)
     for item in tuples:
-        click.echo(item.render())
+        click.echo(item.render(), file=sys.stdout)
     if note:
-        click.echo(f"diagnostic: {note}", err=True)
+        click.echo(f"diagnostic: {note}", file=sys.stderr)
     sys.exit(EXIT_OK)
 
 
@@ -225,9 +229,9 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
     _finish_provider(provider)
     paths = write_bundle(bundle, out_dir)
     for note in bundle.diagnostics:
-        click.echo(f"diagnostic: {note}", err=True)
+        click.echo(f"diagnostic: {note}", file=sys.stderr)
     for path in paths:
-        click.echo(str(path))
+        click.echo(str(path), file=sys.stdout)
     sys.exit(EXIT_OK)
 
 
@@ -248,7 +252,7 @@ def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> N
     _finish_provider(provider)
     paths = write_scores(scored, method_tag, out_dir)
     for path in paths:
-        click.echo(str(path))
+        click.echo(str(path), file=sys.stdout)
     sys.exit(EXIT_OK)
 
 
@@ -279,8 +283,8 @@ def eval_cmd(benchmark_path, predictions_path, mode, cassette, config_path, out_
     report = build_report(entries, preds)
     paths = write_report(report, preds, out_dir)
     for path in paths:
-        click.echo(str(path))
-    click.echo(report.to_text(), nl=False)
+        click.echo(str(path), file=sys.stdout)
+    click.echo(report.to_text(), file=sys.stdout, nl=False)
     sys.exit(EXIT_OK)
 
 

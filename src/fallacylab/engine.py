@@ -11,6 +11,21 @@ source yields the same solutions in the same order as a full scan.  A clause
 without variables (every fact of a knowledge base) is unified as it is; the
 others are renamed apart, from variable names computed once per clause.
 
+When a resolved clause's positive body goals all name fact-only predicates
+of the source (``ClauseSource.fact_rows``), the body runs as a join instead
+of as SLD goals: next comes the goal with the most bound arguments, ties
+broken by body order, and each ``\\=``, ``@<`` and negation over facts runs
+as soon as its variables are bound.  A negation over a predicate with rules
+runs after every literal before it and before any after it, as in SLD, since
+its sub-solve may raise; if it does, SLD runs the body instead.  Over facts,
+SLD yields a body's solutions in lexicographic order of the positions of the
+rows its positive goals matched, in body order, so the join sorts its
+solutions by that vector and they come out in SLD's order and multiplicity.
+SLD still runs every other body: rule goals (a recursive closure, say),
+and bodies where a builtin or negation would be reached before its
+variables are bound or that could reach the depth limit, so FlounderError,
+DepthLimitError and builtins on unbound terms behave as before.
+
 The solver is deliberately small: no cut, no assert during solving, no
 arithmetic evaluation, no general tabling.  A ground-goal visited set makes
 the one recursive construct used downstream (transitive closure) terminate on
@@ -23,8 +38,10 @@ concurrent runs; its argument indexes are filled on first lookup.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .errors import DepthLimitError, FlounderError
@@ -150,6 +167,11 @@ class Clause:
         return tuple(dict.fromkeys(name for lit in literals for name in _ordered_names(lit)))
 
 
+#: A clause paired with its position among its predicate's clauses, in
+#: insertion order.
+Row = tuple[int, Clause]
+
+
 # ---------------------------------------------------------------------------
 # Substitutions and unification
 # ---------------------------------------------------------------------------
@@ -264,6 +286,13 @@ class ClauseSource(Protocol):
         unify with the goal must be included; the others may be left out."""
         ...
 
+    def fact_rows(self, goal: GoalTerm) -> Sequence[Row] | None:
+        """None unless the goal's predicate is fact-only (defined by ground
+        facts alone).  Then the goal's ``candidates``, each paired with its
+        position among the predicate's clauses.  A source that always
+        answers None is resolved by plain SLD throughout."""
+        ...
+
 
 # ---------------------------------------------------------------------------
 # SLD resolution
@@ -340,8 +369,27 @@ def solve(
     steps raise DepthLimitError.  A ground goal identical to one still being
     resolved on the same branch fails that branch, which makes ground
     transitive-closure queries terminate on cyclic fact graphs.
+
+    A resolved clause whose positive body goals are all fact-only runs its
+    body as a planned join (see ``_body_plan``), with the same solutions in
+    the same order.
     """
-    goals = tuple(goals)
+    return _solve(tuple(goals), _Run(kb, depth_limit, {}))
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What one solve shares with the sub-solves of its negations."""
+
+    kb: ClauseSource
+    depth_limit: int
+    #: (id of a stored clause, ground head arguments) -> (the clause, which
+    #: keeps its id unique, and its plan); see ``_body_plan``.
+    plans: dict
+
+
+def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
+    kb, depth_limit = run.kb, run.depth_limit
     projection = _query_var_names(goals)
     counter = itertools.count()
 
@@ -361,14 +409,8 @@ def solve(
         if depth >= depth_limit:
             raise DepthLimitError(f"resolution depth exceeded {depth_limit}")
 
-        if isinstance(lit, NotEqual):
-            if unify(lit.lhs, lit.rhs, subst) is None:
-                frames.append((rest, subst, depth + 1, visited))
-            continue
-        if isinstance(lit, TermLess):
-            lhs = resolve(lit.lhs, subst)
-            rhs = resolve(lit.rhs, subst)
-            if compare_terms(lhs, rhs) < 0:
+        if not isinstance(lit, Goal):
+            if _builtin_holds(lit, subst):
                 frames.append((rest, subst, depth + 1, visited))
             continue
 
@@ -388,7 +430,7 @@ def solve(
                         "negated goal selected with unbound shared variable(s): "
                         + ", ".join(sorted(leaked))
                     )
-            if not _provable(goal_term, kb, depth_limit):
+            if not _provable(goal_term, run):
                 frames.append((rest, subst, depth + 1, visited))
             continue
 
@@ -397,21 +439,34 @@ def solve(
             continue
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
-        for clause in kb.candidates(goal_term):
-            if clause.variables:
-                clause = _rename_clause(clause, counter)
+        for stored in kb.candidates(goal_term):
+            clause = _rename_clause(stored, counter) if stored.variables else stored
             extended = unify(goal_term, clause.head, subst)
             if extended is None:
                 continue
+            body = clause.body
+            # A planned body keeps SLD's depth accounting, one step per
+            # literal, so a body that could reach the limit is left to SLD.
+            if body and depth + 1 + len(body) <= depth_limit:
+                plan = _body_plan(stored, goal_term, run)
+                solutions = None if plan is None else _run_plan(plan, body, extended, run)
+                if solutions is not None:
+                    after = (_Scope(goal_term),) + rest
+                    alternatives.extend(
+                        (after, solution, depth + 1 + len(body), branch_visited)
+                        for solution in solutions
+                    )
+                    continue
             alternatives.append(
-                (
-                    clause.body + (_Scope(goal_term),) + rest,
-                    extended,
-                    depth + 1,
-                    branch_visited,
-                )
+                (body + (_Scope(goal_term),) + rest, extended, depth + 1, branch_visited)
             )
         frames.extend(reversed(alternatives))
+
+
+def _builtin_holds(lit: Union[NotEqual, TermLess], subst: Substitution) -> bool:
+    if isinstance(lit, NotEqual):
+        return unify(lit.lhs, lit.rhs, subst) is None
+    return compare_terms(resolve(lit.lhs, subst), resolve(lit.rhs, subst)) < 0
 
 
 def _resolved_literal_vars(lit: Literal, subst: Substitution) -> set[str]:
@@ -420,10 +475,158 @@ def _resolved_literal_vars(lit: Literal, subst: Substitution) -> set[str]:
     return term_vars(resolve(lit.lhs, subst)) | term_vars(resolve(lit.rhs, subst))
 
 
-def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
-    for _ in solve([Goal(goal_term)], kb, depth_limit=depth_limit):
+def _provable(goal_term: GoalTerm, run: _Run) -> bool:
+    for _ in _solve((Goal(goal_term),), run):
         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Join planning for fact-only bodies
+# ---------------------------------------------------------------------------
+
+# Plan steps: join a positive goal's rows, test a builtin or a negation over a
+# fact-only predicate, or prove a negation over a predicate with rules.
+_JOIN, _TEST, _PROVE = range(3)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    #: (step kind, body index, ordinal of a joined goal among the body's
+    #: positive goals, else -1), in run order.
+    steps: tuple[tuple[int, int, int], ...]
+    goal_count: int
+
+
+def _body_plan(clause: Clause, goal: GoalTerm, run: _Run) -> _Plan | None:
+    """The join plan for the body of a stored ``clause`` resolved against
+    ``goal``, or None when SLD must run it: a positive goal's predicate has
+    a rule, or a builtin or negation would be reached before its variables
+    are bound.
+
+    A run plans each clause once per pattern of head arguments the goal
+    binds to ground terms.
+    """
+    args = goal.args if isinstance(goal, Struct) else ()
+    key = (id(clause), tuple(map(is_ground, args)))
+    cached = run.plans.get(key)
+    if cached is None:
+        cached = run.plans[key] = (clause, _make_plan(clause, key[1], run.kb))
+    return cached[1]
+
+
+def _make_plan(clause: Clause, ground_args: tuple[bool, ...], kb: ClauseSource) -> _Plan | None:
+    body = clause.body
+    fact_only = [isinstance(lit, Goal) and kb.fact_rows(lit.term) is not None for lit in body]
+    ordinals: dict[int, int] = {}
+    for index, lit in enumerate(body):
+        if isinstance(lit, Goal) and not lit.negated:
+            if not fact_only[index]:
+                return None
+            ordinals[index] = len(ordinals)
+    names = [set(_ordered_names(lit)) for lit in body]
+    head_args = clause.head.args if isinstance(clause.head, Struct) else ()
+    bound = set().union(*(term_vars(arg) for arg, ground in zip(head_args, ground_args) if ground))
+    occurrences = Counter(term_vars(clause.head))
+    for lit_names in names:
+        occurrences.update(lit_names)
+
+    # What each builtin or negation needs bound: every variable, save those
+    # of a negation that occur nowhere else in the clause (read
+    # existentially).  SLD binds them from the positive goals before it.
+    needs: dict[int, set[str]] = {}
+    seen = set(bound)
+    for index, lit in enumerate(body):
+        if index in ordinals:
+            seen |= names[index]
+            continue
+        need = names[index]
+        if isinstance(lit, Goal):
+            need = {name for name in need if occurrences[name] > 1}
+        if not need <= seen:
+            return None
+        needs[index] = need
+
+    steps: list[tuple[int, int, int]] = []
+
+    def plan_segment(segment: list[int]) -> None:
+        # Next the goal with the most bound arguments, ties broken by body
+        # order; each test runs as soon as its variables are bound.
+        goals = [index for index in segment if index in ordinals]
+        tests = [index for index in segment if index not in ordinals]
+        while True:
+            for index in [index for index in tests if needs[index] <= bound]:
+                steps.append((_TEST, index, -1))
+                tests.remove(index)
+            if not goals:
+                return
+            best = max(goals, key=lambda index: (_bound_args(body[index].term, bound), -index))
+            goals.remove(best)
+            steps.append((_JOIN, best, ordinals[best]))
+            bound.update(names[best])
+
+    # A negation over a predicate with rules may raise in its own sub-solve,
+    # so it splits the body: it runs on exactly the bindings SLD gives it,
+    # after every literal before it and before any after it.
+    segment: list[int] = []
+    for index, lit in enumerate(body):
+        if isinstance(lit, Goal) and lit.negated and not fact_only[index]:
+            plan_segment(segment)
+            steps.append((_PROVE, index, -1))
+            segment = []
+        else:
+            segment.append(index)
+    plan_segment(segment)
+    return _Plan(tuple(steps), len(ordinals))
+
+
+def _bound_args(term: GoalTerm, bound: set[str]) -> int:
+    args = term.args if isinstance(term, Struct) else ()
+    return sum(1 for arg in args if term_vars(arg) <= bound)
+
+
+def _run_plan(
+    plan: _Plan, body: tuple[Literal, ...], subst: Substitution, run: _Run
+) -> list[Substitution] | None:
+    """The body's solutions in SLD order, or None when a negation's
+    sub-solve raised (SLD then runs the body and raises as it would).
+
+    With fact-only positive goals, SLD yields solutions in lexicographic
+    order of the row positions the goals matched, in body order; so the
+    join tags each solution with that vector and sorts by it.
+    """
+    found: list[tuple[tuple[int, ...], Substitution]] = []
+    try:
+        _join(plan.steps, 0, body, subst, [0] * plan.goal_count, run, found)
+    except (DepthLimitError, FlounderError):
+        return None
+    found.sort(key=itemgetter(0))
+    return [solution for _, solution in found]
+
+
+def _join(steps, k, body, subst, positions, run, found) -> None:
+    if k == len(steps):
+        found.append((tuple(positions), subst))
+        return
+    kind, index, ordinal = steps[k]
+    lit = body[index]
+    if kind == _JOIN:
+        goal = resolve(lit.term, subst)
+        for position, fact in run.kb.fact_rows(goal):
+            extended = unify(goal, fact.head, subst)
+            if extended is not None:
+                positions[ordinal] = position
+                _join(steps, k + 1, body, extended, positions, run, found)
+        return
+    if kind == _PROVE:
+        holds = not _provable(resolve(lit.term, subst), run)
+    elif isinstance(lit, Goal):
+        goal = resolve(lit.term, subst)
+        holds = all(unify(goal, fact.head) is None for _, fact in run.kb.fact_rows(goal))
+    else:
+        holds = _builtin_holds(lit, subst)
+    if holds:
+        _join(steps, k + 1, body, subst, positions, run, found)
 
 
 def findall(

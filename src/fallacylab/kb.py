@@ -6,16 +6,17 @@ in a single thread; after ``seal()`` its contents are immutable and it can
 safely back any number of concurrent solver runs.
 
 The solver picks clauses through per-argument-position indexes
-(``candidates``).  Each index is built on the first lookup that needs it, not
-while loading, so a base that is only validated or serialized builds none; a
-fill racing another on the same position builds the same table twice.
+(``candidates``, and ``fact_rows`` for the join planner, which also needs each
+clause's position).  Each index is built on the first lookup that needs it,
+not while loading, so a base that is only validated or serialized builds
+none; a fill racing another on the same position builds the same table twice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import Atom, Clause, GoalTerm, Int, Struct, Term, indicator, is_ground
+from .engine import Atom, Clause, GoalTerm, Int, Row, Struct, Term, indicator, is_ground
 from .errors import SealedError
 from .parser import parse_program, serialize_clause
 
@@ -36,10 +37,14 @@ class KnowledgeBase:
         self.facts: list[FactRecord] = []
         self.rules: list[Clause] = []
         self._by_indicator: dict[tuple[str, int], list[Clause]] = {}
+        #: Predicates with at least one rule; every other one is fact-only.
+        self._rule_indicators: set[tuple[str, int]] = set()
+        #: (name, arity) -> its clauses, each paired with its position.
+        self._rows: dict[tuple[str, int], list[Row]] = {}
         #: (name, arity) -> argument position -> (buckets by constant, the
-        #: clauses with a variable or compound there); see ``candidates``.
+        #: rows with a variable or compound there); see ``candidates``.
         self._indexes: dict[
-            tuple[str, int], dict[int, tuple[dict[Term, list[Clause]], list[Clause]]]
+            tuple[str, int], dict[int, tuple[dict[Term, list[Row]], list[Row]]]
         ] = {}
         self.sealed = False
 
@@ -51,6 +56,7 @@ class KnowledgeBase:
         """Append a clause.  Facts must be ground; raises on a sealed base."""
         if self.sealed:
             raise SealedError("knowledge base is sealed")
+        key = indicator(clause.head)
         if clause.is_fact:
             if not is_ground(clause.head):
                 raise ValueError(
@@ -59,8 +65,9 @@ class KnowledgeBase:
             self.facts.append(FactRecord(clause, comment, group_id))
         else:
             self.rules.append(clause)
-        key = indicator(clause.head)
+            self._rule_indicators.add(key)
         self._by_indicator.setdefault(key, []).append(clause)
+        self._rows.pop(key, None)
         self._indexes.pop(key, None)
         return self
 
@@ -103,8 +110,19 @@ class KnowledgeBase:
         bucket is returned; a goal with no such argument gets every clause
         of its predicate.
         """
+        return [clause for _, clause in self._matching(goal)]
+
+    def fact_rows(self, goal: GoalTerm) -> Sequence[Row] | None:
+        """None when the goal's predicate has a rule.  Otherwise the
+        ``candidates`` of a resolved goal, each paired with its position
+        among the predicate's clauses."""
+        if indicator(goal) in self._rule_indicators:
+            return None
+        return self._matching(goal)
+
+    def _matching(self, goal: GoalTerm) -> list[Row]:
         key = indicator(goal)
-        best = self.clauses(*key)
+        best = self._all_rows(key)
         if isinstance(goal, Struct):
             for position, arg in enumerate(goal.args):
                 if best and isinstance(arg, (Atom, Int)):
@@ -114,25 +132,31 @@ class KnowledgeBase:
                         best = bucket
         return best
 
+    def _all_rows(self, key: tuple[str, int]) -> list[Row]:
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = list(enumerate(self.clauses(*key)))
+        return rows
+
     def _position_index(
         self, key: tuple[str, int], position: int
-    ) -> tuple[dict[Term, list[Clause]], list[Clause]]:
+    ) -> tuple[dict[Term, list[Row]], list[Row]]:
         positions = self._indexes.setdefault(key, {})
         index = positions.get(position)
         if index is None:
-            buckets: dict[Term, list[Clause]] = {}
-            others: list[Clause] = []
-            for clause in self._by_indicator[key]:
-                arg = clause.head.args[position]  # type: ignore[union-attr]
+            buckets: dict[Term, list[Row]] = {}
+            others: list[Row] = []
+            for row in self._all_rows(key):
+                arg = row[1].head.args[position]  # type: ignore[union-attr]
                 if isinstance(arg, (Atom, Int)):
                     bucket = buckets.get(arg)
                     if bucket is None:
                         bucket = buckets[arg] = list(others)
-                    bucket.append(clause)
+                    bucket.append(row)
                 else:
-                    others.append(clause)
+                    others.append(row)
                     for bucket in buckets.values():
-                        bucket.append(clause)
+                        bucket.append(row)
             index = positions[position] = (buckets, others)
         return index
 

@@ -11,6 +11,11 @@ Grammar (one clause per ``.``-terminated statement):
                 a bare ``_`` is anonymous (fresh at every occurrence)
     comment  := "%" to end of line; a trailing comment attaches to its clause
 
+Compound terms nest at most ``MAX_TERM_DEPTH`` levels, the clause head or
+goal counting as the first; deeper text is a ParseError.  Every later layer
+(unification, resolution, serialization, the standard order) recurses on
+terms, and this bound keeps them all well inside Python's recursion limit.
+
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
 serialization (one clause per line, single space after commas) round-trips
@@ -34,6 +39,9 @@ from .engine import (
     Var,
 )
 from .errors import ParseError
+
+#: Deepest compound nesting the parser accepts.
+MAX_TERM_DEPTH = 100
 
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 _ATOM_NAME = re.compile(r"[a-z0-9][a-z0-9_]*\Z")
@@ -219,7 +227,7 @@ def _parse_literal(stream: _TokenStream, anon) -> Literal:
     return Goal(lhs)
 
 
-def _parse_term(stream: _TokenStream, anon) -> Term:
+def _parse_term(stream: _TokenStream, anon, depth: int = 1) -> Term:
     tok = stream.next()
     if tok.kind == "INT":
         return Int(int(tok.value))
@@ -230,11 +238,15 @@ def _parse_term(stream: _TokenStream, anon) -> Term:
     if tok.kind == "ATOM":
         nxt = stream.peek()
         if nxt is not None and nxt.kind == "LP":
+            if depth > MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.line, tok.column
+                )
             stream.next("LP")
-            args = [_parse_term(stream, anon)]
+            args = [_parse_term(stream, anon, depth + 1)]
             while stream.peek() is not None and stream.peek().kind == "COMMA":
                 stream.next("COMMA")
-                args.append(_parse_term(stream, anon))
+                args.append(_parse_term(stream, anon, depth + 1))
             stream.next("RP")
             return Struct(tok.value, tuple(args))
         return Atom(tok.value)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 
 from fallacylab.cli import main, parse_config
+from fallacylab.parser import MAX_TERM_DEPTH
 
 from conftest import DATA_DIR
 
@@ -82,6 +87,47 @@ def test_derive_kb_with_integer_and_compound_arguments(runner, tmp_path, facts, 
     assert result.exit_code == 0
     assert result.stdout == printed
     assert result.stderr == ""
+
+
+def _nested(levels: int, leaf: str) -> str:
+    return "f(" * levels + leaf + ")" * levels
+
+
+def test_derive_accepts_terms_nested_to_the_parser_bound(runner, tmp_path):
+    deep = _nested(MAX_TERM_DEPTH - 1, "d")  # the fact's head is the first level
+    path = tmp_path / "ie.pl"
+    path.write_text(f"cc(a, {deep}).\ncc(b, e).\nim(a, b).\n")
+    result = run(runner, "derive", "--code", "IE", "--kb", path)
+    assert result.exit_code == 0
+    assert result.stdout == f"pd({deep}, e)\n"
+
+
+@pytest.mark.parametrize("levels", [MAX_TERM_DEPTH, 400])
+@pytest.mark.parametrize("command", ["derive", "validate"])
+def test_terms_nested_beyond_the_parser_bound_exit_two(runner, tmp_path, command, levels):
+    path = tmp_path / "ie.pl"
+    path.write_text(f"cc(b, e).\ncc(a, {_nested(levels, 'd')}).\nim(a, b).\n")
+    result = run(runner, command, "--code", "IE", "--kb", path)
+    assert result.exit_code == 2
+    # ``cc(a, `` takes six columns; each level below the head takes two.
+    column = 7 + 2 * (MAX_TERM_DEPTH - 1)
+    assert result.stderr == (
+        f"error: line 2, column {column}: term nested deeper than {MAX_TERM_DEPTH} levels\n"
+    )
+
+
+@pytest.mark.parametrize("code", ["FC", "FS"], ids=["stdout", "stderr"])
+def test_in_process_run_keeps_no_captured_stream_alive(code):
+    # FC prints its tuple on stdout, FS only its ordering diagnostic on stderr.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit):
+        main(["derive", "--code", code], standalone_mode=False)
+    assert (out.getvalue() != "") == (code == "FC")
+    assert (err.getvalue() != "") == (code == "FS")
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_derive_unknown_code_exit_two(runner):

@@ -296,14 +296,17 @@ def test_clause_local_variable_in_negation_is_existential():
 
 
 class FullScan:
-    """Every clause of the goal's predicate, in insertion order: the
-    unindexed reference for ``KnowledgeBase.candidates``."""
+    """Every clause of the goal's predicate, in insertion order, and no
+    predicate fact-only: the unindexed, unplanned SLD reference."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
 
     def candidates(self, goal):
         return self.kb.clauses(*indicator(goal))
+
+    def fact_rows(self, goal):
+        return None
 
 
 _constants = st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Int(1), Int(2)])
@@ -361,3 +364,158 @@ def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
     # Same solutions, order and multiplicity; internal variables may carry
     # other numbers, since rules left out by the index are not renamed.
     assert [_canonical(t, {}) for t in indexed] == [_canonical(t, {}) for t in scanned]
+
+
+# ---------------------------------------------------------------------------
+# Join planning against plain SLD
+# ---------------------------------------------------------------------------
+
+
+def _outcome(template, goals, source, depth_limit):
+    """Solutions with internal variables canonicalized, or the error type."""
+    try:
+        found = findall(template, goals, source, depth_limit=depth_limit)
+    except (DepthLimitError, FlounderError) as exc:
+        return type(exc)
+    return [_canonical(t, {}) for t in found]
+
+
+# s/2 is defined by rules (a closure over r/2, with q/2 as its base case), so
+# a negated s goal runs a sub-solve of its own.
+_S_RULES = "s(X, Y) :- q(X, Y).\ns(X, Y) :- r(X, Z), s(Z, Y).\n"
+
+_plan_constants = st.sampled_from([Atom("a"), Atom("b"), Int(1)])
+_plan_facts = st.lists(
+    st.tuples(st.sampled_from(["q", "r"]), _plan_constants, _plan_constants).map(
+        lambda t: Clause(Struct(t[0], t[1:]))
+    ),
+    min_size=3,
+    max_size=12,
+)
+_body_vars = st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W")])
+_body_args = st.one_of(_body_vars, _body_vars, _body_vars, _plan_constants)
+_positive_goals = st.tuples(
+    # s is rule-defined: a positive s goal leaves the body to SLD.
+    st.sampled_from(["q", "q", "r", "r", "s"]), _body_args, _body_args
+).map(lambda t: Goal(Struct(t[0], t[1:])))
+_body_literals = st.one_of(
+    _positive_goals,
+    _positive_goals,
+    _positive_goals,
+    st.tuples(st.sampled_from(["q", "r", "s"]), _body_args, _body_args).map(
+        lambda t: Goal(Struct(t[0], t[1:]), negated=True)
+    ),
+    st.builds(NotEqual, _body_args, _body_args),
+    st.builds(TermLess, _body_args, _body_args),
+)
+_plan_head_args = st.one_of(
+    st.sampled_from([Var("X"), Var("Y")]),
+    st.sampled_from([Var("X"), Var("Y")]),
+    _plan_constants,
+    st.sampled_from([Var("X"), Var("Y")]).map(lambda v: Struct("f", (v,))),
+)
+_plan_rules = st.lists(
+    st.builds(
+        Clause,
+        st.tuples(_plan_head_args, _plan_head_args).map(lambda args: Struct("p", args)),
+        # Half the bodies start with positive goals, so that they bind what
+        # their filters need; many of the others fall back to SLD.
+        st.one_of(
+            st.tuples(
+                st.lists(_positive_goals, min_size=1, max_size=3),
+                st.lists(_body_literals, max_size=3),
+            ).map(lambda parts: tuple(parts[0] + parts[1])),
+            st.lists(_body_literals, min_size=1, max_size=4).map(tuple),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_plan_query_args = st.one_of(
+    st.sampled_from([Var("A"), Var("B")]),
+    st.sampled_from([Var("A"), Var("B")]),
+    _plan_constants,
+    st.sampled_from([Var("A"), Var("B")]).map(lambda v: Struct("f", (v,))),
+)
+
+
+@given(
+    _plan_facts,
+    st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    _plan_rules,
+    st.tuples(_plan_query_args, _plan_query_args),
+    st.sampled_from([1, 2, 3, 4, 6, 60, 60, 60, 60, 60, 60, 60]),
+)
+@settings(max_examples=400, deadline=None)
+def test_planned_findall_matches_sld(facts, repeat, rules, query_args, depth_limit):
+    kb = KnowledgeBase()
+    for clause in facts:
+        kb.assertz(clause)
+    if repeat is not None:
+        # The same Clause object again: its two rows are told apart by
+        # position, not identity.
+        kb.assertz(facts[repeat % len(facts)])
+    for item in parse_program(_S_RULES):
+        kb.assertz(item.clause)
+    for clause in rules:
+        kb.assertz(clause)
+    kb.seal()
+    goals = [Goal(Struct("p", query_args))]
+    template = Struct("ans", query_args)
+    # Same solutions, order and multiplicity, or the same error.
+    assert _outcome(template, goals, kb, depth_limit) == _outcome(
+        template, goals, FullScan(kb), depth_limit
+    )
+
+
+def test_planned_join_reorders_goals_and_keeps_sld_order():
+    # The planner joins im(A, B) right after cc(A, D) and cc(B, E) last, so
+    # it never pairs every cc row with every other.  Solutions still come in
+    # SLD's order, cc(c, f) before cc(b, e) and the cc(c, f) object asserted
+    # again after both, though each is found through its own index bucket.
+    kb = KnowledgeBase()
+    items = parse_program(
+        "cc(a, d).\ncc(c, f).\ncc(b, e).\nim(a, b).\nim(a, c).\nim(c, b).\n"
+        "pd(D, E) :- cc(A, D), cc(B, E), im(A, B), \\+ im(B, A).\n"
+    )
+    for item in items:
+        kb.assertz(item.clause)
+    kb.assertz(items[1].clause)
+    kb.seal()
+    goals = [Goal(Struct("pd", (Var("D"), Var("E"))))]
+    template = Struct("pd", (Var("D"), Var("E")))
+    planned = findall(template, goals, kb)
+    assert planned == findall(template, goals, FullScan(kb))
+    assert [tuple(a.name for a in t.args) for t in planned] == [
+        ("d", "f"),
+        ("d", "e"),
+        ("d", "f"),
+        ("f", "e"),
+        ("f", "e"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "program, error",
+    [
+        # \+ s(b, W) recurses round the r(b, b) loop on a goal that is never
+        # ground, until the depth limit.  The join would take m(c, X) first
+        # and never try X = b; the negation keeps its place after n(X), so
+        # it sees X = b as in SLD.
+        ("n(a).\nn(b).\nm(c, a).\nr(b, b).\np(X) :- n(X), \\+ s(X, W), m(c, X).\n",
+         DepthLimitError),
+        # The join takes k(c, X) first and meets X = b, where \+ s(b, W)
+        # raises; SLD meets X = a first, where \+ t(a) flounders.  The body
+        # is handed to SLD, which raises its own error.
+        ("n(a).\nn(b).\nk(c, b).\nk(c, a).\nr(b, b).\nt(X) :- \\+ u(X, Y), v(Y).\n"
+         "p(X) :- n(X), k(c, X), \\+ s(X, W), \\+ t(X).\n",
+         FlounderError),
+    ],
+    ids=["keeps-its-place", "raised-by-sld"],
+)
+def test_negation_over_rules_in_a_planned_body(program, error):
+    kb = kb_from(_S_RULES + program)
+    goals = [Goal(Struct("p", (Var("A"),)))]
+    for source in (kb, FullScan(kb)):
+        with pytest.raises(error):
+            findall(Var("A"), goals, source, depth_limit=60)
