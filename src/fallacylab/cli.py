@@ -170,15 +170,27 @@ def _code_option():
     )
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is when a record is emitted, so the
+    root handler keeps no stream that an in-process caller swapped in."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 @click.group()
 @click.option("--verbose", is_flag=True, help="Log at INFO level.")
 def main(verbose: bool) -> None:
     """Generate fallacious test sentences via the logic oracle and evaluate
     model predictions."""
     logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+        handlers=[_StderrHandler()], format="%(levelname)s %(name)s: %(message)s"
     )
+    logging.getLogger().setLevel(logging.INFO if verbose else logging.WARNING)
 
 
 @main.command()

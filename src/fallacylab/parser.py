@@ -16,6 +16,13 @@ goal counting as the first; deeper text is a ParseError.  Every later layer
 (unification, resolution, serialization, the standard order) recurses on
 terms, and this bound keeps them all well inside Python's recursion limit.
 
+Lines are those of ``str.splitlines``, and each line is scanned in one
+pass of a compiled master pattern (``_TOKEN``) with one named alternative
+per token kind, in the manner of the ``re`` module's "Writing a Tokenizer".
+Tokens are plain ``(kind, value, line, column)`` tuples, columns 1-based;
+the same pass keeps each line's trailing comment.  The recursive-descent
+parser reads the token list by index.
+
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
 serialization (one clause per line, single space after commas) round-trips
@@ -23,6 +30,7 @@ through the parser bit-exactly.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -43,28 +51,24 @@ from .errors import ParseError
 #: Deepest compound nesting the parser accepts.
 MAX_TERM_DEPTH = 100
 
-_WORD = re.compile(r"[A-Za-z0-9_]+")
-_ATOM_NAME = re.compile(r"[a-z0-9][a-z0-9_]*\Z")
-_VAR_NAME = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
-
-_PUNCT = (
-    (":-", "NECK"),
-    ("\\+", "NAF"),
-    ("\\=", "NEQ"),
-    ("@<", "LESS"),
-    ("(", "LP"),
-    (")", "RP"),
-    (",", "COMMA"),
-    (".", "DOT"),
+#: One alternative per token kind.  Only a word's alternatives overlap: an
+#: all-digit word is INT, then ATOM and VAR take whole words that fit their
+#: name rule, and NAME catches any other word; CHAR catches any character
+#: no token starts with.
+_TOKEN = re.compile(
+    r"(?P<SPACE>[ \t]+)"
+    r"|(?P<COMMENT>%.*)"
+    r"|(?P<NECK>:-)|(?P<NAF>\\\+)|(?P<NEQ>\\=)|(?P<LESS>@<)"
+    r"|(?P<LP>\()|(?P<RP>\))|(?P<COMMA>,)|(?P<DOT>\.)"
+    r"|(?P<INT>[0-9]+(?![A-Za-z0-9_]))"
+    r"|(?P<ATOM>[a-z0-9][a-z0-9_]*(?![A-Za-z0-9_]))"
+    r"|(?P<VAR>[A-Z_][A-Za-z0-9_]*)"
+    r"|(?P<NAME>[A-Za-z0-9_]+)"
+    r"|(?P<CHAR>.)"
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+_CLAUSE_TOKENS = frozenset(
+    ("NECK", "NAF", "NEQ", "LESS", "LP", "RP", "COMMA", "DOT", "INT", "ATOM", "VAR")
+)
 
 
 @dataclass(frozen=True)
@@ -86,171 +90,133 @@ class ParsedClause:
         return iter((self.clause, self.comment))
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _scan(text: str) -> tuple[list[tuple[str, str, int, int]], dict[int, str]]:
+    """``(kind, value, line, column)`` tokens and each line's comment text.
+
+    The whole text is scanned before any of it is parsed, so a bad character
+    or name anywhere is reported ahead of a grammar error.
+    """
+    tokens: list[tuple[str, str, int, int]] = []
+    comments: dict[int, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        col = 0
-        length = len(line)
-        while col < length:
-            ch = line[col]
-            if ch in " \t\r":
-                col += 1
-                continue
-            if ch == "%":
-                comment = line[col + 1 :].strip()
-                tokens.append(Token("COMMENT", comment, line_no, col + 1))
-                break
-            for text_, kind in _PUNCT:
-                if line.startswith(text_, col):
-                    tokens.append(Token(kind, text_, line_no, col + 1))
-                    col += len(text_)
-                    break
-            else:
-                match = _WORD.match(line, col)
-                if not match:
-                    raise ParseError(f"unexpected character {ch!r}", line_no, col + 1)
-                word = match.group(0)
-                tokens.append(Token(_classify(word, line_no, col + 1), word, line_no, col + 1))
-                col = match.end()
-    return tokens
-
-
-def _classify(word: str, line: int, col: int) -> str:
-    if word.isdigit():
-        return "INT"
-    if _VAR_NAME.match(word):
-        return "VAR"
-    if _ATOM_NAME.match(word):
-        return "ATOM"
-    raise ParseError(f"invalid name {word!r}", line, col)
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = [t for t in tokens if t.kind != "COMMENT"]
-        # A comment runs to the end of its line, so a line holds at most one.
-        self.comments = {t.line: t.value for t in tokens if t.kind == "COMMENT"}
-        self.pos = 0
-
-    def peek(self) -> Token | None:
-        return self._tokens[self.pos] if self.pos < len(self._tokens) else None
-
-    def next(self, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self._tokens[-1] if self._tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
-        if expected and tok.kind != expected:
-            raise ParseError(
-                f"expected {expected}, found {tok.value!r}", tok.line, tok.column
-            )
-        self.pos += 1
-        return tok
+        for match in _TOKEN.finditer(line):
+            kind = match.lastgroup
+            if kind in _CLAUSE_TOKENS:
+                tokens.append((kind, match.group(), line_no, match.start() + 1))
+            elif kind == "COMMENT":
+                # A comment runs to the end of its line, so a line holds at most one.
+                comments[line_no] = match.group()[1:].strip()
+            elif kind == "NAME":
+                raise ParseError(f"invalid name {match.group()!r}", line_no, match.start() + 1)
+            elif kind == "CHAR":
+                raise ParseError(
+                    f"unexpected character {match.group()!r}", line_no, match.start() + 1
+                )
+    return tokens, comments
 
 
 def parse_program(text: str) -> list[ParsedClause]:
     """Parse program text into clauses with comments and block ordinals."""
-    tokens = tokenize(text)
-    blank = _blank_lines(text)
-    stream = _TokenStream(tokens)
-    anon = iter(range(1, 1 << 30))
+    tokens, comments = _scan(text)
+    if not tokens:
+        return []
+    # An END token at the last token's position makes running out of input
+    # one more token kind, reported where the last real token stands.
+    tokens.append(("END", "", *tokens[-1][2:]))
+    anon = itertools.count(1)
 
-    raw: list[tuple[Clause, str | None, int, int, bool]] = []
-    prev_end = 0
-    block = -1
-    while stream.peek() is not None:
-        start_tok = stream.peek()
-        clause = _parse_clause(stream, anon)
-        end_tok = stream._tokens[stream.pos - 1]
-        comment = stream.comments.get(end_tok.line)
-        separated = prev_end == 0 or any(
-            n in blank for n in range(prev_end + 1, start_tok.line)
-        )
-        if separated:
-            block += 1
-        raw.append((clause, comment, block, start_tok.line, clause.is_fact))
-        prev_end = end_tok.line
-
-    fact_blocks = sorted({b for _, _, b, _, is_fact in raw if is_fact})
-    dense = {b: i for i, b in enumerate(fact_blocks)}
     out = []
-    for clause, comment, block_id, line, is_fact in raw:
-        group = dense[block_id] if is_fact else None
-        out.append(ParsedClause(clause, comment, group, line))
+    pos = 0
+    prev_end = 0
+    block = fact_block = -1
+    groups = 0
+    while tokens[pos][0] != "END":
+        start_line = tokens[pos][2]
+        clause, pos = _parse_clause(tokens, pos, anon)
+        end_line = tokens[pos - 1][2]
+        # Lines strictly between two clauses hold no token, so each is blank
+        # unless it holds a comment.
+        if prev_end == 0 or any(
+            n not in comments for n in range(prev_end + 1, start_line)
+        ):
+            block += 1
+        group = None
+        if clause.is_fact:
+            if fact_block != block:
+                fact_block = block
+                groups += 1
+            group = groups - 1
+        out.append(ParsedClause(clause, comments.get(end_line), group, start_line))
+        prev_end = end_line
     return out
 
 
-def _blank_lines(text: str) -> set[int]:
-    return {
-        i for i, line in enumerate(text.splitlines(), start=1) if not line.strip()
-    }
+def _expect(tokens, pos: int, kind: str) -> int:
+    if tokens[pos][0] != kind:
+        raise _unexpected(tokens[pos], kind)
+    return pos + 1
 
 
-def _parse_clause(stream: _TokenStream, anon) -> Clause:
-    head = _parse_term(stream, anon)
+def _unexpected(token, expected: str) -> ParseError:
+    kind, value, line, column = token
+    if kind == "END":
+        return ParseError("unexpected end of input", line, column)
+    return ParseError(f"expected {expected}, found {value!r}", line, column)
+
+
+def _parse_clause(tokens, pos: int, anon) -> tuple[Clause, int]:
+    head, pos = _parse_term(tokens, pos, anon)
     if not isinstance(head, (Atom, Struct)):
-        tok = stream._tokens[stream.pos - 1]
-        raise ParseError("clause head must be an atom or compound", tok.line, tok.column)
+        _, _, line, column = tokens[pos - 1]
+        raise ParseError("clause head must be an atom or compound", line, column)
     body: list[Literal] = []
-    tok = stream.peek()
-    if tok is not None and tok.kind == "NECK":
-        stream.next("NECK")
-        body.append(_parse_literal(stream, anon))
-        while stream.peek() is not None and stream.peek().kind == "COMMA":
-            stream.next("COMMA")
-            body.append(_parse_literal(stream, anon))
-    stream.next("DOT")
-    return Clause(head, tuple(body))
+    if tokens[pos][0] == "NECK":
+        literal, pos = _parse_literal(tokens, pos + 1, anon)
+        body.append(literal)
+        while tokens[pos][0] == "COMMA":
+            literal, pos = _parse_literal(tokens, pos + 1, anon)
+            body.append(literal)
+    return Clause(head, tuple(body)), _expect(tokens, pos, "DOT")
 
 
-def _parse_literal(stream: _TokenStream, anon) -> Literal:
-    tok = stream.peek()
-    if tok is not None and tok.kind == "NAF":
-        stream.next("NAF")
-        inner = _parse_term(stream, anon)
+def _parse_literal(tokens, pos: int, anon) -> tuple[Literal, int]:
+    kind, _, line, column = tokens[pos]
+    if kind == "NAF":
+        inner, pos = _parse_term(tokens, pos + 1, anon)
         if not isinstance(inner, (Atom, Struct)):
-            raise ParseError(
-                "negation takes a single predicate goal", tok.line, tok.column
-            )
-        return Goal(inner, negated=True)
-    lhs = _parse_term(stream, anon)
-    nxt = stream.peek()
-    if nxt is not None and nxt.kind == "NEQ":
-        stream.next("NEQ")
-        return NotEqual(lhs, _parse_term(stream, anon))
-    if nxt is not None and nxt.kind == "LESS":
-        stream.next("LESS")
-        return TermLess(lhs, _parse_term(stream, anon))
+            raise ParseError("negation takes a single predicate goal", line, column)
+        return Goal(inner, negated=True), pos
+    lhs, pos = _parse_term(tokens, pos, anon)
+    kind, _, line, column = tokens[pos]
+    if kind == "NEQ":
+        rhs, pos = _parse_term(tokens, pos + 1, anon)
+        return NotEqual(lhs, rhs), pos
+    if kind == "LESS":
+        rhs, pos = _parse_term(tokens, pos + 1, anon)
+        return TermLess(lhs, rhs), pos
     if not isinstance(lhs, (Atom, Struct)):
-        where = nxt if nxt is not None else stream._tokens[stream.pos - 1]
-        raise ParseError("goal must be an atom or compound", where.line, where.column)
-    return Goal(lhs)
+        raise ParseError("goal must be an atom or compound", line, column)
+    return Goal(lhs), pos
 
 
-def _parse_term(stream: _TokenStream, anon, depth: int = 1) -> Term:
-    tok = stream.next()
-    if tok.kind == "INT":
-        return Int(int(tok.value))
-    if tok.kind == "VAR":
-        if tok.value == "_":
-            return Var(f"_#{next(anon)}")
-        return Var(tok.value)
-    if tok.kind == "ATOM":
-        nxt = stream.peek()
-        if nxt is not None and nxt.kind == "LP":
-            if depth > MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.line, tok.column
-                )
-            stream.next("LP")
-            args = [_parse_term(stream, anon, depth + 1)]
-            while stream.peek() is not None and stream.peek().kind == "COMMA":
-                stream.next("COMMA")
-                args.append(_parse_term(stream, anon, depth + 1))
-            stream.next("RP")
-            return Struct(tok.value, tuple(args))
-        return Atom(tok.value)
-    raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.column)
+def _parse_term(tokens, pos: int, anon, depth: int = 1) -> tuple[Term, int]:
+    kind, value, line, column = tokens[pos]
+    if kind == "ATOM":
+        if tokens[pos + 1][0] != "LP":
+            return Atom(value), pos + 1
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", line, column)
+        arg, pos = _parse_term(tokens, pos + 2, anon, depth + 1)
+        args = [arg]
+        while tokens[pos][0] == "COMMA":
+            arg, pos = _parse_term(tokens, pos + 1, anon, depth + 1)
+            args.append(arg)
+        return Struct(value, tuple(args)), _expect(tokens, pos, "RP")
+    if kind == "VAR":
+        return Var(f"_#{next(anon)}" if value == "_" else value), pos + 1
+    if kind == "INT":
+        return Int(int(value)), pos + 1
+    raise _unexpected(tokens[pos], "a term")
 
 
 # ---------------------------------------------------------------------------

@@ -320,19 +320,22 @@ def validate_kb_against_schema(
 
     for clause in fact_clauses:
         name, arity = indicator(clause.head)
-        text = serialize_clause(clause)
         if not is_ground(clause.head):
-            findings.append(Finding("non_ground_fact", text))
+            findings.append(Finding("non_ground_fact", serialize_clause(clause)))
         if name not in expected:
             findings.append(
-                Finding("unknown_predicate", f"{name}/{arity} not used by {code.value}: {text}")
+                Finding(
+                    "unknown_predicate",
+                    f"{name}/{arity} not used by {code.value}: {serialize_clause(clause)}",
+                )
             )
             continue
         if arity != expected[name]:
             findings.append(
                 Finding(
                     "arity_mismatch",
-                    f"{name} expects arity {expected[name]}, found {arity}: {text}",
+                    f"{name} expects arity {expected[name]}, found {arity}: "
+                    f"{serialize_clause(clause)}",
                 )
             )
             continue

@@ -1,0 +1,77 @@
+"""Per-code load and derive times at a chosen number of fact groups.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/scale_report.py --groups 1000
+
+For each of the eleven schema codes it builds ``--groups`` one-instance fact
+groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
+a quarter of the groups are near-miss decoys), then prints the best of
+``--repeat`` timings of loading the text (``KnowledgeBase.from_text``) and,
+separately, of deriving over the loaded base (``derive_instances`` plus
+``ordering_diagnostic``, as ``fallacylab derive`` runs them).  It exits 1 if
+any code derives other tuples than the generator lists.  The file name keeps
+pytest from collecting it.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import inputs  # noqa: E402
+
+from fallacylab.kb import KnowledgeBase  # noqa: E402
+from fallacylab.labels import FallacyCode  # noqa: E402
+from fallacylab.schemas import derive_instances, ordering_diagnostic  # noqa: E402
+
+
+def _best(repeat: int, fn):
+    """Smallest wall time of ``repeat`` calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--groups", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    print(f"{args.groups} groups, seed {args.seed}, best of {args.repeat}")
+    print(f"{'code':<5}{'load s':>9}{'derive s':>10}{'tuples':>8}")
+    total_load = total_derive = 0.0
+    wrong = []
+    for name, groups in inputs.derive_inputs(args.seed, args.groups).items():
+        code = FallacyCode(name)
+        text = inputs.groups_text(groups)
+        load_s, kb = _best(args.repeat, lambda: KnowledgeBase.from_text(text))
+
+        def derive():
+            tuples = derive_instances(code, kb)
+            ordering_diagnostic(code, kb, tuples)
+            return tuples
+
+        derive_s, tuples = _best(args.repeat, derive)
+        if [t.render() for t in tuples] != inputs.expected_tuples(groups):
+            wrong.append(name)
+        total_load += load_s
+        total_derive += derive_s
+        print(f"{name:<5}{load_s:>9.3f}{derive_s:>10.3f}{len(tuples):>8}")
+    print(f"{'all':<5}{total_load:>9.3f}{total_derive:>10.3f}")
+    if wrong:
+        print(f"tuples differ from the generator's list: {', '.join(wrong)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,12 +3,17 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fallacylab
 from fallacylab.cli import main, parse_config
 from fallacylab.parser import MAX_TERM_DEPTH
 
@@ -128,6 +133,42 @@ def test_in_process_run_keeps_no_captured_stream_alive(code):
     del out, err
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+_LOGGING_SCRIPT = """
+import contextlib, gc, io, logging, weakref
+from fallacylab.cli import main
+
+def derive(*options):
+    with contextlib.suppress(SystemExit):
+        main([*options, "derive", "--code", "FC"], standalone_mode=False)
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    derive()
+ref = weakref.ref(err)
+del out, err
+gc.collect()
+print("kept:", ref() is not None)
+logging.getLogger("probe").warning("after the first call")
+with contextlib.redirect_stdout(io.StringIO()):
+    derive("--verbose")
+print("level:", logging.getLevelName(logging.getLogger().level))
+"""
+
+
+def test_logging_follows_the_current_stderr_and_verbose_flag():
+    # A fresh interpreter: pytest's own root handlers would hide the handler
+    # the first in-process call installs.
+    src = Path(fallacylab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _LOGGING_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "kept: False\nlevel: INFO\n"
+    assert done.stderr == "WARNING probe: after the first call\n"
 
 
 def test_derive_unknown_code_exit_two(runner):

@@ -8,8 +8,10 @@ from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, Struct, TermLes
 from fallacylab.errors import ParseError, SealedError, UnknownSchemaError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
-from fallacylab.parser import parse_program, serialize_clause
+from fallacylab.parser import MAX_TERM_DEPTH, parse_program, serialize_clause
 from fallacylab.seeds import SEED_SOURCES, load_seed
+
+import parser_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +63,41 @@ def test_parse_anonymous_variables_are_fresh():
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("father(john mary).")
-    assert err.value.line == 1
-    assert err.value.column > 0
+    assert (err.value.line, err.value.column) == (1, 13)
+    assert str(err.value) == "line 1, column 13: expected RP, found 'mary'"
+
+
+_NESTED_TOO_DEEP = "p(" + "f(" * MAX_TERM_DEPTH + "a" + ")" * (MAX_TERM_DEPTH + 1) + "."
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("p(a).\n  fooBar(b).", 2, 3, "invalid name 'fooBar'"),
+        ("p(a).\tq(b) ! r.", 1, 12, "unexpected character '!'"),
+        ("p(a).\r\nq(b)\x0bé.", 3, 1, "unexpected character 'é'"),
+        ("p(a).\x1cp(b).\x85q(12Ab).", 3, 3, "invalid name '12Ab'"),
+        ("p(a).\u2028\u2029q(b)\x0c :- .", 4, 5, "expected a term, found '.'"),
+        ("p(a) :- q(a)", 1, 12, "unexpected end of input"),
+        ("p(a, \n  b", 2, 3, "unexpected end of input"),
+        ("p(a) :- q(a) r(a).", 1, 14, "expected DOT, found 'r'"),
+        ("% c\n\n  , p(a).", 3, 3, "expected a term, found ','"),
+        ("X.", 1, 1, "clause head must be an atom or compound"),
+        ("p(a) :- \\+ X.", 1, 9, "negation takes a single predicate goal"),
+        ("p(a) :- q(a), X.", 1, 16, "goal must be an atom or compound"),
+        (_NESTED_TOO_DEEP, 1, 201, f"term nested deeper than {MAX_TERM_DEPTH} levels"),
+    ],
+    ids=[
+        "invalid-name", "stray-character", "crlf-and-vertical-tab", "splitlines-only-breaks",
+        "paragraph-separators", "end-after-goal", "end-inside-term", "expected-dot",
+        "expected-term", "variable-head", "negated-variable", "variable-goal", "too-deep",
+    ],
+)
+def test_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -159,6 +194,59 @@ def test_canonical_round_trip_is_bit_exact():
     kb = load_seed(FallacyCode.AF)
     text = kb.serialize()
     assert KnowledgeBase.from_text(text).serialize() == text
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference tokenizer
+# ---------------------------------------------------------------------------
+
+
+def _nested(levels: int) -> str:
+    """A fact whose deepest compound sits ``levels`` deep, the head first."""
+    return "p(" + "f(" * (levels - 1) + "a" + ")" * levels + "."
+
+
+_CLAUSES = (
+    "p(a).", "q(X, 2_mins, 7) :- p(X), \\+ r(X, _), X \\= a, _ @< Y.", "r(f(g(_), _), 0).",
+    "s :- t.", "p(b). % note", "q(a,\n  b). % end", "r(c, % start\n  d).",
+    _nested(MAX_TERM_DEPTH), _nested(MAX_TERM_DEPTH + 1),
+)
+_TOKENS = (":-", "\\+", "\\=", "@<", "(", ")", ",", ".", "foo", "X", "_", "_Tail", "12", "007")
+#: Spacing, comments and every line break ``str.splitlines`` knows.
+_LAYOUT = (
+    " ", "\t", "%", "% a note ", "\n% a comment line\n", "\n", "\n\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+    "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+_STRAY = ("!", "é", "\xa0", "\x1f", "\\", "@", ":", "aB", "12Ab", "fooBar", "2X")
+
+
+@st.composite
+def _program_texts(draw):
+    # Half the texts use whole clauses only, so most of those parse and
+    # exercise comments, lines and group ids rather than an early error.
+    pool = _CLAUSES + _LAYOUT + (_TOKENS if draw(st.booleans()) else ())
+    pieces = draw(st.lists(st.sampled_from(pool), max_size=30))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_STRAY)))
+    return "".join(pieces)
+
+
+def _outcome(parse, text):
+    try:
+        return [(p.clause, p.comment, p.group_id, p.line) for p in parse(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@given(_program_texts())
+@settings(max_examples=500, deadline=None)
+def test_parse_program_matches_reference_parser(text):
+    assert _outcome(parse_program, text) == _outcome(parser_oracle.parse_program, text)
+
+
+def test_seed_sources_parse_as_the_reference_parser_does():
+    for source in SEED_SOURCES.values():
+        assert _outcome(parse_program, source) == _outcome(parser_oracle.parse_program, source)
 
 
 # ---------------------------------------------------------------------------
