@@ -8,6 +8,7 @@ same cassette and inputs yield identical outputs.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -32,7 +33,7 @@ from .errors import (
     TemplateError,
     UnknownLabelError,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import encode_canonical, read_jsonl, write_jsonl
 from .kb import FactRecord, KnowledgeBase
 from .labels import FallacyCode, definitions_block, parse_code
 from .parser import ParseError, parse_program
@@ -147,11 +148,14 @@ class ProviderConfig:
     credentials_env: str | None = None
 
 
+# A score sends one prompt three times in a row, so remembering the last key
+# encodes and hashes it once.  ``typed`` keeps 0 and 0.0 apart: their JSON
+# texts differ, and so do their fingerprints.
+@functools.lru_cache(maxsize=1, typed=True)
 def fingerprint(model: str, temperature: float, prompt: str) -> str:
-    payload = json.dumps(
-        {"model": model, "temperature": temperature, "prompt": prompt},
-        sort_keys=True,
-        ensure_ascii=True,
+    """The cassette key of a request: the sha256 of its canonical JSON."""
+    payload = encode_canonical(
+        {"model": model, "temperature": temperature, "prompt": prompt}
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -1,9 +1,11 @@
 """The JSON-lines format of cassettes, sentences, scores, benchmarks and
 predictions: one JSON object per line, keys sorted, non-ASCII escaped, each
-line ending in ``\\n``."""
+line ending in ``\\n``.  Also the one writer every output file goes
+through, so none is ever left half-written."""
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -11,6 +13,11 @@ from .errors import FallacyLabError, JsonlFormatError
 from .labels import FallacyCode, parse_code
 
 T = TypeVar("T")
+
+#: The canonical JSON text of one record: keys sorted, non-ASCII escaped.
+#: One encoder serves every call; ``json.dumps`` with options builds a new
+#: one each time.
+encode_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
 
 
 def read_jsonl(
@@ -51,7 +58,27 @@ def read_labels(record: dict) -> tuple[FallacyCode, ...]:
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    Path(path).write_text(
-        "".join(json.dumps(r, sort_keys=True, ensure_ascii=True) + "\n" for r in records),
-        encoding="utf-8",
-    )
+    write_atomic(path, "".join(encode_canonical(r) + "\n" for r in records))
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 so that ``path`` holds either its
+    previous bytes (or stays absent) or all of ``text``, never a part.
+
+    The text goes to a new temporary file in the target's directory, which
+    ``os.replace`` then renames over the target; an exception on the way
+    removes the temporary file.  This guards against the process dying
+    mid-write, not against power loss: nothing is fsynced.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # Mode "x" never clobbers another file and, unlike tempfile's 0600,
+    # gives the output the permissions Path.write_text would.
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -7,6 +7,7 @@ package never derives instances for them).
 from __future__ import annotations
 
 import enum
+import functools
 
 from .errors import UnknownLabelError
 
@@ -161,8 +162,13 @@ def parse_code(text: str) -> FallacyCode:
         raise UnknownLabelError(f"unknown fallacy label: {text!r}") from None
 
 
+@functools.cache
 def definitions_block() -> str:
-    """All 14 definitions as one prompt-ready block, one per line."""
+    """All 14 definitions as one prompt-ready block, one per line.
+
+    Every scoring and judging prompt embeds this constant text, so it is
+    built once per process.
+    """
     lines = []
     for code in FallacyCode:
         lines.append(f"- {code.display_name} ({code.value}): {DEFINITIONS[code]}")

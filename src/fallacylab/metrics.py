@@ -7,6 +7,7 @@ prediction's explicit logic_error boolean is true.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,7 +136,10 @@ def detection_metrics(
     entries: Sequence[BenchmarkEntry], preds: Sequence[Prediction]
 ) -> DetectionMetrics:
     """FP/FN rates plus precision, recall, and F1 over the fallacious class."""
-    pairs = _pair(entries, preds)
+    return _detection(_pair(entries, preds))
+
+
+def _detection(pairs: Sequence[tuple[BenchmarkEntry, Prediction]]) -> DetectionMetrics:
     tp = fp = fn = tn = 0
     for entry, pred in pairs:
         if entry.fallacious and pred.logic_error:
@@ -173,7 +177,12 @@ def per_fallacy_accuracy(
     Counted per label occurrence, not per sentence; codes with zero
     ground-truth occurrences are omitted.
     """
-    pairs = _pair(entries, preds)
+    return _per_fallacy(_pair(entries, preds))
+
+
+def _per_fallacy(
+    pairs: Sequence[tuple[BenchmarkEntry, Prediction]]
+) -> dict[FallacyCode, Fraction]:
     hits: Counter[FallacyCode] = Counter()
     totals: Counter[FallacyCode] = Counter()
     for entry, pred in pairs:
@@ -197,11 +206,14 @@ def ranked_score(
     if len(set(predicted)) != len(predicted):
         raise DuplicateLabelError("predicted labels must be distinct")
     truth_set = set(truth)
-    total = Fraction(0)
+    # Every 1/i shares the denominator lcm(1..n), so the sum is an integer
+    # over it, and one Fraction is built from that.
+    common = math.lcm(*range(1, len(predicted) + 1))
+    total = 0
     for position, label in enumerate(predicted, start=1):
-        step = Fraction(1, position)
+        step = common // position
         total += step if label in truth_set else -step
-    return total
+    return Fraction(total, common)
 
 
 def harmonic(n: int) -> Fraction:
@@ -294,15 +306,15 @@ class ScoreStats:
 def score_stats(triples: Sequence[ScoreTriple], method_tag: str) -> ScoreStats:
     """Histogram and exact mean of individual scores per (method, code)."""
     histogram: Counter[tuple[str, FallacyCode, int]] = Counter()
-    sums: dict[tuple[str, FallacyCode], Fraction] = {}
-    counts: Counter[tuple[str, FallacyCode]] = Counter()
+    sums: Counter[FallacyCode] = Counter()
+    counts: Counter[FallacyCode] = Counter()
     for triple in triples:
-        cell = (method_tag, triple.code)
+        code = triple.code
         for score in triple.scores:
-            histogram[(method_tag, triple.code, score)] += 1
-            sums[cell] = sums.get(cell, Fraction(0)) + score
-            counts[cell] += 1
-    means = {cell: sums[cell] / counts[cell] for cell in sums}
+            histogram[(method_tag, code, score)] += 1
+        sums[code] += sum(triple.scores)
+        counts[code] += len(triple.scores)
+    means = {(method_tag, code): Fraction(sums[code], counts[code]) for code in sums}
     return ScoreStats(dict(histogram), means)
 
 
@@ -382,19 +394,26 @@ def build_report(
         for entry, pred in pairs
         if entry.fallacious
     ]
-    ranked_mean = sum(ranked, Fraction(0)) / len(ranked) if ranked else None
+    ranked_mean = _mean(ranked) if ranked else None
     kappa = cohens_kappa(
         [frozenset(e.labels) for e, _ in pairs],
         [frozenset(p.labels) for _, p in pairs],
     )
     return EvalReport(
-        detection=detection_metrics(entries, preds),
-        per_fallacy=per_fallacy_accuracy(entries, preds),
+        detection=_detection(pairs),
+        per_fallacy=_per_fallacy(pairs),
         ranked_scores=ranked,
         ranked_mean=ranked_mean,
         kappa=kappa,
         label_total=label_count(preds),
     )
+
+
+def _mean(values: Sequence[Fraction]) -> Fraction:
+    """Exact mean, summed as integers over the values' common denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    total = sum(v.numerator * (common // v.denominator) for v in values)
+    return Fraction(total, common * len(values))
 
 
 def _num(value: Fraction) -> float:

@@ -215,7 +215,12 @@ def _parse_term(tokens, pos: int, anon, depth: int = 1) -> tuple[Term, int]:
     if kind == "VAR":
         return Var(f"_#{next(anon)}" if value == "_" else value), pos + 1
     if kind == "INT":
-        return Int(int(value)), pos + 1
+        try:
+            return Int(int(value)), pos + 1
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer literal of {len(value)} digits is too long", line, column
+            ) from None
     raise _unexpected(tokens[pos], "a term")
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .gateway import Gateway, ScoreTriple
 from .kb import FactRecord, KnowledgeBase
-from .jsonl import read_jsonl, read_labels, write_jsonl
+from .jsonl import read_jsonl, read_labels, write_atomic, write_jsonl
 from .labels import FallacyCode, parse_code
 from .metrics import (
     BenchmarkEntry,
@@ -103,12 +103,10 @@ def write_bundle(bundle: GenerationBundle, out_dir: str | Path) -> list[Path]:
     code = bundle.code.value
 
     facts_path = out / f"{code.lower()}_facts.pl"
-    facts_path.write_text(bundle.kb.serialize(), encoding="utf-8")
+    write_atomic(facts_path, bundle.kb.serialize())
 
     tuples_path = out / f"{code.lower()}_tuples.pl"
-    tuples_path.write_text(
-        "".join(f"{t.render()}.\n" for t in bundle.tuples), encoding="utf-8"
-    )
+    write_atomic(tuples_path, "".join(f"{t.render()}.\n" for t in bundle.tuples))
 
     sentences_path = out / f"{code.lower()}_sentences.jsonl"
     write_jsonl(
@@ -165,9 +163,9 @@ def write_scores(
 
     stats = score_stats([t for _, t in scored], method_tag)
     summary_path = out / "score_summary.txt"
-    summary_path.write_text(stats.means_table(), encoding="utf-8")
+    write_atomic(summary_path, stats.means_table())
     histogram_path = out / "score_histogram.csv"
-    histogram_path.write_text(stats.histogram_csv(), encoding="utf-8")
+    write_atomic(histogram_path, stats.histogram_csv())
     return [jsonl_path, summary_path, histogram_path]
 
 
@@ -186,13 +184,13 @@ def write_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
-    json_path.write_text(
+    write_atomic(
+        json_path,
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True, ensure_ascii=True)
         + "\n",
-        encoding="utf-8",
     )
     text_path = out / "report.txt"
-    text_path.write_text(report.to_text(), encoding="utf-8")
+    write_atomic(text_path, report.to_text())
     preds_path = out / "predictions.jsonl"
     write_jsonl(
         preds_path,

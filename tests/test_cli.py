@@ -121,6 +121,17 @@ def test_terms_nested_beyond_the_parser_bound_exit_two(runner, tmp_path, command
     )
 
 
+@pytest.mark.parametrize("command", ["derive", "validate"])
+def test_oversized_integer_literal_exits_two_at_its_position(runner, tmp_path, command):
+    path = tmp_path / "fc.pl"
+    path.write_text(f"hp(chimney, survives_fire).\nipo(chimney, {'9' * 5000}).\n")
+    result = run(runner, command, "--code", "FC", "--kb", path)
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: line 2, column 14: integer literal of 5000 digits is too long\n"
+    )
+
+
 @pytest.mark.parametrize("code", ["FC", "FS"], ids=["stdout", "stderr"])
 def test_in_process_run_keeps_no_captured_stream_alive(code):
     # FC prints its tuple on stdout, FS only its ordering diagnostic on stderr.
@@ -487,6 +498,32 @@ def test_bad_input_or_output_exit_two(runner, tmp_path, case):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert all(text in result.stderr for text in expected), result.stderr
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("previous", [True, False], ids=["overwrite", "fresh"])
+def test_failed_output_write_keeps_previous_bytes_and_no_temp_file(
+    runner, tmp_path, monkeypatch, previous
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous:
+        for name in ("report.json", "report.txt", "predictions.jsonl"):
+            (out / name).write_text(f"old {name}\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    staged = []
+
+    def replace_fails(src, dst):
+        staged.append(Path(src).read_text(encoding="utf-8"))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace_fails)
+    result = run(
+        runner, "eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+        "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", out,
+    )
+    assert result.exit_code == 2 and result.stderr == "error: disk full\n"
+    assert staged and staged[0].startswith("{")  # failed after the text was written
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from fallacylab.gateway import (
     load_cassette,
     write_cassette,
 )
-from fallacylab.labels import FallacyCode
+from fallacylab.labels import FallacyCode, definitions_block
 from fallacylab.schemas import ValidTuple, validate_kb_against_schema
 from fallacylab.seeds import load_seed
 
@@ -63,6 +64,25 @@ def test_fingerprint_is_stable_and_sensitive():
     assert a == fingerprint("m", 0.0, "prompt")
     assert a != fingerprint("m", 1.0, "prompt")
     assert a != fingerprint("other", 0.0, "prompt")
+
+
+def test_fingerprint_digest_is_pinned():
+    # The sha256 of the sorted-key JSON text; every committed cassette
+    # depends on it.
+    assert fingerprint("eval-model", 0.0, "Score this.") == (
+        "6f6c1d8c275873915a96d501a1e23bf611a8f24af0d2090ce7cc54d5d4514e59"
+    )
+    assert fingerprint("eval-model", 0, "Score this.") == (
+        "ce8ecc06764af08d1ddc4ed4f774e454612f26df3aa7fd509edcde1f76574dcb"
+    )
+
+
+@pytest.mark.parametrize("temperatures", [(0, 0.0), (0.0, 0)], ids=["int-first", "float-first"])
+def test_fingerprint_keeps_integer_and_float_temperatures_apart(temperatures):
+    # 0 == 0.0, but their JSON texts differ, so a memo keyed on equal
+    # arguments alone would hand the second call the first one's key.
+    first, second = (fingerprint("m", t, "p") for t in temperatures)
+    assert first != second
 
 
 def test_replay_pops_fifo_per_fingerprint(tmp_path):
@@ -367,6 +387,29 @@ def test_score_sentence_unparseable_raises_after_retry():
     gateway = Gateway(FakeProvider(["great sentence!", "still no digits"]))
     with pytest.raises(ScoreParseError):
         gateway.score_sentence("s", FallacyCode.AF)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_definitions_and_prompt_bytes_are_pinned():
+    # Prompt text feeds every score and judge fingerprint, so any change to
+    # it orphans every recorded cassette.
+    assert _sha256(definitions_block()) == (
+        "a4c36b5dc7ea956486597864999485f2d8942af173ee33f5bfd90fa4fe3d63b8"
+    )
+    sentence = "Since rain makes the ground wet, therefore wet ground means it has rained."
+    scorer = FakeProvider(["3", "3", "3"])
+    Gateway(scorer).score_sentence(sentence, FallacyCode.IE)
+    assert {_sha256(prompt) for prompt, _ in scorer.calls} == {
+        "812ff93ecffffa627ba654aae4ce52c2930f61cf5eb5bbe459b9d9cd0e8d1c1e"
+    }
+    judge = FakeProvider(['{"logic_error": "no", "logic_fallacies": []}'])
+    Gateway(judge).judge_sentence(sentence)
+    assert _sha256(judge.calls[0][0]) == (
+        "c070a477e26ca694dd46889588f5cd32e24e58318332f9910480c600e5b878a8"
+    )
 
 
 def test_score_triple_validates_values():

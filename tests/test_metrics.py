@@ -368,6 +368,84 @@ def test_score_histogram_csv_shape():
 
 
 # ---------------------------------------------------------------------------
+# Integer-exact sums against the step-by-step Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def reference_ranked_score(truth, predicted) -> Fraction:
+    """Adds one Fraction per rank."""
+    truth_set = set(truth)
+    total = Fraction(0)
+    for position, label in enumerate(predicted, start=1):
+        step = Fraction(1, position)
+        total += step if label in truth_set else -step
+    return total
+
+
+def reference_score_means(triples, method_tag):
+    """Adds one Fraction per individual score."""
+    sums, counts = {}, Counter()
+    for t in triples:
+        cell = (method_tag, t.code)
+        for score in t.scores:
+            sums[cell] = sums.get(cell, Fraction(0)) + score
+            counts[cell] += 1
+    return {cell: sums[cell] / counts[cell] for cell in sums}
+
+
+@given(_gp_pairs())
+@settings(max_examples=500, deadline=None)
+def test_ranked_score_matches_fraction_loop(pair):
+    truth, predicted = pair
+    assert ranked_score(truth, predicted) == reference_ranked_score(truth, predicted)
+
+
+_TRIPLES = st.lists(
+    st.builds(
+        triple,
+        st.sampled_from(ALL_CODES),
+        st.tuples(*[st.integers(0, 3)] * 3),
+    ),
+    max_size=40,
+)
+
+
+@given(_TRIPLES)
+@settings(max_examples=300, deadline=None)
+def test_score_stats_means_match_fraction_loop(triples):
+    means = score_stats(triples, "m").means
+    expected = reference_score_means(triples, "m")
+    assert means == expected and list(means) == list(expected)
+
+
+_REPORT_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(ALL_CODES), max_size=3, unique=True),
+        st.booleans(),
+        st.lists(st.sampled_from(ALL_CODES), max_size=MAX_PREDICTED_LABELS, unique=True),
+    ),
+    max_size=30,
+)
+
+
+@given(_REPORT_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_build_report_ranked_mean_matches_fraction_loop(rows):
+    # One fallacious and one benign entry first: detection needs both.
+    rows = [([FallacyCode.AF], True, [FallacyCode.FS]), ([], False, [])] + rows
+    entries = [entry(i, labels) for i, (labels, _, _) in enumerate(rows)]
+    preds = [pred(i, flag, labels) for i, (_, flag, labels) in enumerate(rows)]
+    ranked = [
+        reference_ranked_score(e.labels, p.labels)
+        for e, p in zip(entries, preds)
+        if e.fallacious
+    ]
+    report = build_report(entries, preds)
+    assert report.ranked_scores == ranked
+    assert report.ranked_mean == sum(ranked, Fraction(0)) / len(ranked)
+
+
+# ---------------------------------------------------------------------------
 # Enhancement
 # ---------------------------------------------------------------------------
 

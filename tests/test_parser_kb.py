@@ -54,6 +54,14 @@ def test_parse_digit_leading_atom_and_integer():
     assert clause.head.args == (Atom("brush_teeth"), Atom("2_mins"), Int(7))
 
 
+def test_parse_integer_literal_at_the_digit_limit():
+    # 4,300 digits is Python's default limit for int(str).
+    digits = "7" * 4300
+    [(clause, _)] = [tuple(p) for p in parse_program(f"p({digits}).")]
+    assert clause.head.args == (Int(int(digits)),)
+    assert serialize_clause(clause) == f"p({digits})."
+
+
 def test_parse_anonymous_variables_are_fresh():
     [(clause, _)] = [tuple(p) for p in parse_program("p(X) :- q(_, _).")]
     a, b = clause.body[0].term.args
@@ -86,11 +94,13 @@ _NESTED_TOO_DEEP = "p(" + "f(" * MAX_TERM_DEPTH + "a" + ")" * (MAX_TERM_DEPTH + 
         ("p(a) :- \\+ X.", 1, 9, "negation takes a single predicate goal"),
         ("p(a) :- q(a), X.", 1, 16, "goal must be an atom or compound"),
         (_NESTED_TOO_DEEP, 1, 201, f"term nested deeper than {MAX_TERM_DEPTH} levels"),
+        ("p(a).\nq(b, " + "9" * 5000 + ").", 2, 6, "integer literal of 5000 digits is too long"),
     ],
     ids=[
         "invalid-name", "stray-character", "crlf-and-vertical-tab", "splitlines-only-breaks",
         "paragraph-separators", "end-after-goal", "end-inside-term", "expected-dot",
         "expected-term", "variable-head", "negated-variable", "variable-goal", "too-deep",
+        "integer-too-long",
     ],
 )
 def test_parse_error_positions(text, line, column, message):
