@@ -95,11 +95,22 @@ def parse_config(
             key, _, value = stripped.partition("=")
             values[key.strip()] = value.strip()
 
+    def retries(prefix: str) -> int:
+        key = f"{prefix}.max_retries"
+        text = values.get(key, "3")
+        try:
+            count = int(text)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"{key} must be a non-negative integer, got {text!r}")
+        return count
+
     def provider(prefix: str) -> ProviderConfig:
         return ProviderConfig(
             endpoint=values.get(f"{prefix}.endpoint", ""),
             model_name=values.get(f"{prefix}.model", "unspecified"),
-            max_retries=int(values.get(f"{prefix}.max_retries", "3")),
+            max_retries=retries(prefix),
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
         )
 

@@ -11,25 +11,23 @@ source yields the same solutions in the same order as a full scan.  A clause
 without variables (every fact of a knowledge base) is unified as it is; the
 others are renamed apart, from variable names computed once per clause.
 
-When a resolved clause's positive body goals all name fact-only predicates
-of the source (``ClauseSource.fact_rows``), the body runs as a join instead
-of as SLD goals: next comes the goal with the most bound arguments, ties
-broken by body order, and each ``\\=``, ``@<`` and negation over facts runs
-as soon as its variables are bound.  A negation over a predicate with rules
-runs after every literal before it and before any after it, as in SLD, since
-its sub-solve may raise; if it does, SLD runs the body instead.  Over facts,
-SLD yields a body's solutions in lexicographic order of the positions of the
-rows its positive goals matched, in body order, so the join sorts its
-solutions by that vector and they come out in SLD's order and multiplicity.
-SLD still runs every other body: rule goals (a recursive closure, say),
-and bodies where a builtin or negation would be reached before its
-variables are bound or that could reach the depth limit, so FlounderError,
+When every goal of a resolved clause's body, positive or negated, names a
+fact-only predicate of the source (``ClauseSource.fact_rows``), the body runs
+as a join instead of as SLD goals: next comes the goal with the most bound
+arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
+runs as soon as its variables are bound.  Over facts, SLD yields a body's
+solutions in lexicographic order of the positions of the rows its positive
+goals matched, in body order, so the join sorts its solutions by that vector
+and they come out in SLD's order and multiplicity.  SLD still runs every
+other body: one that names a predicate with rules (a recursive closure,
+say), or where a builtin or negation would be reached before its variables
+are bound, or that could reach the depth limit, so FlounderError,
 DepthLimitError and builtins on unbound terms behave as before.
 
 The solver is deliberately small: no cut, no assert during solving, no
 arithmetic evaluation, no general tabling.  A ground-goal visited set makes
-the one recursive construct used downstream (transitive closure) terminate on
-cyclic graphs; everything else is plain SLD resolution.
+a recursive rule pair such as a transitive closure terminate on cyclic
+graphs; everything else is plain SLD resolution.
 
 Solver runs are single-use generators confined to one thread.  A sealed
 knowledge base's contents are immutable and it may back any number of
@@ -370,8 +368,8 @@ def solve(
     resolved on the same branch fails that branch, which makes ground
     transitive-closure queries terminate on cyclic fact graphs.
 
-    A resolved clause whose positive body goals are all fact-only runs its
-    body as a planned join (see ``_body_plan``), with the same solutions in
+    A resolved clause whose body goals are all fact-only runs its body as a
+    planned join (see ``_body_plan``), with the same solutions in
     the same order.
     """
     return _solve(tuple(goals), _Run(kb, depth_limit, {}))
@@ -449,12 +447,11 @@ def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
             # literal, so a body that could reach the limit is left to SLD.
             if body and depth + 1 + len(body) <= depth_limit:
                 plan = _body_plan(stored, goal_term, run)
-                solutions = None if plan is None else _run_plan(plan, body, extended, run)
-                if solutions is not None:
+                if plan is not None:
                     after = (_Scope(goal_term),) + rest
                     alternatives.extend(
                         (after, solution, depth + 1 + len(body), branch_visited)
-                        for solution in solutions
+                        for solution in _run_plan(plan, body, extended, kb)
                     )
                     continue
             alternatives.append(
@@ -485,24 +482,19 @@ def _provable(goal_term: GoalTerm, run: _Run) -> bool:
 # Join planning for fact-only bodies
 # ---------------------------------------------------------------------------
 
-# Plan steps: join a positive goal's rows, test a builtin or a negation over a
-# fact-only predicate, or prove a negation over a predicate with rules.
-_JOIN, _TEST, _PROVE = range(3)
-
-
 @dataclass(frozen=True)
 class _Plan:
-    #: (step kind, body index, ordinal of a joined goal among the body's
-    #: positive goals, else -1), in run order.
-    steps: tuple[tuple[int, int, int], ...]
+    #: (body index, ordinal of a joined goal among the body's positive goals,
+    #: or -1 for a test: a builtin or a negation), in run order.
+    steps: tuple[tuple[int, int], ...]
     goal_count: int
 
 
 def _body_plan(clause: Clause, goal: GoalTerm, run: _Run) -> _Plan | None:
     """The join plan for the body of a stored ``clause`` resolved against
-    ``goal``, or None when SLD must run it: a positive goal's predicate has
-    a rule, or a builtin or negation would be reached before its variables
-    are bound.
+    ``goal``, or None when SLD must run it: a goal's predicate has a rule,
+    or a builtin or negation would be reached before its variables are
+    bound.
 
     A run plans each clause once per pattern of head arguments the goal
     binds to ground terms.
@@ -517,13 +509,13 @@ def _body_plan(clause: Clause, goal: GoalTerm, run: _Run) -> _Plan | None:
 
 def _make_plan(clause: Clause, ground_args: tuple[bool, ...], kb: ClauseSource) -> _Plan | None:
     body = clause.body
-    fact_only = [isinstance(lit, Goal) and kb.fact_rows(lit.term) is not None for lit in body]
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
-        if isinstance(lit, Goal) and not lit.negated:
-            if not fact_only[index]:
+        if isinstance(lit, Goal):
+            if kb.fact_rows(lit.term) is None:
                 return None
-            ordinals[index] = len(ordinals)
+            if not lit.negated:
+                ordinals[index] = len(ordinals)
     names = [set(_ordered_names(lit)) for lit in body]
     head_args = clause.head.args if isinstance(clause.head, Struct) else ()
     bound = set().union(*(term_vars(arg) for arg, ground in zip(head_args, ground_args) if ground))
@@ -547,37 +539,21 @@ def _make_plan(clause: Clause, ground_args: tuple[bool, ...], kb: ClauseSource) 
             return None
         needs[index] = need
 
-    steps: list[tuple[int, int, int]] = []
-
-    def plan_segment(segment: list[int]) -> None:
-        # Next the goal with the most bound arguments, ties broken by body
-        # order; each test runs as soon as its variables are bound.
-        goals = [index for index in segment if index in ordinals]
-        tests = [index for index in segment if index not in ordinals]
-        while True:
-            for index in [index for index in tests if needs[index] <= bound]:
-                steps.append((_TEST, index, -1))
-                tests.remove(index)
-            if not goals:
-                return
-            best = max(goals, key=lambda index: (_bound_args(body[index].term, bound), -index))
-            goals.remove(best)
-            steps.append((_JOIN, best, ordinals[best]))
-            bound.update(names[best])
-
-    # A negation over a predicate with rules may raise in its own sub-solve,
-    # so it splits the body: it runs on exactly the bindings SLD gives it,
-    # after every literal before it and before any after it.
-    segment: list[int] = []
-    for index, lit in enumerate(body):
-        if isinstance(lit, Goal) and lit.negated and not fact_only[index]:
-            plan_segment(segment)
-            steps.append((_PROVE, index, -1))
-            segment = []
-        else:
-            segment.append(index)
-    plan_segment(segment)
-    return _Plan(tuple(steps), len(ordinals))
+    # Next the goal with the most bound arguments, ties broken by body order;
+    # each test runs as soon as its variables are bound.
+    steps: list[tuple[int, int]] = []
+    goals = list(ordinals)
+    tests = list(needs)
+    while True:
+        for index in [index for index in tests if needs[index] <= bound]:
+            steps.append((index, -1))
+            tests.remove(index)
+        if not goals:
+            return _Plan(tuple(steps), len(ordinals))
+        best = max(goals, key=lambda index: (_bound_args(body[index].term, bound), -index))
+        goals.remove(best)
+        steps.append((best, ordinals[best]))
+        bound.update(names[best])
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
@@ -586,47 +562,41 @@ def _bound_args(term: GoalTerm, bound: set[str]) -> int:
 
 
 def _run_plan(
-    plan: _Plan, body: tuple[Literal, ...], subst: Substitution, run: _Run
-) -> list[Substitution] | None:
-    """The body's solutions in SLD order, or None when a negation's
-    sub-solve raised (SLD then runs the body and raises as it would).
+    plan: _Plan, body: tuple[Literal, ...], subst: Substitution, kb: ClauseSource
+) -> list[Substitution]:
+    """The body's solutions in SLD order.
 
     With fact-only positive goals, SLD yields solutions in lexicographic
     order of the row positions the goals matched, in body order; so the
     join tags each solution with that vector and sorts by it.
     """
     found: list[tuple[tuple[int, ...], Substitution]] = []
-    try:
-        _join(plan.steps, 0, body, subst, [0] * plan.goal_count, run, found)
-    except (DepthLimitError, FlounderError):
-        return None
+    _join(plan.steps, 0, body, subst, [0] * plan.goal_count, kb, found)
     found.sort(key=itemgetter(0))
     return [solution for _, solution in found]
 
 
-def _join(steps, k, body, subst, positions, run, found) -> None:
+def _join(steps, k, body, subst, positions, kb, found) -> None:
     if k == len(steps):
         found.append((tuple(positions), subst))
         return
-    kind, index, ordinal = steps[k]
+    index, ordinal = steps[k]
     lit = body[index]
-    if kind == _JOIN:
+    if ordinal >= 0:
         goal = resolve(lit.term, subst)
-        for position, fact in run.kb.fact_rows(goal):
+        for position, fact in kb.fact_rows(goal):
             extended = unify(goal, fact.head, subst)
             if extended is not None:
                 positions[ordinal] = position
-                _join(steps, k + 1, body, extended, positions, run, found)
+                _join(steps, k + 1, body, extended, positions, kb, found)
         return
-    if kind == _PROVE:
-        holds = not _provable(resolve(lit.term, subst), run)
-    elif isinstance(lit, Goal):
+    if isinstance(lit, Goal):
         goal = resolve(lit.term, subst)
-        holds = all(unify(goal, fact.head) is None for _, fact in run.kb.fact_rows(goal))
+        holds = all(unify(goal, fact.head) is None for _, fact in kb.fact_rows(goal))
     else:
         holds = _builtin_holds(lit, subst)
     if holds:
-        _join(steps, k + 1, body, subst, positions, run, found)
+        _join(steps, k + 1, body, subst, positions, kb, found)
 
 
 def findall(

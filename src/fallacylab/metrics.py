@@ -276,11 +276,6 @@ def label_count(preds: Sequence[Prediction]) -> int:
     return sum(len(p.labels) for p in preds)
 
 
-def rank_by_label_count(named_counts: Mapping[str, int]) -> list[tuple[str, int]]:
-    """Names ordered by descending label count (name breaks ties)."""
-    return sorted(named_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 @dataclass(frozen=True)
 class ScoreStats:
     histogram: Mapping[tuple[str, FallacyCode, int], int]

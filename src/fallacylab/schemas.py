@@ -7,14 +7,17 @@ negated literal is ground by the time it is selected.
 
 A derivation first builds one fact table: the argument tuples of the base's
 facts per predicate, plus each auxiliary relation of the schema, computed
-once natively.  The engine has no derived predicates:
+once natively.  The engine has no derived predicates; the solver reads each
+auxiliary's rows from the table as ordinary facts, so every schema body is
+one planned join over facts:
 
-* ``im_t/2`` (transitive closure of ``im/2``) is a clause pair for the
-  solver, whose ground-goal visited set keeps it terminating on cyclic
-  graphs; the table holds the closure for the recheck.
+* ``im_t/2`` (transitive closure of ``im/2``) is computed by a graph walk
+  that terminates on cyclic graphs.  IT's two ``im_t`` rules stay in the
+  schema as its prompt text; a test checks that the solver, given those
+  rules, proves exactly the computed rows.
 * ``oc/2`` (X is the only recorded cause of P) needs negation over a
-  conjunction, which the engine's literals cannot express; its rows are
-  given to the solver as ordinary facts.
+  conjunction, which the engine's literals cannot express; the schema
+  text glosses it.
 
 ``derive_instances`` re-checks every tuple it returns literal by literal
 against the fact table, independent of the solver, before handing it out;
@@ -225,17 +228,13 @@ class FallacySchema:
     def arity(self) -> int:
         return len(self.query_head.args)
 
-    @property
-    def fact_auxiliaries(self) -> list[tuple[str, int]]:
-        """Auxiliaries no rule defines: the solver reads their rows as facts."""
-        defined = {indicator(rule.head) for rule in self.rules}
-        return [key for key in self.derived if key not in defined]
-
     def source(self) -> str:
-        """The schema as canonical rule text, with auxiliary glosses."""
+        """The schema as canonical rule text, with the glosses of auxiliaries
+        that no rule text defines."""
         lines = [serialize_clause(rule) for rule in self.rules]
-        for (name, _arity) in self.fact_auxiliaries:
-            lines.append(f"% {_DERIVED_GLOSSES[name]}")
+        for name, _arity in self.derived:
+            if name in _DERIVED_GLOSSES:
+                lines.append(f"% {_DERIVED_GLOSSES[name]}")
         return "\n".join(lines)
 
 
@@ -378,20 +377,20 @@ def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
 
 
 def schema_solutions(
-    schema: FallacySchema, kb: KnowledgeBase, table: FactTable, rules: Sequence[Clause]
+    schema: FallacySchema, kb: KnowledgeBase, table: FactTable, main: Clause
 ) -> Counter:
     """How often each instantiation of the schema's query head is a solution,
     keyed in first-solution order.
 
-    The solver runs over the base, plus ``rules``, plus the table's rows of
-    each auxiliary no rule defines, given as ordinary facts.
+    The solver runs over the base, plus the query clause ``main``, plus the
+    table's rows of each auxiliary, given as ordinary facts.
     """
     rows = [
         FactRecord(Clause(Struct(key[0], args)))
-        for key in schema.fact_auxiliaries
+        for key in schema.derived
         for args in table[key]
     ]
-    program = kb.extended(rules, records=rows)
+    program = kb.extended([main], records=rows)
     head = schema.query_head
     return Counter(findall(head, [Goal(head)], program))
 
@@ -411,7 +410,7 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     _check_signatures(schema, kb, table)
 
     out: list[ValidTuple] = []
-    for term in schema_solutions(schema, kb, table, schema.rules):
+    for term in schema_solutions(schema, kb, table, schema.rules[0]):
         if not is_ground(term):
             continue
         if not confirm_instance(code, table, term.args):
@@ -538,11 +537,7 @@ def ordering_diagnostic(
     relaxed_main = Clause(
         main.head, tuple(l for l in main.body if not isinstance(l, TermLess))
     )
-    candidates = list(
-        schema_solutions(
-            schema, kb, fact_table(schema, kb), (relaxed_main,) + schema.rules[1:]
-        )
-    )
+    candidates = list(schema_solutions(schema, kb, fact_table(schema, kb), relaxed_main))
     if not candidates:
         return None
     shown = "; ".join(serialize_term(t) for t in candidates[:5])

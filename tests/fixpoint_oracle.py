@@ -306,7 +306,7 @@ def _join(assignments, arg_names, tuples_with_counts) -> list[tuple[dict, int]]:
 def engine_counts(code: FallacyCode, kb: KnowledgeBase) -> Counter:
     """Raw findall multiset from the engine, before deduplication."""
     schema = schema_for(code)
-    solutions = schema_solutions(schema, kb, fact_table(schema, kb), schema.rules)
+    solutions = schema_solutions(schema, kb, fact_table(schema, kb), schema.rules[0])
     return Counter({term.args: count for term, count in solutions.items()})
 
 

@@ -480,6 +480,19 @@ BAD_INPUTS = {
          "--out", tmp / "out"],
         [f"{tmp / 'p.jsonl'}:1", "'labels'"],
     ),
+    # A negative count would send no request at all and then report a
+    # provider failure.
+    "generator-max-retries-negative": lambda tmp: (
+        ["generate", "--code", "AF", "--n", 5, "--mode", "live", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "generator.endpoint = http://127.0.0.1:9/\ngenerator.max_retries = -1\n")],
+        ["generator.max_retries", "'-1'"],
+    ),
+    "evaluator-max-retries-not-integer": lambda tmp: (
+        ["score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "record",
+         "--cassette", tmp / "c.jsonl", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "evaluator.endpoint = http://127.0.0.1:9/\nevaluator.max_retries = 2.5\n")],
+        ["evaluator.max_retries", "'2.5'"],
+    ),
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],

@@ -381,7 +381,7 @@ def _outcome(template, goals, source, depth_limit):
 
 
 # s/2 is defined by rules (a closure over r/2, with q/2 as its base case), so
-# a negated s goal runs a sub-solve of its own.
+# a body with an s goal, positive or negated, is left to SLD.
 _S_RULES = "s(X, Y) :- q(X, Y).\ns(X, Y) :- r(X, Z), s(Z, Y).\n"
 
 _plan_constants = st.sampled_from([Atom("a"), Atom("b"), Int(1)])
@@ -395,7 +395,6 @@ _plan_facts = st.lists(
 _body_vars = st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W")])
 _body_args = st.one_of(_body_vars, _body_vars, _body_vars, _plan_constants)
 _positive_goals = st.tuples(
-    # s is rule-defined: a positive s goal leaves the body to SLD.
     st.sampled_from(["q", "q", "r", "r", "s"]), _body_args, _body_args
 ).map(lambda t: Goal(Struct(t[0], t[1:])))
 _body_literals = st.one_of(
@@ -498,15 +497,14 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
 @pytest.mark.parametrize(
     "program, error",
     [
-        # \+ s(b, W) recurses round the r(b, b) loop on a goal that is never
-        # ground, until the depth limit.  The join would take m(c, X) first
-        # and never try X = b; the negation keeps its place after n(X), so
-        # it sees X = b as in SLD.
+        # SLD yields X = a, then \+ s(b, W) recurses round the r(b, b) loop
+        # on a goal that is never ground, until the depth limit.  A join that
+        # took m(c, X) first would never try X = b.
         ("n(a).\nn(b).\nm(c, a).\nr(b, b).\np(X) :- n(X), \\+ s(X, W), m(c, X).\n",
          DepthLimitError),
-        # The join takes k(c, X) first and meets X = b, where \+ s(b, W)
-        # raises; SLD meets X = a first, where \+ t(a) flounders.  The body
-        # is handed to SLD, which raises its own error.
+        # SLD meets X = a first, where \+ t(a) flounders.  A join that took
+        # k(c, X) first would meet X = b first, where \+ s(b, W) reaches the
+        # depth limit instead.
         ("n(a).\nn(b).\nk(c, b).\nk(c, a).\nr(b, b).\nt(X) :- \\+ u(X, Y), v(Y).\n"
          "p(X) :- n(X), k(c, X), \\+ s(X, W), \\+ t(X).\n",
          FlounderError),
@@ -514,6 +512,8 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
     ids=["keeps-its-place", "raised-by-sld"],
 )
 def test_negation_over_rules_in_a_planned_body(program, error):
+    # p's body negates s, a predicate with rules, so it is not planned: SLD
+    # runs it whole and raises what SLD raises, as over the unplanned source.
     kb = kb_from(_S_RULES + program)
     goals = [Goal(Struct("p", (Var("A"),)))]
     for source in (kb, FullScan(kb)):

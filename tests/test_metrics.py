@@ -29,7 +29,6 @@ from fallacylab.metrics import (
     harmonic,
     label_count,
     per_fallacy_accuracy,
-    rank_by_label_count,
     ranked_score,
     score_stats,
 )
@@ -323,15 +322,6 @@ def test_label_count_sums_lengths():
         pred(2, False, []),
     ]
     assert label_count(preds) == 3
-
-
-def test_rank_by_label_count_descending():
-    counts = {"verbose": 1836, "terse": 1139, "middle": 1465}
-    assert [name for name, _ in rank_by_label_count(counts)] == [
-        "verbose",
-        "middle",
-        "terse",
-    ]
 
 
 def triple(code: FallacyCode, scores) -> ScoreTriple:

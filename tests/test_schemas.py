@@ -4,10 +4,12 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallacylab import engine, schemas
 from fallacylab.cli import main
-from fallacylab.engine import Atom, Goal
+from fallacylab.engine import Atom, Goal, Struct, findall
 from fallacylab.errors import FlounderError, SignatureError, UnknownSchemaError
 from fallacylab.gateway import Gateway
 from fallacylab.kb import KnowledgeBase
@@ -313,6 +315,23 @@ def test_derivation_work_grows_linearly_in_groups(monkeypatch, code):
     assert large_unify <= 4.5 * small_unify
 
 
+@pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
+def test_derivation_renames_only_the_query_rule(monkeypatch, code):
+    # Every auxiliary reaches the solver as facts, so each schema body runs
+    # as one planned join and the query rule is the only clause renamed.
+    kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(12)))
+    calls = []
+    real = engine._rename_clause
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_rename_clause", counting)
+    derive_instances(code, kb)
+    assert calls == [schema_for(code).rules[0]]
+
+
 # ---------------------------------------------------------------------------
 # Validation reports
 # ---------------------------------------------------------------------------
@@ -396,6 +415,35 @@ def test_cyclic_implication_graph_terminates():
         atoms("a", "b"),
         atoms("c", "b"),
     }
+
+
+_im_nodes = st.sampled_from(atoms("a", "b", "c", "d", "e"))
+
+
+@given(
+    st.lists(st.tuples(_im_nodes, _im_nodes), min_size=1, max_size=12),
+    st.lists(_im_nodes, min_size=2, max_size=4, unique=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_native_im_closure_matches_its_rule_text(edges, cycle):
+    # Random implication graphs, self-loops and duplicate facts included,
+    # plus one forced cycle.
+    edges = edges + list(zip(cycle, cycle[1:] + cycle[:1]))
+    kb = kb_from("".join(f"im({a.name}, {b.name}).\n" for a, b in edges))
+    schema = schema_for(FallacyCode.IT)
+    closure = schemas._im_closure(fact_table(schema, kb))
+    assert len(closure) == len(set(closure))
+    # The solver proves each ground im_t goal from the schema's own rule
+    # text; its visited set keeps ground goals terminating on cycles.
+    program = kb.extended(schema.rules[1:])
+    nodes = sorted({node for edge in edges for node in edge}, key=lambda atom: atom.name)
+    proved = {
+        (p, q)
+        for p in nodes
+        for q in nodes
+        if findall(Atom("yes"), [Goal(Struct("im_t", (p, q)))], program)
+    }
+    assert proved == set(closure)
 
 
 def test_no_flounder_on_randomized_ground_kbs():
