@@ -67,8 +67,6 @@ class RunConfig:
             raise ValueError("replay mode requires a cassette path")
         if self.mode == "record" and not self.cassette:
             raise ValueError("record mode requires a cassette path to write")
-        if not 0.0 <= self.generation_temperature <= 2.0:
-            raise ValueError("generator.temperature must be within [0, 2]")
 
 
 def parse_config(
@@ -95,32 +93,43 @@ def parse_config(
             key, _, value = stripped.partition("=")
             values[key.strip()] = value.strip()
 
-    def retries(prefix: str) -> int:
-        key = f"{prefix}.max_retries"
-        text = values.get(key, "3")
+    def number(key: str, default: str, kind: type, valid, expected: str):
+        text = values.get(key, default)
         try:
-            count = int(text)
+            value = kind(text)
         except ValueError:
-            count = -1
-        if count < 0:
-            raise ValueError(f"{key} must be a non-negative integer, got {text!r}")
-        return count
+            value = None
+        if value is None or not valid(value):
+            raise ValueError(f"{key} must be {expected}, got {text!r}")
+        return value
 
-    def provider(prefix: str) -> ProviderConfig:
+    def provider(prefix: str, parallelism: int = 1) -> ProviderConfig:
         return ProviderConfig(
             endpoint=values.get(f"{prefix}.endpoint", ""),
             model_name=values.get(f"{prefix}.model", "unspecified"),
-            max_retries=retries(prefix),
+            max_retries=number(
+                f"{prefix}.max_retries", "3", int, lambda n: n >= 0,
+                "a non-negative integer",
+            ),
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
+            parallelism=parallelism,
         )
 
     return RunConfig(
         generator=provider("generator"),
-        evaluator=provider("evaluator"),
+        evaluator=provider(
+            "evaluator",
+            number(
+                "evaluator.parallelism", "1", int, lambda n: n > 0, "a positive integer"
+            ),
+        ),
         mode=mode or values.get("mode", "replay"),
         cassette=cassette or values.get("cassette") or None,
-        batch_size=int(values.get("batch_size", "20")),
-        generation_temperature=float(values.get("generator.temperature", "1.0")),
+        batch_size=number("batch_size", "20", int, lambda n: n > 0, "a positive integer"),
+        generation_temperature=number(
+            "generator.temperature", "1.0", float, lambda t: 0.0 <= t <= 2.0,
+            "a number within [0, 2]",
+        ),
     )
 
 
@@ -132,6 +141,12 @@ def _make_provider(run: RunConfig, which: str) -> Provider:
     if run.mode == "record":
         return RecordingProvider(live, run.cassette)
     return live
+
+
+def _parallelism(run: RunConfig) -> int:
+    """Items sent at once: replay has no upstream to wait on, so it runs one
+    item at a time whatever ``evaluator.parallelism`` says."""
+    return 1 if run.mode == "replay" else run.evaluator.parallelism
 
 
 def _finish_provider(provider: Provider) -> None:
@@ -271,7 +286,7 @@ def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> N
     rows = load_sentences(sentences_path)
     run = _resolve_run(config_path, mode, cassette)
     provider = _make_provider(run, "evaluator")
-    scored = score_sentences(rows, Gateway(provider))
+    scored = score_sentences(rows, Gateway(provider), _parallelism(run))
     _finish_provider(provider)
     paths = write_scores(scored, method_tag, out_dir)
     for path in paths:
@@ -301,7 +316,7 @@ def eval_cmd(benchmark_path, predictions_path, mode, cassette, config_path, out_
     else:
         run = _resolve_run(config_path, mode, cassette)
         provider = _make_provider(run, "evaluator")
-        preds = judge_benchmark(entries, Gateway(provider))
+        preds = judge_benchmark(entries, Gateway(provider), _parallelism(run))
         _finish_provider(provider)
     report = build_report(entries, preds)
     paths = write_report(report, preds, out_dir)

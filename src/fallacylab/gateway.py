@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -146,6 +147,8 @@ class ProviderConfig:
     model_name: str = "unspecified"
     max_retries: int = 3
     credentials_env: str | None = None
+    #: Items of ``score`` and ``eval`` sent at once in live and record mode.
+    parallelism: int = 1
 
 
 # A score sends one prompt three times in a row, so remembering the last key
@@ -179,7 +182,11 @@ _TRANSPORT_ERRORS = (
 
 class HttpProvider:
     """Chat-completion style HTTP backend.  Transport errors, 429 and 5xx are
-    retried with exponential backoff; any other failure raises at once."""
+    retried with exponential backoff, or after a 429's or 503's delta-seconds
+    ``Retry-After`` when that is longer; any other failure raises at once.
+
+    ``complete`` may be called from several threads at once: each thread
+    posts through its own ``requests.Session`` unless one is injected."""
 
     def __init__(self, config: ProviderConfig, *, session=None, sleep=time.sleep):
         if not config.endpoint:
@@ -187,8 +194,18 @@ class HttpProvider:
         self.config = config
         self.model_name = config.model_name
         self.request_count = 0
-        self._session = session or requests.Session()
+        self._count_lock = threading.Lock()
+        self._session = session
+        self._thread = threading.local()
         self._sleep = sleep
+
+    def _session_here(self):
+        if self._session is not None:
+            return self._session
+        session = getattr(self._thread, "session", None)
+        if session is None:
+            session = self._thread.session = requests.Session()
+        return session
 
     def complete(self, prompt: str, *, temperature: float) -> str:
         headers = {"Content-Type": "application/json"}
@@ -201,11 +218,14 @@ class HttpProvider:
             "temperature": temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
+        session = self._session_here()
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
-            self.request_count += 1
+            with self._count_lock:
+                self.request_count += 1
+            delay = 2**attempt
             try:
-                response = self._session.post(
+                response = session.post(
                     self.config.endpoint, json=payload, headers=headers, timeout=120
                 )
             except _TRANSPORT_ERRORS as exc:
@@ -217,9 +237,18 @@ class HttpProvider:
                 if status != 429 and status < 500:
                     return _chat_content(response)
                 last_error = ProviderError(f"status {status}")
+                if status in (429, 503):
+                    delay = max(delay, _retry_after(response))
             if attempt < self.config.max_retries:
-                self._sleep(2**attempt)
+                self._sleep(delay)
         raise ProviderError(f"provider failed after retries: {last_error}")
+
+
+def _retry_after(response) -> int:
+    """A ``Retry-After`` header's delta-seconds (RFC 9110 §10.2.3); 0 when
+    the header is absent or holds anything else, such as an HTTP date."""
+    text = str(getattr(response, "headers", {}).get("Retry-After", "")).strip()
+    return int(text) if text.isascii() and text.isdigit() else 0
 
 
 def _chat_content(response) -> str:
@@ -259,13 +288,19 @@ class ReplayProvider:
 
 
 class RecordingProvider:
-    """Wraps a live provider and captures every exchange into a cassette."""
+    """Wraps a live provider and captures every exchange into a cassette.
+
+    Exchanges made inside :meth:`item` go to that item's own list, which
+    :meth:`keep` appends to the cassette.  Keeping the lists in input order
+    records the cassette a serial run records, even when items run at once
+    on several threads."""
 
     def __init__(self, inner: Provider, cassette_path: str | Path):
         self.inner = inner
         self.model_name = inner.model_name
         self.path = Path(cassette_path)
         self._entries: list[dict[str, str]] = []
+        self._thread = threading.local()
 
     @property
     def request_count(self) -> int:
@@ -274,8 +309,21 @@ class RecordingProvider:
     def complete(self, prompt: str, *, temperature: float) -> str:
         response = self.inner.complete(prompt, temperature=temperature)
         key = fingerprint(self.model_name, temperature, prompt)
-        self._entries.append({"fingerprint": key, "response": response})
+        entries = getattr(self._thread, "entries", self._entries)
+        entries.append({"fingerprint": key, "response": response})
         return response
+
+    def item(self, call, value):
+        """``(call(value), the exchanges it made)``, recorded on this thread
+        apart from the cassette."""
+        self._thread.entries = entries = []
+        try:
+            return call(value), entries
+        finally:
+            del self._thread.entries
+
+    def keep(self, entries: list[dict[str, str]]) -> None:
+        self._entries.extend(entries)
 
     def save(self) -> None:
         write_cassette(self.path, self._entries)

@@ -7,11 +7,12 @@ byte-reproducible.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .gateway import Gateway, ScoreTriple
+from .gateway import Gateway, RecordingProvider, ScoreTriple
 from .kb import FactRecord, KnowledgeBase
 from .jsonl import read_jsonl, read_labels, write_atomic, write_jsonl
 from .labels import FallacyCode, parse_code
@@ -134,11 +135,59 @@ def load_sentences(path: str | Path) -> list[tuple[str, str, FallacyCode]]:
     return list(read_jsonl(path, ("id", "sentence"), row))
 
 
+def _map_in_order(
+    call: Callable, items: Sequence, gateway: Gateway, parallelism: int
+) -> list:
+    """``call(item)`` for each item, results in input order.
+
+    Above width 1, up to ``parallelism`` items run at once on a thread pool,
+    each making its own requests in order.  Item i starts only once item
+    i - ``parallelism`` has finished, so the first item in input order that
+    fails raises, as in a serial run, and no item more than
+    ``parallelism - 1`` past it has started.  A recording provider gets each
+    item's exchanges in input order, so its cassette is a serial run's.
+    """
+    width = min(parallelism, len(items))
+    if width <= 1:
+        return [call(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    provider = gateway.provider
+    recorder = provider if isinstance(provider, RecordingProvider) else None
+
+    def run(item):
+        return recorder.item(call, item) if recorder else (call(item), [])
+
+    def take(future):
+        result, entries = future.result()
+        if recorder:
+            recorder.keep(entries)
+        return result
+
+    results = []
+    running = deque()
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        for item in items:
+            if len(running) == width:
+                results.append(take(running.popleft()))
+            running.append(pool.submit(run, item))
+        while running:
+            results.append(take(running.popleft()))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
+
+
 def score_sentences(
-    rows: Sequence[tuple[str, str, FallacyCode]], gateway: Gateway
+    rows: Sequence[tuple[str, str, FallacyCode]], gateway: Gateway, parallelism: int = 1
 ) -> list[tuple[str, ScoreTriple]]:
     """(id, triple) for each (id, sentence, code) row, in order."""
-    return [(rid, gateway.score_sentence(sentence, code)) for rid, sentence, code in rows]
+    def score(row):
+        rid, sentence, code = row
+        return rid, gateway.score_sentence(sentence, code)
+
+    return _map_in_order(score, rows, gateway, parallelism)
 
 
 def write_scores(
@@ -170,9 +219,11 @@ def write_scores(
 
 
 def judge_benchmark(
-    entries: Sequence[BenchmarkEntry], gateway: Gateway
+    entries: Sequence[BenchmarkEntry], gateway: Gateway, parallelism: int = 1
 ) -> list[Prediction]:
-    verdicts = [gateway.judge_sentence(entry.sentence) for entry in entries]
+    verdicts = _map_in_order(
+        lambda entry: gateway.judge_sentence(entry.sentence), entries, gateway, parallelism
+    )
     return predictions_from_verdicts([e.id for e in entries], verdicts)
 
 

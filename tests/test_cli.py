@@ -4,17 +4,23 @@ import gc
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 import fallacylab
 from fallacylab.cli import main, parse_config
+from fallacylab.labels import FallacyCode
 from fallacylab.parser import MAX_TERM_DEPTH
 
 from conftest import DATA_DIR
@@ -433,6 +439,28 @@ def _write(path, text):
     return path
 
 
+def _bad_parallelism(command, value):
+    """A record-mode ``score`` or ``eval`` whose ``evaluator.parallelism`` is
+    ``value``; the endpoint is never contacted."""
+    inputs = {
+        "score": ["--sentences", DATA_DIR / "sentences_small.jsonl"],
+        "eval": ["--benchmark", DATA_DIR / "benchmark_small.jsonl"],
+    }[command]
+
+    def case(tmp):
+        config = _write(
+            tmp / "run.cfg",
+            f"evaluator.endpoint = http://127.0.0.1:9/\nevaluator.parallelism = {value}\n",
+        )
+        return (
+            [command, *inputs, "--mode", "record", "--cassette", tmp / "c.jsonl",
+             "--out", tmp / "out", "--config", config],
+            ["evaluator.parallelism", repr(value)],
+        )
+
+    return case
+
+
 BAD_INPUTS = {
     "generate-out-is-file": lambda tmp: (
         ["generate", "--code", "AF", "--n", 5,
@@ -493,6 +521,25 @@ BAD_INPUTS = {
          _write(tmp / "run.cfg", "evaluator.endpoint = http://127.0.0.1:9/\nevaluator.max_retries = 2.5\n")],
         ["evaluator.max_retries", "'2.5'"],
     ),
+    "batch-size-not-integer": lambda tmp: (
+        ["generate", "--code", "AF", "--mode", "live", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "generator.endpoint = http://127.0.0.1:9/\nbatch_size = ten\n")],
+        ["batch_size", "'ten'"],
+    ),
+    "generator-temperature-not-number": lambda tmp: (
+        ["generate", "--code", "AF", "--n", 5, "--mode", "live", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "generator.endpoint = http://127.0.0.1:9/\ngenerator.temperature = hot\n")],
+        ["generator.temperature", "'hot'"],
+    ),
+    **{
+        f"evaluator-parallelism-{name}": _bad_parallelism(command, value)
+        for name, command, value in [
+            ("zero", "score", "0"),
+            ("negative", "eval", "-1"),
+            ("fraction", "score", "2.5"),
+            ("word", "eval", "two"),
+        ]
+    },
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
@@ -554,6 +601,7 @@ def test_parse_config_round_trip(tmp_path):
         "mode = record\n"
         "cassette = tape.jsonl\n"
         "batch_size = 7\n"
+        "evaluator.parallelism = 4\n"
     )
     run_config = parse_config(path)
     assert run_config.generator.model_name == "g"
@@ -561,6 +609,8 @@ def test_parse_config_round_trip(tmp_path):
     assert run_config.evaluator.model_name == "e"
     assert run_config.mode == "record"
     assert run_config.batch_size == 7
+    assert run_config.evaluator.parallelism == 4
+    assert run_config.generator.parallelism == 1
 
 
 def test_run_config_validates_generation_temperature(tmp_path):
@@ -577,3 +627,154 @@ def test_parse_config_rejects_bad_lines(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ValueError):
         parse_config(path)
+
+
+# ---------------------------------------------------------------------------
+# record mode with several requests in flight
+# ---------------------------------------------------------------------------
+
+
+class _Upstream:
+    """A fake chat endpoint behind ``requests.Session``: every session it
+    makes posts here.  A reply is a function of the prompt and of how often
+    that prompt was asked before, and each request sleeps 0-5 ms, so
+    concurrent items finish out of order.  It counts requests in flight."""
+
+    SENTENCE = re.compile(r"claim (\d+) holds")
+
+    def __init__(self, *, unusable=(), failing=(), slow=()):
+        self.unusable = set(unusable)  # first reply to item i is unusable
+        self.failing = set(failing)  # item i gets a malformed body
+        self.slow = set(slow)  # item i waits 30 ms
+        self.lock = threading.Lock()
+        self.asked: dict[str, int] = {}
+        self.requested: list[int] = []
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.sessions: list[set[int]] = []
+        self.random = random.Random(7)
+
+    def session(self):
+        upstream, threads = self, set()
+        self.sessions.append(threads)
+
+        class Session:
+            def post(self, url, json, headers, timeout):
+                threads.add(threading.get_ident())
+                return upstream.answer(json["messages"][0]["content"])
+
+        return Session()
+
+    def answer(self, prompt):
+        item = int(self.SENTENCE.search(prompt).group(1))
+        with self.lock:
+            self.requested.append(item)
+            asked = self.asked[prompt] = self.asked.get(prompt, 0) + 1
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            delay = 0.03 if item in self.slow else self.random.uniform(0, 0.005)
+        try:
+            time.sleep(delay)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+        if item in self.failing:
+            return _ChatResponse(ValueError(f"item {item}"))
+        if item in self.unusable and asked == 1:
+            return _ChatResponse("no idea")
+        if prompt.startswith("You are a professional logical fallacy evaluator"):
+            return _ChatResponse(f"Score: {item % 4}")
+        codes = list(FallacyCode)
+        return _ChatResponse(json.dumps({
+            "logic_error": "yes" if item % 3 else "no",
+            "logic_fallacies": [codes[item % 14].value, codes[(item + 1) % 14].value][: item % 3],
+            "details": f"about claim {item}",
+        }))
+
+
+class _ChatResponse:
+    status_code = 200
+
+    def __init__(self, content):
+        self.content = content
+
+    def json(self):
+        if isinstance(self.content, Exception):
+            raise self.content
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+# Duplicate items ask the same prompts, possibly at the same time.
+_ITEMS = [*range(24), 3, 3, 10, *range(24, 40), 10]
+
+
+def _record_run(runner, monkeypatch, tmp_path, command, width, upstream):
+    """``command`` in record mode against ``upstream`` with
+    ``evaluator.parallelism = width``; returns (result, out dir, cassette)."""
+    name = f"{command}-{width}"
+    if command == "score":
+        inputs = _write(tmp_path / "sentences.jsonl", "".join(
+            json.dumps({"id": f"s{n}", "sentence": f"Since claim {i} holds, it follows.",
+                        "labels": [list(FallacyCode)[i % 11].value]}) + "\n"
+            for n, i in enumerate(_ITEMS)))
+        flag = "--sentences"
+    else:
+        inputs = _write(tmp_path / "benchmark.jsonl", "".join(
+            json.dumps({"id": f"b{n}", "sentence": f"Since claim {i} holds, it follows.",
+                        "labels": [list(FallacyCode)[i % 14].value] if i % 4 else [],
+                        "source": "bench" if i % 4 else "benign"}) + "\n"
+            for n, i in enumerate(_ITEMS)))
+        flag = "--benchmark"
+    config = _write(tmp_path / f"{name}.cfg", (
+        "evaluator.endpoint = http://127.0.0.1:9/v1\nevaluator.model = eval-model\n"
+        f"evaluator.max_retries = 0\nevaluator.parallelism = {width}\n"))
+    monkeypatch.setattr(requests, "Session", upstream.session)
+    out, cassette = tmp_path / name, tmp_path / f"{name}.jsonl"
+    result = run(runner, command, flag, inputs, "--mode", "record", "--cassette", cassette,
+                 "--config", config, "--out", out)
+    return result, out, cassette
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_record_at_width_three_equals_a_serial_record(
+    runner, monkeypatch, tmp_path, caplog, command
+):
+    recorded = {}
+    for width in (1, 3):
+        caplog.clear()
+        upstream = _Upstream(unusable={5, 17})
+        result, out, cassette = _record_run(runner, monkeypatch, tmp_path, command, width, upstream)
+        assert result.exit_code == 0, result.output
+        assert caplog.text.count("retrying once") == 2  # the corrective retries ran
+        assert upstream.max_in_flight == width
+        # one session per thread, never shared between threads
+        assert len(upstream.sessions) == width
+        assert all(len(threads) == 1 for threads in upstream.sessions)
+        recorded[width] = (
+            cassette.read_bytes(),
+            {path.name: path.read_bytes() for path in sorted(out.iterdir())},
+        )
+    serial_cassette, serial_outputs = recorded[1]
+    assert len(serial_outputs) == 3
+    assert recorded[3] == recorded[1]
+    requests_per_item = 3 if command == "score" else 1
+    assert len(serial_cassette.splitlines()) == requests_per_item * len(_ITEMS) + 2
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_record_failure_at_width_three_is_the_serial_failure(runner, monkeypatch, tmp_path, command):
+    # Item 11 fails after 30 ms, item 12 at once: at width 3 item 12 fails
+    # first in time, but a serial run never reaches it.
+    k = 11
+    outcomes = {}
+    for width in (1, 3):
+        upstream = _Upstream(failing={k, k + 1}, slow={k})
+        started = time.monotonic()
+        result, out, cassette = _record_run(runner, monkeypatch, tmp_path, command, width, upstream)
+        assert time.monotonic() - started < 30
+        assert result.exit_code == 3, result.output
+        assert not out.exists() and not cassette.exists()
+        assert max(upstream.requested) <= k + width - 1
+        outcomes[width] = result.stderr
+    assert f"item {k}" in outcomes[1] and outcomes[1].startswith("error: ")
+    assert outcomes[3] == outcomes[1]

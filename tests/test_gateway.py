@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -202,6 +204,62 @@ def test_http_provider_retries_rate_limit_and_server_errors():
     assert provider.complete("x", temperature=0.0) == "hi"
     assert session.posts == 3
     assert sleeps == [1, 2]
+
+
+class _HeaderResponse(_Response):
+    def __init__(self, status_code, body, headers):
+        super().__init__(status_code, body)
+        self.headers = headers
+
+
+def test_http_provider_waits_for_retry_after_on_429_and_503():
+    ok = {"choices": [{"message": {"content": "hi"}}]}
+    session = _ScriptedSession([
+        _HeaderResponse(429, {}, {"Retry-After": "7"}),  # longer than the backoff
+        _HeaderResponse(503, {}, {"Retry-After": "1"}),  # shorter: the backoff wins
+        _HeaderResponse(500, {}, {"Retry-After": "9"}),  # read on 429 and 503 only
+        _HeaderResponse(429, {}, {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}),
+        _HeaderResponse(503, {}, {"Retry-After": "-3"}),
+        _Response(200, ok),
+    ])
+    sleeps = []
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=5),
+        session=session,
+        sleep=sleeps.append,
+    )
+    assert provider.complete("x", temperature=0.0) == "hi"
+    assert session.posts == 6
+    assert sleeps == [7, 2, 4, 8, 16]
+
+
+def test_http_provider_counts_every_request_across_threads():
+    ok = _Response(200, {"choices": [{"message": {"content": "hi"}}]})
+
+    class Session:
+        def post(self, *a, **k):
+            return ok
+
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m"), session=Session()
+    )
+
+    def calls():
+        for _ in range(2_000):
+            provider.complete("x", temperature=0.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert provider.request_count == 8 * 2_000
 
 
 def test_http_provider_parses_chat_response():
