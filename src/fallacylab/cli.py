@@ -56,6 +56,9 @@ class RunConfig:
     mode: str = "replay"  # live | replay | record
     cassette: str | None = None
     batch_size: int = 20
+    #: Items of ``score`` and ``eval`` sent at once in live and record mode;
+    #: the config key is ``evaluator.parallelism``.
+    parallelism: int = 1
     #: Fact generation and sentence transformation; scoring and judging
     #: always run at temperature 0.
     generation_temperature: float = 1.0
@@ -103,7 +106,7 @@ def parse_config(
             raise ValueError(f"{key} must be {expected}, got {text!r}")
         return value
 
-    def provider(prefix: str, parallelism: int = 1) -> ProviderConfig:
+    def provider(prefix: str) -> ProviderConfig:
         return ProviderConfig(
             endpoint=values.get(f"{prefix}.endpoint", ""),
             model_name=values.get(f"{prefix}.model", "unspecified"),
@@ -112,17 +115,14 @@ def parse_config(
                 "a non-negative integer",
             ),
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
-            parallelism=parallelism,
         )
 
     return RunConfig(
         generator=provider("generator"),
-        evaluator=provider(
-            "evaluator",
-            number(
-                "evaluator.parallelism", "1", int, lambda n: n > 0, "a positive integer"
-            ),
+        parallelism=number(
+            "evaluator.parallelism", "1", int, lambda n: n > 0, "a positive integer"
         ),
+        evaluator=provider("evaluator"),
         mode=mode or values.get("mode", "replay"),
         cassette=cassette or values.get("cassette") or None,
         batch_size=number("batch_size", "20", int, lambda n: n > 0, "a positive integer"),
@@ -146,7 +146,7 @@ def _make_provider(run: RunConfig, which: str) -> Provider:
 def _parallelism(run: RunConfig) -> int:
     """Items sent at once: replay has no upstream to wait on, so it runs one
     item at a time whatever ``evaluator.parallelism`` says."""
-    return 1 if run.mode == "replay" else run.evaluator.parallelism
+    return 1 if run.mode == "replay" else run.parallelism
 
 
 def _finish_provider(provider: Provider) -> None:

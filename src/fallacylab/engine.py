@@ -4,15 +4,16 @@ Terms, unification with an occurs check, depth-first SLD resolution over an
 insertion-ordered clause store, negation as failure, the two builtin
 comparisons (``\\=`` and ``@<``), and findall.
 
-The solver asks its clause source for the candidates of each resolved goal
-(see ``ClauseSource``); a source may leave out clauses whose head cannot
-unify with the goal, but keeps the rest in insertion order, so an indexed
-source yields the same solutions in the same order as a full scan.  A clause
-without variables (every fact of a knowledge base) is unified as it is; the
-others are renamed apart, from variable names computed once per clause.
+The solver asks its clause source for the rows of each resolved goal (see
+``ClauseSource``): candidate clauses paired with their positions among the
+predicate's clauses.  A source may leave out clauses whose head cannot unify
+with the goal, but keeps the rest in insertion order, so an indexed source
+yields the same solutions in the same order as a full scan.  A clause without
+variables (every fact of a knowledge base) is unified as it is; the others
+are renamed apart, from variable names computed once per clause.
 
 When every goal of a resolved clause's body, positive or negated, names a
-fact-only predicate of the source (``ClauseSource.fact_rows``), the body runs
+fact-only predicate of the source (``ClauseSource.fact_only``), the body runs
 as a join instead of as SLD goals: next comes the goal with the most bound
 arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
 runs as soon as its variables are bound.  Over facts, SLD yields a body's
@@ -96,14 +97,21 @@ def indicator(term: GoalTerm) -> tuple[str, int]:
 
 def term_vars(term: Term) -> set[str]:
     """Names of all variables occurring in a term."""
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Struct):
-        out: set[str] = set()
-        for arg in term.args:
-            out |= term_vars(arg)
-        return out
-    return set()
+    return set(var_names(term))
+
+
+def var_names(*items: "Term | Literal") -> Iterator[str]:
+    """Names of the variables in terms or literals, one per occurrence, in
+    order of occurrence; ``dict.fromkeys`` keeps the first of each."""
+    for item in items:
+        if isinstance(item, Var):
+            yield item.name
+        elif isinstance(item, Struct):
+            yield from var_names(*item.args)
+        elif isinstance(item, Goal):
+            yield from var_names(item.term)
+        elif isinstance(item, (NotEqual, TermLess)):
+            yield from var_names(item.lhs, item.rhs)
 
 
 def is_ground(term: Term) -> bool:
@@ -161,8 +169,7 @@ class Clause:
     def variables(self) -> tuple[str, ...]:
         """Names of the clause's variables in first-occurrence order,
         computed once per clause."""
-        literals = (Goal(self.head),) + self.body
-        return tuple(dict.fromkeys(name for lit in literals for name in _ordered_names(lit)))
+        return tuple(dict.fromkeys(var_names(self.head, *self.body)))
 
 
 #: A clause paired with its position among its predicate's clauses, in
@@ -278,17 +285,17 @@ def compare_terms(t1: Term, t2: Term) -> int:
 class ClauseSource(Protocol):
     """What the solver needs from a knowledge base."""
 
-    def candidates(self, goal: GoalTerm) -> Sequence[Clause]:
+    def rows(self, goal: GoalTerm) -> Sequence[Row]:
         """Clauses of the goal's predicate to try against ``goal``, a
-        resolved goal term, in insertion order.  Each clause whose head can
+        resolved goal term, each paired with its position among the
+        predicate's clauses, in insertion order.  Each clause whose head can
         unify with the goal must be included; the others may be left out."""
         ...
 
-    def fact_rows(self, goal: GoalTerm) -> Sequence[Row] | None:
-        """None unless the goal's predicate is fact-only (defined by ground
-        facts alone).  Then the goal's ``candidates``, each paired with its
-        position among the predicate's clauses.  A source that always
-        answers None is resolved by plain SLD throughout."""
+    def fact_only(self, goal: GoalTerm) -> bool:
+        """Whether ground facts alone define the goal's predicate: no rule
+        does.  A source that always answers False is resolved by plain SLD
+        throughout."""
         ...
 
 
@@ -306,48 +313,21 @@ class _Scope:
 
 def _rename_clause(clause: Clause, counter) -> Clause:
     mapping = {name: Var(f"{name}#{next(counter)}") for name in clause.variables}
+    return Clause(
+        resolve(clause.head, mapping),
+        tuple(_resolve_literal(lit, mapping) for lit in clause.body),
+    )
 
-    def ren_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return mapping.get(t.name, t)
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(ren_term(a) for a in t.args))
-        return t
 
-    def ren_lit(lit: Literal) -> Literal:
-        if isinstance(lit, Goal):
-            return Goal(ren_term(lit.term), lit.negated)
-        if isinstance(lit, NotEqual):
-            return NotEqual(ren_term(lit.lhs), ren_term(lit.rhs))
-        return TermLess(ren_term(lit.lhs), ren_term(lit.rhs))
-
-    return Clause(ren_term(clause.head), tuple(ren_lit(l) for l in clause.body))
+def _resolve_literal(lit: Literal, subst: Substitution) -> Literal:
+    if isinstance(lit, Goal):
+        return Goal(resolve(lit.term, subst), lit.negated)
+    return type(lit)(resolve(lit.lhs, subst), resolve(lit.rhs, subst))
 
 
 def _query_var_names(goals: Iterable[Literal]) -> tuple[str, ...]:
     """Named (non-anonymous, non-internal) variables, first occurrence order."""
-    ordered: list[str] = []
-    for lit in goals:
-        for name in _ordered_names(lit):
-            if "#" not in name and name not in ordered:
-                ordered.append(name)
-    return tuple(ordered)
-
-
-def _ordered_names(lit: Literal) -> list[str]:
-    def of_term(t: Term) -> list[str]:
-        if isinstance(t, Var):
-            return [t.name]
-        if isinstance(t, Struct):
-            out: list[str] = []
-            for a in t.args:
-                out.extend(of_term(a))
-            return out
-        return []
-
-    if isinstance(lit, Goal):
-        return of_term(lit.term)
-    return of_term(lit.lhs) + of_term(lit.rhs)
+    return tuple(name for name in dict.fromkeys(var_names(*goals)) if "#" not in name)
 
 
 def solve(
@@ -369,25 +349,15 @@ def solve(
     transitive-closure queries terminate on cyclic fact graphs.
 
     A resolved clause whose body goals are all fact-only runs its body as a
-    planned join (see ``_body_plan``), with the same solutions in
-    the same order.
+    planned join (see ``_make_plan``), with the same solutions in the same
+    order.
     """
-    return _solve(tuple(goals), _Run(kb, depth_limit, {}))
+    return _solve(tuple(goals), kb, depth_limit)
 
 
-@dataclass(frozen=True)
-class _Run:
-    """What one solve shares with the sub-solves of its negations."""
-
-    kb: ClauseSource
-    depth_limit: int
-    #: (id of a stored clause, ground head arguments) -> (the clause, which
-    #: keeps its id unique, and its plan); see ``_body_plan``.
-    plans: dict
-
-
-def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
-    kb, depth_limit = run.kb, run.depth_limit
+def _solve(
+    goals: tuple[Literal, ...], kb: ClauseSource, depth_limit: int
+) -> Iterator[dict[str, Term]]:
     projection = _query_var_names(goals)
     counter = itertools.count()
 
@@ -421,14 +391,14 @@ def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
                 for other in rest:
                     if isinstance(other, _Scope):
                         continue
-                    outer |= _resolved_literal_vars(other, subst)
+                    outer.update(var_names(_resolve_literal(other, subst)))
                 leaked = free & outer
                 if leaked:
                     raise FlounderError(
                         "negated goal selected with unbound shared variable(s): "
                         + ", ".join(sorted(leaked))
                     )
-            if not _provable(goal_term, run):
+            if not _provable(goal_term, kb, depth_limit):
                 frames.append((rest, subst, depth + 1, visited))
             continue
 
@@ -437,7 +407,7 @@ def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
             continue
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
-        for stored in kb.candidates(goal_term):
+        for _, stored in kb.rows(goal_term):
             clause = _rename_clause(stored, counter) if stored.variables else stored
             extended = unify(goal_term, clause.head, subst)
             if extended is None:
@@ -446,7 +416,7 @@ def _solve(goals: tuple[Literal, ...], run: _Run) -> Iterator[dict[str, Term]]:
             # A planned body keeps SLD's depth accounting, one step per
             # literal, so a body that could reach the limit is left to SLD.
             if body and depth + 1 + len(body) <= depth_limit:
-                plan = _body_plan(stored, goal_term, run)
+                plan = _make_plan(stored, goal_term, kb)
                 if plan is not None:
                     after = (_Scope(goal_term),) + rest
                     alternatives.extend(
@@ -466,14 +436,8 @@ def _builtin_holds(lit: Union[NotEqual, TermLess], subst: Substitution) -> bool:
     return compare_terms(resolve(lit.lhs, subst), resolve(lit.rhs, subst)) < 0
 
 
-def _resolved_literal_vars(lit: Literal, subst: Substitution) -> set[str]:
-    if isinstance(lit, Goal):
-        return term_vars(resolve(lit.term, subst))
-    return term_vars(resolve(lit.lhs, subst)) | term_vars(resolve(lit.rhs, subst))
-
-
-def _provable(goal_term: GoalTerm, run: _Run) -> bool:
-    for _ in _solve((Goal(goal_term),), run):
+def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
+    for _ in _solve((Goal(goal_term),), kb, depth_limit):
         return True
     return False
 
@@ -490,35 +454,23 @@ class _Plan:
     goal_count: int
 
 
-def _body_plan(clause: Clause, goal: GoalTerm, run: _Run) -> _Plan | None:
+def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None:
     """The join plan for the body of a stored ``clause`` resolved against
     ``goal``, or None when SLD must run it: a goal's predicate has a rule,
     or a builtin or negation would be reached before its variables are
-    bound.
-
-    A run plans each clause once per pattern of head arguments the goal
-    binds to ground terms.
-    """
-    args = goal.args if isinstance(goal, Struct) else ()
-    key = (id(clause), tuple(map(is_ground, args)))
-    cached = run.plans.get(key)
-    if cached is None:
-        cached = run.plans[key] = (clause, _make_plan(clause, key[1], run.kb))
-    return cached[1]
-
-
-def _make_plan(clause: Clause, ground_args: tuple[bool, ...], kb: ClauseSource) -> _Plan | None:
+    bound."""
     body = clause.body
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
         if isinstance(lit, Goal):
-            if kb.fact_rows(lit.term) is None:
+            if not kb.fact_only(lit.term):
                 return None
             if not lit.negated:
                 ordinals[index] = len(ordinals)
-    names = [set(_ordered_names(lit)) for lit in body]
+    names = [set(var_names(lit)) for lit in body]
     head_args = clause.head.args if isinstance(clause.head, Struct) else ()
-    bound = set().union(*(term_vars(arg) for arg, ground in zip(head_args, ground_args) if ground))
+    goal_args = goal.args if isinstance(goal, Struct) else ()
+    bound = set(var_names(*(arg for arg, value in zip(head_args, goal_args) if is_ground(value))))
     occurrences = Counter(term_vars(clause.head))
     for lit_names in names:
         occurrences.update(lit_names)
@@ -584,7 +536,7 @@ def _join(steps, k, body, subst, positions, kb, found) -> None:
     lit = body[index]
     if ordinal >= 0:
         goal = resolve(lit.term, subst)
-        for position, fact in kb.fact_rows(goal):
+        for position, fact in kb.rows(goal):
             extended = unify(goal, fact.head, subst)
             if extended is not None:
                 positions[ordinal] = position
@@ -592,7 +544,7 @@ def _join(steps, k, body, subst, positions, kb, found) -> None:
         return
     if isinstance(lit, Goal):
         goal = resolve(lit.term, subst)
-        holds = all(unify(goal, fact.head) is None for _, fact in kb.fact_rows(goal))
+        holds = all(unify(goal, fact.head) is None for _, fact in kb.rows(goal))
     else:
         holds = _builtin_holds(lit, subst)
     if holds:

@@ -26,7 +26,9 @@ import requests
 
 from .errors import (
     CountMismatchError,
+    DuplicateLabelError,
     EmptyYieldError,
+    JsonlFormatError,
     JudgeJsonError,
     ProviderError,
     ReplayMissError,
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .jsonl import encode_canonical, read_jsonl, write_jsonl
 from .kb import FactRecord, KnowledgeBase
-from .labels import FallacyCode, definitions_block, parse_code
+from .labels import FallacyCode, check_predicted_labels, definitions_block, parse_code
 from .parser import ParseError, parse_program
 from .schemas import ValidTuple, schema_for, validate_kb_against_schema
 
@@ -147,8 +149,6 @@ class ProviderConfig:
     model_name: str = "unspecified"
     max_retries: int = 3
     credentials_env: str | None = None
-    #: Items of ``score`` and ``eval`` sent at once in live and record mode.
-    parallelism: int = 1
 
 
 # A score sends one prompt three times in a row, so remembering the last key
@@ -246,9 +246,15 @@ class HttpProvider:
 
 def _retry_after(response) -> int:
     """A ``Retry-After`` header's delta-seconds (RFC 9110 §10.2.3); 0 when
-    the header is absent or holds anything else, such as an HTTP date."""
+    the header is absent or holds anything else, such as an HTTP date or more
+    digits than ``int`` reads."""
     text = str(getattr(response, "headers", {}).get("Retry-After", "")).strip()
-    return int(text) if text.isascii() and text.isdigit() else 0
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return 0
 
 
 def _chat_content(response) -> str:
@@ -551,6 +557,10 @@ class Gateway:
         if not isinstance(labels_raw, list):
             raise JudgeJsonError("logic_fallacies must be a list")
         labels = tuple(parse_code(item) for item in labels_raw)
+        try:
+            check_predicted_labels(labels, "logic_fallacies")
+        except (DuplicateLabelError, JsonlFormatError) as exc:
+            raise JudgeJsonError(str(exc)) from None
         return JudgeVerdict(
             sentence=str(data.get("sentence", sentence)),
             logic_error=logic_error,

@@ -5,11 +5,13 @@ facts of one generated instance.  A knowledge base is mutable while loading
 in a single thread; after ``seal()`` its contents are immutable and it can
 safely back any number of concurrent solver runs.
 
-The solver picks clauses through per-argument-position indexes
-(``candidates``, and ``fact_rows`` for the join planner, which also needs each
-clause's position).  Each index is built on the first lookup that needs it,
-not while loading, so a base that is only validated or serialized builds
-none; a fill racing another on the same position builds the same table twice.
+Each predicate keeps one list of rows, its clauses paired with their
+positions, appended as clauses are asserted.  The solver picks rows through
+``rows``, which narrows that list with per-argument-position indexes, and asks
+``fact_only`` whether a join may run over a predicate.  Each index is built on
+the first lookup that needs it, not while loading, so a base that is only
+validated or serialized builds none; a fill racing another on the same
+position builds the same table twice.
 """
 from __future__ import annotations
 
@@ -36,13 +38,12 @@ class KnowledgeBase:
     def __init__(self):
         self.facts: list[FactRecord] = []
         self.rules: list[Clause] = []
-        self._by_indicator: dict[tuple[str, int], list[Clause]] = {}
         #: Predicates with at least one rule; every other one is fact-only.
         self._rule_indicators: set[tuple[str, int]] = set()
         #: (name, arity) -> its clauses, each paired with its position.
         self._rows: dict[tuple[str, int], list[Row]] = {}
         #: (name, arity) -> argument position -> (buckets by constant, the
-        #: rows with a variable or compound there); see ``candidates``.
+        #: rows with a variable or compound there); see ``rows``.
         self._indexes: dict[
             tuple[str, int], dict[int, tuple[dict[Term, list[Row]], list[Row]]]
         ] = {}
@@ -66,8 +67,8 @@ class KnowledgeBase:
         else:
             self.rules.append(clause)
             self._rule_indicators.add(key)
-        self._by_indicator.setdefault(key, []).append(clause)
-        self._rows.pop(key, None)
+        rows = self._rows.setdefault(key, [])
+        rows.append((len(rows), clause))
         self._indexes.pop(key, None)
         return self
 
@@ -99,30 +100,19 @@ class KnowledgeBase:
 
     def clauses(self, name: str, arity: int) -> list[Clause]:
         """Clauses for one predicate, in insertion order."""
-        return self._by_indicator.get((name, arity), [])
+        return [clause for _, clause in self._rows.get((name, arity), ())]
 
-    def candidates(self, goal: GoalTerm) -> Sequence[Clause]:
-        """The clauses to try against a resolved goal, in insertion order.
+    def rows(self, goal: GoalTerm) -> Sequence[Row]:
+        """The rows to try against a resolved goal, in insertion order.
 
         Each argument of ``goal`` that is an atom or integer selects a bucket
-        of its position's index: the clauses holding that constant there,
-        plus those holding a variable or compound there.  The smallest
-        bucket is returned; a goal with no such argument gets every clause
-        of its predicate.
+        of its position's index: the rows holding that constant there, plus
+        those holding a variable or compound there.  The smallest bucket is
+        returned; a goal with no such argument gets every row of its
+        predicate.
         """
-        return [clause for _, clause in self._matching(goal)]
-
-    def fact_rows(self, goal: GoalTerm) -> Sequence[Row] | None:
-        """None when the goal's predicate has a rule.  Otherwise the
-        ``candidates`` of a resolved goal, each paired with its position
-        among the predicate's clauses."""
-        if indicator(goal) in self._rule_indicators:
-            return None
-        return self._matching(goal)
-
-    def _matching(self, goal: GoalTerm) -> list[Row]:
         key = indicator(goal)
-        best = self._all_rows(key)
+        best = self._rows.get(key, [])
         if isinstance(goal, Struct):
             for position, arg in enumerate(goal.args):
                 if best and isinstance(arg, (Atom, Int)):
@@ -132,11 +122,9 @@ class KnowledgeBase:
                         best = bucket
         return best
 
-    def _all_rows(self, key: tuple[str, int]) -> list[Row]:
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = list(enumerate(self.clauses(*key)))
-        return rows
+    def fact_only(self, goal: GoalTerm) -> bool:
+        """Whether no rule defines the goal's predicate."""
+        return indicator(goal) not in self._rule_indicators
 
     def _position_index(
         self, key: tuple[str, int], position: int
@@ -146,7 +134,7 @@ class KnowledgeBase:
         if index is None:
             buckets: dict[Term, list[Row]] = {}
             others: list[Row] = []
-            for row in self._all_rows(key):
+            for row in self._rows[key]:
                 arg = row[1].head.args[position]  # type: ignore[union-attr]
                 if isinstance(arg, (Atom, Int)):
                     bucket = buckets.get(arg)

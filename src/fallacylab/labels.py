@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from typing import Sequence
 
-from .errors import UnknownLabelError
+from .errors import DuplicateLabelError, JsonlFormatError, UnknownLabelError
 
 
 class FallacyCode(enum.Enum):
@@ -148,6 +149,20 @@ _ALIASES: dict[str, FallacyCode] = {
 }
 _ALIASES.update({code.value: code for code in FallacyCode})
 _ALIASES.update({name.upper(): code for code, name in DISPLAY_NAMES.items()})
+
+
+#: Maximum number of labels a prediction may carry: all types minus one.
+MAX_PREDICTED_LABELS = len(FallacyCode) - 1
+
+
+def check_predicted_labels(labels: Sequence[FallacyCode], owner: str) -> None:
+    """Raise unless ``labels`` can be one prediction's ranked labels: no
+    repeated code and at most MAX_PREDICTED_LABELS codes.  ``owner`` begins
+    the message."""
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabelError(f"{owner}: repeated label")
+    if len(labels) > MAX_PREDICTED_LABELS:
+        raise JsonlFormatError(f"{owner}: more than {MAX_PREDICTED_LABELS} labels")
 
 
 def parse_code(text: str) -> FallacyCode:

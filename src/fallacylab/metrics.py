@@ -23,10 +23,7 @@ from .errors import (
 )
 from .gateway import JudgeVerdict, ScoreTriple
 from .jsonl import read_jsonl, read_labels
-from .labels import FallacyCode
-
-#: Maximum number of labels a prediction may carry: all types minus one.
-MAX_PREDICTED_LABELS = len(FallacyCode) - 1
+from .labels import MAX_PREDICTED_LABELS, FallacyCode, check_predicted_labels
 
 _SOURCES = ("bench", "augmented", "benign")
 
@@ -64,15 +61,7 @@ class Prediction:
     labels: tuple[FallacyCode, ...]
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise DuplicateLabelError(
-                f"prediction {self.entry_id}: repeated label"
-            )
-        if len(self.labels) > MAX_PREDICTED_LABELS:
-            raise JsonlFormatError(
-                f"prediction {self.entry_id}: more than "
-                f"{MAX_PREDICTED_LABELS} labels"
-            )
+        check_predicted_labels(self.labels, f"prediction {self.entry_id}")
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
@@ -89,10 +78,11 @@ def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     def prediction(record: dict) -> Prediction:
+        flag = record["logic_error"]
+        if not isinstance(flag, bool):
+            raise JsonlFormatError(f"'logic_error' must be true or false, found {flag!r}")
         return Prediction(
-            entry_id=str(record["id"]),
-            logic_error=bool(record["logic_error"]),
-            labels=read_labels(record),
+            entry_id=str(record["id"]), logic_error=flag, labels=read_labels(record)
         )
 
     return list(read_jsonl(path, ("id", "logic_error"), prediction))
@@ -332,8 +322,8 @@ class EvalReport:
     detection: DetectionMetrics
     per_fallacy: dict[FallacyCode, Fraction]
     ranked_scores: list[Fraction]
-    ranked_mean: Fraction | None
-    kappa: Fraction | None
+    ranked_mean: Fraction
+    kappa: Fraction
     label_total: int
 
     def to_json_dict(self) -> dict:
@@ -352,10 +342,10 @@ class EvalReport:
                 )
             },
             "ranked": {
-                "mean": _num(self.ranked_mean) if self.ranked_mean is not None else None,
+                "mean": _num(self.ranked_mean),
                 "count": len(self.ranked_scores),
             },
-            "kappa": _num(self.kappa) if self.kappa is not None else None,
+            "kappa": _num(self.kappa),
             "label_count": self.label_total,
         }
 
@@ -372,10 +362,8 @@ class EvalReport:
         ]
         for code, acc in sorted(self.per_fallacy.items(), key=lambda kv: kv[0].value):
             lines.append(f"  {code.value}  {_dec(acc * 100, 0)}")
-        if self.ranked_mean is not None:
-            lines.append(f"ranked score mean  {_dec(self.ranked_mean, 4)}")
-        if self.kappa is not None:
-            lines.append(f"kappa              {_dec(self.kappa, 4)}")
+        lines.append(f"ranked score mean  {_dec(self.ranked_mean, 4)}")
+        lines.append(f"kappa              {_dec(self.kappa, 4)}")
         lines.append(f"label count        {self.label_total}")
         return "\n".join(lines) + "\n"
 
@@ -389,16 +377,17 @@ def build_report(
         for entry, pred in pairs
         if entry.fallacious
     ]
-    ranked_mean = _mean(ranked) if ranked else None
     kappa = cohens_kappa(
         [frozenset(e.labels) for e, _ in pairs],
         [frozenset(p.labels) for _, p in pairs],
     )
+    # Detection needs a fallacious entry, so ``ranked`` is never empty below.
+    detection = _detection(pairs)
     return EvalReport(
-        detection=_detection(pairs),
+        detection=detection,
         per_fallacy=_per_fallacy(pairs),
         ranked_scores=ranked,
-        ranked_mean=ranked_mean,
+        ranked_mean=_mean(ranked),
         kappa=kappa,
         label_total=label_count(preds),
     )

@@ -85,10 +85,6 @@ class ParsedClause:
     group_id: int | None
     line: int
 
-    def __iter__(self):
-        # Allows unpacking as (clause, comment).
-        return iter((self.clause, self.comment))
-
 
 def _scan(text: str) -> tuple[list[tuple[str, str, int, int]], dict[int, str]]:
     """``(kind, value, line, column)`` tokens and each line's comment text.

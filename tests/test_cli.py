@@ -540,6 +540,13 @@ BAD_INPUTS = {
             ("word", "eval", "two"),
         ]
     },
+    # bool("no") is true: a string here would read as a detection.
+    "predictions-logic-error-not-boolean": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--predictions", _write(tmp / "p.jsonl", '{"id": "s0", "logic_error": "no", "labels": []}\n'),
+         "--out", tmp / "out"],
+        [f"{tmp / 'p.jsonl'}:1", "'logic_error'", "'no'"],
+    ),
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
@@ -609,8 +616,7 @@ def test_parse_config_round_trip(tmp_path):
     assert run_config.evaluator.model_name == "e"
     assert run_config.mode == "record"
     assert run_config.batch_size == 7
-    assert run_config.evaluator.parallelism == 4
-    assert run_config.generator.parallelism == 1
+    assert run_config.parallelism == 4
 
 
 def test_run_config_validates_generation_temperature(tmp_path):

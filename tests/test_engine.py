@@ -302,11 +302,11 @@ class FullScan:
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
 
-    def candidates(self, goal):
-        return self.kb.clauses(*indicator(goal))
+    def rows(self, goal):
+        return list(enumerate(self.kb.clauses(*indicator(goal))))
 
-    def fact_rows(self, goal):
-        return None
+    def fact_only(self, goal):
+        return False
 
 
 _constants = st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Int(1), Int(2)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import sys
 import threading
 from fractions import Fraction
@@ -220,17 +221,18 @@ def test_http_provider_waits_for_retry_after_on_429_and_503():
         _HeaderResponse(500, {}, {"Retry-After": "9"}),  # read on 429 and 503 only
         _HeaderResponse(429, {}, {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}),
         _HeaderResponse(503, {}, {"Retry-After": "-3"}),
+        _HeaderResponse(429, {}, {"Retry-After": "9" * 5000}),  # too long for int()
         _Response(200, ok),
     ])
     sleeps = []
     provider = HttpProvider(
-        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=5),
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=6),
         session=session,
         sleep=sleeps.append,
     )
     assert provider.complete("x", temperature=0.0) == "hi"
-    assert session.posts == 6
-    assert sleeps == [7, 2, 4, 8, 16]
+    assert session.posts == 7
+    assert sleeps == [7, 2, 4, 8, 16, 32]
 
 
 def test_http_provider_counts_every_request_across_threads():
@@ -519,6 +521,28 @@ def test_judge_retries_once_then_raises():
     gateway = Gateway(provider)
     with pytest.raises(JudgeJsonError):
         gateway.judge_sentence("s")
+    assert provider.request_count == 2
+
+
+@pytest.mark.parametrize(
+    "labels", [["AF", "AC"], [code.value for code in FallacyCode]], ids=["repeated", "fourteen"]
+)
+def test_judge_retries_a_label_list_no_prediction_can_hold(labels):
+    # "AC" is an alias of AF, so the first list repeats a code after
+    # normalization; the second names every code, one more than a
+    # prediction may carry.
+    def reply(labels):
+        return json.dumps(
+            {"sentence": "s", "logic_error": "yes", "logic_fallacies": labels, "details": ""}
+        )
+
+    bad, good = reply(labels), reply(["AF"])
+    provider = FakeProvider([bad, good])
+    assert Gateway(provider).judge_sentence("s").logic_fallacies == (FallacyCode.AF,)
+    assert provider.request_count == 2
+    provider = FakeProvider([bad, bad])
+    with pytest.raises(JudgeJsonError):
+        Gateway(provider).judge_sentence("s")
     assert provider.request_count == 2
 
 

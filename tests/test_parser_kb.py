@@ -20,27 +20,27 @@ import parser_oracle
 
 
 def test_parse_ground_fact():
-    [(clause, comment)] = [tuple(p) for p in parse_program("father(john, mary).")]
+    [(clause, comment)] = [(p.clause, p.comment) for p in parse_program("father(john, mary).")]
     assert clause == Clause(Struct("father", (Atom("john"), Atom("mary"))))
     assert comment is None
 
 
 def test_parse_rule_with_one_body_literal():
-    [(clause, _)] = [tuple(p) for p in parse_program("parent(X,Y) :- father(X,Y).")]
+    [(clause, _)] = [(p.clause, p.comment) for p in parse_program("parent(X,Y) :- father(X,Y).")]
     assert clause.head == Struct("parent", (Var("X"), Var("Y")))
     assert clause.body == (Goal(Struct("father", (Var("X"), Var("Y")))),)
 
 
 def test_parse_fact_with_trailing_comment():
     text = "hr(highway, maximum_speed_65). % this means highway has a rule"
-    [(clause, comment)] = [tuple(p) for p in parse_program(text)]
+    [(clause, comment)] = [(p.clause, p.comment) for p in parse_program(text)]
     assert clause.head == Struct("hr", (Atom("highway"), Atom("maximum_speed_65")))
     assert comment == "this means highway has a rule"
 
 
 def test_parse_full_literal_zoo():
     text = "h(X) :- b1(X), \\+ b2(X), X \\= a, X @< Y."
-    [(clause, _)] = [tuple(p) for p in parse_program(text)]
+    [(clause, _)] = [(p.clause, p.comment) for p in parse_program(text)]
     assert clause.body == (
         Goal(Struct("b1", (Var("X"),))),
         Goal(Struct("b2", (Var("X"),)), negated=True),
@@ -50,20 +50,20 @@ def test_parse_full_literal_zoo():
 
 
 def test_parse_digit_leading_atom_and_integer():
-    [(clause, _)] = [tuple(p) for p in parse_program("he(brush_teeth, 2_mins, 7).")]
+    [(clause, _)] = [(p.clause, p.comment) for p in parse_program("he(brush_teeth, 2_mins, 7).")]
     assert clause.head.args == (Atom("brush_teeth"), Atom("2_mins"), Int(7))
 
 
 def test_parse_integer_literal_at_the_digit_limit():
     # 4,300 digits is Python's default limit for int(str).
     digits = "7" * 4300
-    [(clause, _)] = [tuple(p) for p in parse_program(f"p({digits}).")]
+    [(clause, _)] = [(p.clause, p.comment) for p in parse_program(f"p({digits}).")]
     assert clause.head.args == (Int(int(digits)),)
     assert serialize_clause(clause) == f"p({digits})."
 
 
 def test_parse_anonymous_variables_are_fresh():
-    [(clause, _)] = [tuple(p) for p in parse_program("p(X) :- q(_, _).")]
+    [(clause, _)] = [(p.clause, p.comment) for p in parse_program("p(X) :- q(_, _).")]
     a, b = clause.body[0].term.args
     assert a != b and a.name.startswith("_#") and b.name.startswith("_#")
 
@@ -302,18 +302,18 @@ def test_candidates_keep_variable_headed_clauses_in_insertion_order():
     kb = KnowledgeBase()
     for clause in clauses:
         kb.assertz(clause)
-    a1, var, b1, compound, a3 = clauses
+    a1, var, b1, compound, a3 = rows = list(enumerate(clauses))
     p = lambda *args: Struct("p", args)  # noqa: E731
-    assert kb.candidates(p(Atom("a"), Var("V"))) == [a1, var, compound, a3]
+    assert kb.rows(p(Atom("a"), Var("V"))) == [a1, var, compound, a3]
     # The smallest bucket wins: four clauses can match a at 0, three 1 at 1.
-    assert kb.candidates(p(Atom("a"), Int(1))) == [a1, b1, compound]
-    assert kb.candidates(p(Atom("zz"), Var("V"))) == [var, compound]
-    assert kb.candidates(p(Var("V"), Var("W"))) == clauses
-    assert kb.candidates(Struct("absent", (Atom("a"),))) == []
+    assert kb.rows(p(Atom("a"), Int(1))) == [a1, b1, compound]
+    assert kb.rows(p(Atom("zz"), Var("V"))) == [var, compound]
+    assert kb.rows(p(Var("V"), Var("W"))) == rows
+    assert kb.rows(Struct("absent", (Atom("a"),))) == []
     # A clause asserted after a lookup is seen by the next one.
     late = parse_program("p(a, 1).")[0].clause
     kb.assertz(late)
-    assert kb.candidates(p(Atom("a"), Int(1))) == [a1, b1, compound, late]
+    assert kb.rows(p(Atom("a"), Int(1))) == [a1, b1, compound, (5, late)]
 
 
 def test_extended_leaves_original_untouched():
