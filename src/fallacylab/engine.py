@@ -16,13 +16,20 @@ When every goal of a resolved clause's body, positive or negated, names a
 fact-only predicate of the source (``ClauseSource.fact_only``), the body runs
 as a join instead of as SLD goals: next comes the goal with the most bound
 arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
-runs as soon as its variables are bound.  Over facts, SLD yields a body's
-solutions in lexicographic order of the positions of the rows its positive
-goals matched, in body order, so the join sorts its solutions by that vector
-and they come out in SLD's order and multiplicity.  SLD still runs every
-other body: one that names a predicate with rules (a recursive closure,
-say), or where a builtin or negation would be reached before its variables
-are bound, or that could reach the depth limit, so FlounderError,
+runs as soon as its variables are bound.  The plan is compiled where it is
+made, into steps over slots, one per clause variable: each goal's arguments
+are constants, slots bound by earlier steps, or slots the goal binds, and a
+goal's rows come from ``ClauseSource.rows`` keyed by the constants and
+earlier slots alone.  Facts are ground, so each candidate row is matched
+one way against the step's pattern, with no substitution; a substitution is
+built only for each final solution, by unifying the head variables the body
+bound into the goal's own.  Over facts, SLD yields a body's solutions in
+lexicographic order of the positions of the rows its positive goals
+matched, in body order, so the join sorts its solutions by that vector and
+they come out in SLD's order and multiplicity.  SLD still runs every other
+body: one that names a predicate with rules (a recursive closure, say), or
+where a builtin or negation would be reached before its variables are
+bound, or that could reach the depth limit, so FlounderError,
 DepthLimitError and builtins on unbound terms behave as before.
 
 The solver is deliberately small: no cut, no assert during solving, no
@@ -41,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .errors import DepthLimitError, FlounderError
 
@@ -283,7 +290,12 @@ def compare_terms(t1: Term, t2: Term) -> int:
 
 
 class ClauseSource(Protocol):
-    """What the solver needs from a knowledge base."""
+    """What the solver needs from a knowledge base.
+
+    A sealed ``KnowledgeBase`` is one; ``Layered`` reads two that share no
+    predicate as one, so a query can add its clauses to a base without a
+    copy of it.
+    """
 
     def rows(self, goal: GoalTerm) -> Sequence[Row]:
         """Clauses of the goal's predicate to try against ``goal``, a
@@ -299,6 +311,23 @@ class ClauseSource(Protocol):
         ...
 
 
+class Layered:
+    """Two clause sources read as one, for sources that share no predicate:
+    a goal's rows come from the layer that holds its predicate, and it is
+    fact-only unless a layer has a rule for it."""
+
+    def __init__(self, own: ClauseSource, base: ClauseSource):
+        self.own = own
+        self.base = base
+
+    def rows(self, goal: GoalTerm) -> Sequence[Row]:
+        # Most goals name a predicate of the base, so it is asked first.
+        return self.base.rows(goal) or self.own.rows(goal)
+
+    def fact_only(self, goal: GoalTerm) -> bool:
+        return self.own.fact_only(goal) and self.base.fact_only(goal)
+
+
 # ---------------------------------------------------------------------------
 # SLD resolution
 # ---------------------------------------------------------------------------
@@ -311,12 +340,14 @@ class _Scope:
     goal: Term
 
 
-def _rename_clause(clause: Clause, counter) -> Clause:
+def _rename_clause(clause: Clause, counter) -> tuple[Clause, dict[str, Var]]:
+    """The clause with fresh variables, and the renaming it went through."""
     mapping = {name: Var(f"{name}#{next(counter)}") for name in clause.variables}
-    return Clause(
+    renamed = Clause(
         resolve(clause.head, mapping),
         tuple(_resolve_literal(lit, mapping) for lit in clause.body),
     )
+    return renamed, mapping
 
 
 def _resolve_literal(lit: Literal, subst: Substitution) -> Literal:
@@ -408,7 +439,7 @@ def _solve(
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
         for _, stored in kb.rows(goal_term):
-            clause = _rename_clause(stored, counter) if stored.variables else stored
+            clause, renaming = _rename_clause(stored, counter) if stored.variables else (stored, {})
             extended = unify(goal_term, clause.head, subst)
             if extended is None:
                 continue
@@ -421,7 +452,7 @@ def _solve(
                     after = (_Scope(goal_term),) + rest
                     alternatives.extend(
                         (after, solution, depth + 1 + len(body), branch_visited)
-                        for solution in _run_plan(plan, body, extended, kb)
+                        for solution in _run_plan(plan, goal_term, renaming, extended, kb)
                     )
                     continue
             alternatives.append(
@@ -443,21 +474,116 @@ def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Join planning for fact-only bodies
+# Slot-compiled joins for fact-only bodies
 # ---------------------------------------------------------------------------
+
+# A pattern matches a term of a ground fact.  The clause's variables are
+# slots, indexes into the list of values one run of a plan fills in, so a
+# pattern is ``(_CONST, term)``, ``(_CHECK, slot)`` for a slot bound before
+# it is reached, ``(_BIND, slot)`` for one it binds, or ``(_STRUCT,
+# (functor, argument patterns))``.
+_CONST, _CHECK, _BIND, _STRUCT = range(4)
+
+
+def _compile(term: Term, slot_of: Mapping[str, int], bound: set[str]) -> tuple:
+    """The pattern of ``term``.  A variable not in ``bound`` binds its slot
+    and joins ``bound``, so its later occurrences check the slot."""
+    if isinstance(term, Var):
+        if term.name in bound:
+            return _CHECK, slot_of[term.name]
+        bound.add(term.name)
+        return _BIND, slot_of[term.name]
+    if isinstance(term, Struct) and not is_ground(term):
+        return _STRUCT, (term.functor, tuple(_compile(a, slot_of, bound) for a in term.args))
+    return _CONST, term
+
+
+def _match(pattern: tuple, value: Term, slots: list) -> bool:
+    """One-way match of a ground ``value`` against ``pattern``."""
+    kind, payload = pattern
+    if kind == _BIND:
+        slots[payload] = value
+        return True
+    if kind == _CHECK:
+        return slots[payload] == value
+    if kind == _CONST:
+        return payload == value
+    functor, patterns = payload
+    return (
+        isinstance(value, Struct)
+        and value.functor == functor
+        and len(value.args) == len(patterns)
+        and all(_match(p, v, slots) for p, v in zip(patterns, value.args))
+    )
+
+
+def _build(pattern: tuple, slots: list) -> Term:
+    """The term of a pattern whose slots are all bound."""
+    kind, payload = pattern
+    if kind == _CONST:
+        return payload
+    if kind == _CHECK:
+        return slots[payload]
+    functor, patterns = payload
+    return Struct(functor, tuple(_build(p, slots) for p in patterns))
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """A body goal, positive or negated, compiled against the slots bound
+    before it runs.
+
+    Its key holds the arguments known before any row is read: constants and
+    slots bound by earlier steps.  ``goal`` has those arguments where they
+    are constants and a distinct placeholder variable everywhere else; a
+    slot bound earlier in the same goal is not known when the rows are
+    fetched, so it never picks an index bucket.
+    """
+
+    #: Position among the body's positive goals, or -1 for a negated goal.
+    ordinal: int
+    goal: GoalTerm
+    #: Whether ``goal`` is the lookup goal as it stands: no key slot.
+    fixed: bool
+    key_positions: tuple[int, ...]
+    #: Per key position, a slot or a constant term.
+    key_sources: tuple["int | Term", ...]
+    #: The key of a row's arguments, or None when the key is empty.
+    key_of: "Callable | None"
+    #: (position, slot) bound from each row, at each new variable's first
+    #: argument that is a variable.
+    binds: tuple[tuple[int, int], ...]
+    #: (position, pattern) matched after the binds: compounds with
+    #: variables, and repeats of a variable bound in this goal.
+    nested: tuple[tuple[int, tuple], ...]
+
+
+@dataclass(frozen=True)
+class _Test:
+    """A builtin over bound slots: ``\\=`` or ``@<``."""
+
+    less: bool
+    lhs: tuple
+    rhs: tuple
+
 
 @dataclass(frozen=True)
 class _Plan:
-    #: (body index, ordinal of a joined goal among the body's positive goals,
-    #: or -1 for a test: a builtin or a negation), in run order.
-    steps: tuple[tuple[int, int], ...]
+    #: (position, pattern) of each head argument the goal holds ground, which
+    #: binds the slots the body starts with.
+    head: tuple[tuple[int, tuple], ...]
+    steps: "tuple[_Scan | _Test, ...]"
+    #: (name, slot) of each head variable the body binds and the head does
+    #: not: what a solution hands back to the goal's substitution.
+    outputs: tuple[tuple[str, int], ...]
+    slot_count: int
     goal_count: int
 
 
 def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None:
-    """The join plan for the body of a stored ``clause`` resolved against
-    ``goal``, or None when SLD must run it: a goal's predicate has a rule,
-    or a builtin or negation would be reached before its variables are
+    """The slot-compiled join for the body of a stored ``clause`` resolved
+    against ``goal``, or None when SLD must run it: a goal's predicate has a
+    rule, or a builtin or negation would be reached before its variables are
     bound."""
     body = clause.body
     ordinals: dict[int, int] = {}
@@ -470,7 +596,8 @@ def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None
     names = [set(var_names(lit)) for lit in body]
     head_args = clause.head.args if isinstance(clause.head, Struct) else ()
     goal_args = goal.args if isinstance(goal, Struct) else ()
-    bound = set(var_names(*(arg for arg, value in zip(head_args, goal_args) if is_ground(value))))
+    ground_at = [position for position, value in enumerate(goal_args) if is_ground(value)]
+    bound = set(var_names(*(head_args[position] for position in ground_at)))
     occurrences = Counter(term_vars(clause.head))
     for lit_names in names:
         occurrences.update(lit_names)
@@ -493,19 +620,38 @@ def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None
 
     # Next the goal with the most bound arguments, ties broken by body order;
     # each test runs as soon as its variables are bound.
-    steps: list[tuple[int, int]] = []
+    slot_of = {name: slot for slot, name in enumerate(clause.variables)}
+    filled: set[str] = set()
+    head = tuple(
+        (position, _compile(head_args[position], slot_of, filled)) for position in ground_at
+    )
+    steps: list[_Scan | _Test] = []
     goals = list(ordinals)
     tests = list(needs)
     while True:
-        for index in [index for index in tests if needs[index] <= bound]:
-            steps.append((index, -1))
+        for index in [index for index in tests if needs[index] <= filled]:
             tests.remove(index)
+            lit = body[index]
+            if isinstance(lit, Goal):
+                # A negation's own variables are bound only while it looks.
+                steps.append(_compile_scan(lit.term, -1, slot_of, set(filled)))
+            else:
+                steps.append(_Test(
+                    isinstance(lit, TermLess),
+                    _compile(lit.lhs, slot_of, filled),
+                    _compile(lit.rhs, slot_of, filled),
+                ))
         if not goals:
-            return _Plan(tuple(steps), len(ordinals))
-        best = max(goals, key=lambda index: (_bound_args(body[index].term, bound), -index))
+            break
+        best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
         goals.remove(best)
-        steps.append((best, ordinals[best]))
-        bound.update(names[best])
+        steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled))
+    outputs = tuple(
+        (name, slot_of[name])
+        for name in dict.fromkeys(var_names(clause.head))
+        if name in filled and name not in bound
+    )
+    return _Plan(head, tuple(steps), outputs, len(slot_of), len(ordinals))
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
@@ -513,42 +659,131 @@ def _bound_args(term: GoalTerm, bound: set[str]) -> int:
     return sum(1 for arg in args if term_vars(arg) <= bound)
 
 
+def _compile_scan(
+    term: GoalTerm, ordinal: int, slot_of: Mapping[str, int], bound: set[str]
+) -> _Scan:
+    """The step of a body goal; its variables join ``bound``."""
+    args = term.args if isinstance(term, Struct) else ()
+    key_positions: list[int] = []
+    key_sources: list[int | Term] = []
+    binds: list[tuple[int, int]] = []
+    deferred: list[int] = []
+    placeholders: list[Term] = []
+    before = set(bound)
+    for position, arg in enumerate(args):
+        placeholders.append(Var(f"#{position}"))
+        if isinstance(arg, Var) and arg.name in before:
+            key_positions.append(position)
+            key_sources.append(slot_of[arg.name])
+        elif is_ground(arg):
+            key_positions.append(position)
+            key_sources.append(arg)
+            placeholders[position] = arg
+        elif isinstance(arg, Var) and arg.name not in bound:
+            bound.add(arg.name)
+            binds.append((position, slot_of[arg.name]))
+        else:
+            deferred.append(position)
+    nested = tuple((position, _compile(args[position], slot_of, bound)) for position in deferred)
+    goal = Struct(term.functor, tuple(placeholders)) if isinstance(term, Struct) else term
+    return _Scan(
+        ordinal,
+        goal,
+        all(not isinstance(source, int) for source in key_sources),
+        tuple(key_positions),
+        tuple(key_sources),
+        itemgetter(*key_positions) if key_positions else None,
+        tuple(binds),
+        nested,
+    )
+
+
 def _run_plan(
-    plan: _Plan, body: tuple[Literal, ...], subst: Substitution, kb: ClauseSource
+    plan: _Plan,
+    goal: GoalTerm,
+    renaming: Mapping[str, Var],
+    subst: Substitution,
+    kb: ClauseSource,
 ) -> list[Substitution]:
-    """The body's solutions in SLD order.
+    """The body's solutions in SLD order, each as ``subst``, the goal unified
+    with the renamed head, extended by the head variables the body binds.
 
     With fact-only positive goals, SLD yields solutions in lexicographic
     order of the row positions the goals matched, in body order; so the
-    join tags each solution with that vector and sorts by it.
+    join tags each solution with that vector and sorts by it.  A solution
+    whose values do not unify with the goal (one that binds two aliased head
+    variables apart, say) is dropped, as SLD never reaches it.
     """
-    found: list[tuple[tuple[int, ...], Substitution]] = []
-    _join(plan.steps, 0, body, subst, [0] * plan.goal_count, kb, found)
+    slots: list = [None] * plan.slot_count
+    goal_args = goal.args if isinstance(goal, Struct) else ()
+    for position, pattern in plan.head:
+        if not _match(pattern, goal_args[position], slots):
+            return []
+    found: list[tuple[tuple[int, ...], tuple]] = []
+    _run_steps(plan.steps, 0, slots, [0] * plan.goal_count, kb, found)
     found.sort(key=itemgetter(0))
-    return [solution for _, solution in found]
+    solutions = []
+    for _, values in found:
+        solution: dict | None = dict(subst)
+        for name, slot in plan.outputs:
+            # Values are ground: an unbound variable takes one without an
+            # occurs check.
+            target = walk(renaming[name], solution)
+            if isinstance(target, Var):
+                solution[target.name] = values[slot]
+            else:
+                solution = unify(target, values[slot], solution)
+                if solution is None:
+                    break
+        else:
+            solutions.append(solution)
+    return solutions
 
 
-def _join(steps, k, body, subst, positions, kb, found) -> None:
+def _run_steps(steps, k, slots, positions, kb, found) -> None:
+    """Run ``steps[k:]``, adding each solution's row positions and slot
+    values to ``found``."""
     if k == len(steps):
-        found.append((tuple(positions), subst))
+        found.append((tuple(positions), tuple(slots)))
         return
-    index, ordinal = steps[k]
-    lit = body[index]
-    if ordinal >= 0:
-        goal = resolve(lit.term, subst)
-        for position, fact in kb.rows(goal):
-            extended = unify(goal, fact.head, subst)
-            if extended is not None:
-                positions[ordinal] = position
-                _join(steps, k + 1, body, extended, positions, kb, found)
+    step = steps[k]
+    if isinstance(step, _Test):
+        lhs, rhs = _build(step.lhs, slots), _build(step.rhs, slots)
+        if (compare_terms(lhs, rhs) < 0) if step.less else lhs != rhs:
+            _run_steps(steps, k + 1, slots, positions, kb, found)
         return
-    if isinstance(lit, Goal):
-        goal = resolve(lit.term, subst)
-        holds = all(unify(goal, fact.head) is None for _, fact in kb.rows(goal))
-    else:
-        holds = _builtin_holds(lit, subst)
-    if holds:
-        _join(steps, k + 1, body, subst, positions, kb, found)
+    values = [slots[source] if type(source) is int else source for source in step.key_sources]
+    key = values[0] if len(values) == 1 else tuple(values)
+    goal = step.goal
+    if not step.fixed:
+        args = list(goal.args)  # type: ignore[union-attr]
+        for position, value in zip(step.key_positions, values):
+            args[position] = value
+        goal = Struct(goal.functor, tuple(args))  # type: ignore[union-attr]
+    rows = kb.rows(goal)
+    if step.ordinal < 0:
+        for _, fact in rows:
+            if _match_row(step, fact.head, key, slots):
+                return
+        _run_steps(steps, k + 1, slots, positions, kb, found)
+        return
+    for position, fact in rows:
+        if _match_row(step, fact.head, key, slots):
+            positions[step.ordinal] = position
+            _run_steps(steps, k + 1, slots, positions, kb, found)
+
+
+def _match_row(step: _Scan, head: GoalTerm, key, slots: list) -> bool:
+    """Whether one candidate fact's head fits the step; binds the step's new
+    slots when it does.  Called once per candidate row."""
+    if step.key_of is not None and step.key_of(head.args) != key:  # type: ignore[union-attr]
+        return False
+    for position, slot in step.binds:
+        slots[slot] = head.args[position]  # type: ignore[union-attr]
+    for position, pattern in step.nested:
+        if not _match(pattern, head.args[position], slots):  # type: ignore[union-attr]
+            return False
+    return True
 
 
 def findall(

@@ -170,6 +170,10 @@ class Provider(Protocol):
     def complete(self, prompt: str, *, temperature: float) -> str: ...
 
 
+#: The longest ``Retry-After`` wait honored, in seconds.  A 429 or 503 that
+#: asks for longer ends the call at once.
+MAX_RETRY_AFTER_S = 300
+
 #: Failures worth retrying besides HTTP 429 and 5xx.
 _TRANSPORT_ERRORS = (
     requests.ConnectionError,
@@ -183,7 +187,8 @@ _TRANSPORT_ERRORS = (
 class HttpProvider:
     """Chat-completion style HTTP backend.  Transport errors, 429 and 5xx are
     retried with exponential backoff, or after a 429's or 503's delta-seconds
-    ``Retry-After`` when that is longer; any other failure raises at once.
+    ``Retry-After`` when that is longer; a ``Retry-After`` above
+    ``MAX_RETRY_AFTER_S`` and any other failure raise at once.
 
     ``complete`` may be called from several threads at once: each thread
     posts through its own ``requests.Session`` unless one is injected."""
@@ -238,7 +243,13 @@ class HttpProvider:
                     return _chat_content(response)
                 last_error = ProviderError(f"status {status}")
                 if status in (429, 503):
-                    delay = max(delay, _retry_after(response))
+                    wait = _retry_after(response)
+                    if wait > MAX_RETRY_AFTER_S:
+                        raise ProviderError(
+                            f"status {status}: Retry-After asks for {wait} s, "
+                            f"longer than the {MAX_RETRY_AFTER_S} s this client waits"
+                        )
+                    delay = max(delay, wait)
             if attempt < self.config.max_retries:
                 self._sleep(delay)
         raise ProviderError(f"provider failed after retries: {last_error}")

@@ -129,7 +129,9 @@ class KnowledgeBase:
     def _position_index(
         self, key: tuple[str, int], position: int
     ) -> tuple[dict[Term, list[Row]], list[Row]]:
-        positions = self._indexes.setdefault(key, {})
+        positions = self._indexes.get(key)
+        if positions is None:
+            positions = self._indexes[key] = {}
         index = positions.get(position)
         if index is None:
             buckets: dict[Term, list[Row]] = {}

@@ -29,6 +29,11 @@ class FallacyCode(enum.Enum):
     NF = "NF"
     FD = "FD"
 
+    # Members are singletons, so identity hashing is exact, and it runs in C
+    # where ``Enum.__hash__`` hashes the name in Python on every set, dict
+    # and Counter use.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -8,8 +8,9 @@ negated literal is ground by the time it is selected.
 A derivation first builds one fact table: the argument tuples of the base's
 facts per predicate, plus each auxiliary relation of the schema, computed
 once natively.  The engine has no derived predicates; the solver reads each
-auxiliary's rows from the table as ordinary facts, so every schema body is
-one planned join over facts:
+auxiliary's rows from the table as ordinary facts, held with the query rule
+in a small layer over the base rather than in a copy of it, so every schema
+body is one planned join over facts:
 
 * ``im_t/2`` (transitive closure of ``im/2``) is computed by a graph walk
   that terminates on cyclic graphs.  IT's two ``im_t`` rules stay in the
@@ -20,20 +21,24 @@ one planned join over facts:
   text glosses it.
 
 ``derive_instances`` re-checks every tuple it returns literal by literal
-against the fact table, independent of the solver, before handing it out;
-the table indexes its own rows on bound argument positions for that.
+against the fact table, independent of the solver, before handing it out.
+Each schema's query rule is compiled once for that, in body order, over a
+list of slots that starts with the tuple's values: each goal's arguments
+are constants, slots already filled, or slots the goal fills from a row.
+The table indexes its own rows on bound argument positions, and each
+candidate row is compared in place, with no binding dict.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .engine import (
     Clause,
     Goal,
-    Literal,
-    NotEqual,
+    Layered,
     Struct,
     Term,
     TermLess,
@@ -44,7 +49,7 @@ from .engine import (
     is_ground,
 )
 from .errors import SignatureError, UnknownSchemaError
-from .kb import FactRecord, KnowledgeBase
+from .kb import KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
 from .parser import parse_program, serialize_clause, serialize_term
 
@@ -220,6 +225,11 @@ class FallacySchema:
     #: derivation.
     derived: Mapping[tuple[str, int], Auxiliary] = field(default_factory=dict)
 
+    @cached_property
+    def recheck(self) -> _Recheck:
+        """The query rule compiled for ``confirm_instance``, once."""
+        return _compile_recheck(self.rules[0])
+
     @property
     def query_head(self) -> Struct:
         return self.rules[0].head  # type: ignore[return-value]
@@ -382,17 +392,16 @@ def schema_solutions(
     """How often each instantiation of the schema's query head is a solution,
     keyed in first-solution order.
 
-    The solver runs over the base, plus the query clause ``main``, plus the
-    table's rows of each auxiliary, given as ordinary facts.
+    The solver reads the base through a small layer holding the query clause
+    ``main`` and the table's rows of each auxiliary, given as ordinary facts;
+    ``_check_signatures`` keeps the base from sharing a predicate with it.
     """
-    rows = [
-        FactRecord(Clause(Struct(key[0], args)))
-        for key in schema.derived
-        for args in table[key]
-    ]
-    program = kb.extended([main], records=rows)
+    own = KnowledgeBase().assertz(main)
+    for name, arity in schema.derived:
+        for args in table[name, arity]:
+            own.assertz(Clause(Struct(name, args)))
     head = schema.query_head
-    return Counter(findall(head, [Goal(head)], program))
+    return Counter(findall(head, [Goal(head)], Layered(own.seal(), kb)))
 
 
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
@@ -447,69 +456,125 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase, table: FactTable
 # -- direct-lookup recheck, independent of the solver ------------------------
 
 
+@dataclass(frozen=True)
+class _Lookup:
+    """A body goal of the recheck.  Its variables are slots: the head's in
+    head order, then the body's in order of first occurrence."""
+
+    key: tuple[str, int]
+    negated: bool
+    #: (position, slot or constant) of each argument known when it is reached.
+    bound: tuple[tuple[int, "int | Term"], ...]
+    #: (position, slot) filled from each row, at a variable's first position.
+    binds: tuple[tuple[int, int], ...]
+    #: (position, slot) of a variable's later positions in the same goal.
+    repeats: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class _Compare:
+    """``\\=``, or ``@<`` when ``less``, over slots or constants."""
+
+    less: bool
+    lhs: "int | Term"
+    rhs: "int | Term"
+
+
+@dataclass(frozen=True)
+class _Recheck:
+    """A schema's query rule compiled for ``confirm_instance``: its body in
+    body order, over a list of slots that starts with the head's arguments."""
+
+    arity: int
+    slot_count: int
+    steps: "tuple[_Lookup | _Compare, ...]"
+
+
+def _compile_recheck(main: Clause) -> _Recheck:
+    head = main.head.args if isinstance(main.head, Struct) else ()
+    slot_of: dict[str, int] = {}
+    for arg in head:
+        if not isinstance(arg, Var) or arg.name in slot_of:
+            raise ValueError("a schema's query head takes distinct variables")
+        slot_of[arg.name] = len(slot_of)
+
+    def source(term: Term) -> "int | Term":
+        return slot_of[term.name] if isinstance(term, Var) else term
+
+    steps: list[_Lookup | _Compare] = []
+    slot_count = len(slot_of)
+    for lit in main.body:
+        if not isinstance(lit, Goal):
+            steps.append(_Compare(isinstance(lit, TermLess), source(lit.lhs), source(lit.rhs)))
+            continue
+        args = lit.term.args if isinstance(lit.term, Struct) else ()
+        bound, binds, repeats = [], [], []
+        fresh: dict[str, int] = {}
+        for position, arg in enumerate(args):
+            if not isinstance(arg, Var) or arg.name in slot_of:
+                bound.append((position, source(arg)))
+            elif arg.name in fresh:
+                repeats.append((position, fresh[arg.name]))
+            else:
+                fresh[arg.name] = len(slot_of) + len(fresh)
+                binds.append((position, fresh[arg.name]))
+        # A negation's own variables hold their slots only while it looks.
+        slot_count = max(slot_count, len(slot_of) + len(fresh))
+        if not lit.negated:
+            slot_of.update(fresh)
+        steps.append(
+            _Lookup(indicator(lit.term), lit.negated, tuple(bound), tuple(binds), tuple(repeats))
+        )
+    return _Recheck(len(head), slot_count, tuple(steps))
+
+
 def confirm_instance(code: FallacyCode, table: FactTable, args: Sequence[Term]) -> bool:
     """Re-check one candidate tuple literal by literal via lookups in the
     ``fact_table`` of the schema and the base."""
-    schema = schema_for(code)
-    main = schema.rules[0]
-    head_names = [v.name for v in main.head.args]  # heads use distinct variables
-    if len(head_names) != len(args):
+    recheck = schema_for(code).recheck
+    if len(args) != recheck.arity:
         return False
-    binding = dict(zip(head_names, args))
-    return _check_body(list(main.body), binding, table)
+    slots = list(args) + [None] * (recheck.slot_count - len(args))
+    return _check_body(recheck.steps, 0, slots, table)
 
 
-def _check_body(body: list[Literal], binding: dict[str, Term], table: FactTable) -> bool:
-    if not body:
+def _check_body(steps: tuple, k: int, slots: list, table: FactTable) -> bool:
+    if k == len(steps):
         return True
-    lit, rest = body[0], body[1:]
-    if isinstance(lit, NotEqual):
-        return _lookup_value(lit.lhs, binding) != _lookup_value(lit.rhs, binding) and _check_body(
-            rest, binding, table
-        )
-    if isinstance(lit, TermLess):
-        lhs = _lookup_value(lit.lhs, binding)
-        rhs = _lookup_value(lit.rhs, binding)
-        return compare_terms(lhs, rhs) < 0 and _check_body(rest, binding, table)
-    assert isinstance(lit, Goal)
-    pattern = lit.term.args if isinstance(lit.term, Struct) else ()
+    step = steps[k]
+    if isinstance(step, _Compare):
+        lhs = slots[step.lhs] if isinstance(step.lhs, int) else step.lhs
+        rhs = slots[step.rhs] if isinstance(step.rhs, int) else step.rhs
+        holds = compare_terms(lhs, rhs) < 0 if step.less else lhs != rhs
+        return holds and _check_body(steps, k + 1, slots, table)
     bound = [
-        (position, value)
-        for position, value in enumerate(_lookup_value(pat, binding) for pat in pattern)
-        if not isinstance(value, Var)
+        (position, slots[source] if isinstance(source, int) else source)
+        for position, source in step.bound
     ]
-    rows = table.matching(indicator(lit.term), bound)
-    if lit.negated:
-        holds = next(_goal_matches(pattern, rows, binding), None) is not None
-        return not holds and _check_body(rest, binding, table)
-    for extended in _goal_matches(pattern, rows, binding):
-        if _check_body(rest, extended, table):
+    rows = table.matching(step.key, bound)
+    if step.negated:
+        for row in rows:
+            if _match_row(step, row, bound, slots):
+                return False
+        return _check_body(steps, k + 1, slots, table)
+    for row in rows:
+        if _match_row(step, row, bound, slots) and _check_body(steps, k + 1, slots, table):
             return True
     return False
 
 
-def _goal_matches(pattern, rows, binding) -> Iterator[dict[str, Term]]:
-    for row in rows:
-        extended = _match_args(pattern, row, binding)
-        if extended is not None:
-            yield extended
-
-
-def _match_args(pattern, values, binding):
-    extended = dict(binding)
-    for pat, val in zip(pattern, values):
-        resolved = _lookup_value(pat, extended)
-        if isinstance(resolved, Var):
-            extended[resolved.name] = val
-        elif resolved != val:
-            return None
-    return extended
-
-
-def _lookup_value(term: Term, binding: dict[str, Term]) -> Term:
-    if isinstance(term, Var):
-        return binding.get(term.name, term)
-    return term
+def _match_row(step: _Lookup, row: tuple[Term, ...], bound: list, slots: list) -> bool:
+    """Whether one candidate row holds every bound value; fills the goal's
+    free slots when it does.  Called once per candidate row."""
+    for position, value in bound:
+        if row[position] != value:
+            return False
+    for position, slot in step.binds:
+        slots[slot] = row[position]
+    for position, slot in step.repeats:
+        if row[position] != slots[slot]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
 ``--repeat`` timings of loading the text (``KnowledgeBase.from_text``) and,
 separately, of deriving over the loaded base (``derive_instances`` plus
-``ordering_diagnostic``, as ``fallacylab derive`` runs them).  It exits 1 if
-any code derives other tuples than the generator lists.  The file name keeps
-pytest from collecting it.
+``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
+columns split the derive: the solver's part (``schema_solutions``) and the
+soundness recheck of every derived tuple (``confirm_instance``).  It exits 1
+if any code derives other tuples than the generator lists.  The file name
+keeps pytest from collecting it.
 """
 from __future__ import annotations
 
@@ -26,7 +28,14 @@ import inputs  # noqa: E402
 
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
-from fallacylab.schemas import derive_instances, ordering_diagnostic  # noqa: E402
+from fallacylab.schemas import (  # noqa: E402
+    confirm_instance,
+    derive_instances,
+    fact_table,
+    ordering_diagnostic,
+    schema_for,
+    schema_solutions,
+)
 
 
 def _best(repeat: int, fn):
@@ -39,6 +48,13 @@ def _best(repeat: int, fn):
     return best, result
 
 
+_COLUMNS = (("load s", 9), ("derive s", 10), ("solve s", 9), ("recheck s", 11))
+
+
+def _columns(times) -> str:
+    return "".join(f"{seconds:>{width}.3f}" for seconds, (_, width) in zip(times, _COLUMNS))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--groups", type=int, default=1000)
@@ -47,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     print(f"{args.groups} groups, seed {args.seed}, best of {args.repeat}")
-    print(f"{'code':<5}{'load s':>9}{'derive s':>10}{'tuples':>8}")
-    total_load = total_derive = 0.0
+    print(f"{'code':<5}" + "".join(f"{name:>{width}}" for name, width in _COLUMNS) + f"{'tuples':>8}")
+    totals = [0.0] * len(_COLUMNS)
     wrong = []
     for name, groups in inputs.derive_inputs(args.seed, args.groups).items():
         code = FallacyCode(name)
@@ -63,10 +79,17 @@ def main(argv: list[str] | None = None) -> int:
         derive_s, tuples = _best(args.repeat, derive)
         if [t.render() for t in tuples] != inputs.expected_tuples(groups):
             wrong.append(name)
-        total_load += load_s
-        total_derive += derive_s
-        print(f"{name:<5}{load_s:>9.3f}{derive_s:>10.3f}{len(tuples):>8}")
-    print(f"{'all':<5}{total_load:>9.3f}{total_derive:>10.3f}")
+        schema = schema_for(code)
+        table = fact_table(schema, kb)
+        rule = schema.rules[0]
+        solve_s, _ = _best(args.repeat, lambda: schema_solutions(schema, kb, table, rule))
+        recheck_s, _ = _best(
+            args.repeat, lambda: all(confirm_instance(code, table, t.args) for t in tuples)
+        )
+        times = (load_s, derive_s, solve_s, recheck_s)
+        totals = [total + seconds for total, seconds in zip(totals, times)]
+        print(f"{name:<5}" + _columns(times) + f"{len(tuples):>8}")
+    print(f"{'all':<5}" + _columns(totals))
     if wrong:
         print(f"tuples differ from the generator's list: {', '.join(wrong)}", file=sys.stderr)
         return 1

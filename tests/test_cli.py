@@ -19,6 +19,7 @@ import requests
 from click.testing import CliRunner
 
 import fallacylab
+from fallacylab import gateway
 from fallacylab.cli import main, parse_config
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import MAX_TERM_DEPTH
@@ -765,6 +766,40 @@ def test_record_at_width_three_equals_a_serial_record(
     assert recorded[3] == recorded[1]
     requests_per_item = 3 if command == "score" else 1
     assert len(serial_cassette.splitlines()) == requests_per_item * len(_ITEMS) + 2
+
+
+class _RateLimited:
+    status_code = 429
+
+    def __init__(self, wait):
+        self.headers = {"Retry-After": wait}
+
+
+@pytest.mark.parametrize("wait", ["3600", "9" * 100])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_live_retry_after_above_the_cap_exits_3_without_waiting(
+    runner, monkeypatch, tmp_path, command, wait
+):
+    class Session:
+        def post(self, url, json, headers, timeout):
+            return _RateLimited(wait)
+
+    sleeps = []
+    monkeypatch.setattr(requests, "Session", Session)
+    monkeypatch.setitem(gateway.HttpProvider.__init__.__kwdefaults__, "sleep", sleeps.append)
+    line = {"id": "s0", "sentence": "Since claim 1 holds, it follows.", "labels": ["AF"]}
+    if command == "eval":
+        line["source"] = "bench"
+    inputs = _write(tmp_path / "in.jsonl", json.dumps(line) + "\n")
+    config = _write(tmp_path / "live.cfg", (
+        "evaluator.endpoint = http://127.0.0.1:9/v1\nevaluator.model = eval-model\n"
+        "evaluator.max_retries = 3\n"))
+    flag = "--sentences" if command == "score" else "--benchmark"
+    result = run(runner, command, flag, inputs, "--mode", "live", "--config", config,
+                 "--out", tmp_path / "out")
+    assert result.exit_code == 3, result.output
+    assert f"Retry-After asks for {wait} s" in result.stderr
+    assert sleeps == []
 
 
 @pytest.mark.parametrize("command", ["score", "eval"])

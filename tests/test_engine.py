@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fallacylab import engine
 from fallacylab.engine import (
     Atom,
     Clause,
@@ -25,7 +26,7 @@ from fallacylab.engine import (
 )
 from fallacylab.errors import DepthLimitError, FlounderError
 from fallacylab.kb import KnowledgeBase
-from fallacylab.parser import parse_program
+from fallacylab.parser import parse_program, serialize_term
 
 
 def kb_from(text: str) -> KnowledgeBase:
@@ -492,6 +493,39 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
         ("f", "e"),
         ("f", "e"),
     ]
+
+
+@pytest.mark.parametrize(
+    "program, query, expected",
+    [
+        # Z is bound by the first argument of q(Z, Z) and checked by the
+        # second, so it cannot pick the index bucket of the row it reads.
+        # The goal ties the head's X and Y together; the body binds only X.
+        ("q(a, a).\nq(a, b).\nq(b, b).\nq(c, d).\np(X, Y) :- q(X, X), q(Z, Z).\n",
+         "p(A, A)", "p(a, a) p(a, a) p(b, b) p(b, b)"),
+        ("r(a, 1).\nr(b, 2).\nr(c, 1).\ns(f(a)).\ns(g(b)).\ns(f(c)).\n"
+         "p(f(X), Y) :- r(X, Y), s(f(X)).\n",
+         "p(f(A), 1)", "p(f(a), 1) p(f(c), 1)"),
+        ("n(a).\nn(b).\nn(c).\nm(a, c, c).\nm(b, c, d).\np(X) :- n(X), \\+ m(X, W, W).\n",
+         "p(A)", "p(b) p(c)"),
+    ],
+    ids=["repeat-in-goal", "compound-head", "existential-repeat-in-negation"],
+)
+def test_slot_join_edge_cases_match_sld(monkeypatch, program, query, expected):
+    kb = kb_from(program)
+    tried = []
+    real = engine._match_row
+    monkeypatch.setattr(engine, "_match_row", lambda *args: tried.append(args) or real(*args))
+    for text in (query, "p(A, B)", "p(A)", "p(f(A), B)", "p(f(b), B)", "p(g(A), B)", "p(a)"):
+        goals = [lit for item in parse_program(f"ans :- {text}.") for lit in item.clause.body]
+        template = goals[0].term
+        planned = findall(template, goals, kb)
+        assert [_canonical(t, {}) for t in planned] == [
+            _canonical(t, {}) for t in findall(template, goals, FullScan(kb))
+        ]
+        if text == query:
+            assert " ".join(serialize_term(t) for t in planned) == expected
+    assert tried  # the bodies ran as planned joins
 
 
 @pytest.mark.parametrize(

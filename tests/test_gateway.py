@@ -235,6 +235,22 @@ def test_http_provider_waits_for_retry_after_on_429_and_503():
     assert sleeps == [7, 2, 4, 8, 16, 32]
 
 
+@pytest.mark.parametrize("wait", ["3600", "9" * 100])
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_provider_ends_at_once_on_a_retry_after_above_the_cap(status, wait):
+    session = _ScriptedSession([_HeaderResponse(status, {}, {"Retry-After": wait})])
+    sleeps = []
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=3),
+        session=session,
+        sleep=sleeps.append,
+    )
+    with pytest.raises(ProviderError, match=f"Retry-After asks for {wait} s"):
+        provider.complete("x", temperature=0.0)
+    assert session.posts == 1
+    assert sleeps == []
+
+
 def test_http_provider_counts_every_request_across_threads():
     ok = _Response(200, {"choices": [{"message": {"content": "hi"}}]})
 
