@@ -29,6 +29,7 @@ from .gateway import (
 from .kb import KnowledgeBase
 from .labels import FallacyCode, parse_code
 from .metrics import build_report, load_benchmark, load_predictions
+from .parser import parse_program
 from .pipeline import (
     generate_bundle,
     judge_benchmark,
@@ -226,8 +227,8 @@ def main(verbose: bool) -> None:
 def validate(kb_path: str, code_text: str) -> None:
     """Check a fact file against a schema's predicate signatures."""
     code = parse_code(code_text)
-    kb = KnowledgeBase.from_text(Path(kb_path).read_text(encoding="utf-8"))
-    report = validate_kb_against_schema(code, kb)
+    parsed = parse_program(Path(kb_path).read_text(encoding="utf-8"))
+    report = validate_kb_against_schema(code, [item.clause for item in parsed])
     click.echo(report.render(), file=sys.stdout)
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)
 

@@ -8,10 +8,13 @@ same cassette and inputs yield identical outputs.
 """
 from __future__ import annotations
 
+import datetime
+import email.utils
 import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -186,9 +189,10 @@ _TRANSPORT_ERRORS = (
 
 class HttpProvider:
     """Chat-completion style HTTP backend.  Transport errors, 429 and 5xx are
-    retried with exponential backoff, or after a 429's or 503's delta-seconds
-    ``Retry-After`` when that is longer; a ``Retry-After`` above
-    ``MAX_RETRY_AFTER_S`` and any other failure raise at once.
+    retried with exponential backoff, or after a 429's or 503's
+    ``Retry-After`` (delta-seconds or an HTTP date) when that is longer; a
+    ``Retry-After`` above ``MAX_RETRY_AFTER_S`` and any other failure raise
+    at once.
 
     ``complete`` may be called from several threads at once: each thread
     posts through its own ``requests.Session`` unless one is injected."""
@@ -256,16 +260,24 @@ class HttpProvider:
 
 
 def _retry_after(response) -> int:
-    """A ``Retry-After`` header's delta-seconds (RFC 9110 §10.2.3); 0 when
-    the header is absent or holds anything else, such as an HTTP date or more
-    digits than ``int`` reads."""
+    """A ``Retry-After`` header's wait in whole seconds (RFC 9110 §10.2.3):
+    its delta-seconds, or the time left until its HTTP date, rounded up; 0
+    when the header is absent, the date has passed, or the value is neither,
+    such as more digits than ``int`` reads."""
     text = str(getattr(response, "headers", {}).get("Retry-After", "")).strip()
     if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:
-            pass
-    return 0
+            return 0
+    try:
+        when = email.utils.parsedate_to_datetime(text)
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    if when.tzinfo is None:  # "-0000": the zone is unknown; HTTP dates are UTC
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    left = (when - datetime.datetime.now(datetime.timezone.utc)).total_seconds()
+    return max(0, math.ceil(left))
 
 
 def _chat_content(response) -> str:

@@ -12,6 +12,9 @@ positions, appended as clauses are asserted.  The solver picks rows through
 the first lookup that needs it, not while loading, so a base that is only
 validated or serialized builds none; a fill racing another on the same
 position builds the same table twice.
+
+``from_text`` sends every parsed clause through ``assertz``; a fact with a
+variable is a ParseError at its line.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .engine import Atom, Clause, GoalTerm, Int, Row, Struct, Term, indicator, is_ground
-from .errors import SealedError
+from .errors import ParseError, SealedError
 from .parser import parse_program, serialize_clause
 
 
@@ -157,13 +160,17 @@ class KnowledgeBase:
 
     @classmethod
     def from_text(cls, text: str) -> "KnowledgeBase":
+        """A sealed base holding the text's clauses in order."""
         kb = cls()
         for parsed in parse_program(text):
-            kb.assertz(
-                parsed.clause,
-                comment=parsed.comment,
-                group_id=parsed.group_id if parsed.group_id is not None else 0,
-            )
+            try:
+                kb.assertz(
+                    parsed.clause,
+                    comment=parsed.comment,
+                    group_id=parsed.group_id if parsed.group_id is not None else 0,
+                )
+            except ValueError as exc:  # a fact with a variable
+                raise ParseError(str(exc), parsed.line, 1) from None
         return kb.seal()
 
     def fact_text(self) -> str:

@@ -23,6 +23,18 @@ Tokens are plain ``(kind, value, line, column)`` tuples, columns 1-based;
 the same pass keeps each line's trailing comment.  The recursive-descent
 parser reads the token list by index.
 
+Most lines of a fact file hold one flat fact, ``name(c1, ..., cn).``
+with an optional comment, every ``ci`` an atom or an integer.  Where a
+clause may start (no token yet, or the last one ends a clause), the scanner
+first tries one whole-line pattern (``_FLAT_FACT``) for such a line and, on
+a match, emits a single ``FACT`` token holding the finished clause, which
+the parser takes as a whole clause.  Any other line, an all-digit functor
+or an integer too long for ``int`` included, goes through the master
+pattern, which rules and error positions still need.  A line that looks
+like a fact but continues a rule is never at a clause start, so it is
+scanned token by token as before.  The flat fact lines of one call share
+their constants: one ``Atom`` or ``Int`` per spelling.
+
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
 serialization (one clause per line, single space after commas) round-trips
@@ -69,6 +81,15 @@ _TOKEN = re.compile(
 _CLAUSE_TOKENS = frozenset(
     ("NECK", "NAF", "NEQ", "LESS", "LP", "RP", "COMMA", "DOT", "INT", "ATOM", "VAR")
 )
+#: A whole line holding one flat fact: the functor, the comma-separated
+#: atoms and integers between its parentheses, and the comment text.
+_CONST = r"[a-z0-9][a-z0-9_]*"
+_FLAT_FACT = re.compile(
+    rf"[ \t]*({_CONST})[ \t]*\(((?:[ \t]*{_CONST}[ \t]*,)*[ \t]*{_CONST})[ \t]*\)"
+    r"[ \t]*\.[ \t]*(?:%(.*))?"
+)
+#: Token kinds after which a clause starts.
+_CLAUSE_ENDS = ("DOT", "FACT")
 
 
 @dataclass(frozen=True)
@@ -86,15 +107,26 @@ class ParsedClause:
     line: int
 
 
-def _scan(text: str) -> tuple[list[tuple[str, str, int, int]], dict[int, str]]:
+def _scan(text: str) -> tuple[list[tuple[str, object, int, int]], dict[int, str]]:
     """``(kind, value, line, column)`` tokens and each line's comment text.
 
+    A ``FACT`` token's value is the finished clause of a flat fact line.
     The whole text is scanned before any of it is parsed, so a bad character
     or name anywhere is reported ahead of a grammar error.
     """
-    tokens: list[tuple[str, str, int, int]] = []
+    tokens: list[tuple[str, object, int, int]] = []
     comments: dict[int, str] = {}
+    consts: dict[str, Term] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
+        if not tokens or tokens[-1][0] in _CLAUSE_ENDS:
+            fact = _FLAT_FACT.fullmatch(line)
+            if fact is not None:
+                head = _flat_head(fact[1], fact[2], consts)
+                if head is not None:
+                    tokens.append(("FACT", Clause(head), line_no, fact.start(1) + 1))
+                    if fact[3] is not None:
+                        comments[line_no] = fact[3].strip()
+                    continue
         for match in _TOKEN.finditer(line):
             kind = match.lastgroup
             if kind in _CLAUSE_TOKENS:
@@ -109,6 +141,27 @@ def _scan(text: str) -> tuple[list[tuple[str, str, int, int]], dict[int, str]]:
                     f"unexpected character {match.group()!r}", line_no, match.start() + 1
                 )
     return tokens, comments
+
+
+def _flat_head(name: str, args: str, consts: dict[str, Term]) -> Struct | None:
+    """The head of a flat fact line, its constants taken from ``consts`` (one
+    ``Atom`` or ``Int`` per spelling), or None when the general scanner must
+    read the line: an all-digit functor is an integer, not a name, and an
+    integer too long for ``int`` is an error reported at its position."""
+    if name.isdigit():
+        return None
+    terms = []
+    for spelling in args.split(","):
+        spelling = spelling.strip()
+        term = consts.get(spelling)
+        if term is None:
+            try:
+                term = Int(int(spelling)) if spelling.isdigit() else Atom(spelling)
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                return None
+            consts[spelling] = term
+        terms.append(term)
+    return Struct(name, tuple(terms))
 
 
 def parse_program(text: str) -> list[ParsedClause]:
@@ -126,13 +179,18 @@ def parse_program(text: str) -> list[ParsedClause]:
     prev_end = 0
     block = fact_block = -1
     groups = 0
-    while tokens[pos][0] != "END":
-        start_line = tokens[pos][2]
-        clause, pos = _parse_clause(tokens, pos, anon)
-        end_line = tokens[pos - 1][2]
+    while True:
+        kind, value, start_line, _ = tokens[pos]
+        if kind == "FACT":
+            clause, pos, end_line = value, pos + 1, start_line
+        elif kind == "END":
+            break
+        else:
+            clause, pos = _parse_clause(tokens, pos, anon)
+            end_line = tokens[pos - 1][2]
         # Lines strictly between two clauses hold no token, so each is blank
         # unless it holds a comment.
-        if prev_end == 0 or any(
+        if prev_end == 0 or start_line > prev_end + 1 and any(
             n not in comments for n in range(prev_end + 1, start_line)
         ):
             block += 1

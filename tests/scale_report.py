@@ -7,7 +7,8 @@ Run from the repository root:
 For each of the eleven schema codes it builds ``--groups`` one-instance fact
 groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
-``--repeat`` timings of loading the text (``KnowledgeBase.from_text``) and,
+``--repeat`` timings of parsing the text alone (``parse_program``), of
+loading it (``KnowledgeBase.from_text``: the parse plus the base build) and,
 separately, of deriving over the loaded base (``derive_instances`` plus
 ``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
 columns split the derive: the solver's part (``schema_solutions``) and the
@@ -28,6 +29,7 @@ import inputs  # noqa: E402
 
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
+from fallacylab.parser import parse_program  # noqa: E402
 from fallacylab.schemas import (  # noqa: E402
     confirm_instance,
     derive_instances,
@@ -48,7 +50,9 @@ def _best(repeat: int, fn):
     return best, result
 
 
-_COLUMNS = (("load s", 9), ("derive s", 10), ("solve s", 9), ("recheck s", 11))
+_COLUMNS = (
+    ("parse s", 9), ("load s", 9), ("derive s", 10), ("solve s", 9), ("recheck s", 11)
+)
 
 
 def _columns(times) -> str:
@@ -69,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, groups in inputs.derive_inputs(args.seed, args.groups).items():
         code = FallacyCode(name)
         text = inputs.groups_text(groups)
+        parse_s, _ = _best(args.repeat, lambda: parse_program(text))
         load_s, kb = _best(args.repeat, lambda: KnowledgeBase.from_text(text))
 
         def derive():
@@ -86,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         recheck_s, _ = _best(
             args.repeat, lambda: all(confirm_instance(code, table, t.args) for t in tuples)
         )
-        times = (load_s, derive_s, solve_s, recheck_s)
+        times = (parse_s, load_s, derive_s, solve_s, recheck_s)
         totals = [total + seconds for total, seconds in zip(totals, times)]
         print(f"{name:<5}" + _columns(times) + f"{len(tuples):>8}")
     print(f"{'all':<5}" + _columns(totals))

@@ -59,6 +59,22 @@ def test_validate_findings_exit_one(runner, tmp_path):
     assert "missing_required" in result.output
 
 
+def test_validate_reports_a_non_ground_fact_as_a_finding(runner, tmp_path):
+    path = tmp_path / "ct.pl"
+    path.write_text("qc(X, b).\n")
+    result = run(runner, "validate", "--kb", path, "--code", "CT")
+    assert result.exit_code == 1
+    assert "  [non_ground_fact] qc(X, b).\n" in result.stdout
+
+
+def test_derive_kb_with_a_non_ground_fact_exits_two_at_its_line(runner, tmp_path):
+    path = tmp_path / "ct.pl"
+    path.write_text("qc(a, b). % fine\n\nqc(X, b).\n")
+    result = run(runner, "derive", "--code", "CT", "--kb", path)
+    assert result.exit_code == 2
+    assert result.stderr == "error: line 3, column 1: fact is not ground: qc(X, b).\n"
+
+
 def test_validate_unparseable_kb_exit_two(runner, tmp_path):
     path = tmp_path / "bad.pl"
     path.write_text("hp(chimney survives_fire).\n")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import datetime
+import email.utils
 import hashlib
 import importlib.util
 import json
@@ -235,7 +237,7 @@ def test_http_provider_waits_for_retry_after_on_429_and_503():
     assert sleeps == [7, 2, 4, 8, 16, 32]
 
 
-@pytest.mark.parametrize("wait", ["3600", "9" * 100])
+@pytest.mark.parametrize("wait", ["3600", "9" * 100, "Fri, 31 Dec 9999 23:59:59 GMT"])
 @pytest.mark.parametrize("status", [429, 503])
 def test_http_provider_ends_at_once_on_a_retry_after_above_the_cap(status, wait):
     session = _ScriptedSession([_HeaderResponse(status, {}, {"Retry-After": wait})])
@@ -245,10 +247,30 @@ def test_http_provider_ends_at_once_on_a_retry_after_above_the_cap(status, wait)
         session=session,
         sleep=sleeps.append,
     )
-    with pytest.raises(ProviderError, match=f"Retry-After asks for {wait} s"):
+    # A date asks for the seconds until it, which depend on the clock.
+    asked = wait if wait.isdigit() else r"\d{12}"
+    with pytest.raises(ProviderError, match=f"Retry-After asks for {asked} s"):
         provider.complete("x", temperature=0.0)
     assert session.posts == 1
     assert sleeps == []
+
+
+def test_http_provider_waits_until_a_retry_after_date():
+    ok = {"choices": [{"message": {"content": "hi"}}]}
+    soon = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=60)
+    session = _ScriptedSession([
+        _HeaderResponse(503, {}, {"Retry-After": email.utils.format_datetime(soon, usegmt=True)}),
+        _Response(200, ok),
+    ])
+    sleeps = []
+    provider = HttpProvider(
+        ProviderConfig(endpoint="http://localhost:9/v1", model_name="m", max_retries=1),
+        session=session,
+        sleep=sleeps.append,
+    )
+    assert provider.complete("x", temperature=0.0) == "hi"
+    [slept] = sleeps
+    assert 55 <= slept <= 61
 
 
 def test_http_provider_counts_every_request_across_threads():

@@ -216,10 +216,14 @@ def _nested(levels: int) -> str:
     return "p(" + "f(" * (levels - 1) + "a" + ")" * levels + "."
 
 
+#: Flat fact lines (one fact of atoms and integers, maybe a comment) take
+#: the scanner's whole-line path; the look-alikes after them must not.
 _CLAUSES = (
     "p(a).", "q(X, 2_mins, 7) :- p(X), \\+ r(X, _), X \\= a, _ @< Y.", "r(f(g(_), _), 0).",
     "s :- t.", "p(b). % note", "q(a,\n  b). % end", "r(c, % start\n  d).",
     _nested(MAX_TERM_DEPTH), _nested(MAX_TERM_DEPTH + 1),
+    "p( a ,b ) .  %c", "p(0, 007).", "\tq(2_mins,x1 , 12). % n ", "r(X) :-\nq(b).",
+    "r(X) :-\n  q(b), % tail\n  p(a, 1).", "p(_x).", "p(a). q(b).",
 )
 _TOKENS = (":-", "\\+", "\\=", "@<", "(", ")", ",", ".", "foo", "X", "_", "_Tail", "12", "007")
 #: Spacing, comments and every line break ``str.splitlines`` knows.
@@ -227,7 +231,9 @@ _LAYOUT = (
     " ", "\t", "%", "% a note ", "\n% a comment line\n", "\n", "\n\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
     "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
 )
-_STRAY = ("!", "é", "\xa0", "\x1f", "\\", "@", ":", "aB", "12Ab", "fooBar", "2X")
+_STRAY = (
+    "!", "é", "\xa0", "\x1f", "\\", "@", ":", "aB", "12Ab", "fooBar", "2X", "12(a).", "p(aB).",
+)
 
 
 @st.composite
@@ -252,6 +258,29 @@ def _outcome(parse, text):
 @settings(max_examples=500, deadline=None)
 def test_parse_program_matches_reference_parser(text):
     assert _outcome(parse_program, text) == _outcome(parser_oracle.parse_program, text)
+
+
+def test_fact_like_lines_continuing_a_rule_stay_in_the_rule():
+    text = "r(X) :-\n  q(b).\nq(b). % a fact\ns(Y) :-\nq(b),\np(a, 1). % end\n"
+    assert _outcome(parse_program, text) == _outcome(parser_oracle.parse_program, text)
+    qb = Struct("q", (Atom("b"),))
+    assert [(p.clause, p.comment, p.line) for p in parse_program(text)] == [
+        (Clause(Struct("r", (Var("X"),)), (Goal(qb),)), None, 1),
+        (Clause(qb), "a fact", 3),
+        (Clause(Struct("s", (Var("Y"),)), (Goal(qb), Goal(Struct("p", (Atom("a"), Int(1)))))),
+         "end", 4),
+    ]
+
+
+def test_flat_fact_lines_share_one_constant_per_spelling():
+    text = "p(a, 1).\nq(a) :- p(a, 1).\np(a, 01).\np(b, 1).\n"
+    first, _, third, fourth = (p.clause for p in parse_program(text))
+    a, one = first.head.args
+    assert third.head.args[0] is a and fourth.head.args[1] is one
+    # 01 is a spelling of its own, with the same value.
+    assert third.head.args[1] == one
+    # The next parse builds its own constants.
+    assert parse_program(text)[0].clause.head.args[0] is not a
 
 
 def test_seed_sources_parse_as_the_reference_parser_does():
