@@ -5,6 +5,12 @@ Scoring and judging always run at temperature 0.  Fact generation and
 sentence transformation use the configured generation temperature (default
 1.0).  A recorded cassette makes every pipeline run byte-reproducible: the
 same cassette and inputs yield identical outputs.
+
+A cassette keys each response by :func:`fingerprint`, the sha256 of the
+request's canonical JSON.  Every score and judge prompt starts with the same
+instruction and definitions text, its template's ``head``: that text is
+built, escaped and hashed once per process and model, and each request
+hashes only the bytes after it.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import logging
 import math
 import os
 import re
+import string
 import threading
 import time
 from collections import deque
@@ -55,13 +62,31 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """A prompt: the instruction, a blank line, then the query.
+
+    An instruction whose only placeholder is ``{fallacy_definitions}``, as
+    in the score and judge templates, starts every prompt with the same
+    text.  It is formatted with the definitions block once per process, on
+    first use, into :attr:`head`, and rendering formats only the query."""
+
     id: str
     instruction: str
     query: str
 
+    @functools.cached_property
+    def head(self) -> str:
+        """The constant start of every prompt, blank line included; "" when
+        the instruction takes other values."""
+        names = {name for _, name, _, _ in string.Formatter().parse(self.instruction)}
+        if not names <= {None, "fallacy_definitions"}:
+            return ""
+        return self.instruction.format(fallacy_definitions=definitions_block()) + "\n\n"
+
     def render(self, **values: object) -> str:
+        head = self.head
+        text = self.query if head else f"{self.instruction}\n\n{self.query}"
         try:
-            return f"{self.instruction}\n\n{self.query}".format(**values)
+            return head + text.format(**values)
         except KeyError as exc:
             raise TemplateError(f"template {self.id!r} missing placeholder {exc}") from None
 
@@ -159,11 +184,39 @@ class ProviderConfig:
 # texts differ, and so do their fingerprints.
 @functools.lru_cache(maxsize=1, typed=True)
 def fingerprint(model: str, temperature: float, prompt: str) -> str:
-    """The cassette key of a request: the sha256 of its canonical JSON."""
-    payload = encode_canonical(
-        {"model": model, "temperature": temperature, "prompt": prompt}
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """The cassette key of a request: the sha256 of its canonical JSON text,
+    ``{"model": M, "prompt": P, "temperature": T}``.
+
+    That text escapes each code point of the prompt by itself, so its start,
+    up to the end of a constant prompt head, is hashed once per model and
+    head; a request hashes a copy of that state fed with the rest.  A prompt
+    that starts with no head hashes from the empty one."""
+    for template in _HEAD_TEMPLATES:
+        head = template.head
+        if prompt.startswith(head):
+            break
+    else:
+        head = ""
+    state = _head_state(model, head).copy()
+    tail = _escape(prompt[len(head):])[1:]
+    state.update((tail + ', "temperature": ' + encode_canonical(temperature) + "}").encode())
+    return state.hexdigest()
+
+
+#: The templates whose constant heads fingerprints hash once.
+_HEAD_TEMPLATES = (SCORE_TEMPLATE, JUDGE_TEMPLATE)
+
+#: JSON string escaping with ``ensure_ascii``, in quotes.
+_escape = json.encoder.encode_basestring_ascii
+
+
+@functools.cache
+def _head_state(model: str, head: str):
+    """The sha256 state of a request's canonical JSON text up to the end of
+    ``head`` in its prompt, closing quote not included.  Callers copy it and
+    never update it, so threads may share it."""
+    text = '{"model": ' + encode_canonical(model) + ', "prompt": ' + _escape(head)[:-1]
+    return hashlib.sha256(text.encode())
 
 
 class Provider(Protocol):
@@ -522,11 +575,7 @@ class Gateway:
 
     def score_sentence(self, sentence: str, code: FallacyCode) -> ScoreTriple:
         """Three independent temperature-0 scores with an exact mean."""
-        prompt = SCORE_TEMPLATE.render(
-            fallacy_definitions=definitions_block(),
-            fallacy_type=code.display_name,
-            sentence=sentence,
-        )
+        prompt = SCORE_TEMPLATE.render(fallacy_type=code.display_name, sentence=sentence)
         scores = []
         for _ in range(3):
             scores.append(self._one_score(prompt))
@@ -546,9 +595,7 @@ class Gateway:
 
     def judge_sentence(self, sentence: str) -> JudgeVerdict:
         """Detection plus rank-ordered categorization with all 14 definitions."""
-        prompt = JUDGE_TEMPLATE.render(
-            fallacy_definitions=definitions_block(), sentence=sentence
-        )
+        prompt = JUDGE_TEMPLATE.render(sentence=sentence)
         last: Exception | None = None
         for attempt in range(2):
             response = self.provider.complete(prompt, temperature=0.0)

@@ -25,10 +25,14 @@ def read_jsonl(
 ) -> Iterator[T]:
     """Yield ``parse`` of each non-blank line's object.  A line that is not an
     object, lacks a ``required`` key, or that ``parse`` rejects with a package
-    error raises JsonlFormatError naming ``path:line``."""
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    error raises JsonlFormatError naming ``path:line``.
+
+    Lines end at ``\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
+    stand unescaped inside a JSON string, and a ``\r`` before the ``\n`` is
+    JSON whitespace."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -47,6 +51,24 @@ def read_jsonl(
         except FallacyLabError as exc:
             raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
         yield item
+
+
+def read_text(record: dict, key: str) -> str:
+    """A record's string field ``key``."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise JsonlFormatError(f"{key!r} must be a string, found {value!r}")
+    return value
+
+
+def read_id(record: dict) -> str:
+    """A record's ``id``: a string, or an integer read as its decimal text."""
+    value = record["id"]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        raise JsonlFormatError(f"'id' must be a string or an integer, found {value!r}")
+    return value
 
 
 def read_labels(record: dict) -> tuple[FallacyCode, ...]:

@@ -22,7 +22,7 @@ from .errors import (
     MismatchError,
 )
 from .gateway import JudgeVerdict, ScoreTriple
-from .jsonl import read_jsonl, read_labels
+from .jsonl import read_id, read_jsonl, read_labels, read_text
 from .labels import MAX_PREDICTED_LABELS, FallacyCode, check_predicted_labels
 
 _SOURCES = ("bench", "augmented", "benign")
@@ -67,10 +67,10 @@ class Prediction:
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
     def entry(record: dict) -> BenchmarkEntry:
         return BenchmarkEntry(
-            id=str(record["id"]),
-            sentence=str(record["sentence"]),
+            id=read_id(record),
+            sentence=read_text(record, "sentence"),
             labels=read_labels(record),
-            source=str(record.get("source", "bench")),
+            source=record.get("source", "bench"),
         )
 
     return list(read_jsonl(path, ("id", "sentence"), entry))
@@ -82,7 +82,7 @@ def load_predictions(path: str | Path) -> list[Prediction]:
         if not isinstance(flag, bool):
             raise JsonlFormatError(f"'logic_error' must be true or false, found {flag!r}")
         return Prediction(
-            entry_id=str(record["id"]), logic_error=flag, labels=read_labels(record)
+            entry_id=read_id(record), logic_error=flag, labels=read_labels(record)
         )
 
     return list(read_jsonl(path, ("id", "logic_error"), prediction))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .errors import JsonlFormatError
 from .gateway import Gateway, RecordingProvider, ScoreTriple
 from .kb import FactRecord, KnowledgeBase
-from .jsonl import read_jsonl, read_labels, write_atomic, write_jsonl
+from .jsonl import read_id, read_jsonl, read_labels, read_text, write_atomic, write_jsonl
 from .labels import FallacyCode, parse_code
 from .metrics import (
     BenchmarkEntry,
@@ -129,8 +130,12 @@ def load_sentences(path: str | Path) -> list[tuple[str, str, FallacyCode]]:
     """(id, sentence, code) rows of a labeled-sentence file; the code is the
     first of ``labels``, or ``code`` when there are none."""
     def row(record: dict) -> tuple[str, str, FallacyCode]:
-        codes = read_labels(record) or (parse_code(record.get("code")),)
-        return str(record["id"]), str(record["sentence"]), codes[0]
+        codes = read_labels(record)
+        if not codes:
+            if "code" not in record:
+                raise JsonlFormatError("needs a non-empty 'labels' or a 'code'")
+            codes = (parse_code(record["code"]),)
+        return read_id(record), read_text(record, "sentence"), codes[0]
 
     return list(read_jsonl(path, ("id", "sentence"), row))
 

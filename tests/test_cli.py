@@ -429,6 +429,61 @@ def test_eval_replay_is_byte_reproducible(runner, tmp_path):
         ).read_bytes()
 
 
+def _offline_eval(runner, benchmark, out):
+    return run(
+        runner, "eval", "--benchmark", benchmark,
+        "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", out,
+    )
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_eval_reads_a_raw_unicode_line_separator_inside_a_sentence(runner, tmp_path, separator):
+    # JSON allows these unescaped in a string, and json.dumps writes them so
+    # with ensure_ascii=False; only "\n" ends a JSON Lines record.
+    records = [json.loads(line) for line in (DATA_DIR / "benchmark_small.jsonl").open()]
+    records[0]["sentence"] = records[0]["sentence"].replace(", ", f",{separator}", 1)
+    benchmark = tmp_path / "bench.jsonl"
+    benchmark.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+    )
+    assert separator in benchmark.read_text(encoding="utf-8")
+    result = _offline_eval(runner, benchmark, tmp_path / "out")
+    assert result.exit_code == 0, result.output
+    assert _offline_eval(runner, DATA_DIR / "benchmark_small.jsonl", tmp_path / "lf").exit_code == 0
+    for name in ("report.json", "report.txt", "predictions.jsonl"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
+
+def test_crlf_jsonl_reads_as_its_lf_form(runner, tmp_path):
+    lf = (DATA_DIR / "benchmark_small.jsonl").read_bytes()
+    assert b"\r" not in lf
+    benchmark = tmp_path / "bench.jsonl"
+    benchmark.write_bytes(lf.replace(b"\n", b"\r\n"))
+    for path, out in ((benchmark, "crlf"), (DATA_DIR / "benchmark_small.jsonl", "lf")):
+        result = _offline_eval(runner, path, tmp_path / out)
+        assert result.exit_code == 0, result.output
+    for name in ("report.json", "report.txt", "predictions.jsonl"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
+
+def test_integer_ids_read_as_their_decimal_text(runner, tmp_path):
+    benchmark = _write(
+        tmp_path / "b.jsonl",
+        '{"id": 7, "sentence": "x", "labels": ["AF"]}\n'
+        '{"id": "8", "sentence": "y", "labels": [], "source": "benign"}\n',
+    )
+    predictions = _write(
+        tmp_path / "p.jsonl",
+        '{"id": "7", "logic_error": true, "labels": ["AF"]}\n'
+        '{"id": 8, "logic_error": false, "labels": []}\n',
+    )
+    result = run(runner, "eval", "--benchmark", benchmark, "--predictions", predictions,
+                 "--out", tmp_path / "out")
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["detection"]["f1"] == 1.0
+
+
 def test_eval_missing_benchmark_exit_two(runner, tmp_path):
     result = run(
         runner,
@@ -563,6 +618,38 @@ BAD_INPUTS = {
          "--predictions", _write(tmp / "p.jsonl", '{"id": "s0", "logic_error": "no", "labels": []}\n'),
          "--out", tmp / "out"],
         [f"{tmp / 'p.jsonl'}:1", "'logic_error'", "'no'"],
+    ),
+    # str() would score the text "None" and load the id "None".
+    "sentences-sentence-null": lambda tmp: (
+        ["score", "--sentences", _write(tmp / "s.jsonl", '{"id": "s0", "sentence": null, "labels": ["AF"]}\n'),
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
+        [f"{tmp / 's.jsonl'}:1", "'sentence'", "None"],
+    ),
+    "sentences-id-float": lambda tmp: (
+        ["score", "--sentences", _write(tmp / "s.jsonl", '{"id": 1.5, "sentence": "x", "labels": ["AF"]}\n'),
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
+        [f"{tmp / 's.jsonl'}:1", "'id'", "1.5"],
+    ),
+    "sentences-without-labels-or-code": lambda tmp: (
+        ["score", "--sentences", _write(tmp / "s.jsonl", '{"id": "s0", "sentence": "x"}\n'),
+         *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
+        [f"{tmp / 's.jsonl'}:1", "'labels'", "'code'"],
+    ),
+    "benchmark-id-null": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": null, "sentence": "x", "labels": ["AF"]}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:1", "'id'", "None"],
+    ),
+    "benchmark-sentence-list": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "b0", "sentence": ["a"], "labels": ["AF"]}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:1", "'sentence'", "['a']"],
+    ),
+    "predictions-id-boolean": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--predictions", _write(tmp / "p.jsonl", '{"id": true, "logic_error": true, "labels": []}\n'),
+         "--out", tmp / "out"],
+        [f"{tmp / 'p.jsonl'}:1", "'id'", "True"],
     ),
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),

@@ -10,7 +10,10 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fallacylab import gateway as gateway_module
 from fallacylab.errors import (
     CountMismatchError,
     EmptyYieldError,
@@ -22,6 +25,8 @@ from fallacylab.errors import (
 )
 from fallacylab.gateway import (
     GEN_FACTS_TEMPLATE,
+    JUDGE_TEMPLATE,
+    SCORE_TEMPLATE,
     Gateway,
     HttpProvider,
     ProviderConfig,
@@ -33,6 +38,7 @@ from fallacylab.gateway import (
     load_cassette,
     write_cassette,
 )
+from fallacylab.jsonl import encode_canonical
 from fallacylab.labels import FallacyCode, definitions_block
 from fallacylab.schemas import ValidTuple, validate_kb_against_schema
 from fallacylab.seeds import load_seed
@@ -59,6 +65,17 @@ def test_template_rejects_unbound_placeholder():
         template.render(name="x")
 
 
+def test_only_an_instruction_without_other_values_is_a_constant_head():
+    assert GEN_FACTS_TEMPLATE.head == ""
+    for template in (SCORE_TEMPLATE, JUDGE_TEMPLATE):
+        head = template.instruction.format(fallacy_definitions=definitions_block()) + "\n\n"
+        assert template.head == head
+    template = PromptTemplate("t", "rules {{x}}:\n{fallacy_definitions}", "say {word}")
+    assert template.render(word="hi") == f"rules {{x}}:\n{definitions_block()}\n\nsay hi"
+    with pytest.raises(TemplateError):
+        template.render()
+
+
 # ---------------------------------------------------------------------------
 # Providers: fingerprints, replay, record
 # ---------------------------------------------------------------------------
@@ -80,6 +97,83 @@ def test_fingerprint_digest_is_pinned():
     assert fingerprint("eval-model", 0, "Score this.") == (
         "ce8ecc06764af08d1ddc4ed4f774e454612f26df3aa7fd509edcde1f76574dcb"
     )
+
+
+def _canonical_fingerprint(model, temperature, prompt):
+    """The cassette key by its definition: sha256 of the whole request's
+    sorted-key, ASCII-escaped JSON text."""
+    payload = encode_canonical({"model": model, "temperature": temperature, "prompt": prompt})
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Lone surrogates, quotes, backslashes, NUL, JSON's and Unicode's line breaks
+# and astral characters, besides whatever else hypothesis draws.
+_ODD_TEXT = st.text(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\x85\u2028\ud800\udfff\U0001f600'),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    model=_ODD_TEXT,
+    temperature=st.one_of(st.integers(), st.floats()),
+    head=st.sampled_from(["", "score", "judge"]),
+    rest=_ODD_TEXT,
+)
+def test_fingerprint_equals_sha256_of_the_canonical_request(model, temperature, head, rest):
+    prompt = {"": "", "score": SCORE_TEMPLATE.head, "judge": JUDGE_TEMPLATE.head}[head] + rest
+    # Unmemoized: the one-entry memo is covered by the tests around this one.
+    assert fingerprint.__wrapped__(model, temperature, prompt) == _canonical_fingerprint(
+        model, temperature, prompt
+    )
+
+
+def test_fingerprint_of_a_real_score_and_judge_prompt_is_pinned():
+    sentence = "Since rain makes the ground wet, therefore wet ground means it has rained."
+    prompts = {
+        "score": SCORE_TEMPLATE.render(fallacy_type=FallacyCode.IE.display_name, sentence=sentence),
+        "judge": JUDGE_TEMPLATE.render(sentence=sentence),
+    }
+    pinned = {
+        "score": "0917d353f637a649daaa6b0ffbeaf38ce822d1d1e6418150afe8fb0593ef01ad",
+        "judge": "d201504ce18ab3494e166b0e76dcfe67a90d0050e5e93c635a7dfbe00575e4f7",
+    }
+    for name, prompt in prompts.items():
+        assert fingerprint("eval-model", 0.0, prompt) == pinned[name]
+        assert _canonical_fingerprint("eval-model", 0.0, prompt) == pinned[name]
+
+
+def test_fingerprints_from_many_threads_equal_serial_ones():
+    # Record mode fingerprints on several threads at once; they share the
+    # head states, which the first calls here race to build.
+    prompts = [
+        template.head + f"sentence {i} \u00e9" if template else f"bare {i}"
+        for i in range(300)
+        for template in (SCORE_TEMPLATE, JUDGE_TEMPLATE, None)
+    ]
+    models = [f"model-{i % 5}" for i in range(len(prompts))]
+    expected = [_canonical_fingerprint(m, 0.0, p) for m, p in zip(models, prompts)]
+    results: dict[int, list[str]] = {}
+
+    def work(worker):
+        results[worker] = [fingerprint.__wrapped__(m, 0.0, p) for m, p in zip(models, prompts)]
+
+    gateway_module._head_state.cache_clear()
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[worker] == expected for worker in range(6))
 
 
 @pytest.mark.parametrize("temperatures", [(0, 0.0), (0.0, 0)], ids=["int-first", "float-first"])
