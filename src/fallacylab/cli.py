@@ -73,13 +73,25 @@ class RunConfig:
             raise ValueError("record mode requires a cassette path to write")
 
 
+#: Every key a config file may set.
+CONFIG_KEYS = frozenset(
+    [
+        f"{role}.{name}"
+        for role in ("generator", "evaluator")
+        for name in ("endpoint", "model", "max_retries", "credentials_env")
+    ]
+    + ["evaluator.parallelism", "generator.temperature", "mode", "cassette", "batch_size"]
+)
+
+
 def parse_config(
     path: str | Path | None,
     *,
     mode: str | None = None,
     cassette: str | None = None,
 ) -> RunConfig:
-    """Read the simple ``key = value`` config format.
+    """Read the simple ``key = value`` config format.  A key outside
+    ``CONFIG_KEYS`` is a ValueError naming its line.
 
     ``mode`` and ``cassette`` arguments override the file's values, so
     command-line flags win; validation runs on the final combination.
@@ -95,7 +107,10 @@ def parse_config(
             if "=" not in stripped:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+            values[key] = value.strip()
 
     def number(key: str, default: str, kind: type, valid, expected: str):
         text = values.get(key, default)

@@ -2,7 +2,7 @@
 
 Terms, unification with an occurs check, depth-first SLD resolution over an
 insertion-ordered clause store, negation as failure, the two builtin
-comparisons (``\\=`` and ``@<``), and findall.
+comparisons (``\\=`` and ``@<``), findall, and a join for rules over facts.
 
 The solver asks its clause source for the rows of each resolved goal (see
 ``ClauseSource``): candidate clauses paired with their positions among the
@@ -12,25 +12,21 @@ yields the same solutions in the same order as a full scan.  A clause without
 variables (every fact of a knowledge base) is unified as it is; the others
 are renamed apart, from variable names computed once per clause.
 
-When every goal of a resolved clause's body, positive or negated, names a
-fact-only predicate of the source (``ClauseSource.fact_only``), the body runs
-as a join instead of as SLD goals: next comes the goal with the most bound
-arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
-runs as soon as its variables are bound.  The plan is compiled where it is
-made, into steps over slots, one per clause variable: each goal's arguments
-are constants, slots bound by earlier steps, or slots the goal binds, and a
-goal's rows come from ``ClauseSource.rows`` keyed by the constants and
-earlier slots alone.  Facts are ground, so each candidate row is matched
-one way against the step's pattern, with no substitution; a substitution is
-built only for each final solution, by unifying the head variables the body
-bound into the goal's own.  Over facts, SLD yields a body's solutions in
-lexicographic order of the positions of the rows its positive goals
-matched, in body order, so the join sorts its solutions by that vector and
-they come out in SLD's order and multiplicity.  SLD still runs every other
-body: one that names a predicate with rules (a recursive closure, say), or
-where a builtin or negation would be reached before its variables are
-bound, or that could reach the depth limit, so FlounderError,
-DepthLimitError and builtins on unbound terms behave as before.
+``join`` is a second entry point, for one rule whose body goals, positive or
+negated, all name fact-only predicates of the source
+(``ClauseSource.fact_only``): a conjunctive query.  It runs no resolution.
+Next comes the goal with the most bound arguments, ties broken by body
+order, and each ``\\=``, ``@<`` and negation runs as soon as its variables
+are bound.  The body is compiled into steps over slots, one per clause
+variable: each goal's arguments are constants, slots bound by earlier steps,
+or slots the goal binds, and a goal's rows come from ``ClauseSource.rows``
+keyed by the constants and earlier slots alone.  Facts are ground, so each
+candidate row is matched one way against the step's pattern, with no
+substitution.  Over facts, SLD yields a body's solutions in lexicographic
+order of the positions of the rows its positive goals matched, in body
+order, so the join sorts its solutions by that vector and they come out in
+SLD's order and multiplicity.  A rule the join cannot run that way is a
+ValueError; SLD is the general solver.
 
 The solver is deliberately small: no cut, no assert during solving, no
 arithmetic evaluation, no general tabling.  A ground-goal visited set makes
@@ -306,8 +302,7 @@ class ClauseSource(Protocol):
 
     def fact_only(self, goal: GoalTerm) -> bool:
         """Whether ground facts alone define the goal's predicate: no rule
-        does.  A source that always answers False is resolved by plain SLD
-        throughout."""
+        does.  Only ``join`` asks."""
         ...
 
 
@@ -340,14 +335,13 @@ class _Scope:
     goal: Term
 
 
-def _rename_clause(clause: Clause, counter) -> tuple[Clause, dict[str, Var]]:
-    """The clause with fresh variables, and the renaming it went through."""
+def _rename_clause(clause: Clause, counter) -> Clause:
+    """The clause with fresh variables."""
     mapping = {name: Var(f"{name}#{next(counter)}") for name in clause.variables}
-    renamed = Clause(
+    return Clause(
         resolve(clause.head, mapping),
         tuple(_resolve_literal(lit, mapping) for lit in clause.body),
     )
-    return renamed, mapping
 
 
 def _resolve_literal(lit: Literal, subst: Substitution) -> Literal:
@@ -378,10 +372,6 @@ def solve(
     steps raise DepthLimitError.  A ground goal identical to one still being
     resolved on the same branch fails that branch, which makes ground
     transitive-closure queries terminate on cyclic fact graphs.
-
-    A resolved clause whose body goals are all fact-only runs its body as a
-    planned join (see ``_make_plan``), with the same solutions in the same
-    order.
     """
     return _solve(tuple(goals), kb, depth_limit)
 
@@ -439,25 +429,12 @@ def _solve(
         branch_visited = visited | {goal_term} if ground_goal else visited
         alternatives = []
         for _, stored in kb.rows(goal_term):
-            clause, renaming = _rename_clause(stored, counter) if stored.variables else (stored, {})
+            clause = _rename_clause(stored, counter) if stored.variables else stored
             extended = unify(goal_term, clause.head, subst)
-            if extended is None:
-                continue
-            body = clause.body
-            # A planned body keeps SLD's depth accounting, one step per
-            # literal, so a body that could reach the limit is left to SLD.
-            if body and depth + 1 + len(body) <= depth_limit:
-                plan = _make_plan(stored, goal_term, kb)
-                if plan is not None:
-                    after = (_Scope(goal_term),) + rest
-                    alternatives.extend(
-                        (after, solution, depth + 1 + len(body), branch_visited)
-                        for solution in _run_plan(plan, goal_term, renaming, extended, kb)
-                    )
-                    continue
-            alternatives.append(
-                (body + (_Scope(goal_term),) + rest, extended, depth + 1, branch_visited)
-            )
+            if extended is not None:
+                alternatives.append(
+                    (clause.body + (_Scope(goal_term),) + rest, extended, depth + 1, branch_visited)
+                )
         frames.extend(reversed(alternatives))
 
 
@@ -474,8 +451,28 @@ def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Slot-compiled joins for fact-only bodies
+# Slot-compiled joins for rules over facts
 # ---------------------------------------------------------------------------
+
+
+def join(rule: Clause, source: ClauseSource) -> list[tuple[Term, ...]]:
+    """The head arguments of each solution of ``rule``'s body over
+    ``source``, in the order and multiplicity SLD gives a goal of distinct
+    variables resolved against ``rule``.
+
+    Raises ValueError when a body goal names a predicate with rules, when a
+    builtin or negation would run before its variables are bound, or when a
+    head variable is bound by no body goal.
+    """
+    plan = _make_plan(rule, source)
+    slots: list = [None] * plan.slot_count
+    found: list[tuple[tuple[int, ...], tuple]] = []
+    _run_steps(plan.steps, 0, slots, [0] * plan.goal_count, source, found)
+    # Over facts, SLD yields solutions in lexicographic order of the row
+    # positions its positive goals matched, in body order.
+    found.sort(key=itemgetter(0))
+    return [tuple(_build(pattern, values) for pattern in plan.head) for _, values in found]
+
 
 # A pattern matches a term of a ground fact.  The clause's variables are
 # slots, indexes into the list of values one run of a plan fills in, so a
@@ -569,44 +566,35 @@ class _Test:
 
 @dataclass(frozen=True)
 class _Plan:
-    #: (position, pattern) of each head argument the goal holds ground, which
-    #: binds the slots the body starts with.
-    head: tuple[tuple[int, tuple], ...]
+    #: The pattern of each head argument, over slots the body binds.
+    head: tuple[tuple, ...]
     steps: "tuple[_Scan | _Test, ...]"
-    #: (name, slot) of each head variable the body binds and the head does
-    #: not: what a solution hands back to the goal's substitution.
-    outputs: tuple[tuple[str, int], ...]
     slot_count: int
     goal_count: int
 
 
-def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None:
-    """The slot-compiled join for the body of a stored ``clause`` resolved
-    against ``goal``, or None when SLD must run it: a goal's predicate has a
-    rule, or a builtin or negation would be reached before its variables are
-    bound."""
-    body = clause.body
+def _make_plan(rule: Clause, source: ClauseSource) -> _Plan:
+    """The slot-compiled join of ``rule``'s body; see ``join`` for the
+    ValueErrors."""
+    body = rule.body
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
         if isinstance(lit, Goal):
-            if not kb.fact_only(lit.term):
-                return None
+            if not source.fact_only(lit.term):
+                name, arity = indicator(lit.term)
+                raise ValueError(f"{name}/{arity} is defined by rules, not facts alone")
             if not lit.negated:
                 ordinals[index] = len(ordinals)
     names = [set(var_names(lit)) for lit in body]
-    head_args = clause.head.args if isinstance(clause.head, Struct) else ()
-    goal_args = goal.args if isinstance(goal, Struct) else ()
-    ground_at = [position for position, value in enumerate(goal_args) if is_ground(value)]
-    bound = set(var_names(*(head_args[position] for position in ground_at)))
-    occurrences = Counter(term_vars(clause.head))
+    occurrences = Counter(term_vars(rule.head))
     for lit_names in names:
         occurrences.update(lit_names)
 
     # What each builtin or negation needs bound: every variable, save those
-    # of a negation that occur nowhere else in the clause (read
+    # of a negation that occur nowhere else in the rule (read
     # existentially).  SLD binds them from the positive goals before it.
     needs: dict[int, set[str]] = {}
-    seen = set(bound)
+    seen: set[str] = set()
     for index, lit in enumerate(body):
         if index in ordinals:
             seen |= names[index]
@@ -615,16 +603,19 @@ def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None
         if isinstance(lit, Goal):
             need = {name for name in need if occurrences[name] > 1}
         if not need <= seen:
-            return None
+            raise ValueError(
+                "a builtin or negation comes before its variable(s) are bound: "
+                + ", ".join(sorted(need - seen))
+            )
         needs[index] = need
+    unbound = term_vars(rule.head) - seen
+    if unbound:
+        raise ValueError("head variable(s) bound by no body goal: " + ", ".join(sorted(unbound)))
 
     # Next the goal with the most bound arguments, ties broken by body order;
     # each test runs as soon as its variables are bound.
-    slot_of = {name: slot for slot, name in enumerate(clause.variables)}
+    slot_of = {name: slot for slot, name in enumerate(rule.variables)}
     filled: set[str] = set()
-    head = tuple(
-        (position, _compile(head_args[position], slot_of, filled)) for position in ground_at
-    )
     steps: list[_Scan | _Test] = []
     goals = list(ordinals)
     tests = list(needs)
@@ -646,12 +637,9 @@ def _make_plan(clause: Clause, goal: GoalTerm, kb: ClauseSource) -> _Plan | None
         best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
         goals.remove(best)
         steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled))
-    outputs = tuple(
-        (name, slot_of[name])
-        for name in dict.fromkeys(var_names(clause.head))
-        if name in filled and name not in bound
-    )
-    return _Plan(head, tuple(steps), outputs, len(slot_of), len(ordinals))
+    head_args = rule.head.args if isinstance(rule.head, Struct) else ()
+    head = tuple(_compile(arg, slot_of, filled) for arg in head_args)
+    return _Plan(head, tuple(steps), len(slot_of), len(ordinals))
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
@@ -696,48 +684,6 @@ def _compile_scan(
         tuple(binds),
         nested,
     )
-
-
-def _run_plan(
-    plan: _Plan,
-    goal: GoalTerm,
-    renaming: Mapping[str, Var],
-    subst: Substitution,
-    kb: ClauseSource,
-) -> list[Substitution]:
-    """The body's solutions in SLD order, each as ``subst``, the goal unified
-    with the renamed head, extended by the head variables the body binds.
-
-    With fact-only positive goals, SLD yields solutions in lexicographic
-    order of the row positions the goals matched, in body order; so the
-    join tags each solution with that vector and sorts by it.  A solution
-    whose values do not unify with the goal (one that binds two aliased head
-    variables apart, say) is dropped, as SLD never reaches it.
-    """
-    slots: list = [None] * plan.slot_count
-    goal_args = goal.args if isinstance(goal, Struct) else ()
-    for position, pattern in plan.head:
-        if not _match(pattern, goal_args[position], slots):
-            return []
-    found: list[tuple[tuple[int, ...], tuple]] = []
-    _run_steps(plan.steps, 0, slots, [0] * plan.goal_count, kb, found)
-    found.sort(key=itemgetter(0))
-    solutions = []
-    for _, values in found:
-        solution: dict | None = dict(subst)
-        for name, slot in plan.outputs:
-            # Values are ground: an unbound variable takes one without an
-            # occurs check.
-            target = walk(renaming[name], solution)
-            if isinstance(target, Var):
-                solution[target.name] = values[slot]
-            else:
-                solution = unify(target, values[slot], solution)
-                if solution is None:
-                    break
-        else:
-            solutions.append(solution)
-    return solutions
 
 
 def _run_steps(steps, k, slots, positions, kb, found) -> None:

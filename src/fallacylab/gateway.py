@@ -179,10 +179,6 @@ class ProviderConfig:
     credentials_env: str | None = None
 
 
-# A score sends one prompt three times in a row, so remembering the last key
-# encodes and hashes it once.  ``typed`` keeps 0 and 0.0 apart: their JSON
-# texts differ, and so do their fingerprints.
-@functools.lru_cache(maxsize=1, typed=True)
 def fingerprint(model: str, temperature: float, prompt: str) -> str:
     """The cassette key of a request: the sha256 of its canonical JSON text,
     ``{"model": M, "prompt": P, "temperature": T}``.
@@ -191,6 +187,16 @@ def fingerprint(model: str, temperature: float, prompt: str) -> str:
     up to the end of a constant prompt head, is hashed once per model and
     head; a request hashes a copy of that state fed with the rest.  A prompt
     that starts with no head hashes from the empty one."""
+    return _fingerprint(model, temperature, repr(temperature), prompt)
+
+
+# A score sends one prompt three times in a row, so remembering the last key
+# encodes and hashes it once.  The memo is keyed on the temperature's repr as
+# well as its value: 0 and 0.0, or 0.0 and -0.0, are equal and hash alike,
+# but their JSON texts differ, and so do their fingerprints.  The repr of an
+# int or float fixes its JSON text, at a tenth of the cost of encoding it.
+@functools.lru_cache(maxsize=1)
+def _fingerprint(model: str, temperature: float, spelling: str, prompt: str) -> str:
     for template in _HEAD_TEMPLATES:
         head = template.head
         if prompt.startswith(head):

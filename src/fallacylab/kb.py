@@ -6,12 +6,12 @@ in a single thread; after ``seal()`` its contents are immutable and it can
 safely back any number of concurrent solver runs.
 
 Each predicate keeps one list of rows, its clauses paired with their
-positions, appended as clauses are asserted.  The solver picks rows through
-``rows``, which narrows that list with per-argument-position indexes, and asks
-``fact_only`` whether a join may run over a predicate.  Each index is built on
-the first lookup that needs it, not while loading, so a base that is only
-validated or serialized builds none; a fill racing another on the same
-position builds the same table twice.
+positions, appended as clauses are asserted.  The solver and the join pick
+rows through ``rows``, which narrows that list with per-argument-position
+indexes; the join asks ``fact_only`` whether it may run over a predicate.
+Each index is built on the first lookup that needs it, not while loading, so
+a base that is only validated or serialized builds none; a fill racing
+another on the same position builds the same table twice.
 
 ``from_text`` sends every parsed clause through ``assertz``; a fact with a
 variable is a ParseError at its line.

@@ -7,10 +7,10 @@ negated literal is ground by the time it is selected.
 
 A derivation first builds one fact table: the argument tuples of the base's
 facts per predicate, plus each auxiliary relation of the schema, computed
-once natively.  The engine has no derived predicates; the solver reads each
-auxiliary's rows from the table as ordinary facts, held with the query rule
-in a small layer over the base rather than in a copy of it, so every schema
-body is one planned join over facts:
+once natively.  The engine has no derived predicates; each auxiliary's rows
+reach it as ordinary facts, in a small layer over the base rather than in a
+copy of it, so every schema body is one join over facts (``engine.join``),
+with no SLD resolution:
 
 * ``im_t/2`` (transitive closure of ``im/2``) is computed by a graph walk
   that terminates on cyclic graphs.  IT's two ``im_t`` rules stay in the
@@ -44,9 +44,9 @@ from .engine import (
     TermLess,
     Var,
     compare_terms,
-    findall,
     indicator,
     is_ground,
+    join,
 )
 from .errors import SignatureError, UnknownSchemaError
 from .kb import KnowledgeBase
@@ -389,19 +389,19 @@ def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
 def schema_solutions(
     schema: FallacySchema, kb: KnowledgeBase, table: FactTable, main: Clause
 ) -> Counter:
-    """How often each instantiation of the schema's query head is a solution,
-    keyed in first-solution order.
+    """How often each tuple of the query head's arguments is a solution of
+    the rule ``main``, keyed in first-solution order.
 
-    The solver reads the base through a small layer holding the query clause
-    ``main`` and the table's rows of each auxiliary, given as ordinary facts;
-    ``_check_signatures`` keeps the base from sharing a predicate with it.
+    The join reads the base through a small layer holding the table's rows
+    of each auxiliary, given as ordinary facts; ``_check_signatures`` keeps
+    the base from sharing a predicate with it or defining a body predicate
+    by a rule.
     """
-    own = KnowledgeBase().assertz(main)
+    aux = KnowledgeBase()
     for name, arity in schema.derived:
         for args in table[name, arity]:
-            own.assertz(Clause(Struct(name, args)))
-    head = schema.query_head
-    return Counter(findall(head, [Goal(head)], Layered(own.seal(), kb)))
+            aux.assertz(Clause(Struct(name, args)))
+    return Counter(join(main, Layered(aux.seal(), kb)))
 
 
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
@@ -419,14 +419,11 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     _check_signatures(schema, kb, table)
 
     out: list[ValidTuple] = []
-    for term in schema_solutions(schema, kb, table, schema.rules[0]):
-        if not is_ground(term):
-            continue
-        if not confirm_instance(code, table, term.args):
-            raise AssertionError(
-                f"soundness recheck failed for {serialize_term(term)}"
-            )
-        out.append(ValidTuple(code, term.args))
+    for args in schema_solutions(schema, kb, table, schema.rules[0]):
+        item = ValidTuple(code, args)
+        if not confirm_instance(code, table, args):
+            raise AssertionError(f"soundness recheck failed for {item.render()}")
+        out.append(item)
     return out
 
 
@@ -605,7 +602,7 @@ def ordering_diagnostic(
     candidates = list(schema_solutions(schema, kb, fact_table(schema, kb), relaxed_main))
     if not candidates:
         return None
-    shown = "; ".join(serialize_term(t) for t in candidates[:5])
+    shown = "; ".join(ValidTuple(code, args).render() for args in candidates[:5])
     constraint = ", ".join(
         f"{serialize_term(l.lhs)} @< {serialize_term(l.rhs)}" for l in order_lits
     )

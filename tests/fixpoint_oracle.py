@@ -11,6 +11,10 @@ Two evaluation paths, both deliberately unlike the SLD engine:
 
 The rule bodies are re-encoded here by hand rather than imported, so a typo
 in the package's schema sources cannot silently agree with itself.
+
+``ordered_solutions`` runs a schema's query rule twice over the same
+auxiliary rows: through ``engine.join``, as a derivation does, and through
+plain SLD resolution, the engine's general solver, as the join's reference.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from fallacylab.engine import Atom, Int, Struct, Term
+from fallacylab.engine import Atom, Clause, Goal, Int, Layered, Struct, Term, findall, join
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import parse_program
@@ -304,10 +308,27 @@ def _join(assignments, arg_names, tuples_with_counts) -> list[tuple[dict, int]]:
 
 
 def engine_counts(code: FallacyCode, kb: KnowledgeBase) -> Counter:
-    """Raw findall multiset from the engine, before deduplication."""
+    """Raw solution multiset from the engine, before deduplication."""
     schema = schema_for(code)
-    solutions = schema_solutions(schema, kb, fact_table(schema, kb), schema.rules[0])
-    return Counter({term.args: count for term, count in solutions.items()})
+    return schema_solutions(schema, kb, fact_table(schema, kb), schema.rules[0])
+
+
+def ordered_solutions(
+    code: FallacyCode, kb: KnowledgeBase
+) -> tuple[list[tuple[Term, ...]], list[tuple[Term, ...]]]:
+    """The query head's argument tuples in solution order, from ``join`` and
+    from plain SLD: ``findall`` over a layer holding the query rule and the
+    auxiliary rows as facts."""
+    schema = schema_for(code)
+    table = fact_table(schema, kb)
+    aux = KnowledgeBase()
+    for name, arity in schema.derived:
+        for args in table[name, arity]:
+            aux.assertz(Clause(Struct(name, args)))
+    main, head = schema.rules[0], schema.query_head
+    joined = join(main, Layered(aux.seal(), kb))
+    program = Layered(aux.extended([main]), kb)
+    return joined, [term.args for term in findall(head, [Goal(head)], program)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
 import replies  # noqa: E402
 
-from fallacylab import cli  # noqa: E402
-from fallacylab.gateway import Gateway, RecordingProvider, fingerprint, load_cassette  # noqa: E402
+from fallacylab import cli, gateway  # noqa: E402
+from fallacylab.gateway import Gateway, RecordingProvider, load_cassette  # noqa: E402
 from fallacylab.jsonl import read_jsonl  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
 from fallacylab.metrics import load_benchmark  # noqa: E402
@@ -108,13 +108,13 @@ def main(argv: list[str] | None = None) -> int:
             out = work / "out" / name
             best = float("inf")
             for _ in range(args.repeat):
-                fingerprint.cache_clear()
+                gateway._fingerprint.cache_clear()
                 start = time.perf_counter()
                 code = _run([*command, "--mode", "replay", "--config", str(config),
                              "--cassette", str(cassettes[name]), "--out", str(out)])
                 best = min(best, time.perf_counter() - start)
                 failed |= code != 0
-            hashed = fingerprint.cache_info().misses
+            hashed = gateway._fingerprint.cache_info().misses
             keys = [entry["fingerprint"] for entry in load_cassette(cassettes[name])]
             print(f"{name:<9}{best:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed:>8}")
 

@@ -11,7 +11,7 @@ a quarter of the groups are near-miss decoys), then prints the best of
 loading it (``KnowledgeBase.from_text``: the parse plus the base build) and,
 separately, of deriving over the loaded base (``derive_instances`` plus
 ``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
-columns split the derive: the solver's part (``schema_solutions``) and the
+columns split the derive: the join's part (``schema_solutions``) and the
 soundness recheck of every derived tuple (``confirm_instance``).  It exits 1
 if any code derives other tuples than the generator lists.  The file name
 keeps pytest from collecting it.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,13 @@ from fallacylab.schemas import derive_instances, ordering_diagnostic
 from fallacylab.seeds import load_seed
 
 from conftest import DATA_DIR
-from fixpoint_oracle import engine_counts, oracle_counts, oracle_tuples, random_kb
+from fixpoint_oracle import (
+    engine_counts,
+    oracle_counts,
+    oracle_tuples,
+    ordered_solutions,
+    random_kb,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -128,6 +135,7 @@ def test_criterion_2_engine_oracle_equivalence():
         kb = random_kb(code, rng)
         try:
             engine = engine_counts(code, kb)
+            joined, sld = ordered_solutions(code, kb)
         except DepthLimitError:
             problems.append(f"{code.value}: DepthLimitError on\n{kb.serialize()}")
             break
@@ -137,13 +145,18 @@ def test_criterion_2_engine_oracle_equivalence():
                 f"{code.value}: engine {engine} != oracle {oracle}\n{kb.serialize()}"
             )
             break
+        # Plain SLD, the join's reference, in solution order.
+        if joined != sld or Counter(joined) != engine:
+            problems.append(f"{code.value}: join {joined} != SLD {sld}\n{kb.serialize()}")
+            break
         checked += 1
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         problems.append(f"took {elapsed:.1f}s (budget 30s)")
     _report(
         2,
-        "findall multisets equal the stratified fixpoint oracle on 1000 random bases",
+        "join and SLD solution lists agree in order, and their multisets equal the "
+        "stratified fixpoint oracle on 1000 random bases",
         not problems and checked == 1000,
         "; ".join(problems) or f"{checked} bases in {elapsed:.2f}s",
     )

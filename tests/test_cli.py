@@ -603,6 +603,24 @@ BAD_INPUTS = {
          _write(tmp / "run.cfg", "generator.endpoint = http://127.0.0.1:9/\ngenerator.temperature = hot\n")],
         ["generator.temperature", "'hot'"],
     ),
+    # A misspelled key used to be ignored: width 1, temperature 1.0.
+    "config-key-misspelled-parallelism": lambda tmp: (
+        ["score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "record",
+         "--cassette", tmp / "c.jsonl", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "evaluator.endpoint = http://127.0.0.1:9/\nevaluator.paralelism = 4\n")],
+        [f"{tmp / 'run.cfg'}:2", "'evaluator.paralelism'"],
+    ),
+    "config-key-misspelled-temperature": lambda tmp: (
+        ["generate", "--code", "AF", "--n", 5, "--mode", "live", "--out", tmp / "out", "--config",
+         _write(tmp / "run.cfg", "# live\n\ngenerator.temprature = 0.2\n")],
+        [f"{tmp / 'run.cfg'}:3", "'generator.temprature'"],
+    ),
+    "config-key-of-the-other-role": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--mode", "replay", "--cassette", DATA_DIR / "cassette_eval.jsonl", "--out", tmp / "out",
+         "--config", _write(tmp / "run.cfg", "evaluator.model = eval-model\nevaluator.temperature = 0\n")],
+        [f"{tmp / 'run.cfg'}:2", "'evaluator.temperature'"],
+    ),
     **{
         f"evaluator-parallelism-{name}": _bad_parallelism(command, value)
         for name, command, value in [
@@ -728,8 +746,11 @@ def test_run_config_validates_generation_temperature(tmp_path):
     path.write_text("generator.temperature = 2.5\ncassette = tape.jsonl\n")
     with pytest.raises(ValueError):
         parse_config(path)
-    path.write_text("evaluator.temperature = 9\ncassette = tape.jsonl\n")
-    assert parse_config(path).generation_temperature == 1.0
+    # Scoring and judging always run at temperature 0, so the evaluator has
+    # no temperature key.
+    path.write_text("cassette = tape.jsonl\nevaluator.temperature = 9\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:2: unknown config key 'evaluator\.temperature'"):
+        parse_config(path)
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,12 @@ from fallacylab.engine import (
     findall,
     indicator,
     is_ground,
+    join,
     resolve,
     solve,
+    term_vars,
     unify,
+    var_names,
 )
 from fallacylab.errors import DepthLimitError, FlounderError
 from fallacylab.kb import KnowledgeBase
@@ -297,17 +301,14 @@ def test_clause_local_variable_in_negation_is_existential():
 
 
 class FullScan:
-    """Every clause of the goal's predicate, in insertion order, and no
-    predicate fact-only: the unindexed, unplanned SLD reference."""
+    """Every clause of the goal's predicate, in insertion order: the
+    unindexed SLD reference."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
 
     def rows(self, goal):
         return list(enumerate(self.kb.clauses(*indicator(goal))))
-
-    def fact_only(self, goal):
-        return False
 
 
 _constants = st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Int(1), Int(2)])
@@ -368,21 +369,43 @@ def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
 
 
 # ---------------------------------------------------------------------------
-# Join planning against plain SLD
+# The join against plain SLD
 # ---------------------------------------------------------------------------
 
 
-def _outcome(template, goals, source, depth_limit):
-    """Solutions with internal variables canonicalized, or the error type."""
-    try:
-        found = findall(template, goals, source, depth_limit=depth_limit)
-    except (DepthLimitError, FlounderError) as exc:
-        return type(exc)
-    return [_canonical(t, {}) for t in found]
+def _sld(rule: Clause, source) -> list[tuple]:
+    """Plain SLD's solutions for a goal of distinct variables resolved
+    against ``rule``'s head, as argument tuples in solution order."""
+    name, arity = indicator(rule.head)
+    goal = Struct(name, tuple(Var(f"A{i}") for i in range(arity)))
+    return [term.args for term in findall(goal, [Goal(goal)], source)]
+
+
+def _joinable(rule: Clause, with_rules: set[tuple[str, int]]) -> bool:
+    """Whether ``join`` must run ``rule``: its body names no predicate in
+    ``with_rules``, positive goals before each builtin bind all of its
+    variables and before each negation those it shares with the rest of
+    the rule, and positive goals bind every head variable."""
+    occurrences = Counter(term_vars(rule.head))
+    for lit in rule.body:
+        occurrences.update(set(var_names(lit)))
+    bound: set[str] = set()
+    for lit in rule.body:
+        names = set(var_names(lit))
+        if isinstance(lit, Goal) and indicator(lit.term) in with_rules:
+            return False
+        if isinstance(lit, Goal) and not lit.negated:
+            bound |= names
+        elif isinstance(lit, Goal):
+            if not {name for name in names if occurrences[name] > 1} <= bound:
+                return False
+        elif not names <= bound:
+            return False
+    return term_vars(rule.head) <= bound
 
 
 # s/2 is defined by rules (a closure over r/2, with q/2 as its base case), so
-# a body with an s goal, positive or negated, is left to SLD.
+# a join refuses a body with an s goal, positive or negated.
 _S_RULES = "s(X, Y) :- q(X, Y).\ns(X, Y) :- r(X, Z), s(Z, Y).\n"
 
 _plan_constants = st.sampled_from([Atom("a"), Atom("b"), Int(1)])
@@ -390,8 +413,8 @@ _plan_facts = st.lists(
     st.tuples(st.sampled_from(["q", "r"]), _plan_constants, _plan_constants).map(
         lambda t: Clause(Struct(t[0], t[1:]))
     ),
-    min_size=3,
-    max_size=12,
+    min_size=4,
+    max_size=16,
 )
 _body_vars = st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W")])
 _body_args = st.one_of(_body_vars, _body_vars, _body_vars, _plan_constants)
@@ -408,46 +431,38 @@ _body_literals = st.one_of(
     st.builds(NotEqual, _body_args, _body_args),
     st.builds(TermLess, _body_args, _body_args),
 )
-_plan_head_args = st.one_of(
-    st.sampled_from([Var("X"), Var("Y")]),
-    st.sampled_from([Var("X"), Var("Y")]),
-    _plan_constants,
-    st.sampled_from([Var("X"), Var("Y")]).map(lambda v: Struct("f", (v,))),
-)
-_plan_rules = st.lists(
-    st.builds(
-        Clause,
-        st.tuples(_plan_head_args, _plan_head_args).map(lambda args: Struct("p", args)),
-        # Half the bodies start with positive goals, so that they bind what
-        # their filters need; many of the others fall back to SLD.
-        st.one_of(
-            st.tuples(
-                st.lists(_positive_goals, min_size=1, max_size=3),
-                st.lists(_body_literals, max_size=3),
-            ).map(lambda parts: tuple(parts[0] + parts[1])),
-            st.lists(_body_literals, min_size=1, max_size=4).map(tuple),
-        ),
-    ),
-    min_size=1,
-    max_size=3,
-)
-_plan_query_args = st.one_of(
-    st.sampled_from([Var("A"), Var("B")]),
-    st.sampled_from([Var("A"), Var("B")]),
-    _plan_constants,
-    st.sampled_from([Var("A"), Var("B")]).map(lambda v: Struct("f", (v,))),
+_plan_bodies = st.one_of(
+    # Most bodies start with positive goals, so that they bind what their
+    # filters need; many of the others are refused.
+    *[
+        st.tuples(
+            st.lists(_positive_goals, min_size=2, max_size=3),
+            st.lists(_body_literals, max_size=2),
+        ).map(lambda parts: tuple(parts[0] + parts[1]))
+    ]
+    * 3,
+    st.lists(_body_literals, min_size=1, max_size=4).map(tuple),
 )
 
 
-@given(
-    _plan_facts,
-    st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
-    _plan_rules,
-    st.tuples(_plan_query_args, _plan_query_args),
-    st.sampled_from([1, 2, 3, 4, 6, 60, 60, 60, 60, 60, 60, 60]),
-)
-@settings(max_examples=400, deadline=None)
-def test_planned_findall_matches_sld(facts, repeat, rules, query_args, depth_limit):
+def _rule_for(body: tuple) -> st.SearchStrategy:
+    """Rules for p/2 with ``body``, whose head variables are mostly ones the
+    body's positive goals bind."""
+    positive = [lit for lit in body if isinstance(lit, Goal) and not lit.negated]
+    names = sorted(set(var_names(*positive))) or ["X"]
+    head_vars = st.sampled_from([Var(name) for name in names])
+    head_args = st.one_of(
+        head_vars, head_vars, _plan_constants, head_vars.map(lambda v: Struct("f", (v,)))
+    )
+    return st.tuples(head_args, head_args).map(lambda args: Clause(Struct("p", args), body))
+
+
+_plan_rule = _plan_bodies.flatmap(_rule_for)
+
+
+@given(_plan_facts, st.one_of(st.none(), st.integers(min_value=0, max_value=7)), _plan_rule)
+@settings(max_examples=600, deadline=None)
+def test_join_matches_sld(facts, repeat, rule):
     kb = KnowledgeBase()
     for clause in facts:
         kb.assertz(clause)
@@ -457,20 +472,19 @@ def test_planned_findall_matches_sld(facts, repeat, rules, query_args, depth_lim
         kb.assertz(facts[repeat % len(facts)])
     for item in parse_program(_S_RULES):
         kb.assertz(item.clause)
-    for clause in rules:
-        kb.assertz(clause)
     kb.seal()
-    goals = [Goal(Struct("p", query_args))]
-    template = Struct("ans", query_args)
-    # Same solutions, order and multiplicity, or the same error.
-    assert _outcome(template, goals, kb, depth_limit) == _outcome(
-        template, goals, FullScan(kb), depth_limit
-    )
+    if not _joinable(rule, {("s", 2)}):
+        with pytest.raises(ValueError):
+            join(rule, kb)
+        return
+    # Same solutions, order and multiplicity as SLD over the base plus the
+    # rule.
+    assert join(rule, kb) == _sld(rule, kb.extended([rule]))
 
 
 def test_planned_join_reorders_goals_and_keeps_sld_order():
-    # The planner joins im(A, B) right after cc(A, D) and cc(B, E) last, so
-    # it never pairs every cc row with every other.  Solutions still come in
+    # The join takes im(A, B) right after cc(A, D) and cc(B, E) last, so it
+    # never pairs every cc row with every other.  Solutions still come in
     # SLD's order, cc(c, f) before cc(b, e) and the cc(c, f) object asserted
     # again after both, though each is found through its own index bucket.
     kb = KnowledgeBase()
@@ -482,11 +496,9 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
         kb.assertz(item.clause)
     kb.assertz(items[1].clause)
     kb.seal()
-    goals = [Goal(Struct("pd", (Var("D"), Var("E"))))]
-    template = Struct("pd", (Var("D"), Var("E")))
-    planned = findall(template, goals, kb)
-    assert planned == findall(template, goals, FullScan(kb))
-    assert [tuple(a.name for a in t.args) for t in planned] == [
+    joined = join(items[-1].clause, kb)
+    assert joined == _sld(items[-1].clause, kb)
+    assert [tuple(a.name for a in args) for args in joined] == [
         ("d", "f"),
         ("d", "e"),
         ("d", "f"),
@@ -496,36 +508,30 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
 
 
 @pytest.mark.parametrize(
-    "program, query, expected",
+    "program, expected",
     [
         # Z is bound by the first argument of q(Z, Z) and checked by the
         # second, so it cannot pick the index bucket of the row it reads.
-        # The goal ties the head's X and Y together; the body binds only X.
-        ("q(a, a).\nq(a, b).\nq(b, b).\nq(c, d).\np(X, Y) :- q(X, X), q(Z, Z).\n",
-         "p(A, A)", "p(a, a) p(a, a) p(b, b) p(b, b)"),
+        # The head repeats X, which the body binds once.
+        ("q(a, a).\nq(a, b).\nq(b, b).\nq(c, d).\np(X, X) :- q(X, X), q(Z, Z).\n",
+         "p(a, a) p(a, a) p(b, b) p(b, b)"),
         ("r(a, 1).\nr(b, 2).\nr(c, 1).\ns(f(a)).\ns(g(b)).\ns(f(c)).\n"
          "p(f(X), Y) :- r(X, Y), s(f(X)).\n",
-         "p(f(A), 1)", "p(f(a), 1) p(f(c), 1)"),
+         "p(f(a), 1) p(f(c), 1)"),
         ("n(a).\nn(b).\nn(c).\nm(a, c, c).\nm(b, c, d).\np(X) :- n(X), \\+ m(X, W, W).\n",
-         "p(A)", "p(b) p(c)"),
+         "p(b) p(c)"),
     ],
     ids=["repeat-in-goal", "compound-head", "existential-repeat-in-negation"],
 )
-def test_slot_join_edge_cases_match_sld(monkeypatch, program, query, expected):
+def test_slot_join_edge_cases_match_sld(monkeypatch, program, expected):
     kb = kb_from(program)
     tried = []
     real = engine._match_row
     monkeypatch.setattr(engine, "_match_row", lambda *args: tried.append(args) or real(*args))
-    for text in (query, "p(A, B)", "p(A)", "p(f(A), B)", "p(f(b), B)", "p(g(A), B)", "p(a)"):
-        goals = [lit for item in parse_program(f"ans :- {text}.") for lit in item.clause.body]
-        template = goals[0].term
-        planned = findall(template, goals, kb)
-        assert [_canonical(t, {}) for t in planned] == [
-            _canonical(t, {}) for t in findall(template, goals, FullScan(kb))
-        ]
-        if text == query:
-            assert " ".join(serialize_term(t) for t in planned) == expected
-    assert tried  # the bodies ran as planned joins
+    joined = join(kb.rules[0], kb)
+    assert joined == _sld(kb.rules[0], kb)
+    assert " ".join(serialize_term(Struct("p", args)) for args in joined) == expected
+    assert tried  # the rows were read by the join
 
 
 @pytest.mark.parametrize(
@@ -546,10 +552,28 @@ def test_slot_join_edge_cases_match_sld(monkeypatch, program, query, expected):
     ids=["keeps-its-place", "raised-by-sld"],
 )
 def test_negation_over_rules_in_a_planned_body(program, error):
-    # p's body negates s, a predicate with rules, so it is not planned: SLD
-    # runs it whole and raises what SLD raises, as over the unplanned source.
+    # p's body negates s, a predicate with rules: the join refuses it, and
+    # SLD runs it whole and raises what SLD raises, indexed or not.
     kb = kb_from(_S_RULES + program)
+    rule = next(rule for rule in kb.rules if indicator(rule.head) == ("p", 1))
+    with pytest.raises(ValueError, match="s/2"):
+        join(rule, kb)
     goals = [Goal(Struct("p", (Var("A"),)))]
     for source in (kb, FullScan(kb)):
         with pytest.raises(error):
             findall(Var("A"), goals, source, depth_limit=60)
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("q(a, b).\np(X, Y) :- q(X, Z).\n", "bound by no body goal: Y"),
+        ("q(a, b).\np(X) :- X \\= b, q(X, Y).\n", "before its variable"),
+        ("q(a, b).\np(X) :- \\+ q(X, Y), q(Y, X).\n", "before its variable"),
+    ],
+    ids=["unbound-head-variable", "early-builtin", "early-negation"],
+)
+def test_join_refuses_what_only_sld_can_run(program, message):
+    kb = kb_from(program)
+    with pytest.raises(ValueError, match=message):
+        join(kb.rules[0], kb)

@@ -4,6 +4,7 @@ import datetime
 import email.utils
 import hashlib
 import importlib.util
+import itertools
 import json
 import sys
 import threading
@@ -126,7 +127,8 @@ _ODD_TEXT = st.text(
 def test_fingerprint_equals_sha256_of_the_canonical_request(model, temperature, head, rest):
     prompt = {"": "", "score": SCORE_TEMPLATE.head, "judge": JUDGE_TEMPLATE.head}[head] + rest
     # Unmemoized: the one-entry memo is covered by the tests around this one.
-    assert fingerprint.__wrapped__(model, temperature, prompt) == _canonical_fingerprint(
+    unmemoized = gateway_module._fingerprint.__wrapped__
+    assert unmemoized(model, temperature, repr(temperature), prompt) == _canonical_fingerprint(
         model, temperature, prompt
     )
 
@@ -159,7 +161,7 @@ def test_fingerprints_from_many_threads_equal_serial_ones():
     results: dict[int, list[str]] = {}
 
     def work(worker):
-        results[worker] = [fingerprint.__wrapped__(m, 0.0, p) for m, p in zip(models, prompts)]
+        results[worker] = [fingerprint(m, 0.0, p) for m, p in zip(models, prompts)]
 
     gateway_module._head_state.cache_clear()
     threads = [threading.Thread(target=work, args=(worker,)) for worker in range(6)]
@@ -182,6 +184,16 @@ def test_fingerprint_keeps_integer_and_float_temperatures_apart(temperatures):
     # arguments alone would hand the second call the first one's key.
     first, second = (fingerprint("m", t, "p") for t in temperatures)
     assert first != second
+
+
+@pytest.mark.parametrize(
+    "temperatures", list(itertools.permutations([0, 0.0, -0.0], 2)), ids=repr
+)
+def test_fingerprint_memo_keeps_equal_temperatures_apart(temperatures):
+    # 0.0 == -0.0 and they hash alike, but their JSON texts differ; each of
+    # two back-to-back calls must give its own text's key.
+    for temperature in temperatures:
+        assert fingerprint("m", temperature, "p") == _canonical_fingerprint("m", temperature, "p")
 
 
 def test_replay_pops_fifo_per_fingerprint(tmp_path):

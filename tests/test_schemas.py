@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -29,7 +30,13 @@ from fallacylab.pipeline import generate_bundle
 from fallacylab.seeds import load_seed
 
 from conftest import DATA_DIR, FakeProvider
-from fixpoint_oracle import engine_counts, oracle_counts, oracle_tuples, random_kb
+from fixpoint_oracle import (
+    engine_counts,
+    oracle_counts,
+    oracle_tuples,
+    ordered_solutions,
+    random_kb,
+)
 
 
 def kb_from(text: str) -> KnowledgeBase:
@@ -192,31 +199,31 @@ def test_derive_allows_pd_of_another_arity():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def findall_calls(monkeypatch):
+def join_calls(monkeypatch):
     calls = []
-    real = schemas.findall
+    real = schemas.join
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(schemas, "findall", counting)
+    monkeypatch.setattr(schemas, "join", counting)
     return calls
 
 
-def test_derive_cli_fs_seed_queries_twice(findall_calls):
+def test_derive_cli_fs_seed_queries_twice(join_calls):
     result = CliRunner().invoke(main, ["derive", "--code", "FS"])
     assert result.exit_code == 0 and "term-order" in result.stderr
-    assert len(findall_calls) == 2  # the derivation, then the relaxed query
+    assert len(join_calls) == 2  # the derivation, then the relaxed query
 
 
-def test_derive_cli_fs_satisfied_queries_once(findall_calls, tmp_path):
+def test_derive_cli_fs_satisfied_queries_once(join_calls, tmp_path):
     path = tmp_path / "fs.pl"
     path.write_text(FS_SATISFIED)
     result = CliRunner().invoke(main, ["derive", "--code", "FS", "--kb", str(path)])
     assert result.exit_code == 0
     assert result.stdout == "pd(act_flip, dark_onset)\n"
-    assert len(findall_calls) == 1
+    assert len(join_calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -226,10 +233,10 @@ def test_derive_cli_fs_satisfied_queries_once(findall_calls, tmp_path):
         (FS_MISORDERED, [], 3),  # seed, extended, relaxed
     ],
 )
-def test_generate_bundle_fs_derives_each_base_once(findall_calls, group, responses, queries):
+def test_generate_bundle_fs_derives_each_base_once(join_calls, group, responses, queries):
     provider = FakeProvider([group] + responses)
     bundle = generate_bundle(FallacyCode.FS, 1, Gateway(provider))
-    assert len(findall_calls) == queries
+    assert len(join_calls) == queries
     assert bool(bundle.tuples) == bool(responses)
     assert bool(bundle.diagnostics) == (not responses)
 
@@ -317,8 +324,9 @@ def test_derivation_work_grows_linearly_in_groups(monkeypatch, code):
 
 @pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
 def test_derivation_renames_only_the_query_rule(monkeypatch, code):
-    # Every auxiliary reaches the solver as facts, so each schema body runs
-    # as one planned join and the query rule is the only clause renamed.
+    # A derivation's plain-SLD reference reads every auxiliary as facts, so
+    # the query rule is the only clause it renames: it resolves the same
+    # rule over the same rows as the join.
     kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(12)))
     calls = []
     real = engine._rename_clause
@@ -328,8 +336,22 @@ def test_derivation_renames_only_the_query_rule(monkeypatch, code):
         return real(*args)
 
     monkeypatch.setattr(engine, "_rename_clause", counting)
-    derive_instances(code, kb)
+    joined, sld = ordered_solutions(code, kb)
     assert calls == [schema_for(code).rules[0]]
+    assert joined == sld and len(joined) == 12 * (2 if code is FallacyCode.IT else 1)
+
+
+@pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
+def test_derivation_runs_no_sld(monkeypatch, code):
+    def refuse(*args):
+        raise AssertionError("a derivation ran SLD resolution")
+
+    monkeypatch.setattr(engine, "_solve", refuse)
+    kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(12)))
+    assert len(derive_instances(code, kb)) == 12 * (2 if code is FallacyCode.IT else 1)
+    # FS's seed derives nothing, so its diagnostic runs the relaxed rule.
+    seed = load_seed(code)
+    ordering_diagnostic(code, seed, derive_instances(code, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +421,11 @@ def test_randomized_engine_oracle_equivalence_smoke():
     for trial in range(150):
         code = SCHEMA_CODES[trial % len(SCHEMA_CODES)]
         kb = random_kb(code, rng)
-        assert engine_counts(code, kb) == oracle_counts(code, kb), kb.serialize()
+        counts = engine_counts(code, kb)
+        assert counts == oracle_counts(code, kb), kb.serialize()
+        # Plain SLD, the join's reference, in solution order.
+        joined, sld = ordered_solutions(code, kb)
+        assert joined == sld and Counter(joined) == counts, kb.serialize()
 
 
 # ---------------------------------------------------------------------------
