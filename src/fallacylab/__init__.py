@@ -16,9 +16,6 @@ from .engine import (
     TermLess,
     Var,
     compare_terms,
-    findall,
-    solve,
-    unify,
 )
 from .kb import FactRecord, KnowledgeBase
 from .labels import LABEL_ONLY_CODES, SCHEMA_CODES, FallacyCode, parse_code
@@ -53,14 +50,11 @@ __all__ = [
     "Var",
     "compare_terms",
     "derive_instances",
-    "findall",
     "load_seed",
     "ordering_diagnostic",
     "parse_code",
     "schema_catalog",
     "schema_for",
-    "solve",
-    "unify",
     "validate_kb_against_schema",
 ]
 

@@ -26,6 +26,7 @@ from .gateway import (
     RecordingProvider,
     ReplayProvider,
 )
+from .jsonl import read_input
 from .kb import KnowledgeBase
 from .labels import FallacyCode, parse_code
 from .metrics import build_report, load_benchmark, load_predictions
@@ -98,9 +99,7 @@ def parse_config(
     """
     values: dict[str, str] = {}
     if path is not None:
-        for line_no, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for line_no, line in enumerate(read_input(path).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -197,7 +196,7 @@ def _exit_codes(body):
 
 def _load_kb(kb_path: str | None, code: FallacyCode | None) -> KnowledgeBase:
     if kb_path:
-        return KnowledgeBase.from_text(Path(kb_path).read_text(encoding="utf-8"))
+        return KnowledgeBase.from_text(read_input(kb_path))
     if code is None:
         raise ValueError("either --kb or --code is required")
     return load_seed(code)
@@ -242,7 +241,7 @@ def main(verbose: bool) -> None:
 def validate(kb_path: str, code_text: str) -> None:
     """Check a fact file against a schema's predicate signatures."""
     code = parse_code(code_text)
-    parsed = parse_program(Path(kb_path).read_text(encoding="utf-8"))
+    parsed = parse_program(read_input(kb_path))
     report = validate_kb_against_schema(code, [item.clause for item in parsed])
     click.echo(report.render(), file=sys.stdout)
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)

@@ -1,52 +1,36 @@
-"""Prolog-subset inference engine.
+"""Terms, literals and clauses of the Prolog subset, the standard order of
+terms, and ``join``: the one evaluator, for a rule over ground facts.
 
-Terms, unification with an occurs check, depth-first SLD resolution over an
-insertion-ordered clause store, negation as failure, the two builtin
-comparisons (``\\=`` and ``@<``), findall, and a join for rules over facts.
+``join`` runs one rule whose body goals, positive or negated, all name
+predicates with no rules (``RowSource.has_rules``): a conjunctive query with
+stratified negation, which is a join over fact rows.  It runs no
+resolution.  Next comes the goal with the most bound arguments, ties broken
+by body order, and each ``\\=``, ``@<`` and negation runs as soon as its
+variables are bound.  The body is compiled into steps over slots, one per
+clause variable: each goal's arguments are constants, slots bound by
+earlier steps, or slots the goal binds.  A goal's rows come from the
+source's index on the positions of its constants and earlier slots
+(``RowSource.index``), keyed by their values, so every row of a bucket
+holds them and only the goal's own bindings are matched.  Rows are ground,
+so each is matched one way against the step's pattern, with no
+substitution.  SLD resolution over facts yields a body's solutions in
+lexicographic order of the positions of the rows its positive goals
+matched, in body order, so the join sorts its solutions by that vector and
+they come out in SLD's order and multiplicity.  A rule the join cannot run
+that way is a ValueError.
 
-The solver asks its clause source for the rows of each resolved goal (see
-``ClauseSource``): candidate clauses paired with their positions among the
-predicate's clauses.  A source may leave out clauses whose head cannot unify
-with the goal, but keeps the rest in insertion order, so an indexed source
-yields the same solutions in the same order as a full scan.  A clause without
-variables (every fact of a knowledge base) is unified as it is; the others
-are renamed apart, from variable names computed once per clause.
-
-``join`` is a second entry point, for one rule whose body goals, positive or
-negated, all name fact-only predicates of the source
-(``ClauseSource.fact_only``): a conjunctive query.  It runs no resolution.
-Next comes the goal with the most bound arguments, ties broken by body
-order, and each ``\\=``, ``@<`` and negation runs as soon as its variables
-are bound.  The body is compiled into steps over slots, one per clause
-variable: each goal's arguments are constants, slots bound by earlier steps,
-or slots the goal binds, and a goal's rows come from ``ClauseSource.rows``
-keyed by the constants and earlier slots alone.  Facts are ground, so each
-candidate row is matched one way against the step's pattern, with no
-substitution.  Over facts, SLD yields a body's solutions in lexicographic
-order of the positions of the rows its positive goals matched, in body
-order, so the join sorts its solutions by that vector and they come out in
-SLD's order and multiplicity.  A rule the join cannot run that way is a
-ValueError; SLD is the general solver.
-
-The solver is deliberately small: no cut, no assert during solving, no
-arithmetic evaluation, no general tabling.  A ground-goal visited set makes
-a recursive rule pair such as a transitive closure terminate on cyclic
-graphs; everything else is plain SLD resolution.
-
-Solver runs are single-use generators confined to one thread.  A sealed
+Nothing here resolves: the schemas need no more than the join, and plain
+SLD resolution lives on only as the tests' reference for it.  A sealed
 knowledge base's contents are immutable and it may back any number of
-concurrent runs; its argument indexes are filled on first lookup.
+concurrent joins; its indexes are filled on first lookup.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, Union
-
-from .errors import DepthLimitError, FlounderError
+from typing import Iterator, Mapping, Protocol, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -61,16 +45,37 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class Atom:
+# A constant is the builtin value it spells, so hashing and comparing one,
+# which every index bucket and row match does, runs no Python code: an Atom
+# equals the plain str of its name and an Int the int of its value.  No
+# term is ever put beside a plain value, save a slot index, which callers
+# tell apart by ``type(x) is int``.
+
+
+class Atom(str):
     """Constant symbol, written as a snake_case identifier."""
 
-    name: str
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return str.__str__(self)
+
+    def __repr__(self) -> str:
+        return f"Atom(name={str.__repr__(self)})"
 
 
-@dataclass(frozen=True)
-class Int:
-    value: int
+class Int(int):
+    """Integer constant."""
+
+    __slots__ = ()
+
+    @property
+    def value(self) -> int:
+        return int(self)
+
+    def __repr__(self) -> str:
+        return f"Int(value={int.__repr__(self)})"
 
 
 @dataclass(frozen=True)
@@ -175,81 +180,6 @@ class Clause:
         return tuple(dict.fromkeys(var_names(self.head, *self.body)))
 
 
-#: A clause paired with its position among its predicate's clauses, in
-#: insertion order.
-Row = tuple[int, Clause]
-
-
-# ---------------------------------------------------------------------------
-# Substitutions and unification
-# ---------------------------------------------------------------------------
-
-#: A substitution maps variable names to terms.  Treated as immutable:
-#: extension copies.  ``resolve`` applies a substitution exhaustively, so
-#: application is idempotent.
-Substitution = Mapping[str, Term]
-
-
-def walk(term: Term, subst: Substitution) -> Term:
-    """Follow variable bindings until a non-variable or unbound variable."""
-    while isinstance(term, Var) and term.name in subst:
-        term = subst[term.name]
-    return term
-
-
-def resolve(term: Term, subst: Substitution) -> Term:
-    """Apply a substitution throughout a term."""
-    term = walk(term, subst)
-    if isinstance(term, Struct):
-        return Struct(term.functor, tuple(resolve(a, subst) for a in term.args))
-    return term
-
-
-def _occurs(var: Var, term: Term, subst: Substitution) -> bool:
-    term = walk(term, subst)
-    if isinstance(term, Var):
-        return term.name == var.name
-    if isinstance(term, Struct):
-        return any(_occurs(var, a, subst) for a in term.args)
-    return False
-
-
-def unify(t1: Term, t2: Term, subst: Substitution | None = None):
-    """Most general unifier extending ``subst``, or None.
-
-    The occurs check is always on: a variable never binds to a term
-    containing itself.
-    """
-    s: Substitution = {} if subst is None else subst
-    t1 = walk(t1, s)
-    t2 = walk(t2, s)
-    if t1 == t2:
-        return s
-    if isinstance(t1, Var):
-        return _bind(t1, t2, s)
-    if isinstance(t2, Var):
-        return _bind(t2, t1, s)
-    if (
-        isinstance(t1, Struct)
-        and isinstance(t2, Struct)
-        and t1.functor == t2.functor
-        and len(t1.args) == len(t2.args)
-    ):
-        for a, b in zip(t1.args, t2.args):
-            s = unify(a, b, s)
-            if s is None:
-                return None
-        return s
-    return None
-
-
-def _bind(var: Var, term: Term, subst: Substitution):
-    if _occurs(var, term, subst):
-        return None
-    extended = dict(subst)
-    extended[var.name] = term
-    return extended
-
 
 # ---------------------------------------------------------------------------
 # Standard order of terms
@@ -281,173 +211,53 @@ def compare_terms(t1: Term, t2: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Clause sources
+# Row sources
 # ---------------------------------------------------------------------------
 
 
-class ClauseSource(Protocol):
-    """What the solver needs from a knowledge base.
+class RowSource(Protocol):
+    """What ``join`` reads: ground argument tuples per ``(name, arity)``.
 
     A sealed ``KnowledgeBase`` is one; ``Layered`` reads two that share no
-    predicate as one, so a query can add its clauses to a base without a
-    copy of it.
+    predicate as one, so a derivation can put its auxiliary rows in front
+    of a base without a copy of it.
     """
 
-    def rows(self, goal: GoalTerm) -> Sequence[Row]:
-        """Clauses of the goal's predicate to try against ``goal``, a
-        resolved goal term, each paired with its position among the
-        predicate's clauses, in insertion order.  Each clause whose head can
-        unify with the goal must be included; the others may be left out."""
+    def table(self, key: tuple[str, int]) -> Sequence[tuple[Term, ...]]:
+        """The predicate's rows, in insertion order."""
         ...
 
-    def fact_only(self, goal: GoalTerm) -> bool:
-        """Whether ground facts alone define the goal's predicate: no rule
-        does.  Only ``join`` asks."""
+    def index(
+        self, key: tuple[str, int], positions: tuple[int, ...]
+    ) -> Mapping[object, Sequence[int]]:
+        """The positions of the predicate's rows in its ``table``, in
+        insertion order, keyed by their values at ``positions``: the value
+        itself for one position, the tuple of values for several."""
+        ...
+
+    def has_rules(self, key: tuple[str, int]) -> bool:
+        """Whether a rule defines the predicate, so that rows alone do not."""
         ...
 
 
 class Layered:
-    """Two clause sources read as one, for sources that share no predicate:
-    a goal's rows come from the layer that holds its predicate, and it is
-    fact-only unless a layer has a rule for it."""
+    """Two row sources read as one, for sources that share no predicate:
+    a predicate's rows come from the layer that holds it, and rules in
+    either layer count."""
 
-    def __init__(self, own: ClauseSource, base: ClauseSource):
+    def __init__(self, own, base: RowSource):
+        #: The front layer; ``key in own`` says whether it holds a predicate.
         self.own = own
         self.base = base
 
-    def rows(self, goal: GoalTerm) -> Sequence[Row]:
-        # Most goals name a predicate of the base, so it is asked first.
-        return self.base.rows(goal) or self.own.rows(goal)
+    def table(self, key):
+        return (self.own if key in self.own else self.base).table(key)
 
-    def fact_only(self, goal: GoalTerm) -> bool:
-        return self.own.fact_only(goal) and self.base.fact_only(goal)
+    def index(self, key, positions):
+        return (self.own if key in self.own else self.base).index(key, positions)
 
-
-# ---------------------------------------------------------------------------
-# SLD resolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Scope:
-    """Stack marker: the resolution of ``goal`` is complete past this point."""
-
-    goal: Term
-
-
-def _rename_clause(clause: Clause, counter) -> Clause:
-    """The clause with fresh variables."""
-    mapping = {name: Var(f"{name}#{next(counter)}") for name in clause.variables}
-    return Clause(
-        resolve(clause.head, mapping),
-        tuple(_resolve_literal(lit, mapping) for lit in clause.body),
-    )
-
-
-def _resolve_literal(lit: Literal, subst: Substitution) -> Literal:
-    if isinstance(lit, Goal):
-        return Goal(resolve(lit.term, subst), lit.negated)
-    return type(lit)(resolve(lit.lhs, subst), resolve(lit.rhs, subst))
-
-
-def _query_var_names(goals: Iterable[Literal]) -> tuple[str, ...]:
-    """Named (non-anonymous, non-internal) variables, first occurrence order."""
-    return tuple(name for name in dict.fromkeys(var_names(*goals)) if "#" not in name)
-
-
-def solve(
-    goals: Sequence[Literal],
-    kb: ClauseSource,
-    *,
-    depth_limit: int = 10_000,
-) -> Iterator[dict[str, Term]]:
-    """Depth-first, left-to-right SLD resolution.
-
-    Candidate clauses are tried in knowledge-base insertion order.  Yields one
-    substitution per solution, restricted to the query's named variables.
-
-    A negated literal must be ground when selected, except for variables
-    that occur nowhere outside it (those are read existentially).  Violations
-    raise FlounderError.  Branches deeper than ``depth_limit`` resolution
-    steps raise DepthLimitError.  A ground goal identical to one still being
-    resolved on the same branch fails that branch, which makes ground
-    transitive-closure queries terminate on cyclic fact graphs.
-    """
-    return _solve(tuple(goals), kb, depth_limit)
-
-
-def _solve(
-    goals: tuple[Literal, ...], kb: ClauseSource, depth_limit: int
-) -> Iterator[dict[str, Term]]:
-    projection = _query_var_names(goals)
-    counter = itertools.count()
-
-    frames: list[tuple[tuple, Substitution, int, frozenset]] = [
-        (goals, {}, 0, frozenset())
-    ]
-    while frames:
-        pending, subst, depth, visited = frames.pop()
-        if not pending:
-            yield {name: resolve(Var(name), subst) for name in projection}
-            continue
-        lit, rest = pending[0], pending[1:]
-
-        if isinstance(lit, _Scope):
-            frames.append((rest, subst, depth, visited - {lit.goal}))
-            continue
-        if depth >= depth_limit:
-            raise DepthLimitError(f"resolution depth exceeded {depth_limit}")
-
-        if not isinstance(lit, Goal):
-            if _builtin_holds(lit, subst):
-                frames.append((rest, subst, depth + 1, visited))
-            continue
-
-        goal_term = resolve(lit.term, subst)
-
-        if lit.negated:
-            free = term_vars(goal_term)
-            if free:
-                outer = set(projection)
-                for other in rest:
-                    if isinstance(other, _Scope):
-                        continue
-                    outer.update(var_names(_resolve_literal(other, subst)))
-                leaked = free & outer
-                if leaked:
-                    raise FlounderError(
-                        "negated goal selected with unbound shared variable(s): "
-                        + ", ".join(sorted(leaked))
-                    )
-            if not _provable(goal_term, kb, depth_limit):
-                frames.append((rest, subst, depth + 1, visited))
-            continue
-
-        ground_goal = is_ground(goal_term)
-        if ground_goal and goal_term in visited:
-            continue
-        branch_visited = visited | {goal_term} if ground_goal else visited
-        alternatives = []
-        for _, stored in kb.rows(goal_term):
-            clause = _rename_clause(stored, counter) if stored.variables else stored
-            extended = unify(goal_term, clause.head, subst)
-            if extended is not None:
-                alternatives.append(
-                    (clause.body + (_Scope(goal_term),) + rest, extended, depth + 1, branch_visited)
-                )
-        frames.extend(reversed(alternatives))
-
-
-def _builtin_holds(lit: Union[NotEqual, TermLess], subst: Substitution) -> bool:
-    if isinstance(lit, NotEqual):
-        return unify(lit.lhs, lit.rhs, subst) is None
-    return compare_terms(resolve(lit.lhs, subst), resolve(lit.rhs, subst)) < 0
-
-
-def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
-    for _ in _solve((Goal(goal_term),), kb, depth_limit):
-        return True
-    return False
+    def has_rules(self, key) -> bool:
+        return self.own.has_rules(key) or self.base.has_rules(key)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +265,7 @@ def _provable(goal_term: GoalTerm, kb: ClauseSource, depth_limit: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def join(rule: Clause, source: ClauseSource) -> list[tuple[Term, ...]]:
+def join(rule: Clause, source: RowSource) -> list[tuple[Term, ...]]:
     """The head arguments of each solution of ``rule``'s body over
     ``source``, in the order and multiplicity SLD gives a goal of distinct
     variables resolved against ``rule``.
@@ -465,9 +275,15 @@ def join(rule: Clause, source: ClauseSource) -> list[tuple[Term, ...]]:
     head variable is bound by no body goal.
     """
     plan = _make_plan(rule, source)
-    slots: list = [None] * plan.slot_count
+    # Each goal's rows, and its index when it has a key, fetched once.
+    lookups = [
+        (source.table(step.key), source.index(step.key, step.key_positions) if step.key_of else None)
+        if isinstance(step, _Scan)
+        else None
+        for step in plan.steps
+    ]
     found: list[tuple[tuple[int, ...], tuple]] = []
-    _run_steps(plan.steps, 0, slots, [0] * plan.goal_count, source, found)
+    _run_steps(plan.steps, lookups, 0, list(plan.slots), [0] * plan.goal_count, found)
     # Over facts, SLD yields solutions in lexicographic order of the row
     # positions its positive goals matched, in body order.
     found.sort(key=itemgetter(0))
@@ -531,22 +347,18 @@ class _Scan:
     before it runs.
 
     Its key holds the arguments known before any row is read: constants and
-    slots bound by earlier steps.  ``goal`` has those arguments where they
-    are constants and a distinct placeholder variable everywhere else; a
-    slot bound earlier in the same goal is not known when the rows are
-    fetched, so it never picks an index bucket.
+    slots bound by earlier steps.  A constant has a slot of its own, filled
+    before the run, so the key is read off the slots alone.  A slot bound
+    earlier in the same goal is not known when the rows are fetched, so it
+    is matched against each row instead.
     """
 
     #: Position among the body's positive goals, or -1 for a negated goal.
     ordinal: int
-    goal: GoalTerm
-    #: Whether ``goal`` is the lookup goal as it stands: no key slot.
-    fixed: bool
+    key: tuple[str, int]
     key_positions: tuple[int, ...]
-    #: Per key position, a slot or a constant term.
-    key_sources: tuple["int | Term", ...]
-    #: The key of a row's arguments, or None when the key is empty.
-    key_of: "Callable | None"
+    #: The index key of the slots, or None when the goal has no key.
+    key_of: "itemgetter | None"
     #: (position, slot) bound from each row, at each new variable's first
     #: argument that is a variable.
     binds: tuple[tuple[int, int], ...]
@@ -569,20 +381,21 @@ class _Plan:
     #: The pattern of each head argument, over slots the body binds.
     head: tuple[tuple, ...]
     steps: "tuple[_Scan | _Test, ...]"
-    slot_count: int
+    #: The slots before a run: None for each variable, then the key constants.
+    slots: tuple
     goal_count: int
 
 
-def _make_plan(rule: Clause, source: ClauseSource) -> _Plan:
+def _make_plan(rule: Clause, source: RowSource) -> _Plan:
     """The slot-compiled join of ``rule``'s body; see ``join`` for the
     ValueErrors."""
     body = rule.body
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
         if isinstance(lit, Goal):
-            if not source.fact_only(lit.term):
-                name, arity = indicator(lit.term)
-                raise ValueError(f"{name}/{arity} is defined by rules, not facts alone")
+            key = indicator(lit.term)
+            if source.has_rules(key):
+                raise ValueError(f"{key[0]}/{key[1]} is defined by rules, not facts alone")
             if not lit.negated:
                 ordinals[index] = len(ordinals)
     names = [set(var_names(lit)) for lit in body]
@@ -615,6 +428,7 @@ def _make_plan(rule: Clause, source: ClauseSource) -> _Plan:
     # Next the goal with the most bound arguments, ties broken by body order;
     # each test runs as soon as its variables are bound.
     slot_of = {name: slot for slot, name in enumerate(rule.variables)}
+    slots: list = [None] * len(slot_of)
     filled: set[str] = set()
     steps: list[_Scan | _Test] = []
     goals = list(ordinals)
@@ -625,7 +439,7 @@ def _make_plan(rule: Clause, source: ClauseSource) -> _Plan:
             lit = body[index]
             if isinstance(lit, Goal):
                 # A negation's own variables are bound only while it looks.
-                steps.append(_compile_scan(lit.term, -1, slot_of, set(filled)))
+                steps.append(_compile_scan(lit.term, -1, slot_of, set(filled), slots))
             else:
                 steps.append(_Test(
                     isinstance(lit, TermLess),
@@ -636,10 +450,10 @@ def _make_plan(rule: Clause, source: ClauseSource) -> _Plan:
             break
         best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
         goals.remove(best)
-        steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled))
+        steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled, slots))
     head_args = rule.head.args if isinstance(rule.head, Struct) else ()
     head = tuple(_compile(arg, slot_of, filled) for arg in head_args)
-    return _Plan(head, tuple(steps), len(slot_of), len(ordinals))
+    return _Plan(head, tuple(steps), tuple(slots), len(ordinals))
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
@@ -648,45 +462,41 @@ def _bound_args(term: GoalTerm, bound: set[str]) -> int:
 
 
 def _compile_scan(
-    term: GoalTerm, ordinal: int, slot_of: Mapping[str, int], bound: set[str]
+    term: GoalTerm, ordinal: int, slot_of: Mapping[str, int], bound: set[str], slots: list
 ) -> _Scan:
-    """The step of a body goal; its variables join ``bound``."""
+    """The step of a body goal; its variables join ``bound``, and each
+    constant of its key gets a new slot at the end of ``slots``."""
     args = term.args if isinstance(term, Struct) else ()
     key_positions: list[int] = []
-    key_sources: list[int | Term] = []
+    key_slots: list[int] = []
     binds: list[tuple[int, int]] = []
     deferred: list[int] = []
-    placeholders: list[Term] = []
     before = set(bound)
     for position, arg in enumerate(args):
-        placeholders.append(Var(f"#{position}"))
         if isinstance(arg, Var) and arg.name in before:
             key_positions.append(position)
-            key_sources.append(slot_of[arg.name])
+            key_slots.append(slot_of[arg.name])
         elif is_ground(arg):
             key_positions.append(position)
-            key_sources.append(arg)
-            placeholders[position] = arg
+            key_slots.append(len(slots))
+            slots.append(arg)
         elif isinstance(arg, Var) and arg.name not in bound:
             bound.add(arg.name)
             binds.append((position, slot_of[arg.name]))
         else:
             deferred.append(position)
     nested = tuple((position, _compile(args[position], slot_of, bound)) for position in deferred)
-    goal = Struct(term.functor, tuple(placeholders)) if isinstance(term, Struct) else term
     return _Scan(
         ordinal,
-        goal,
-        all(not isinstance(source, int) for source in key_sources),
+        indicator(term),
         tuple(key_positions),
-        tuple(key_sources),
-        itemgetter(*key_positions) if key_positions else None,
+        itemgetter(*key_slots) if key_slots else None,
         tuple(binds),
         nested,
     )
 
 
-def _run_steps(steps, k, slots, positions, kb, found) -> None:
+def _run_steps(steps, lookups, k, slots, positions, found) -> None:
     """Run ``steps[k:]``, adding each solution's row positions and slot
     values to ``found``."""
     if k == len(steps):
@@ -696,58 +506,29 @@ def _run_steps(steps, k, slots, positions, kb, found) -> None:
     if isinstance(step, _Test):
         lhs, rhs = _build(step.lhs, slots), _build(step.rhs, slots)
         if (compare_terms(lhs, rhs) < 0) if step.less else lhs != rhs:
-            _run_steps(steps, k + 1, slots, positions, kb, found)
+            _run_steps(steps, lookups, k + 1, slots, positions, found)
         return
-    values = [slots[source] if type(source) is int else source for source in step.key_sources]
-    key = values[0] if len(values) == 1 else tuple(values)
-    goal = step.goal
-    if not step.fixed:
-        args = list(goal.args)  # type: ignore[union-attr]
-        for position, value in zip(step.key_positions, values):
-            args[position] = value
-        goal = Struct(goal.functor, tuple(args))  # type: ignore[union-attr]
-    rows = kb.rows(goal)
+    rows, index = lookups[k]
+    candidates = range(len(rows)) if index is None else index.get(step.key_of(slots), ())
     if step.ordinal < 0:
-        for _, fact in rows:
-            if _match_row(step, fact.head, key, slots):
+        for position in candidates:
+            if _match_row(step, rows[position], slots):
                 return
-        _run_steps(steps, k + 1, slots, positions, kb, found)
+        _run_steps(steps, lookups, k + 1, slots, positions, found)
         return
-    for position, fact in rows:
-        if _match_row(step, fact.head, key, slots):
+    for position in candidates:
+        if _match_row(step, rows[position], slots):
             positions[step.ordinal] = position
-            _run_steps(steps, k + 1, slots, positions, kb, found)
+            _run_steps(steps, lookups, k + 1, slots, positions, found)
 
 
-def _match_row(step: _Scan, head: GoalTerm, key, slots: list) -> bool:
-    """Whether one candidate fact's head fits the step; binds the step's new
-    slots when it does.  Called once per candidate row."""
-    if step.key_of is not None and step.key_of(head.args) != key:  # type: ignore[union-attr]
-        return False
+def _match_row(step: _Scan, args: tuple[Term, ...], slots: list) -> bool:
+    """Whether one candidate row, which holds the step's key, fits the rest
+    of its goal; binds the step's new slots when it does.  Called once per
+    candidate row."""
     for position, slot in step.binds:
-        slots[slot] = head.args[position]  # type: ignore[union-attr]
+        slots[slot] = args[position]
     for position, pattern in step.nested:
-        if not _match(pattern, head.args[position], slots):  # type: ignore[union-attr]
+        if not _match(pattern, args[position], slots):
             return False
     return True
-
-
-def findall(
-    template: Term,
-    goals: Sequence[Literal],
-    kb: ClauseSource,
-    *,
-    depth_limit: int = 10_000,
-) -> list[Term]:
-    """``template`` instantiated under every solution, in solution order.
-
-    Duplicates are preserved; deduplication is the caller's concern.  A
-    query variable a solution leaves unbound stays as it is.
-    """
-    out = []
-    for solution in solve(goals, kb, depth_limit=depth_limit):
-        # An unbound variable is projected onto itself; as a binding it would
-        # send ``walk`` round in a loop.
-        bound = {name: term for name, term in solution.items() if term != Var(name)}
-        out.append(resolve(template, bound))
-    return out

@@ -5,17 +5,6 @@ class FallacyLabError(Exception):
     """Base class for all package errors."""
 
 
-# --- inference engine ---------------------------------------------------
-
-
-class FlounderError(FallacyLabError):
-    """A negated goal was selected while a shared variable was still unbound."""
-
-
-class DepthLimitError(FallacyLabError):
-    """Resolution exceeded the configured depth bound."""
-
-
 # --- program text / knowledge base --------------------------------------
 
 
@@ -26,6 +15,10 @@ class ParseError(FallacyLabError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class InputDecodeError(FallacyLabError):
+    """An input file is not UTF-8 text.  The message names the file and line."""
 
 
 class SealedError(FallacyLabError):

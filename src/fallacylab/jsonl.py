@@ -1,7 +1,8 @@
 """The JSON-lines format of cassettes, sentences, scores, benchmarks and
 predictions: one JSON object per line, keys sorted, non-ASCII escaped, each
-line ending in ``\\n``.  Also the one writer every output file goes
-through, so none is ever left half-written."""
+line ending in ``\\n``.  Also the one reader every input file goes through,
+so bytes that are not UTF-8 are reported at their file and line, and the one
+writer every output file goes through, so none is ever left half-written."""
 from __future__ import annotations
 
 import json
@@ -9,7 +10,7 @@ import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import FallacyLabError, JsonlFormatError
+from .errors import FallacyLabError, InputDecodeError, JsonlFormatError
 from .labels import FallacyCode, parse_code
 
 T = TypeVar("T")
@@ -18,6 +19,22 @@ T = TypeVar("T")
 #: One encoder serves every call; ``json.dumps`` with options builds a new
 #: one each time.
 encode_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
+
+
+def read_input(path: str | Path) -> str:
+    """The text of an input file, decoded as UTF-8 with its line endings as
+    they are.  Bytes that are not UTF-8 raise InputDecodeError naming
+    ``path:line``, lines counted at ``\\n``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise InputDecodeError(
+            f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} at byte "
+            f"{column} of the line ({exc.reason})"
+        ) from None
 
 
 def read_jsonl(
@@ -30,9 +47,7 @@ def read_jsonl(
     Lines end at ``\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
     stand unescaped inside a JSON string, and a ``\r`` before the ``\n`` is
     JSON whitespace."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(read_input(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -13,7 +13,7 @@ Grammar (one clause per ``.``-terminated statement):
 
 Compound terms nest at most ``MAX_TERM_DEPTH`` levels, the clause head or
 goal counting as the first; deeper text is a ParseError.  Every later layer
-(unification, resolution, serialization, the standard order) recurses on
+(matching, serialization, the standard order) recurses on
 terms, and this bound keeps them all well inside Python's recursion limit.
 
 Lines are those of ``str.splitlines``, and each line is scanned in one
@@ -27,13 +27,18 @@ Most lines of a fact file hold one flat fact, ``name(c1, ..., cn).``
 with an optional comment, every ``ci`` an atom or an integer.  Where a
 clause may start (no token yet, or the last one ends a clause), the scanner
 first tries one whole-line pattern (``_FLAT_FACT``) for such a line and, on
-a match, emits a single ``FACT`` token holding the finished clause, which
-the parser takes as a whole clause.  Any other line, an all-digit functor
-or an integer too long for ``int`` included, goes through the master
-pattern, which rules and error positions still need.  A line that looks
-like a fact but continues a rule is never at a clause start, so it is
-scanned token by token as before.  The flat fact lines of one call share
-their constants: one ``Atom`` or ``Int`` per spelling.
+a match, emits a single ``FACT`` token holding the fact's ``(name, arity)``,
+arguments and comment, which the parser takes as a whole clause.  Any
+other line, an all-digit functor or an integer too long for ``int``
+included, goes through the master pattern, which rules and error positions
+still need.  A line that looks like a fact but continues a rule is never at
+a clause start, so it is scanned token by token as before.  The flat fact
+lines of one call share their constants and predicate keys: one ``Atom`` or
+``Int`` per spelling, one ``(name, arity)`` per predicate.
+
+``parse_statements`` yields each clause as it is parsed, a flat fact as its
+key and argument tuple, so a knowledge base can store it without building a
+term for it; ``parse_program`` builds the ``Clause`` of every statement.
 
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
@@ -45,6 +50,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .engine import (
     Atom,
@@ -107,25 +113,32 @@ class ParsedClause:
     line: int
 
 
-def _scan(text: str) -> tuple[list[tuple[str, object, int, int]], dict[int, str]]:
-    """``(kind, value, line, column)`` tokens and each line's comment text.
+def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
+    """``(kind, value, line, column)`` tokens and the comment text of each
+    line that holds no flat fact.
 
-    A ``FACT`` token's value is the finished clause of a flat fact line.
-    The whole text is scanned before any of it is parsed, so a bad character
-    or name anywhere is reported ahead of a grammar error.
+    A flat fact line is one ``("FACT", key, line, args, comment)`` token:
+    its ``(name, arity)``, arguments and comment text.  The whole text is
+    scanned before any of it is parsed, so a bad character or name anywhere
+    is reported ahead of a grammar error.
     """
-    tokens: list[tuple[str, object, int, int]] = []
+    tokens: list[tuple] = []
     comments: dict[int, str] = {}
+    #: One term per spelling: an atom keys itself, as it equals its name.
     consts: dict[str, Term] = {}
+    keys: dict[tuple[str, int], tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not tokens or tokens[-1][0] in _CLAUSE_ENDS:
             fact = _FLAT_FACT.fullmatch(line)
             if fact is not None:
-                head = _flat_head(fact[1], fact[2], consts)
-                if head is not None:
-                    tokens.append(("FACT", Clause(head), line_no, fact.start(1) + 1))
-                    if fact[3] is not None:
-                        comments[line_no] = fact[3].strip()
+                args = _flat_args(fact[1], fact[2], consts)
+                if args is not None:
+                    key = (fact[1], len(args))
+                    key = keys.setdefault(key, key)
+                    comment = fact[3]
+                    tokens.append((
+                        "FACT", key, line_no, args, None if comment is None else comment.strip()
+                    ))
                     continue
         for match in _TOKEN.finditer(line):
             kind = match.lastgroup
@@ -143,11 +156,11 @@ def _scan(text: str) -> tuple[list[tuple[str, object, int, int]], dict[int, str]
     return tokens, comments
 
 
-def _flat_head(name: str, args: str, consts: dict[str, Term]) -> Struct | None:
-    """The head of a flat fact line, its constants taken from ``consts`` (one
-    ``Atom`` or ``Int`` per spelling), or None when the general scanner must
-    read the line: an all-digit functor is an integer, not a name, and an
-    integer too long for ``int`` is an error reported at its position."""
+def _flat_args(name: str, args: str, consts: dict[str, Term]) -> tuple[Term, ...] | None:
+    """The arguments of a flat fact line, taken from ``consts`` (one ``Atom``
+    or ``Int`` per spelling), or None when the general scanner must read the
+    line: an all-digit functor is an integer, not a name, and an integer too
+    long for ``int`` is an error reported at its position."""
     if name.isdigit():
         return None
     terms = []
@@ -155,39 +168,68 @@ def _flat_head(name: str, args: str, consts: dict[str, Term]) -> Struct | None:
         spelling = spelling.strip()
         term = consts.get(spelling)
         if term is None:
-            try:
-                term = Int(int(spelling)) if spelling.isdigit() else Atom(spelling)
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                return None
-            consts[spelling] = term
+            if spelling.isdigit():
+                try:
+                    term = consts[spelling] = Int(int(spelling))
+                except ValueError:  # longer than sys.get_int_max_str_digits()
+                    return None
+            else:
+                term = Atom(spelling)
+                consts[term] = term
         terms.append(term)
-    return Struct(name, tuple(terms))
+    return tuple(terms)
+
+
+#: A flat fact as ``parse_statements`` yields it: its ``(name, arity)`` and
+#: its arguments, all atoms and integers.
+FlatFact = tuple[tuple[str, int], tuple[Term, ...]]
 
 
 def parse_program(text: str) -> list[ParsedClause]:
     """Parse program text into clauses with comments and block ordinals."""
+    return [
+        ParsedClause(
+            Clause(Struct(item[0][0], item[1])) if type(item) is tuple else item,
+            comment,
+            group,
+            line,
+        )
+        for item, comment, group, line in parse_statements(text)
+    ]
+
+
+def parse_statements(
+    text: str,
+) -> Iterator[tuple[Clause | FlatFact, str | None, int | None, int]]:
+    """``(clause, comment, group_id, line)`` per clause, in text order, as in
+    ``ParsedClause``, except that a flat fact line comes as a ``FlatFact``
+    instead of a ``Clause``."""
     tokens, comments = _scan(text)
     if not tokens:
-        return []
+        return
     # An END token at the last token's position makes running out of input
-    # one more token kind, reported where the last real token stands.
-    tokens.append(("END", "", *tokens[-1][2:]))
+    # one more token kind, reported where the last real token stands.  It
+    # ends a clause only after a real token, so a FACT token, which holds no
+    # column, never gives it one that is reported.
+    tokens.append(("END", "", *tokens[-1][2:4]))
     anon = itertools.count(1)
 
-    out = []
     pos = 0
     prev_end = 0
     block = fact_block = -1
     groups = 0
     while True:
-        kind, value, start_line, _ = tokens[pos]
+        token = tokens[pos]
+        kind, start_line = token[0], token[2]
         if kind == "FACT":
-            clause, pos, end_line = value, pos + 1, start_line
+            clause, comment, is_fact = (token[1], token[3]), token[4], True
+            pos, end_line = pos + 1, start_line
         elif kind == "END":
             break
         else:
             clause, pos = _parse_clause(tokens, pos, anon)
-            end_line = tokens[pos - 1][2]
+            end_line, is_fact = tokens[pos - 1][2], clause.is_fact
+            comment = comments.get(end_line)
         # Lines strictly between two clauses hold no token, so each is blank
         # unless it holds a comment.
         if prev_end == 0 or start_line > prev_end + 1 and any(
@@ -195,14 +237,13 @@ def parse_program(text: str) -> list[ParsedClause]:
         ):
             block += 1
         group = None
-        if clause.is_fact:
+        if is_fact:
             if fact_block != block:
                 fact_block = block
                 groups += 1
             group = groups - 1
-        out.append(ParsedClause(clause, comments.get(end_line), group, start_line))
+        yield clause, comment, group, start_line
         prev_end = end_line
-    return out
 
 
 def _expect(tokens, pos: int, kind: str) -> int:

@@ -5,28 +5,30 @@ tuple of arguments a guaranteed instance of that fallacy, over a fixed
 24-predicate fact vocabulary.  Body literals are ordered so that every
 negated literal is ground by the time it is selected.
 
-A derivation first builds one fact table: the argument tuples of the base's
-facts per predicate, plus each auxiliary relation of the schema, computed
-once natively.  The engine has no derived predicates; each auxiliary's rows
-reach it as ordinary facts, in a small layer over the base rather than in a
-copy of it, so every schema body is one join over facts (``engine.join``),
-with no SLD resolution:
+A derivation reads the base's rows, plus each auxiliary relation of the
+schema, computed once natively from them.  The engine has no derived
+predicates; each auxiliary's rows are ground argument tuples in a small
+``RowStore`` layered in front of the base, not in a copy of it, so every
+schema body is one join over rows (``engine.join``):
 
 * ``im_t/2`` (transitive closure of ``im/2``) is computed by a graph walk
-  that terminates on cyclic graphs.  IT's two ``im_t`` rules stay in the
-  schema as its prompt text; a test checks that the solver, given those
-  rules, proves exactly the computed rows.
+  that terminates on cyclic graphs, from the starts IT's body can ask
+  about only.  IT's two ``im_t`` rules stay in the schema as its prompt
+  text; a test checks that SLD resolution over those rules proves exactly
+  the computed rows from each such start.
 * ``oc/2`` (X is the only recorded cause of P) needs negation over a
   conjunction, which the engine's literals cannot express; the schema
   text glosses it.
 
-``derive_instances`` re-checks every tuple it returns literal by literal
-against the fact table, independent of the solver, before handing it out.
-Each schema's query rule is compiled once for that, in body order, over a
-list of slots that starts with the tuple's values: each goal's arguments
-are constants, slots already filled, or slots the goal fills from a row.
-The table indexes its own rows on bound argument positions, and each
-candidate row is compared in place, with no binding dict.
+``derive_instances`` re-checks every tuple it returns literal by literal,
+independent of the join, before handing it out.  It reads a ``FactTable``:
+a view of the same rows (the base's lists, not copies, plus the
+auxiliaries) with indexes of its own, so a fault in the join's lookup
+cannot vouch for itself.  Each schema's query rule is compiled once
+for that, in body order, over a list of slots that starts with the tuple's
+values: each goal's arguments are constants, slots already filled, or slots
+the goal fills from a row.  Each candidate row is compared in place, with
+no binding dict.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from .engine import (
     join,
 )
 from .errors import SignatureError, UnknownSchemaError
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, RowStore
 from .labels import SCHEMA_CODES, FallacyCode
 from .parser import parse_program, serialize_clause, serialize_term
 
@@ -143,38 +145,34 @@ _SIGNATURES: dict[FallacyCode, tuple[str, ...]] = {
 
 
 class FactTable(dict):
-    """Argument tuples per (name, arity), in insertion order, duplicates kept.
+    """Argument tuples per (name, arity), in insertion order, duplicates kept:
+    a base's own row lists, which it must not change, plus the rows of each
+    auxiliary relation.
 
-    ``matching`` reads a per-position index of a predicate's rows, keyed by
-    value and built on first use, so the table must be complete before it
-    is first called.
+    ``matching`` reads an index of a predicate's rows keyed by their values
+    at some positions, built on first use, so the table must be complete
+    before it is first called.
     """
 
-    def __init__(self):
-        super().__init__()
-        self._indexes: dict[tuple[tuple[str, int], int], dict[Term, list[tuple[Term, ...]]]] = {}
+    def __init__(self, tables: Mapping[tuple[str, int], list[tuple[Term, ...]]] = ()):
+        super().__init__(tables)
+        self._indexes: dict[tuple, dict[tuple[Term, ...], list[tuple[Term, ...]]]] = {}
 
     def matching(
-        self, key: tuple[str, int], bound: Sequence[tuple[int, Term]]
+        self, key: tuple[str, int], positions: tuple[int, ...], values: tuple[Term, ...]
     ) -> list[tuple[Term, ...]]:
-        """Rows of ``key`` that may hold every bound ``(position, value)``:
-        the smallest of their buckets, in insertion order, or every row when
-        nothing is bound.  Callers still match each row in full."""
-        best = self.get(key, [])
-        for position, value in bound:
-            bucket = self._index(key, position).get(value, [])
-            if len(bucket) < len(best):
-                best = bucket
-        return best
-
-    def _index(self, key: tuple[str, int], position: int) -> dict[Term, list[tuple[Term, ...]]]:
-        index = self._indexes.get((key, position))
+        """Rows of ``key`` holding ``values`` at ``positions``, in insertion
+        order, or every row when no position is given.  Callers still match
+        each row in full."""
+        if not positions:
+            return self.get(key, [])
+        index = self._indexes.get((key, positions))
         if index is None:
             index = {}
             for row in self.get(key, []):
-                index.setdefault(row[position], []).append(row)
-            self._indexes[key, position] = index
-        return index
+                index.setdefault(tuple([row[position] for position in positions]), []).append(row)
+            self._indexes[key, positions] = index
+        return index.get(values, [])
 
 
 #: An auxiliary relation computed natively: its rows, read off the fact table.
@@ -192,12 +190,26 @@ def _solve_only_cause(table: FactTable) -> list[tuple[Term, ...]]:
 
 
 def _im_closure(table: FactTable) -> list[tuple[Term, ...]]:
-    """im_t/2: each (A, C) joined by a path of im/2 facts, once."""
+    """im_t/2 from each start IT's body can ask about: each (A, C) joined by
+    a path of im/2 facts, once, where A is the source of an im/2 fact whose
+    target has another source too.
+
+    IT reaches ``\\+ im_t(A, X)`` and ``\\+ im_t(X, A)`` only after
+    ``im(A, B)``, ``im(X, B)`` and ``X \\= A``, so both first arguments are
+    such sources.  Rows from any other start could never be read; leaving
+    them out is the magic-sets restriction of the closure to the goals that
+    can be posed (Bancilhon, Maier, Sagiv and Ullman, PODS 1986), and keeps
+    a long im/2 chain linear rather than quadratic."""
     edges: dict[Term, list[Term]] = {}
+    sources: dict[Term, set[Term]] = {}
     for a, b in table.get(("im", 2), []):
         edges.setdefault(a, []).append(b)
+        sources.setdefault(b, set()).add(a)
+    demanded = {a for found in sources.values() if len(found) > 1 for a in found}
     closure: list[tuple[Term, ...]] = []
     for start, successors in edges.items():
+        if start not in demanded:
+            continue
         stack = list(successors)
         visited: set[Term] = set()
         while stack:
@@ -373,14 +385,9 @@ class ValidTuple:
 
 
 def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
-    """The argument tuples of the base's facts, then each of the schema's
-    auxiliary relations, computed once."""
-    table = FactTable()
-    for record in kb.facts:
-        head = record.clause.head
-        table.setdefault(indicator(head), []).append(
-            head.args if isinstance(head, Struct) else ()
-        )
+    """The base's rows, then each of the schema's auxiliary relations,
+    computed once."""
+    table = FactTable(kb.tables())
     for key, relation in schema.derived.items():
         table[key] = relation(table)
     return table
@@ -393,15 +400,11 @@ def schema_solutions(
     the rule ``main``, keyed in first-solution order.
 
     The join reads the base through a small layer holding the table's rows
-    of each auxiliary, given as ordinary facts; ``_check_signatures`` keeps
-    the base from sharing a predicate with it or defining a body predicate
-    by a rule.
+    of each auxiliary; ``_check_signatures`` keeps the base from sharing a
+    predicate with it or defining a body predicate by a rule.
     """
-    aux = KnowledgeBase()
-    for name, arity in schema.derived:
-        for args in table[name, arity]:
-            aux.assertz(Clause(Struct(name, args)))
-    return Counter(join(main, Layered(aux.seal(), kb)))
+    aux = RowStore({key: table[key] for key in schema.derived})
+    return Counter(join(main, Layered(aux, kb)))
 
 
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
@@ -443,14 +446,14 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase, table: FactTable
             )
     defined = [indicator(rule.head) for rule in schema.rules] + list(schema.derived)
     for name, arity in defined:
-        if kb.clauses(name, arity):
+        if (name, arity) in kb or kb.has_rules((name, arity)):
             raise SignatureError(
                 f"{name}/{arity} is defined by the {schema.code.value} schema; "
                 "the knowledge base must not define it"
             )
 
 
-# -- direct-lookup recheck, independent of the solver ------------------------
+# -- direct-lookup recheck, independent of the join --------------------------
 
 
 @dataclass(frozen=True)
@@ -460,8 +463,10 @@ class _Lookup:
 
     key: tuple[str, int]
     negated: bool
-    #: (position, slot or constant) of each argument known when it is reached.
-    bound: tuple[tuple[int, "int | Term"], ...]
+    #: The positions of the arguments known when it is reached, and the slot
+    #: or constant of each.
+    positions: tuple[int, ...]
+    sources: tuple["int | Term", ...]
     #: (position, slot) filled from each row, at a variable's first position.
     binds: tuple[tuple[int, int], ...]
     #: (position, slot) of a variable's later positions in the same goal.
@@ -505,11 +510,12 @@ def _compile_recheck(main: Clause) -> _Recheck:
             steps.append(_Compare(isinstance(lit, TermLess), source(lit.lhs), source(lit.rhs)))
             continue
         args = lit.term.args if isinstance(lit.term, Struct) else ()
-        bound, binds, repeats = [], [], []
+        positions, sources, binds, repeats = [], [], [], []
         fresh: dict[str, int] = {}
         for position, arg in enumerate(args):
             if not isinstance(arg, Var) or arg.name in slot_of:
-                bound.append((position, source(arg)))
+                positions.append(position)
+                sources.append(source(arg))
             elif arg.name in fresh:
                 repeats.append((position, fresh[arg.name]))
             else:
@@ -519,9 +525,14 @@ def _compile_recheck(main: Clause) -> _Recheck:
         slot_count = max(slot_count, len(slot_of) + len(fresh))
         if not lit.negated:
             slot_of.update(fresh)
-        steps.append(
-            _Lookup(indicator(lit.term), lit.negated, tuple(bound), tuple(binds), tuple(repeats))
-        )
+        steps.append(_Lookup(
+            indicator(lit.term),
+            lit.negated,
+            tuple(positions),
+            tuple(sources),
+            tuple(binds),
+            tuple(repeats),
+        ))
     return _Recheck(len(head), slot_count, tuple(steps))
 
 
@@ -539,31 +550,29 @@ def _check_body(steps: tuple, k: int, slots: list, table: FactTable) -> bool:
     if k == len(steps):
         return True
     step = steps[k]
+    # A slot is a plain int; an Int constant is an int subclass.
     if isinstance(step, _Compare):
-        lhs = slots[step.lhs] if isinstance(step.lhs, int) else step.lhs
-        rhs = slots[step.rhs] if isinstance(step.rhs, int) else step.rhs
+        lhs = slots[step.lhs] if type(step.lhs) is int else step.lhs
+        rhs = slots[step.rhs] if type(step.rhs) is int else step.rhs
         holds = compare_terms(lhs, rhs) < 0 if step.less else lhs != rhs
         return holds and _check_body(steps, k + 1, slots, table)
-    bound = [
-        (position, slots[source] if isinstance(source, int) else source)
-        for position, source in step.bound
-    ]
-    rows = table.matching(step.key, bound)
+    values = tuple([slots[source] if type(source) is int else source for source in step.sources])
+    rows = table.matching(step.key, step.positions, values)
     if step.negated:
         for row in rows:
-            if _match_row(step, row, bound, slots):
+            if _match_row(step, row, values, slots):
                 return False
         return _check_body(steps, k + 1, slots, table)
     for row in rows:
-        if _match_row(step, row, bound, slots) and _check_body(steps, k + 1, slots, table):
+        if _match_row(step, row, values, slots) and _check_body(steps, k + 1, slots, table):
             return True
     return False
 
 
-def _match_row(step: _Lookup, row: tuple[Term, ...], bound: list, slots: list) -> bool:
+def _match_row(step: _Lookup, row: tuple[Term, ...], values: tuple, slots: list) -> bool:
     """Whether one candidate row holds every bound value; fills the goal's
     free slots when it does.  Called once per candidate row."""
-    for position, value in bound:
+    for position, value in zip(step.positions, values):
         if row[position] != value:
             return False
     for position, slot in step.binds:

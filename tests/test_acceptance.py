@@ -18,7 +18,6 @@ from click.testing import CliRunner
 
 from fallacylab.cli import main as cli_main
 from fallacylab.engine import Atom
-from fallacylab.errors import DepthLimitError
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
 from fallacylab.metrics import (
     BenchmarkEntry,
@@ -40,6 +39,7 @@ from fixpoint_oracle import (
     ordered_solutions,
     random_kb,
 )
+from sld_oracle import DepthLimitError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -511,6 +511,21 @@ def _write(path, text):
     return path
 
 
+def _not_utf8(name, args):
+    """A command whose input file ``name`` holds a byte that is not UTF-8 on
+    its second line; None in ``args`` stands for that file."""
+
+    def case(tmp):
+        path = tmp / name
+        path.write_bytes(b"ok\n\xff\n")
+        return (
+            [path if arg is None else arg for arg in args(tmp)],
+            [f"{path}:2: not UTF-8 text: byte 0xff at byte 1 of the line"],
+        )
+
+    return case
+
+
 def _bad_parallelism(command, value):
     """A record-mode ``score`` or ``eval`` whose ``evaluator.parallelism`` is
     ``value``; the endpoint is never contacted."""
@@ -669,6 +684,24 @@ BAD_INPUTS = {
          "--out", tmp / "out"],
         [f"{tmp / 'p.jsonl'}:1", "'id'", "True"],
     ),
+    # Every input file is read through one decoder, whose error names the
+    # file and the line of the first byte that is not UTF-8.
+    "derive-kb-not-utf8": _not_utf8("f.pl", lambda tmp: ["derive", "--code", "FC", "--kb", None]),
+    "validate-kb-not-utf8": _not_utf8("f.pl", lambda tmp: ["validate", "--code", "FC", "--kb", None]),
+    "sentences-not-utf8": _not_utf8("s.jsonl", lambda tmp: [
+        "score", "--sentences", None, *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")]),
+    "benchmark-not-utf8": _not_utf8("b.jsonl", lambda tmp: [
+        "eval", "--benchmark", None,
+        "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"]),
+    "predictions-not-utf8": _not_utf8("p.jsonl", lambda tmp: [
+        "eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+        "--predictions", None, "--out", tmp / "out"]),
+    "cassette-not-utf8": _not_utf8("c.jsonl", lambda tmp: [
+        "score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "replay",
+        "--cassette", None, "--config", DATA_DIR / "replay.cfg", "--out", tmp / "out"]),
+    "config-not-utf8": _not_utf8("run.cfg", lambda tmp: [
+        "score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "replay",
+        "--cassette", DATA_DIR / "cassette_score.jsonl", "--config", None, "--out", tmp / "out"]),
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],

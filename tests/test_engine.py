@@ -18,19 +18,16 @@ from fallacylab.engine import (
     TermLess,
     Var,
     compare_terms,
-    findall,
     indicator,
     is_ground,
     join,
-    resolve,
-    solve,
     term_vars,
-    unify,
     var_names,
 )
-from fallacylab.errors import DepthLimitError, FlounderError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.parser import parse_program, serialize_term
+
+from sld_oracle import DepthLimitError, FlounderError, Program, findall, resolve, solve, unify
 
 
 def kb_from(text: str) -> KnowledgeBase:
@@ -40,7 +37,12 @@ def kb_from(text: str) -> KnowledgeBase:
     return kb.seal()
 
 
-FAMILY = kb_from("father(john, mary).\nparent(X, Y) :- father(X, Y).\n")
+def program(text: str) -> Program:
+    """SLD's clause rows for the text's facts and rules."""
+    return Program(kb_from(text))
+
+
+FAMILY = program("father(john, mary).\nparent(X, Y) :- father(X, Y).\n")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_compare_is_total_order_on_small_terms():
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve (the SLD reference the join is tested against)
 # ---------------------------------------------------------------------------
 
 
@@ -189,20 +191,20 @@ def test_solve_flounders_when_negation_precedes_binding():
 
 
 def test_solve_clause_order_is_insertion_order():
-    kb = kb_from("color(red).\ncolor(green).\ncolor(blue).\n")
+    kb = program("color(red).\ncolor(green).\ncolor(blue).\n")
     out = [s["X"] for s in solve([Goal(Struct("color", (Var("X"),)))], kb)]
     assert out == [Atom("red"), Atom("green"), Atom("blue")]
 
 
 def test_solve_depth_limit_reports_runaway_recursion():
-    kb = kb_from("p(X) :- p(f(X)).\n")
+    kb = program("p(X) :- p(f(X)).\n")
     with pytest.raises(DepthLimitError):
         list(solve([Goal(Struct("p", (Atom("a"),)))], kb, depth_limit=50))
 
 
 def test_solve_ground_recursion_terminates_via_visited_set():
     # Cyclic reachability: a ground failing query must fail, not spin.
-    kb = kb_from(
+    kb = program(
         "edge(a, b).\nedge(b, a).\n"
         "reach(P, Q) :- edge(P, Q).\n"
         "reach(P, Q) :- edge(P, H), reach(H, Q).\n"
@@ -212,7 +214,7 @@ def test_solve_ground_recursion_terminates_via_visited_set():
 
 
 def test_solve_builtins():
-    kb = kb_from("val(a).\nval(b).\n")
+    kb = program("val(a).\nval(b).\n")
     goals = [
         Goal(Struct("val", (Var("X"),))),
         Goal(Struct("val", (Var("Y"),))),
@@ -256,7 +258,7 @@ def test_findall_instantiates_compound_template():
 
 
 def test_findall_length_matches_solution_count():
-    kb = kb_from("n(a).\nn(b).\nn(c).\n")
+    kb = program("n(a).\nn(b).\nn(c).\n")
     goals = [Goal(Struct("n", (Var("X"),)))]
     assert len(findall(Var("X"), goals, kb)) == len(list(solve(goals, kb)))
 
@@ -267,7 +269,7 @@ def test_findall_preserves_duplicates():
     kb.assertz(fact)
     kb.assertz(fact)
     kb.seal()
-    assert findall(Var("X"), [Goal(Struct("f", (Var("X"),)))], kb) == [
+    assert findall(Var("X"), [Goal(Struct("f", (Var("X"),)))], Program(kb)) == [
         Atom("a"),
         Atom("a"),
     ]
@@ -275,7 +277,7 @@ def test_findall_preserves_duplicates():
 
 def test_findall_keeps_unbound_query_variable():
     # A is unified only with the rule's own variable, so no solution binds it.
-    kb = kb_from("q(a).\np(X, X) :- q(a).\n")
+    kb = program("q(a).\np(X, X) :- q(a).\n")
     goal = Goal(Struct("p", (Struct("f", (Var("A"),)), Struct("f", (Var("A"),)))))
     assert findall(Struct("ans", (Var("A"),)), [goal], kb) == [Struct("ans", (Var("A"),))]
 
@@ -287,7 +289,7 @@ def test_is_ground():
 
 def test_clause_local_variable_in_negation_is_existential():
     # Y occurs only inside the negation of the rule body: read as "no q(X, _)".
-    kb = kb_from(
+    kb = program(
         "p(a).\np(b).\nq(b, z).\n"
         "safe(X) :- p(X), \\+ q(X, Y).\n"
     )
@@ -296,19 +298,8 @@ def test_clause_local_variable_in_negation_is_existential():
 
 
 # ---------------------------------------------------------------------------
-# Argument indexing against a full scan
+# The store's key lookup against a full scan
 # ---------------------------------------------------------------------------
-
-
-class FullScan:
-    """Every clause of the goal's predicate, in insertion order: the
-    unindexed SLD reference."""
-
-    def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
-
-    def rows(self, goal):
-        return list(enumerate(self.kb.clauses(*indicator(goal))))
 
 
 _constants = st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Int(1), Int(2)])
@@ -361,10 +352,12 @@ def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
     kb.seal()
     goals = [Goal(term) for term in query]
     template = Struct("ans", tuple(query))
-    indexed = findall(template, goals, kb)
-    scanned = findall(template, goals, FullScan(kb))
-    # Same solutions, order and multiplicity; internal variables may carry
-    # other numbers, since rules left out by the index are not renamed.
+    # SLD reads the facts of a goal through the store's key lookup on its
+    # ground arguments, or scans them all.
+    indexed = findall(template, goals, Program(kb))
+    scanned = findall(template, goals, Program(kb, indexed=False))
+    # Same solutions, order and multiplicity; internal variables are named
+    # by first occurrence, so the comparison does not hang on their numbers.
     assert [_canonical(t, {}) for t in indexed] == [_canonical(t, {}) for t in scanned]
 
 
@@ -373,7 +366,7 @@ def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
 # ---------------------------------------------------------------------------
 
 
-def _sld(rule: Clause, source) -> list[tuple]:
+def _sld(rule: Clause, source: Program) -> list[tuple]:
     """Plain SLD's solutions for a goal of distinct variables resolved
     against ``rule``'s head, as argument tuples in solution order."""
     name, arity = indicator(rule.head)
@@ -479,7 +472,7 @@ def test_join_matches_sld(facts, repeat, rule):
         return
     # Same solutions, order and multiplicity as SLD over the base plus the
     # rule.
-    assert join(rule, kb) == _sld(rule, kb.extended([rule]))
+    assert join(rule, kb) == _sld(rule, Program(kb, [*kb.rules, rule]))
 
 
 def test_planned_join_reorders_goals_and_keeps_sld_order():
@@ -497,7 +490,7 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
     kb.assertz(items[1].clause)
     kb.seal()
     joined = join(items[-1].clause, kb)
-    assert joined == _sld(items[-1].clause, kb)
+    assert joined == _sld(items[-1].clause, Program(kb))
     assert [tuple(a.name for a in args) for args in joined] == [
         ("d", "f"),
         ("d", "e"),
@@ -529,7 +522,7 @@ def test_slot_join_edge_cases_match_sld(monkeypatch, program, expected):
     real = engine._match_row
     monkeypatch.setattr(engine, "_match_row", lambda *args: tried.append(args) or real(*args))
     joined = join(kb.rules[0], kb)
-    assert joined == _sld(kb.rules[0], kb)
+    assert joined == _sld(kb.rules[0], Program(kb))
     assert " ".join(serialize_term(Struct("p", args)) for args in joined) == expected
     assert tried  # the rows were read by the join
 
@@ -559,7 +552,7 @@ def test_negation_over_rules_in_a_planned_body(program, error):
     with pytest.raises(ValueError, match="s/2"):
         join(rule, kb)
     goals = [Goal(Struct("p", (Var("A"),)))]
-    for source in (kb, FullScan(kb)):
+    for source in (Program(kb), Program(kb, indexed=False)):
         with pytest.raises(error):
             findall(Var("A"), goals, source, depth_limit=60)
 

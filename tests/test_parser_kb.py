@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fallacylab import kb as kb_module
+from fallacylab import parser
 from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, Struct, TermLess, Var
 from fallacylab.errors import ParseError, SealedError, UnknownSchemaError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import MAX_TERM_DEPTH, parse_program, serialize_clause
+from fallacylab.schemas import derive_instances
 from fallacylab.seeds import SEED_SOURCES, load_seed
 
 import parser_oracle
@@ -297,7 +300,7 @@ def test_assertz_then_query():
     kb = KnowledgeBase()
     kb.assertz(parse_program("father(john, mary).")[0].clause)
     kb.seal()
-    assert kb.clauses("father", 2)
+    assert kb.table(("father", 2)) == [(Atom("john"), Atom("mary"))]
 
 
 def test_assertz_on_sealed_base_raises():
@@ -318,31 +321,103 @@ def test_duplicate_fact_stored_twice():
     kb.assertz(fact)
     kb.assertz(fact)
     assert len(kb.facts) == 2
-    assert len(kb.clauses("f", 1)) == 2
+    assert len(kb.table(("f", 1))) == 2
 
 
-def test_candidates_keep_variable_headed_clauses_in_insertion_order():
-    clauses = [
-        item.clause
-        for item in parse_program(
-            "p(a, 1).\np(X, 2) :- q(X).\np(b, 1).\np(f(a), 1).\np(a, 3).\n"
-        )
+def test_key_lookup_returns_row_positions_in_insertion_order():
+    kb = KnowledgeBase.from_text("p(a, 1).\np(b, 1).\np(f(a), 1).\np(a, 3).\np(a, 1).\n")
+    key = ("p", 2)
+    # A constant key: the positions of the rows holding it there, in order.
+    assert kb.index(key, (0,))[Atom("a")] == [0, 3, 4]
+    # An integer key.
+    assert kb.index(key, (1,))[Int(1)] == [0, 1, 2, 4]
+    assert [kb.table(key)[i] for i in kb.index(key, (1,))[Int(3)]] == [(Atom("a"), Int(3))]
+    # A ground compound keys its own bucket, like any other value.
+    assert kb.index(key, (0,))[Struct("f", (Atom("a"),))] == [2]
+    # Several positions key by the tuple of their values.
+    assert kb.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
+    # A value no row holds, and an absent predicate.
+    assert Atom("zz") not in kb.index(key, (0,))
+    assert kb.index(("absent", 1), (0,)) == {} and kb.table(("absent", 1)) == ()
+    # No bound position: the join reads every row of the table.
+    assert kb.table(key) == [
+        (Atom("a"), Int(1)), (Atom("b"), Int(1)), (Struct("f", (Atom("a"),)), Int(1)),
+        (Atom("a"), Int(3)), (Atom("a"), Int(1)),
     ]
-    kb = KnowledgeBase()
-    for clause in clauses:
-        kb.assertz(clause)
-    a1, var, b1, compound, a3 = rows = list(enumerate(clauses))
-    p = lambda *args: Struct("p", args)  # noqa: E731
-    assert kb.rows(p(Atom("a"), Var("V"))) == [a1, var, compound, a3]
-    # The smallest bucket wins: four clauses can match a at 0, three 1 at 1.
-    assert kb.rows(p(Atom("a"), Int(1))) == [a1, b1, compound]
-    assert kb.rows(p(Atom("zz"), Var("V"))) == [var, compound]
-    assert kb.rows(p(Var("V"), Var("W"))) == rows
-    assert kb.rows(Struct("absent", (Atom("a"),))) == []
-    # A clause asserted after a lookup is seen by the next one.
+    # Rows added after an index was built are seen by the next lookup, in a
+    # base extended from this one and in a base still loading; the original
+    # base keeps its rows.
     late = parse_program("p(a, 1).")[0].clause
-    kb.assertz(late)
-    assert kb.rows(p(Atom("a"), Int(1))) == [a1, b1, compound, (5, late)]
+    assert kb.extended([late]).index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4, 5]
+    assert kb.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
+    loading = KnowledgeBase()
+    loading.assertz(late)
+    assert loading.index(key, (0,))[Atom("a")] == [0]
+    loading.assertz(late)
+    assert loading.index(key, (0,))[Atom("a")] == [0, 1]
+
+
+def test_flat_fact_lines_load_as_argument_tuples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was built for a flat fact line")
+
+    for module in (parser, kb_module):
+        for name in ("Clause", "Struct", "FactRecord"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    kb = KnowledgeBase.from_text(SEED_SOURCES[FallacyCode.ID])
+    assert kb.table(("he", 3))[1] == (Atom("brush_teeth"), Atom("14_mins"),
+                                      Atom("teeth_health_for_one_week"))
+    assert len(derive_instances(FallacyCode.ID, kb)) == 1
+
+
+#: Comments, comment-only lines, blank-line groups, rules between groups,
+#: compound and integer arguments, a fact of arity 0, two facts on a line,
+#: and a fact over two lines.
+MIXED_TEXT = """\
+% a comment-only line before anything
+hp(a, b). % first group
+hp( c ,d ).   %   spaced comment
+lp(f(a, 1), g(h(b))). % compound ground arguments
+
+ipo(x, 2_mins).
+safe(X) :- hp(X, Y), \\+ lp(Y, X). % a rule between groups
+flag.
+% comment-only lines do not split a group
+q(1, 01).
+
+r(a,
+  b). % a fact over two lines
+s(a). s(b).
+t(X) :- r(X, Y).
+"""
+
+MIXED_CANONICAL = """\
+hp(a, b). % first group
+hp(c, d). % spaced comment
+lp(f(a, 1), g(h(b))). % compound ground arguments
+
+ipo(x, 2_mins).
+flag.
+q(1, 1).
+
+r(a, b). % a fact over two lines
+s(a).
+s(b).
+
+safe(X) :- hp(X, Y), \\+ lp(Y, X).
+t(X) :- r(X, Y).
+"""
+
+
+def test_serialize_writes_the_canonical_text_back():
+    for code, source in SEED_SOURCES.items():
+        assert KnowledgeBase.from_text(source).serialize() == source, code
+    kb = KnowledgeBase.from_text(MIXED_TEXT)
+    assert kb.serialize() == MIXED_CANONICAL
+    assert KnowledgeBase.from_text(MIXED_CANONICAL).serialize() == MIXED_CANONICAL
+    assert [(r.group_id, r.comment) for r in kb.facts][:4] == [
+        (0, "first group"), (0, "spaced comment"), (0, "compound ground arguments"), (1, None)
+    ]
 
 
 def test_extended_leaves_original_untouched():

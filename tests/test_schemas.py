@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -8,10 +9,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sld_oracle
 from fallacylab import engine, schemas
 from fallacylab.cli import main
-from fallacylab.engine import Atom, Goal, Struct, findall
-from fallacylab.errors import FlounderError, SignatureError, UnknownSchemaError
+from fallacylab.engine import Atom, Goal, Struct
+from fallacylab.errors import SignatureError, UnknownSchemaError
 from fallacylab.gateway import Gateway
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
@@ -37,6 +39,7 @@ from fixpoint_oracle import (
     ordered_solutions,
     random_kb,
 )
+from sld_oracle import FlounderError, Program, findall
 
 
 def kb_from(text: str) -> KnowledgeBase:
@@ -329,13 +332,13 @@ def test_derivation_renames_only_the_query_rule(monkeypatch, code):
     # rule over the same rows as the join.
     kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(12)))
     calls = []
-    real = engine._rename_clause
+    real = sld_oracle._rename_clause
 
     def counting(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(engine, "_rename_clause", counting)
+    monkeypatch.setattr(sld_oracle, "_rename_clause", counting)
     joined, sld = ordered_solutions(code, kb)
     assert calls == [schema_for(code).rules[0]]
     assert joined == sld and len(joined) == 12 * (2 if code is FallacyCode.IT else 1)
@@ -343,10 +346,11 @@ def test_derivation_renames_only_the_query_rule(monkeypatch, code):
 
 @pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
 def test_derivation_runs_no_sld(monkeypatch, code):
+    # The library has no SLD solver; the reference one must stay unused too.
     def refuse(*args):
         raise AssertionError("a derivation ran SLD resolution")
 
-    monkeypatch.setattr(engine, "_solve", refuse)
+    monkeypatch.setattr(sld_oracle, "_solve", refuse)
     kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(12)))
     assert len(derive_instances(code, kb)) == 12 * (2 if code is FallacyCode.IT else 1)
     # FS's seed derives nothing, so its diagnostic runs the relaxed rule.
@@ -459,17 +463,34 @@ def test_native_im_closure_matches_its_rule_text(edges, cycle):
     schema = schema_for(FallacyCode.IT)
     closure = schemas._im_closure(fact_table(schema, kb))
     assert len(closure) == len(set(closure))
-    # The solver proves each ground im_t goal from the schema's own rule
-    # text; its visited set keeps ground goals terminating on cycles.
-    program = kb.extended(schema.rules[1:])
+    # The starts IT's body can ask about: sources of an im fact whose target
+    # has another source.  From each, SLD over the schema's own rule text
+    # proves each ground im_t goal exactly when it is a row (its visited set
+    # keeps ground goals terminating on cycles); no row starts elsewhere.
+    sources = {b: {x for x, y in edges if y == b} for _, b in edges}
+    demanded = {a for a, b in edges if len(sources[b]) > 1}
+    program = Program(kb, schema.rules[1:])
     nodes = sorted({node for edge in edges for node in edge}, key=lambda atom: atom.name)
     proved = {
         (p, q)
-        for p in nodes
+        for p in demanded
         for q in nodes
         if findall(Atom("yes"), [Goal(Struct("im_t", (p, q)))], program)
     }
     assert proved == set(closure)
+
+
+def test_long_im_chain_builds_only_the_demanded_closure():
+    # IT can ask about im_t from c0 and y only, the two sources of b: about
+    # 600 closure rows, not the chain's 180k pairs.
+    text = "".join(f"im(c{i}, c{i + 1}).\n" for i in range(600)) + "im(c0, b).\nim(y, b).\n"
+    kb = kb_from(text)
+    start = time.perf_counter()
+    derived = derive_instances(FallacyCode.IT, kb)
+    elapsed = time.perf_counter() - start
+    assert [t.render() for t in derived] == ["pd(c0, b)", "pd(y, b)"]
+    assert len(schemas._im_closure(fact_table(schema_for(FallacyCode.IT), kb))) == 602
+    assert elapsed < 0.1
 
 
 def test_no_flounder_on_randomized_ground_kbs():
