@@ -17,7 +17,7 @@ from .engine import (
     Var,
     compare_terms,
 )
-from .kb import FactRecord, KnowledgeBase
+from .kb import KnowledgeBase
 from .labels import LABEL_ONLY_CODES, SCHEMA_CODES, FallacyCode, parse_code
 from .schemas import (
     FallacySchema,
@@ -34,7 +34,6 @@ from .seeds import load_seed
 __all__ = [
     "Atom",
     "Clause",
-    "FactRecord",
     "FallacyCode",
     "FallacySchema",
     "Goal",

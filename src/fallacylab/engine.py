@@ -20,9 +20,9 @@ they come out in SLD's order and multiplicity.  A rule the join cannot run
 that way is a ValueError.
 
 Nothing here resolves: the schemas need no more than the join, and plain
-SLD resolution lives on only as the tests' reference for it.  A sealed
-knowledge base's contents are immutable and it may back any number of
-concurrent joins; its indexes are filled on first lookup.
+SLD resolution lives on only as the tests' reference for it.  A knowledge
+base never changes once loaded, so it may back any number of concurrent
+joins; its indexes are filled on first lookup.
 """
 from __future__ import annotations
 
@@ -218,7 +218,7 @@ def compare_terms(t1: Term, t2: Term) -> int:
 class RowSource(Protocol):
     """What ``join`` reads: ground argument tuples per ``(name, arity)``.
 
-    A sealed ``KnowledgeBase`` is one; ``Layered`` reads two that share no
+    A ``KnowledgeBase`` is one; ``Layered`` reads two that share no
     predicate as one, so a derivation can put its auxiliary rows in front
     of a base without a copy of it.
     """

@@ -21,10 +21,6 @@ class InputDecodeError(FallacyLabError):
     """An input file is not UTF-8 text.  The message names the file and line."""
 
 
-class SealedError(FallacyLabError):
-    """Attempted mutation of a sealed knowledge base."""
-
-
 # --- fallacy schemas -----------------------------------------------------
 
 

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .errors import (
     CountMismatchError,
@@ -45,7 +45,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .jsonl import encode_canonical, read_jsonl, write_jsonl
-from .kb import FactRecord, KnowledgeBase
+from .kb import KnowledgeBase
 from .labels import FallacyCode, check_predicted_labels, definitions_block, parse_code
 from .parser import ParseError, parse_program
 from .schemas import ValidTuple, schema_for, validate_kb_against_schema
@@ -348,7 +348,10 @@ def _chat_content(response) -> str:
     if response.status_code >= 400:
         raise ProviderError(f"status {response.status_code}: request rejected")
     try:
-        return response.json()["choices"][0]["message"]["content"]
+        content = response.json()["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"content is {type(content).__name__}, not a string")
+        return content
     except (ValueError, LookupError, TypeError) as exc:
         raise ProviderError(
             f"status {response.status_code}: malformed response body ({exc!r})"
@@ -422,7 +425,13 @@ class RecordingProvider:
 
 
 def load_cassette(path: str | Path) -> list[dict[str, str]]:
-    return list(read_jsonl(path, required=("fingerprint", "response")))
+    return list(read_jsonl(path, required=("fingerprint", "response"), parse=_cassette_entry))
+
+
+def _cassette_entry(record: dict) -> dict[str, str]:
+    if type(record["fingerprint"]) is not str or type(record["response"]) is not str:
+        raise JsonlFormatError("'fingerprint' and 'response' must be strings")
+    return record
 
 
 def write_cassette(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
@@ -462,6 +471,14 @@ class ScoreTriple:
 # ---------------------------------------------------------------------------
 
 
+class FactGroup(NamedTuple):
+    """A generated fact group that parsed and validated cleanly: its text
+    and its ordinal among the reply's clean groups."""
+
+    text: str
+    group_id: int
+
+
 _SCORE_RE = re.compile(r"(?<![\d.])([0-3])(?![\d.])")
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*$")
 
@@ -475,43 +492,42 @@ class Gateway:
 
     # -- fact generation ----------------------------------------------------
 
-    def generate_facts(
-        self, code: FallacyCode, seed: KnowledgeBase, n: int
-    ) -> list[FactRecord]:
-        """Ask the model for ``n`` new fact groups; keep only groups that
-        parse and validate cleanly against the schema."""
+    def generate_facts(self, code: FallacyCode, seed: KnowledgeBase, n: int) -> list[str]:
+        """Ask the model for ``n`` new fact groups; the text of each group
+        that parses and validates cleanly against the schema, as the reply
+        wrote it."""
         if n <= 0:
             raise EmptyYieldError("requested zero fact combinations")
-        if not seed.facts:
+        seed_text = seed.fact_text()
+        if not seed_text:
             raise ValueError("seed knowledge base is empty")
         schema = schema_for(code)
         prompt = GEN_FACTS_TEMPLATE.render(
             n=n,
             fallacy_type=code.display_name,
-            prolog_facts=seed.fact_text(),
+            prolog_facts=seed_text,
             prolog_rule=schema.source(),
         )
         response = self.provider.complete(
             prompt, temperature=self.generation_temperature
         )
-        records, rejected = self._harvest_fact_groups(code, seed, response)
+        groups, rejected = self._harvest_fact_groups(code, response)
         if rejected:
             log.warning(
                 "%s: rejected %d of %d generated group(s)",
                 code.value,
                 rejected,
-                rejected + _group_count(records),
+                rejected + len(groups),
             )
-        if not records:
+        if not groups:
             raise EmptyYieldError(f"{code.value}: no generated group parsed cleanly")
-        return records
+        return [group.text for group in groups]
 
-    def _harvest_fact_groups(
-        self, code: FallacyCode, seed: KnowledgeBase, response: str
-    ) -> tuple[list[FactRecord], int]:
-        records: list[FactRecord] = []
+    def _harvest_fact_groups(self, code: FallacyCode, response: str) -> tuple[list[FactGroup], int]:
+        """The reply's groups that parse and validate cleanly, and the number
+        of groups dropped."""
+        kept: list[FactGroup] = []
         rejected = 0
-        next_group = seed.max_group_id() + 1
         for block in _split_blocks(_strip_fences(response)):
             try:
                 parsed = parse_program(block)
@@ -529,10 +545,8 @@ class Gateway:
                 rejected += 1
                 log.warning("%s: dropped invalid group: %s", code.value, report.render())
                 continue
-            for item in parsed:
-                records.append(FactRecord(item.clause, item.comment, next_group))
-            next_group += 1
-        return records, rejected
+            kept.append(FactGroup(block, len(kept)))
+        return kept, rejected
 
     # -- sentence transformation ---------------------------------------------
 
@@ -622,7 +636,7 @@ class Gateway:
         raw = _extract_json(response)
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise JudgeJsonError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise JudgeJsonError("expected a JSON object")
@@ -680,6 +694,3 @@ def _extract_json(text: str) -> str:
         return inner
     return stripped
 
-
-def _group_count(records: Sequence[FactRecord]) -> int:
-    return len({r.group_id for r in records})

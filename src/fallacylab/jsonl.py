@@ -40,9 +40,10 @@ def read_input(path: str | Path) -> str:
 def read_jsonl(
     path: str | Path, required: Sequence[str] = (), parse: Callable[[dict], T] = dict
 ) -> Iterator[T]:
-    """Yield ``parse`` of each non-blank line's object.  A line that is not an
-    object, lacks a ``required`` key, or that ``parse`` rejects with a package
-    error raises JsonlFormatError naming ``path:line``.
+    """Yield ``parse`` of each non-blank line's object.  A line that is not a
+    JSON object (a number too long for ``int`` or nesting too deep for the
+    decoder included), lacks a ``required`` key, or that ``parse`` rejects
+    with a package error raises JsonlFormatError naming ``path:line``.
 
     Lines end at ``\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
     stand unescaped inside a JSON string, and a ``\r`` before the ``\n`` is
@@ -52,7 +53,7 @@ def read_jsonl(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
         if not isinstance(record, dict):
             raise JsonlFormatError(f"{path}:{line_no}: expected an object")

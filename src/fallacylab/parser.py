@@ -330,7 +330,8 @@ def serialize_term(term: Term) -> str:
     if isinstance(term, Int):
         return str(term.value)
     if isinstance(term, Var):
-        return term.name
+        # An anonymous variable occurs once in its clause, so ``_`` is exact.
+        return "_" if term.name.startswith("_#") else term.name
     args = ", ".join(serialize_term(a) for a in term.args)
     return f"{term.functor}({args})"
 

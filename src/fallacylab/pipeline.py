@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .errors import JsonlFormatError
 from .gateway import Gateway, RecordingProvider, ScoreTriple
-from .kb import FactRecord, KnowledgeBase
+from .kb import KnowledgeBase
 from .jsonl import read_id, read_jsonl, read_labels, read_text, write_atomic, write_jsonl
 from .labels import FallacyCode, parse_code
 from .metrics import (
@@ -69,7 +69,6 @@ STYLE_EXAMPLES: dict[FallacyCode, tuple[str, ...]] = {
 class GenerationBundle:
     code: FallacyCode
     seed: KnowledgeBase
-    generated: list[FactRecord]
     kb: KnowledgeBase
     tuples: list[ValidTuple]
     sentences: list[tuple[str, FallacyCode]]
@@ -83,8 +82,8 @@ def generate_bundle(code: FallacyCode, n: int, gateway: Gateway) -> GenerationBu
     transformed, so the output covers exactly the newly generated instances.
     """
     seed = load_seed(code)
-    generated = gateway.generate_facts(code, seed, n)
-    kb = seed.extended(records=generated)
+    groups = gateway.generate_facts(code, seed, n)
+    kb = KnowledgeBase.from_text("\n\n".join([seed.fact_text(), *groups]))
     baseline = {t.args for t in derive_instances(code, seed)}
     derived = derive_instances(code, kb)
     tuples = [t for t in derived if t.args not in baseline]
@@ -95,7 +94,7 @@ def generate_bundle(code: FallacyCode, n: int, gateway: Gateway) -> GenerationBu
     sentences: list[tuple[str, FallacyCode]] = []
     if tuples:
         sentences = gateway.transform_to_sentences(tuples, STYLE_EXAMPLES[code])
-    return GenerationBundle(code, seed, generated, kb, tuples, sentences, diagnostics)
+    return GenerationBundle(code, seed, kb, tuples, sentences, diagnostics)
 
 
 def write_bundle(bundle: GenerationBundle, out_dir: str | Path) -> list[Path]:

@@ -320,9 +320,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_kb_against_schema(
-    code: FallacyCode, kb: KnowledgeBase | Iterable[Clause]
-) -> ValidationReport:
+def validate_kb_against_schema(code: FallacyCode, clauses: Iterable[Clause]) -> ValidationReport:
     """Check facts against a schema's signatures.
 
     Reports unknown predicates, arity mismatches, non-ground facts, and
@@ -334,12 +332,9 @@ def validate_kb_against_schema(
     findings: list[Finding] = []
     counts: dict[str, int] = {name: 0 for name in expected}
 
-    if isinstance(kb, KnowledgeBase):
-        fact_clauses = [record.clause for record in kb.facts]
-    else:
-        fact_clauses = [c for c in kb if c.is_fact]
-
-    for clause in fact_clauses:
+    for clause in clauses:
+        if not clause.is_fact:
+            continue
         name, arity = indicator(clause.head)
         if not is_ground(clause.head):
             findings.append(Finding("non_ground_fact", serialize_clause(clause)))
@@ -408,7 +403,7 @@ def schema_solutions(
 
 
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
-    """All ground ``pd`` instantiations of the schema over a sealed base.
+    """All ground ``pd`` instantiations of the schema over a base.
 
     Solutions are deduplicated preserving first occurrence.  Raises
     SignatureError when the base holds an arity-mismatched fact or a rule for
@@ -416,8 +411,6 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     defines (``pd``, ``im_t``, ``oc``); engine errors propagate.
     """
     schema = schema_for(code)
-    if not kb.sealed:
-        raise ValueError("knowledge base must be sealed before derivation")
     table = fact_table(schema, kb)
     _check_signatures(schema, kb, table)
 

@@ -70,7 +70,7 @@ rc(absence_of_light, darkness_emission). % the real cause of the darkness is the
 
 
 def load_seed(code: FallacyCode) -> KnowledgeBase:
-    """A sealed base holding the built-in example facts for one schema."""
+    """A base holding the built-in example facts for one schema."""
     try:
         source = SEED_SOURCES[code]
     except KeyError:

@@ -146,10 +146,14 @@ def _order_key(term: Term):
     return (0, term.name)
 
 
+def _fact_heads(kb: KnowledgeBase) -> list[Term]:
+    """The heads of the base's facts, in order, read back from its text."""
+    return [item.clause.head for item in parse_program(kb.serialize()) if item.clause.is_fact]
+
+
 def _fact_multiset(kb: KnowledgeBase) -> dict[str, Counter]:
     facts: dict[str, Counter] = {}
-    for record in kb.facts:
-        head = record.clause.head
+    for head in _fact_heads(kb):
         if isinstance(head, Struct):
             facts.setdefault(head.functor, Counter())[head.args] += 1
     return facts
@@ -158,8 +162,7 @@ def _fact_multiset(kb: KnowledgeBase) -> dict[str, Counter]:
 def _constants(kb: KnowledgeBase) -> list[Term]:
     """Distinct atoms and integers in fact arguments, first-seen order."""
     seen: list[Term] = []
-    for record in kb.facts:
-        head = record.clause.head
+    for head in _fact_heads(kb):
         args = head.args if isinstance(head, Struct) else ()
         for arg in args:
             if isinstance(arg, (Atom, Int)) and arg not in seen:
@@ -359,7 +362,7 @@ def random_kb(code: FallacyCode, rng: random.Random) -> KnowledgeBase:
     constants = [Atom(f"c{i}") for i in range(n_constants)]
     low, high = _FACT_BUDGET.get(code, (1, 5))
 
-    kb = KnowledgeBase()
+    lines: list[str] = []
     total = 0
     for name, arity in schema.signatures:
         count = 0 if rng.random() < 0.15 else rng.randint(low, high)
@@ -367,20 +370,17 @@ def random_kb(code: FallacyCode, rng: random.Random) -> KnowledgeBase:
             if total >= 28:
                 break
             args = tuple(rng.choice(constants) for _ in range(arity))
-            kb.assertz(_fact(name, args))
+            lines.append(_fact(name, args))
             total += 1
     if code is FallacyCode.IT and rng.random() < 0.5 and len(constants) >= 2:
         a, b = rng.sample(constants, 2)
-        kb.assertz(_fact("im", (a, b)))
-        kb.assertz(_fact("im", (b, a)))
+        lines.append(_fact("im", (a, b)))
+        lines.append(_fact("im", (b, a)))
         total += 2
-    if kb.facts and rng.random() < 0.25 and total < 30:
-        victim = rng.choice(kb.facts)
-        kb.assertz(victim.clause)
-    return kb.seal()
+    if lines and rng.random() < 0.25 and total < 30:
+        lines.append(rng.choice(lines))
+    return KnowledgeBase.from_text("\n".join(lines))
 
 
-def _fact(name: str, args: tuple[Term, ...]):
-    return parse_program(
-        f"{name}({', '.join(a.name for a in args)})."
-    )[0].clause
+def _fact(name: str, args: tuple[Term, ...]) -> str:
+    return f"{name}({', '.join(a.name for a in args)})."

@@ -526,6 +526,17 @@ def _not_utf8(name, args):
     return case
 
 
+def _bad_first_line(name, line, args):
+    """A command whose input file ``name`` holds the bad ``line`` first; None
+    in ``args`` stands for that file."""
+
+    def case(tmp):
+        path = _write(tmp / name, line + "\n")
+        return [path if arg is None else arg for arg in args(tmp)], [f"{path}:1: "]
+
+    return case
+
+
 def _bad_parallelism(command, value):
     """A record-mode ``score`` or ``eval`` whose ``evaluator.parallelism`` is
     ``value``; the endpoint is never contacted."""
@@ -707,6 +718,37 @@ BAD_INPUTS = {
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
         [f"{tmp / 'b.jsonl'}:1", "'ZZ'"],
     ),
+    # A line nested deeper than the decoder recurses, or with a number longer
+    # than int() reads, is a bad line like any other.
+    **{
+        f"{kind}-{shape}": _bad_first_line(f"{kind}.jsonl", line, args)
+        for kind, args in [
+            ("sentences", lambda tmp: [
+                "score", "--sentences", None, *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")]),
+            ("benchmark", lambda tmp: [
+                "eval", "--benchmark", None,
+                "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"]),
+            ("predictions", lambda tmp: [
+                "eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+                "--predictions", None, "--out", tmp / "out"]),
+            ("cassette", lambda tmp: [
+                "score", "--sentences", DATA_DIR / "sentences_small.jsonl",
+                *_replay_args(None, tmp / "out")]),
+        ]
+        for shape, line in [
+            ("nested-too-deep", "[" * 50_000),
+            ("number-too-long", '{"id": ' + "1" * 5_000 + "}"),
+        ]
+    },
+    # A cassette entry that is not two strings would fail only when replayed.
+    **{
+        f"cassette-{name}": _bad_first_line("cassette.jsonl", line, lambda tmp: [
+            "score", "--sentences", DATA_DIR / "sentences_small.jsonl", *_replay_args(None, tmp / "out")])
+        for name, line in [
+            ("fingerprint-not-string", '{"fingerprint": 5, "response": "3"}'),
+            ("response-null", '{"fingerprint": "f", "response": null}'),
+        ]
+    },
 }
 
 

@@ -25,16 +25,13 @@ from fallacylab.engine import (
     var_names,
 )
 from fallacylab.kb import KnowledgeBase
-from fallacylab.parser import parse_program, serialize_term
+from fallacylab.parser import serialize_clause, serialize_term
 
 from sld_oracle import DepthLimitError, FlounderError, Program, findall, resolve, solve, unify
 
 
 def kb_from(text: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for item in parse_program(text):
-        kb.assertz(item.clause)
-    return kb.seal()
+    return KnowledgeBase.from_text(text)
 
 
 def program(text: str) -> Program:
@@ -264,11 +261,7 @@ def test_findall_length_matches_solution_count():
 
 
 def test_findall_preserves_duplicates():
-    kb = KnowledgeBase()
-    fact = parse_program("f(a).")[0].clause
-    kb.assertz(fact)
-    kb.assertz(fact)
-    kb.seal()
+    kb = kb_from("f(a).\nf(a).\n")
     assert findall(Var("X"), [Goal(Struct("f", (Var("X"),)))], Program(kb)) == [
         Atom("a"),
         Atom("a"),
@@ -346,10 +339,7 @@ def _canonical(term, names: dict[str, str]):
 @given(_q_facts, _p_clauses, _queries)
 @settings(max_examples=300, deadline=None)
 def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
-    kb = KnowledgeBase()
-    for clause in q_facts + p_clauses:
-        kb.assertz(clause)
-    kb.seal()
+    kb = kb_from("\n".join(map(serialize_clause, q_facts + p_clauses)))
     goals = [Goal(term) for term in query]
     template = Struct("ans", tuple(query))
     # SLD reads the facts of a goal through the store's key lookup on its
@@ -456,16 +446,10 @@ _plan_rule = _plan_bodies.flatmap(_rule_for)
 @given(_plan_facts, st.one_of(st.none(), st.integers(min_value=0, max_value=7)), _plan_rule)
 @settings(max_examples=600, deadline=None)
 def test_join_matches_sld(facts, repeat, rule):
-    kb = KnowledgeBase()
-    for clause in facts:
-        kb.assertz(clause)
     if repeat is not None:
-        # The same Clause object again: its two rows are told apart by
-        # position, not identity.
-        kb.assertz(facts[repeat % len(facts)])
-    for item in parse_program(_S_RULES):
-        kb.assertz(item.clause)
-    kb.seal()
+        # The same fact again: its two rows are told apart by position.
+        facts = [*facts, facts[repeat % len(facts)]]
+    kb = kb_from("\n".join(map(serialize_clause, facts)) + "\n" + _S_RULES)
     if not _joinable(rule, {("s", 2)}):
         with pytest.raises(ValueError):
             join(rule, kb)
@@ -478,19 +462,16 @@ def test_join_matches_sld(facts, repeat, rule):
 def test_planned_join_reorders_goals_and_keeps_sld_order():
     # The join takes im(A, B) right after cc(A, D) and cc(B, E) last, so it
     # never pairs every cc row with every other.  Solutions still come in
-    # SLD's order, cc(c, f) before cc(b, e) and the cc(c, f) object asserted
+    # SLD's order, cc(c, f) before cc(b, e) and the cc(c, f) fact stated
     # again after both, though each is found through its own index bucket.
-    kb = KnowledgeBase()
-    items = parse_program(
+    kb = kb_from(
         "cc(a, d).\ncc(c, f).\ncc(b, e).\nim(a, b).\nim(a, c).\nim(c, b).\n"
         "pd(D, E) :- cc(A, D), cc(B, E), im(A, B), \\+ im(B, A).\n"
+        "cc(c, f).\n"
     )
-    for item in items:
-        kb.assertz(item.clause)
-    kb.assertz(items[1].clause)
-    kb.seal()
-    joined = join(items[-1].clause, kb)
-    assert joined == _sld(items[-1].clause, Program(kb))
+    rule = kb.rules[0]
+    joined = join(rule, kb)
+    assert joined == _sld(rule, Program(kb))
     assert [tuple(a.name for a in args) for args in joined] == [
         ("d", "f"),
         ("d", "e"),

@@ -40,7 +40,9 @@ from fallacylab.gateway import (
     write_cassette,
 )
 from fallacylab.jsonl import encode_canonical
+from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode, definitions_block
+from fallacylab.parser import parse_program
 from fallacylab.schemas import ValidTuple, validate_kb_against_schema
 from fallacylab.seeds import load_seed
 
@@ -285,6 +287,10 @@ class _ScriptedSession:
         (404, {"error": "not found"}, "status 404"),
         (200, ValueError("Expecting value"), "status 200"),
         (200, {"choices": []}, "status 200"),
+        # A reply whose content is not text is as malformed as one without.
+        (200, {"choices": [{"message": {"content": None}}]}, "malformed response body"),
+        (200, {"choices": [{"message": {"content": 3}}]}, "malformed response body"),
+        (200, {"choices": [{"message": {"content": ["x"]}}]}, "malformed response body"),
     ],
 )
 def test_http_provider_fails_at_once_when_retry_cannot_help(status, body, shown):
@@ -446,11 +452,14 @@ def af_group(i: int) -> str:
 def test_generate_facts_accepts_twenty_groups():
     response = "\n\n".join(af_group(i) for i in range(20))
     gateway = Gateway(FakeProvider([response]))
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 20)
-    assert len(records) == 60
-    assert len({r.group_id for r in records}) == 20
-    # Fresh groups never collide with the seed's.
-    assert min(r.group_id for r in records) > load_seed(FallacyCode.AF).max_group_id()
+    seed = load_seed(FallacyCode.AF)
+    groups = gateway.generate_facts(FallacyCode.AF, seed, 20)
+    assert groups == [af_group(i) for i in range(20)]
+    # Loaded after the seed, each group gets a fresh group id of its own.
+    kb = KnowledgeBase.from_text("\n\n".join([seed.fact_text(), *groups]))
+    ids = [p.group_id for p in parse_program(kb.serialize())]
+    assert len(ids) == 63 and set(ids[:3]) == {0}
+    assert ids[3:] == [g for g in range(1, 21) for _ in range(3)]
 
 
 def test_generate_facts_drops_malformed_group(caplog):
@@ -458,23 +467,23 @@ def test_generate_facts_drops_malformed_group(caplog):
     groups.append("hr(object_19 rule_19).")  # missing comma
     gateway = Gateway(FakeProvider(["\n\n".join(groups)]))
     with caplog.at_level("WARNING"):
-        records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 20)
-    assert len({r.group_id for r in records}) == 19
+        groups = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 20)
+    assert groups == [af_group(i) for i in range(19)]
     assert any("dropped" in r.message for r in caplog.records)
 
 
 def test_generate_facts_drops_group_with_wrong_vocabulary():
     groups = [af_group(0), "zz(a, b).\nrri(r, i).\nrui(r, k)."]
     gateway = Gateway(FakeProvider(["\n\n".join(groups)]))
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 2)
-    assert len({r.group_id for r in records}) == 1
+    groups = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 2)
+    assert groups == [af_group(0)]
 
 
 def test_generate_facts_strips_code_fences():
     response = f"```prolog\n{af_group(0)}\n```"
     gateway = Gateway(FakeProvider([response]))
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 1)
-    assert len(records) == 3
+    groups = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 1)
+    assert groups == [af_group(0)]
 
 
 def test_generate_facts_zero_request_rejected():
@@ -492,8 +501,9 @@ def test_generate_facts_all_bad_raises_empty_yield():
 def test_accepted_records_validate_clean():
     response = "\n\n".join(af_group(i) for i in range(8))
     gateway = Gateway(FakeProvider([response]))
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 8)
-    report = validate_kb_against_schema(FallacyCode.AF, [r.clause for r in records])
+    groups = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 8)
+    clauses = [p.clause for p in parse_program("\n\n".join(groups))]
+    report = validate_kb_against_schema(FallacyCode.AF, clauses)
     assert report.clean
 
 
@@ -690,6 +700,21 @@ def test_judge_retries_a_label_list_no_prediction_can_hold(labels):
     assert provider.request_count == 2
 
 
+@pytest.mark.parametrize(
+    "bad", ['{"logic_error": ' + "1" * 5_000 + "}", "[" * 50_000],
+    ids=["number-too-long", "nested-too-deep"],
+)
+def test_judge_retries_a_reply_the_decoder_cannot_read(bad):
+    good = '{"sentence": "s", "logic_error": "no", "logic_fallacies": [], "details": ""}'
+    provider = FakeProvider([bad, good])
+    assert Gateway(provider).judge_sentence("s").logic_error is False
+    assert provider.request_count == 2
+    provider = FakeProvider([bad, bad])
+    with pytest.raises(JudgeJsonError):
+        Gateway(provider).judge_sentence("s")
+    assert provider.request_count == 2
+
+
 def test_judge_unknown_label_is_an_error():
     bad = '{"sentence": "s", "logic_error": "yes", "logic_fallacies": ["Made Up"], "details": ""}'
     gateway = Gateway(FakeProvider([bad, bad]))
@@ -708,6 +733,6 @@ def test_judge_runs_at_temperature_zero():
 def test_generate_facts_drops_group_containing_rules():
     groups = [af_group(0), "hr(sign, rule_x).\nrri(R, I) :- hr(R, I)."]
     gateway = Gateway(FakeProvider(["\n\n".join(groups)]))
-    records = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 2)
-    assert len({r.group_id for r in records}) == 1
+    groups = gateway.generate_facts(FallacyCode.AF, load_seed(FallacyCode.AF), 2)
+    assert groups == [af_group(0)]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fallacylab import kb as kb_module
 from fallacylab import parser
 from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, Struct, TermLess, Var
-from fallacylab.errors import ParseError, SealedError, UnknownSchemaError
+from fallacylab.errors import ParseError, UnknownSchemaError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import MAX_TERM_DEPTH, parse_program, serialize_clause
@@ -296,31 +296,22 @@ def test_seed_sources_parse_as_the_reference_parser_does():
 # ---------------------------------------------------------------------------
 
 
-def test_assertz_then_query():
-    kb = KnowledgeBase()
-    kb.assertz(parse_program("father(john, mary).")[0].clause)
-    kb.seal()
+def test_from_text_then_query():
+    kb = KnowledgeBase.from_text("father(john, mary).")
     assert kb.table(("father", 2)) == [(Atom("john"), Atom("mary"))]
 
 
-def test_assertz_on_sealed_base_raises():
-    kb = KnowledgeBase().seal()
-    with pytest.raises(SealedError):
-        kb.assertz(parse_program("f(a).")[0].clause)
-
-
 def test_non_ground_fact_rejected_at_load():
-    kb = KnowledgeBase()
-    with pytest.raises(ValueError):
-        kb.assertz(Clause(Struct("p", (Var("X"),))))
+    for text, line in (("q(a).\np(X).\n", 2), ("r(a, f(X)). % nested\n", 1)):
+        with pytest.raises(ParseError) as caught:
+            KnowledgeBase.from_text(text)
+        assert (caught.value.line, caught.value.column) == (line, 1)
+        assert str(caught.value).startswith(f"line {line}, column 1: fact is not ground: ")
 
 
 def test_duplicate_fact_stored_twice():
-    kb = KnowledgeBase()
-    fact = parse_program("f(a).")[0].clause
-    kb.assertz(fact)
-    kb.assertz(fact)
-    assert len(kb.facts) == 2
+    kb = KnowledgeBase.from_text("f(a).\nf(a).\n")
+    assert kb.serialize() == "f(a).\nf(a).\n"
     assert len(kb.table(("f", 1))) == 2
 
 
@@ -344,17 +335,6 @@ def test_key_lookup_returns_row_positions_in_insertion_order():
         (Atom("a"), Int(1)), (Atom("b"), Int(1)), (Struct("f", (Atom("a"),)), Int(1)),
         (Atom("a"), Int(3)), (Atom("a"), Int(1)),
     ]
-    # Rows added after an index was built are seen by the next lookup, in a
-    # base extended from this one and in a base still loading; the original
-    # base keeps its rows.
-    late = parse_program("p(a, 1).")[0].clause
-    assert kb.extended([late]).index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4, 5]
-    assert kb.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
-    loading = KnowledgeBase()
-    loading.assertz(late)
-    assert loading.index(key, (0,))[Atom("a")] == [0]
-    loading.assertz(late)
-    assert loading.index(key, (0,))[Atom("a")] == [0, 1]
 
 
 def test_flat_fact_lines_load_as_argument_tuples(monkeypatch):
@@ -362,7 +342,7 @@ def test_flat_fact_lines_load_as_argument_tuples(monkeypatch):
         raise AssertionError("a term was built for a flat fact line")
 
     for module in (parser, kb_module):
-        for name in ("Clause", "Struct", "FactRecord"):
+        for name in ("Clause", "Struct"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     kb = KnowledgeBase.from_text(SEED_SOURCES[FallacyCode.ID])
     assert kb.table(("he", 3))[1] == (Atom("brush_teeth"), Atom("14_mins"),
@@ -415,18 +395,12 @@ def test_serialize_writes_the_canonical_text_back():
     kb = KnowledgeBase.from_text(MIXED_TEXT)
     assert kb.serialize() == MIXED_CANONICAL
     assert KnowledgeBase.from_text(MIXED_CANONICAL).serialize() == MIXED_CANONICAL
-    assert [(r.group_id, r.comment) for r in kb.facts][:4] == [
+    assert [(p.group_id, p.comment) for p in parse_program(kb.serialize())][:4] == [
         (0, "first group"), (0, "spaced comment"), (0, "compound ground arguments"), (1, None)
     ]
-
-
-def test_extended_leaves_original_untouched():
-    base = load_seed(FallacyCode.IT)
-    extra = parse_program("im(x_cause, y_effect).")[0].clause
-    bigger = base.extended(clauses=[extra])
-    assert len(bigger.facts) == len(base.facts) + 1
-    assert len(base.facts) == 2
-    assert bigger.sealed
+    # An anonymous variable is written back as ``_``, so the text reloads.
+    anonymous = "r(a, b).\n\nt(X) :- r(X, _), \\+ s(_, X).\n"
+    assert KnowledgeBase.from_text(anonymous).serialize() == anonymous
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +409,7 @@ def test_extended_leaves_original_untouched():
 
 
 def _seed_heads(code: FallacyCode) -> set[str]:
-    return {serialize_clause(r.clause) for r in load_seed(code).facts}
+    return {serialize_clause(p.clause) for p in parse_program(load_seed(code).serialize())}
 
 
 def test_seed_af_contents():
@@ -464,9 +438,9 @@ def test_seed_ie_contents():
 
 def test_seed_is_single_group_and_commented():
     for code, source in SEED_SOURCES.items():
-        kb = load_seed(code)
-        assert {r.group_id for r in kb.facts} == {0}, code
-        assert all(r.comment for r in kb.facts), code
+        facts = parse_program(load_seed(code).serialize())
+        assert {p.group_id for p in facts} == {0}, code
+        assert all(p.comment for p in facts), code
 
 
 def test_load_seed_rejects_label_only_codes():
