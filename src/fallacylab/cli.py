@@ -28,7 +28,7 @@ from .gateway import (
 )
 from .jsonl import read_input
 from .kb import KnowledgeBase
-from .labels import FallacyCode, parse_code
+from .labels import parse_code
 from .metrics import build_report, load_benchmark, load_predictions
 from .parser import parse_program
 from .pipeline import (
@@ -194,14 +194,6 @@ def _exit_codes(body):
     return wrapper
 
 
-def _load_kb(kb_path: str | None, code: FallacyCode | None) -> KnowledgeBase:
-    if kb_path:
-        return KnowledgeBase.from_text(read_input(kb_path))
-    if code is None:
-        raise ValueError("either --kb or --code is required")
-    return load_seed(code)
-
-
 def _code_option():
     return click.option(
         "--code",
@@ -254,7 +246,7 @@ def validate(kb_path: str, code_text: str) -> None:
 def derive(code_text: str, kb_path: str | None) -> None:
     """Print derived fallacy tuples, one per line in canonical syntax."""
     code = parse_code(code_text)
-    kb = _load_kb(kb_path, code)
+    kb = KnowledgeBase.from_text(read_input(kb_path)) if kb_path else load_seed(code)
     tuples = derive_instances(code, kb)
     note = ordering_diagnostic(code, kb, tuples)
     for item in tuples:

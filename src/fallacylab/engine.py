@@ -1,28 +1,27 @@
 """Terms, literals and clauses of the Prolog subset, the standard order of
-terms, and ``join``: the one evaluator, for a rule over ground facts.
+terms, and ``join``: the one evaluator, for a rule over ground rows.
 
-``join`` runs one rule whose body goals, positive or negated, all name
-predicates with no rules (``RowSource.has_rules``): a conjunctive query with
-stratified negation, which is a join over fact rows.  It runs no
-resolution.  Next comes the goal with the most bound arguments, ties broken
-by body order, and each ``\\=``, ``@<`` and negation runs as soon as its
-variables are bound.  The body is compiled into steps over slots, one per
-clause variable: each goal's arguments are constants, slots bound by
-earlier steps, or slots the goal binds.  A goal's rows come from the
-source's index on the positions of its constants and earlier slots
-(``RowSource.index``), keyed by their values, so every row of a bucket
-holds them and only the goal's own bindings are matched.  Rows are ground,
-so each is matched one way against the step's pattern, with no
-substitution.  SLD resolution over facts yields a body's solutions in
-lexicographic order of the positions of the rows its positive goals
-matched, in body order, so the join sorts its solutions by that vector and
-they come out in SLD's order and multiplicity.  A rule the join cannot run
-that way is a ValueError.
+``join`` runs one rule over one ``RowStore``: a dict of ground argument
+tuples per ``(name, arity)``, read as the rule's facts.  Its body is a
+conjunctive query with stratified negation, so evaluating it is a join over
+rows; it runs no resolution.  Next comes the goal with the most bound
+arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
+runs as soon as its variables are bound.  The body is compiled into steps
+over slots, one per clause variable: each goal's arguments are constants,
+slots bound by earlier steps, or slots the goal binds.  A goal's rows come
+from the table's index on the positions of its constants and earlier slots
+(``RowStore.index``), keyed by their values, so every row of a bucket holds
+them and only the goal's own bindings are matched.  Rows are ground, so
+each is matched one way against the step's pattern, with no substitution.
+SLD resolution over facts yields a body's solutions in lexicographic order
+of the positions of the rows its positive goals matched, in body order, so
+the join sorts its solutions by that vector and they come out in SLD's
+order and multiplicity.
 
 Nothing here resolves: the schemas need no more than the join, and plain
-SLD resolution lives on only as the tests' reference for it.  A knowledge
-base never changes once loaded, so it may back any number of concurrent
-joins; its indexes are filled on first lookup.
+SLD resolution lives on only as the tests' reference for it.  A table
+never changes once read, so it may back any number of concurrent joins;
+its indexes are filled on first lookup.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Mapping, Protocol, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -211,53 +210,41 @@ def compare_terms(t1: Term, t2: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Row sources
+# The row table a join reads
 # ---------------------------------------------------------------------------
 
 
-class RowSource(Protocol):
-    """What ``join`` reads: ground argument tuples per ``(name, arity)``.
+class RowStore(dict):
+    """Ground argument tuples per ``(name, arity)``: each predicate's rows in
+    insertion order, duplicates kept, which nothing may change once the
+    table is first read.  ``index`` keys them by their values at some
+    argument positions, built on first lookup."""
 
-    A ``KnowledgeBase`` is one; ``Layered`` reads two that share no
-    predicate as one, so a derivation can put its auxiliary rows in front
-    of a base without a copy of it.
-    """
-
-    def table(self, key: tuple[str, int]) -> Sequence[tuple[Term, ...]]:
-        """The predicate's rows, in insertion order."""
-        ...
+    def __init__(self, tables: Mapping[tuple[str, int], Sequence[tuple[Term, ...]]] = ()):
+        super().__init__(tables)
+        #: key -> argument positions -> {value(s) at those positions: row positions}
+        self._indexes: dict[tuple[str, int], dict[tuple[int, ...], dict[object, list[int]]]] = {}
 
     def index(
         self, key: tuple[str, int], positions: tuple[int, ...]
     ) -> Mapping[object, Sequence[int]]:
-        """The positions of the predicate's rows in its ``table``, in
-        insertion order, keyed by their values at ``positions``: the value
-        itself for one position, the tuple of values for several."""
-        ...
-
-    def has_rules(self, key: tuple[str, int]) -> bool:
-        """Whether a rule defines the predicate, so that rows alone do not."""
-        ...
-
-
-class Layered:
-    """Two row sources read as one, for sources that share no predicate:
-    a predicate's rows come from the layer that holds it, and rules in
-    either layer count."""
-
-    def __init__(self, own, base: RowSource):
-        #: The front layer; ``key in own`` says whether it holds a predicate.
-        self.own = own
-        self.base = base
-
-    def table(self, key):
-        return (self.own if key in self.own else self.base).table(key)
-
-    def index(self, key, positions):
-        return (self.own if key in self.own else self.base).index(key, positions)
-
-    def has_rules(self, key) -> bool:
-        return self.own.has_rules(key) or self.base.has_rules(key)
+        """The positions of the predicate's rows, in insertion order, keyed
+        by their values at ``positions`` (one or more argument positions):
+        the value itself for one position, the tuple of values for several."""
+        by_positions = self._indexes.get(key)
+        if by_positions is None:
+            by_positions = self._indexes[key] = {}
+        index = by_positions.get(positions)
+        if index is None:
+            index = {}
+            for position, value in enumerate(map(itemgetter(*positions), self.get(key, ()))):
+                bucket = index.get(value)
+                if bucket is None:
+                    index[value] = [position]
+                else:
+                    bucket.append(position)
+            by_positions[positions] = index
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +252,18 @@ class Layered:
 # ---------------------------------------------------------------------------
 
 
-def join(rule: Clause, source: RowSource) -> list[tuple[Term, ...]]:
+def join(rule: Clause, rows: RowStore) -> list[tuple[Term, ...]]:
     """The head arguments of each solution of ``rule``'s body over
-    ``source``, in the order and multiplicity SLD gives a goal of distinct
-    variables resolved against ``rule``.
+    ``rows``, in the order and multiplicity SLD gives a goal of distinct
+    variables resolved against ``rule`` and the rows as facts.
 
-    Raises ValueError when a body goal names a predicate with rules, when a
-    builtin or negation would run before its variables are bound, or when a
-    head variable is bound by no body goal.
+    Raises ValueError when a builtin or negation would run before its
+    variables are bound, or when a head variable is bound by no body goal.
     """
-    plan = _make_plan(rule, source)
+    plan = _make_plan(rule)
     # Each goal's rows, and its index when it has a key, fetched once.
     lookups = [
-        (source.table(step.key), source.index(step.key, step.key_positions) if step.key_of else None)
+        (rows.get(step.key, ()), rows.index(step.key, step.key_positions) if step.key_of else None)
         if isinstance(step, _Scan)
         else None
         for step in plan.steps
@@ -386,18 +372,14 @@ class _Plan:
     goal_count: int
 
 
-def _make_plan(rule: Clause, source: RowSource) -> _Plan:
+def _make_plan(rule: Clause) -> _Plan:
     """The slot-compiled join of ``rule``'s body; see ``join`` for the
     ValueErrors."""
     body = rule.body
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
-        if isinstance(lit, Goal):
-            key = indicator(lit.term)
-            if source.has_rules(key):
-                raise ValueError(f"{key[0]}/{key[1]} is defined by rules, not facts alone")
-            if not lit.negated:
-                ordinals[index] = len(ordinals)
+        if isinstance(lit, Goal) and not lit.negated:
+            ordinals[index] = len(ordinals)
     names = [set(var_names(lit)) for lit in body]
     occurrences = Counter(term_vars(rule.head))
     for lit_names in names:

@@ -77,13 +77,18 @@ def read_text(record: dict, key: str) -> str:
     return value
 
 
-def read_id(record: dict) -> str:
-    """A record's ``id``: a string, or an integer read as its decimal text."""
+def read_id(record: dict, seen: set[str] | None = None) -> str:
+    """A record's ``id``: a string, or an integer read as its decimal text.
+    An id already in ``seen``, when given, is an error; a new one joins it."""
     value = record["id"]
     if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    if not isinstance(value, str):
+        value = str(value)
+    elif not isinstance(value, str):
         raise JsonlFormatError(f"'id' must be a string or an integer, found {value!r}")
+    if seen is not None:
+        if value in seen:
+            raise JsonlFormatError(f"repeated 'id' {value!r}")
+        seen.add(value)
     return value
 
 

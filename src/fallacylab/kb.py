@@ -14,18 +14,11 @@ stores each flat fact line the parser yields as its key and argument tuple,
 with no term built for it, and every other fact from its head; a fact with a
 variable is a ParseError at its line.
 
-``index`` keys a predicate's rows by their values at some argument
-positions: the value itself for one position, a tuple for several.  Each
-bucket lists the positions of its rows in insertion order.  An index is
-built on the first lookup that needs it, not while loading, so a base that
-is only validated or serialized builds none.  A base can back any number of
-concurrent derivations; a fill racing another on the same positions builds
-the same index twice.
+A base holds no index: a derivation reads its rows through a table of its
+own (``schemas.fact_table``), whose indexes ``engine.join`` and the recheck
+build there.
 """
 from __future__ import annotations
-
-from operator import itemgetter
-from typing import Mapping, Sequence
 
 from .engine import Clause, Struct, Term, indicator, is_ground
 from .errors import ParseError
@@ -37,54 +30,9 @@ Key = tuple[str, int]
 Args = tuple[Term, ...]
 
 
-class RowStore:
-    """Ground argument tuples per predicate, with exact-key indexes built on
-    first lookup.  On its own it is the layer a derivation puts its
-    auxiliary rows in."""
-
-    def __init__(self, tables: Mapping[Key, list[Args]] | None = None):
-        self._tables: dict[Key, list[Args]] = dict(tables or {})
-        #: key -> argument positions -> {value(s) at those positions: row positions}
-        self._indexes: dict[Key, dict[tuple[int, ...], dict[object, list[int]]]] = {}
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._tables
-
-    def tables(self) -> dict[Key, list[Args]]:
-        """Each predicate's rows, keyed by ``(name, arity)``: a new mapping
-        over the store's own lists, which the caller must not change."""
-        return dict(self._tables)
-
-    def table(self, key: Key) -> Sequence[Args]:
-        """The predicate's rows, in insertion order."""
-        return self._tables.get(key, ())
-
-    def index(self, key: Key, positions: tuple[int, ...]) -> Mapping[object, Sequence[int]]:
-        """The positions of the predicate's rows, in insertion order, keyed
-        by their values at ``positions`` (one or more argument positions)."""
-        by_positions = self._indexes.get(key)
-        if by_positions is None:
-            by_positions = self._indexes[key] = {}
-        index = by_positions.get(positions)
-        if index is None:
-            index = {}
-            for position, value in enumerate(map(itemgetter(*positions), self.table(key))):
-                bucket = index.get(value)
-                if bucket is None:
-                    index[value] = [position]
-                else:
-                    bucket.append(position)
-            by_positions[positions] = index
-        return index
-
-    def has_rules(self, key: Key) -> bool:
-        """Whether a rule defines the predicate."""
-        return False
-
-
-class KnowledgeBase(RowStore):
+class KnowledgeBase:
     def __init__(self):
-        super().__init__()
+        self._tables: dict[Key, list[Args]] = {}
         self.rules: list[Clause] = []
         #: Per fact, in insertion order: its key, arguments, comment and group.
         self._fact_keys: list[Key] = []
@@ -118,10 +66,10 @@ class KnowledgeBase(RowStore):
             groups.append(group)
         return kb
 
-    # -- queries ------------------------------------------------------------
-
-    def has_rules(self, key: Key) -> bool:
-        return any(indicator(rule.head) == key for rule in self.rules)
+    def tables(self) -> dict[Key, list[Args]]:
+        """Each predicate's rows, keyed by ``(name, arity)``: a new mapping
+        over the base's own lists, which the caller must not change."""
+        return dict(self._tables)
 
     # -- text round trip ------------------------------------------------------
 

@@ -65,9 +65,12 @@ class Prediction:
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
+    """The file's entries; an id that repeats is an error at its line."""
+    seen: set[str] = set()
+
     def entry(record: dict) -> BenchmarkEntry:
         return BenchmarkEntry(
-            id=read_id(record),
+            id=read_id(record, seen),
             sentence=read_text(record, "sentence"),
             labels=read_labels(record),
             source=record.get("source", "bench"),
@@ -77,12 +80,15 @@ def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
+    """The file's predictions; an id that repeats is an error at its line."""
+    seen: set[str] = set()
+
     def prediction(record: dict) -> Prediction:
         flag = record["logic_error"]
         if not isinstance(flag, bool):
             raise JsonlFormatError(f"'logic_error' must be true or false, found {flag!r}")
         return Prediction(
-            entry_id=read_id(record), logic_error=flag, labels=read_labels(record)
+            entry_id=read_id(record, seen), logic_error=flag, labels=read_labels(record)
         )
 
     return list(read_jsonl(path, ("id", "logic_error"), prediction))

@@ -5,11 +5,11 @@ tuple of arguments a guaranteed instance of that fallacy, over a fixed
 24-predicate fact vocabulary.  Body literals are ordered so that every
 negated literal is ground by the time it is selected.
 
-A derivation reads the base's rows, plus each auxiliary relation of the
-schema, computed once natively from them.  The engine has no derived
-predicates; each auxiliary's rows are ground argument tuples in a small
-``RowStore`` layered in front of the base, not in a copy of it, so every
-schema body is one join over rows (``engine.join``):
+A schema's fact predicates, its signatures, are the goals of its query
+body, less its auxiliaries.  A derivation reads one ``FactTable``: the
+base's row lists, not copies, plus each auxiliary relation of the schema,
+computed once natively from them.  The engine has no derived predicates, so
+every schema body is one join over that table's rows (``engine.join``):
 
 * ``im_t/2`` (transitive closure of ``im/2``) is computed by a graph walk
   that terminates on cyclic graphs, from the starts IT's body can ask
@@ -20,19 +20,19 @@ schema body is one join over rows (``engine.join``):
   conjunction, which the engine's literals cannot express; the schema
   text glosses it.
 
-``derive_instances`` re-checks every tuple it returns literal by literal,
-independent of the join, before handing it out.  It reads a ``FactTable``:
-a view of the same rows (the base's lists, not copies, plus the
-auxiliaries) with indexes of its own, so a fault in the join's lookup
-cannot vouch for itself.  Each schema's query rule is compiled once
-for that, in body order, over a list of slots that starts with the tuple's
-values: each goal's arguments are constants, slots already filled, or slots
-the goal fills from a row.  Each candidate row is compared in place, with
-no binding dict.
+``fact_table`` checks the base against the schema's signatures first, so
+no base the join reads defines a body predicate by a rule or shares one
+with the schema.  ``derive_instances`` re-checks every tuple it returns
+literal by literal, independent of the join, before handing it out.  The
+recheck reads the same table through an index of its own, so a fault in
+the join's lookup cannot vouch for itself.  Each schema's query rule is
+compiled once for that, in body order, over a list of slots that starts
+with the tuple's values: each goal's arguments are constants, slots already
+filled, or slots the goal fills from a row.  Each candidate row is compared
+in place, with no binding dict.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .engine import (
     Clause,
     Goal,
-    Layered,
+    RowStore,
     Struct,
     Term,
     TermLess,
@@ -51,7 +51,7 @@ from .engine import (
     join,
 )
 from .errors import SignatureError, UnknownSchemaError
-from .kb import KnowledgeBase, RowStore
+from .kb import KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
 from .parser import parse_program, serialize_clause, serialize_term
 
@@ -129,34 +129,21 @@ _SCHEMA_SOURCES: dict[FallacyCode, str] = {
     ),
 }
 
-_SIGNATURES: dict[FallacyCode, tuple[str, ...]] = {
-    FallacyCode.ID: ("he", "vc"),
-    FallacyCode.FA: ("hp",),
-    FallacyCode.FP: ("ef", "fp", "po", "fplc"),
-    FallacyCode.AF: ("hr", "rri", "rui"),
-    FallacyCode.FC: ("hp", "ipo", "lp"),
-    FallacyCode.BQ: ("ca", "ema", "emrc"),
-    FallacyCode.CT: ("qc", "qoc", "froc", "ifqoc"),
-    FallacyCode.IE: ("cc", "im"),
-    FallacyCode.IT: ("im",),
-    FallacyCode.WD: ("cs",),
-    FallacyCode.FS: ("ha", "rc"),
-}
+class FactTable(RowStore):
+    """A derivation's one table of argument tuples per (name, arity), in
+    insertion order, duplicates kept: a base's own row lists, which it must
+    not change, plus the rows of each auxiliary relation.
 
-
-class FactTable(dict):
-    """Argument tuples per (name, arity), in insertion order, duplicates kept:
-    a base's own row lists, which it must not change, plus the rows of each
-    auxiliary relation.
-
-    ``matching`` reads an index of a predicate's rows keyed by their values
-    at some positions, built on first use, so the table must be complete
-    before it is first called.
+    The join reads it through ``index``; the recheck through ``matching``,
+    which keeps an index of its own, in its own storage and built by its own
+    code, so a fault in the join's lookup cannot vouch for itself.  Both
+    indexes are built on first use, so the table must be complete before
+    either is first read.
     """
 
     def __init__(self, tables: Mapping[tuple[str, int], list[tuple[Term, ...]]] = ()):
         super().__init__(tables)
-        self._indexes: dict[tuple, dict[tuple[Term, ...], list[tuple[Term, ...]]]] = {}
+        self._matches: dict[tuple, dict[tuple[Term, ...], list[tuple[Term, ...]]]] = {}
 
     def matching(
         self, key: tuple[str, int], positions: tuple[int, ...], values: tuple[Term, ...]
@@ -166,12 +153,12 @@ class FactTable(dict):
         each row in full."""
         if not positions:
             return self.get(key, [])
-        index = self._indexes.get((key, positions))
+        index = self._matches.get((key, positions))
         if index is None:
             index = {}
             for row in self.get(key, []):
                 index.setdefault(tuple([row[position] for position in positions]), []).append(row)
-            self._indexes[key, positions] = index
+            self._matches[key, positions] = index
         return index.get(values, [])
 
 
@@ -261,10 +248,13 @@ class FallacySchema:
 
 
 def _build_schema(code: FallacyCode) -> FallacySchema:
-    parsed = parse_program(_SCHEMA_SOURCES[code])
-    rules = tuple(item.clause for item in parsed)
-    signatures = tuple((name, PREDICATE_VOCABULARY[name][0]) for name in _SIGNATURES[code])
-    return FallacySchema(code, rules, signatures, _DERIVED.get(code, {}))
+    """The schema of a code; its fact predicates are its query body's goals,
+    in order of first occurrence, less its auxiliaries."""
+    rules = tuple(item.clause for item in parse_program(_SCHEMA_SOURCES[code]))
+    derived = _DERIVED.get(code, {})
+    goals = (indicator(lit.term) for lit in rules[0].body if isinstance(lit, Goal))
+    signatures = tuple(key for key in dict.fromkeys(goals) if key not in derived)
+    return FallacySchema(code, rules, signatures, derived)
 
 
 _SCHEMAS: dict[FallacyCode, FallacySchema] = {
@@ -381,41 +371,28 @@ class ValidTuple:
 
 def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
     """The base's rows, then each of the schema's auxiliary relations,
-    computed once."""
+    computed once.  Raises SignatureError, before building anything, when
+    the base holds an arity-mismatched fact or a rule for a schema fact
+    predicate, or any clause for a predicate the schema itself defines
+    (``pd``, ``im_t``, ``oc``), so every table the join reads comes from a
+    base the schema's body can run over as facts."""
+    _check_signatures(schema, kb)
     table = FactTable(kb.tables())
     for key, relation in schema.derived.items():
         table[key] = relation(table)
     return table
 
 
-def schema_solutions(
-    schema: FallacySchema, kb: KnowledgeBase, table: FactTable, main: Clause
-) -> Counter:
-    """How often each tuple of the query head's arguments is a solution of
-    the rule ``main``, keyed in first-solution order.
-
-    The join reads the base through a small layer holding the table's rows
-    of each auxiliary; ``_check_signatures`` keeps the base from sharing a
-    predicate with it or defining a body predicate by a rule.
-    """
-    aux = RowStore({key: table[key] for key in schema.derived})
-    return Counter(join(main, Layered(aux, kb)))
-
-
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     """All ground ``pd`` instantiations of the schema over a base.
 
     Solutions are deduplicated preserving first occurrence.  Raises
-    SignatureError when the base holds an arity-mismatched fact or a rule for
-    a schema fact predicate, or any clause for a predicate the schema itself
-    defines (``pd``, ``im_t``, ``oc``); engine errors propagate.
+    SignatureError as ``fact_table`` does; engine errors propagate.
     """
     schema = schema_for(code)
     table = fact_table(schema, kb)
-    _check_signatures(schema, kb, table)
-
     out: list[ValidTuple] = []
-    for args in schema_solutions(schema, kb, table, schema.rules[0]):
+    for args in dict.fromkeys(join(schema.rules[0], table)):
         item = ValidTuple(code, args)
         if not confirm_instance(code, table, args):
             raise AssertionError(f"soundness recheck failed for {item.render()}")
@@ -423,15 +400,16 @@ def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     return out
 
 
-def _check_signatures(schema: FallacySchema, kb: KnowledgeBase, table: FactTable) -> None:
+def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
     expected = dict(schema.signatures)
-    for name, arity in table:
+    tables = kb.tables()
+    for name, arity in tables:
         if name in expected and arity != expected[name]:
             raise SignatureError(
                 f"{name} facts must have arity {expected[name]}, found {arity}"
             )
-    for rule in kb.rules:
-        name, arity = indicator(rule.head)
+    ruled = [indicator(rule.head) for rule in kb.rules]
+    for name, arity in ruled:
         if (name, arity) in schema.signatures:
             raise SignatureError(
                 f"{name}/{arity} is a fact predicate of the {schema.code.value} "
@@ -439,7 +417,7 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase, table: FactTable
             )
     defined = [indicator(rule.head) for rule in schema.rules] + list(schema.derived)
     for name, arity in defined:
-        if (name, arity) in kb or kb.has_rules((name, arity)):
+        if (name, arity) in tables or (name, arity) in ruled:
             raise SignatureError(
                 f"{name}/{arity} is defined by the {schema.code.value} schema; "
                 "the knowledge base must not define it"
@@ -601,7 +579,7 @@ def ordering_diagnostic(
     relaxed_main = Clause(
         main.head, tuple(l for l in main.body if not isinstance(l, TermLess))
     )
-    candidates = list(schema_solutions(schema, kb, fact_table(schema, kb), relaxed_main))
+    candidates = list(dict.fromkeys(join(relaxed_main, fact_table(schema, kb))))
     if not candidates:
         return None
     shown = "; ".join(ValidTuple(code, args).render() for args in candidates[:5])

@@ -12,8 +12,8 @@ Two evaluation paths, both deliberately unlike the engine's join:
 The rule bodies are re-encoded here by hand rather than imported, so a typo
 in the package's schema sources cannot silently agree with itself.
 
-``ordered_solutions`` runs a schema's query rule twice over the same
-auxiliary rows: through ``engine.join``, as a derivation does, and through
+``ordered_solutions`` runs a schema's query rule twice over one derivation
+table: through ``engine.join``, as a derivation does, and through
 plain SLD resolution (``sld_oracle``), as the join's reference.
 """
 from __future__ import annotations
@@ -23,11 +23,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from fallacylab.engine import Atom, Goal, Int, Layered, Struct, Term, join
-from fallacylab.kb import KnowledgeBase, RowStore
+from fallacylab.engine import Atom, Goal, Int, Struct, Term, join
+from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
 from fallacylab.parser import parse_program
-from fallacylab.schemas import fact_table, schema_for, schema_solutions
+from fallacylab.schemas import fact_table, schema_for
 
 from sld_oracle import Program, findall
 
@@ -315,21 +315,20 @@ def _join(assignments, arg_names, tuples_with_counts) -> list[tuple[dict, int]]:
 def engine_counts(code: FallacyCode, kb: KnowledgeBase) -> Counter:
     """Raw solution multiset from the engine, before deduplication."""
     schema = schema_for(code)
-    return schema_solutions(schema, kb, fact_table(schema, kb), schema.rules[0])
+    return Counter(join(schema.rules[0], fact_table(schema, kb)))
 
 
 def ordered_solutions(
     code: FallacyCode, kb: KnowledgeBase
 ) -> tuple[list[tuple[Term, ...]], list[tuple[Term, ...]]]:
     """The query head's argument tuples in solution order, from ``join`` and
-    from plain SLD: ``findall`` over the query rule and the rows of a layer
-    holding the auxiliary rows in front of the base."""
+    from plain SLD: ``findall`` over the query rule and the rows of the
+    derivation's table, the base's rows plus the auxiliary rows."""
     schema = schema_for(code)
     table = fact_table(schema, kb)
-    source = Layered(RowStore({key: table[key] for key in schema.derived}), kb)
     main, head = schema.rules[0], schema.query_head
-    joined = join(main, source)
-    program = Program(source, [main])
+    joined = join(main, table)
+    program = Program(table, [main])
     return joined, [term.args for term in findall(head, [Goal(head)], program)]
 
 

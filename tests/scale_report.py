@@ -11,7 +11,7 @@ a quarter of the groups are near-miss decoys), then prints the best of
 loading it (``KnowledgeBase.from_text``: the parse plus the base build) and,
 separately, of deriving over the loaded base (``derive_instances`` plus
 ``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
-columns split the derive: the join's part (``schema_solutions``) and the
+columns split the derive: the join's part (``engine.join``) and the
 soundness recheck of every derived tuple (``confirm_instance``).  It exits 1
 if any code derives other tuples than the generator lists.  The file name
 keeps pytest from collecting it.
@@ -27,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import inputs  # noqa: E402
 
+from fallacylab.engine import join  # noqa: E402
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
 from fallacylab.parser import parse_program  # noqa: E402
@@ -36,7 +37,6 @@ from fallacylab.schemas import (  # noqa: E402
     fact_table,
     ordering_diagnostic,
     schema_for,
-    schema_solutions,
 )
 
 
@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         schema = schema_for(code)
         table = fact_table(schema, kb)
         rule = schema.rules[0]
-        solve_s, _ = _best(args.repeat, lambda: schema_solutions(schema, kb, table, rule))
+        solve_s, _ = _best(args.repeat, lambda: join(rule, table))
         recheck_s, _ = _best(
             args.repeat, lambda: all(confirm_instance(code, table, t.args) for t in tuples)
         )

@@ -7,10 +7,10 @@ tests can require ``join`` to return SLD's solutions in SLD's order and
 multiplicity, and the native ``im_t/2`` closure to hold exactly what IT's
 rule text proves.  Nothing outside ``tests/`` imports this file.
 
-The knowledge base keeps no clause rows, so ``Program`` builds them: per
-predicate, the rows of the source's facts, in insertion order, then the
-given rules.  Its ``rows`` narrows the facts through the source's own key
-lookup (``RowStore.index``) on a goal's ground arguments, so SLD over a
+The join's table keeps no clauses, so ``Program`` builds them: per
+predicate, the table's rows as facts, in insertion order, then the given
+rules.  Its ``rows`` narrows the facts through the table's own key lookup
+(``engine.RowStore.index``) on a goal's ground arguments, so SLD over a
 ``Program`` also checks that lookup against a full scan (``indexed=False``).
 
 The solver is deliberately small: no cut, no assert during solving, no
@@ -33,6 +33,7 @@ from fallacylab.engine import (
     GoalTerm,
     Literal,
     NotEqual,
+    RowStore,
     Struct,
     Term,
     TermLess,
@@ -60,30 +61,30 @@ Row = tuple[int, Clause]
 
 
 class Program:
-    """Clause rows for SLD over a row source: per predicate, its facts in
-    insertion order, then ``rules`` (by default the source's own rules).
+    """Clause rows for SLD over a row table: per predicate, its rows as facts
+    in insertion order, then its ``rules``.
 
-    With ``indexed``, a goal's fact rows are the source's index bucket for
+    With ``indexed``, a goal's fact rows are the table's index bucket for
     the values of its ground arguments; without it, every fact row.  Either
     way every row whose head can unify with the goal is included, in
     insertion order, so SLD's solutions do not change.
     """
 
-    def __init__(self, source, rules: Iterable[Clause] | None = None, *, indexed: bool = True):
-        self.source = source
+    def __init__(self, table: RowStore, rules: Iterable[Clause] = (), *, indexed: bool = True):
+        self.table = table
         self.indexed = indexed
         self._rules: dict[tuple[str, int], list[Clause]] = {}
-        for rule in source.rules if rules is None else rules:
+        for rule in rules:
             self._rules.setdefault(indicator(rule.head), []).append(rule)
 
     def rows(self, goal: GoalTerm) -> list[Row]:
         key = indicator(goal)
-        table = self.source.table(key)
+        table = self.table.get(key, ())
         args = goal.args if isinstance(goal, Struct) else ()
         positions = tuple(i for i, arg in enumerate(args) if is_ground(arg)) if self.indexed else ()
         if positions:
             values = tuple(args[i] for i in positions)
-            picked = self.source.index(key, positions).get(
+            picked = self.table.index(key, positions).get(
                 values[0] if len(values) == 1 else values, ()
             )
         else:

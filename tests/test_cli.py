@@ -695,6 +695,37 @@ BAD_INPUTS = {
          "--out", tmp / "out"],
         [f"{tmp / 'p.jsonl'}:1", "'id'", "True"],
     ),
+    # A repeated id is refused where it repeats, before any request is sent.
+    "benchmark-id-repeated": lambda tmp: (
+        ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "b0", "sentence": "x", "labels": ["AF"]}\n'
+                                       '{"id": "b0", "sentence": "y", "labels": ["FC"]}\n'),
+         "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
+        [f"{tmp / 'b.jsonl'}:2", "'id'", "'b0'"],
+    ),
+    "predictions-id-repeated": lambda tmp: (
+        ["eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+         "--predictions", _write(tmp / "p.jsonl", '{"id": 3, "logic_error": true, "labels": []}\n'
+                                 '{"id": "3", "logic_error": false, "labels": []}\n'),
+         "--out", tmp / "out"],
+        [f"{tmp / 'p.jsonl'}:2", "'id'", "'3'"],
+    ),
+    # The signature check keeps every base the join reads to facts the schema
+    # body can run over.
+    **{
+        f"derive-kb-{name}": lambda tmp, code=code, text=text, message=message: (
+            ["derive", "--code", code, "--kb", _write(tmp / "f.pl", text)], [message]
+        )
+        for name, code, text, message in [
+            ("fact-predicate-rule", "FA", "hp(a, b).\nhp(X, Y) :- hp(Y, X).\n",
+             "hp/2 is a fact predicate of the FA schema; the knowledge base must not define it by a rule"),
+            ("auxiliary-fact", "WD", "cs(a, b).\noc(a, b).\n",
+             "oc/2 is defined by the WD schema; the knowledge base must not define it"),
+            ("query-head-rule", "WD", "cs(a, b).\npd(P, X) :- cs(X, P).\n",
+             "pd/2 is defined by the WD schema; the knowledge base must not define it"),
+            ("closure-fact", "IT", "im(a, b).\nim_t(a, b).\n",
+             "im_t/2 is defined by the IT schema; the knowledge base must not define it"),
+        ]
+    },
     # Every input file is read through one decoder, whose error names the
     # file and the line of the first byte that is not UTF-8.
     "derive-kb-not-utf8": _not_utf8("f.pl", lambda tmp: ["derive", "--code", "FC", "--kb", None]),

@@ -14,6 +14,7 @@ from fallacylab.engine import (
     Goal,
     Int,
     NotEqual,
+    RowStore,
     Struct,
     TermLess,
     Var,
@@ -34,9 +35,15 @@ def kb_from(text: str) -> KnowledgeBase:
     return KnowledgeBase.from_text(text)
 
 
+def rows_of(kb: KnowledgeBase) -> RowStore:
+    """The join's table of the base's facts."""
+    return RowStore(kb.tables())
+
+
 def program(text: str) -> Program:
     """SLD's clause rows for the text's facts and rules."""
-    return Program(kb_from(text))
+    kb = kb_from(text)
+    return Program(rows_of(kb), kb.rules)
 
 
 FAMILY = program("father(john, mary).\nparent(X, Y) :- father(X, Y).\n")
@@ -262,7 +269,7 @@ def test_findall_length_matches_solution_count():
 
 def test_findall_preserves_duplicates():
     kb = kb_from("f(a).\nf(a).\n")
-    assert findall(Var("X"), [Goal(Struct("f", (Var("X"),)))], Program(kb)) == [
+    assert findall(Var("X"), [Goal(Struct("f", (Var("X"),)))], Program(rows_of(kb))) == [
         Atom("a"),
         Atom("a"),
     ]
@@ -344,8 +351,8 @@ def test_indexed_lookup_matches_full_scan(q_facts, p_clauses, query):
     template = Struct("ans", tuple(query))
     # SLD reads the facts of a goal through the store's key lookup on its
     # ground arguments, or scans them all.
-    indexed = findall(template, goals, Program(kb))
-    scanned = findall(template, goals, Program(kb, indexed=False))
+    indexed = findall(template, goals, Program(rows_of(kb), kb.rules))
+    scanned = findall(template, goals, Program(rows_of(kb), kb.rules, indexed=False))
     # Same solutions, order and multiplicity; internal variables are named
     # by first occurrence, so the comparison does not hang on their numbers.
     assert [_canonical(t, {}) for t in indexed] == [_canonical(t, {}) for t in scanned]
@@ -364,19 +371,16 @@ def _sld(rule: Clause, source: Program) -> list[tuple]:
     return [term.args for term in findall(goal, [Goal(goal)], source)]
 
 
-def _joinable(rule: Clause, with_rules: set[tuple[str, int]]) -> bool:
-    """Whether ``join`` must run ``rule``: its body names no predicate in
-    ``with_rules``, positive goals before each builtin bind all of its
-    variables and before each negation those it shares with the rest of
-    the rule, and positive goals bind every head variable."""
+def _joinable(rule: Clause) -> bool:
+    """Whether ``join`` must run ``rule``: positive goals before each builtin
+    bind all of its variables and before each negation those it shares with
+    the rest of the rule, and positive goals bind every head variable."""
     occurrences = Counter(term_vars(rule.head))
     for lit in rule.body:
         occurrences.update(set(var_names(lit)))
     bound: set[str] = set()
     for lit in rule.body:
         names = set(var_names(lit))
-        if isinstance(lit, Goal) and indicator(lit.term) in with_rules:
-            return False
         if isinstance(lit, Goal) and not lit.negated:
             bound |= names
         elif isinstance(lit, Goal):
@@ -387,8 +391,7 @@ def _joinable(rule: Clause, with_rules: set[tuple[str, int]]) -> bool:
     return term_vars(rule.head) <= bound
 
 
-# s/2 is defined by rules (a closure over r/2, with q/2 as its base case), so
-# a join refuses a body with an s goal, positive or negated.
+# s/2 is defined by rules: a closure over r/2, with q/2 as its base case.
 _S_RULES = "s(X, Y) :- q(X, Y).\ns(X, Y) :- r(X, Z), s(Z, Y).\n"
 
 _plan_constants = st.sampled_from([Atom("a"), Atom("b"), Int(1)])
@@ -449,14 +452,14 @@ def test_join_matches_sld(facts, repeat, rule):
     if repeat is not None:
         # The same fact again: its two rows are told apart by position.
         facts = [*facts, facts[repeat % len(facts)]]
-    kb = kb_from("\n".join(map(serialize_clause, facts)) + "\n" + _S_RULES)
-    if not _joinable(rule, {("s", 2)}):
+    rows = rows_of(kb_from("\n".join(map(serialize_clause, facts))))
+    if not _joinable(rule):
         with pytest.raises(ValueError):
-            join(rule, kb)
+            join(rule, rows)
         return
-    # Same solutions, order and multiplicity as SLD over the base plus the
-    # rule.
-    assert join(rule, kb) == _sld(rule, Program(kb, [*kb.rules, rule]))
+    # Same solutions, order and multiplicity as SLD over the same rows plus
+    # the rule.  A goal on s/2, which has no rows, meets an empty predicate.
+    assert join(rule, rows) == _sld(rule, Program(rows, [rule]))
 
 
 def test_planned_join_reorders_goals_and_keeps_sld_order():
@@ -470,8 +473,8 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
         "cc(c, f).\n"
     )
     rule = kb.rules[0]
-    joined = join(rule, kb)
-    assert joined == _sld(rule, Program(kb))
+    joined = join(rule, rows_of(kb))
+    assert joined == _sld(rule, Program(rows_of(kb), kb.rules))
     assert [tuple(a.name for a in args) for args in joined] == [
         ("d", "f"),
         ("d", "e"),
@@ -502,8 +505,8 @@ def test_slot_join_edge_cases_match_sld(monkeypatch, program, expected):
     tried = []
     real = engine._match_row
     monkeypatch.setattr(engine, "_match_row", lambda *args: tried.append(args) or real(*args))
-    joined = join(kb.rules[0], kb)
-    assert joined == _sld(kb.rules[0], Program(kb))
+    joined = join(kb.rules[0], rows_of(kb))
+    assert joined == _sld(kb.rules[0], Program(rows_of(kb), kb.rules))
     assert " ".join(serialize_term(Struct("p", args)) for args in joined) == expected
     assert tried  # the rows were read by the join
 
@@ -526,14 +529,11 @@ def test_slot_join_edge_cases_match_sld(monkeypatch, program, expected):
     ids=["keeps-its-place", "raised-by-sld"],
 )
 def test_negation_over_rules_in_a_planned_body(program, error):
-    # p's body negates s, a predicate with rules: the join refuses it, and
-    # SLD runs it whole and raises what SLD raises, indexed or not.
+    # p's body negates s, a predicate with rules: SLD runs it whole and
+    # raises what SLD raises, indexed or not.
     kb = kb_from(_S_RULES + program)
-    rule = next(rule for rule in kb.rules if indicator(rule.head) == ("p", 1))
-    with pytest.raises(ValueError, match="s/2"):
-        join(rule, kb)
     goals = [Goal(Struct("p", (Var("A"),)))]
-    for source in (Program(kb), Program(kb, indexed=False)):
+    for source in (Program(rows_of(kb), kb.rules), Program(rows_of(kb), kb.rules, indexed=False)):
         with pytest.raises(error):
             findall(Var("A"), goals, source, depth_limit=60)
 
@@ -550,4 +550,4 @@ def test_negation_over_rules_in_a_planned_body(program, error):
 def test_join_refuses_what_only_sld_can_run(program, message):
     kb = kb_from(program)
     with pytest.raises(ValueError, match=message):
-        join(kb.rules[0], kb)
+        join(kb.rules[0], rows_of(kb))

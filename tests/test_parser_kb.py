@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fallacylab import kb as kb_module
 from fallacylab import parser
-from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, Struct, TermLess, Var
+from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, RowStore, Struct, TermLess, Var
 from fallacylab.errors import ParseError, UnknownSchemaError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
@@ -298,7 +298,7 @@ def test_seed_sources_parse_as_the_reference_parser_does():
 
 def test_from_text_then_query():
     kb = KnowledgeBase.from_text("father(john, mary).")
-    assert kb.table(("father", 2)) == [(Atom("john"), Atom("mary"))]
+    assert kb.tables() == {("father", 2): [(Atom("john"), Atom("mary"))]}
 
 
 def test_non_ground_fact_rejected_at_load():
@@ -312,26 +312,27 @@ def test_non_ground_fact_rejected_at_load():
 def test_duplicate_fact_stored_twice():
     kb = KnowledgeBase.from_text("f(a).\nf(a).\n")
     assert kb.serialize() == "f(a).\nf(a).\n"
-    assert len(kb.table(("f", 1))) == 2
+    assert len(kb.tables()[("f", 1)]) == 2
 
 
 def test_key_lookup_returns_row_positions_in_insertion_order():
     kb = KnowledgeBase.from_text("p(a, 1).\np(b, 1).\np(f(a), 1).\np(a, 3).\np(a, 1).\n")
+    rows = RowStore(kb.tables())
     key = ("p", 2)
     # A constant key: the positions of the rows holding it there, in order.
-    assert kb.index(key, (0,))[Atom("a")] == [0, 3, 4]
+    assert rows.index(key, (0,))[Atom("a")] == [0, 3, 4]
     # An integer key.
-    assert kb.index(key, (1,))[Int(1)] == [0, 1, 2, 4]
-    assert [kb.table(key)[i] for i in kb.index(key, (1,))[Int(3)]] == [(Atom("a"), Int(3))]
+    assert rows.index(key, (1,))[Int(1)] == [0, 1, 2, 4]
+    assert [rows[key][i] for i in rows.index(key, (1,))[Int(3)]] == [(Atom("a"), Int(3))]
     # A ground compound keys its own bucket, like any other value.
-    assert kb.index(key, (0,))[Struct("f", (Atom("a"),))] == [2]
+    assert rows.index(key, (0,))[Struct("f", (Atom("a"),))] == [2]
     # Several positions key by the tuple of their values.
-    assert kb.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
+    assert rows.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
     # A value no row holds, and an absent predicate.
-    assert Atom("zz") not in kb.index(key, (0,))
-    assert kb.index(("absent", 1), (0,)) == {} and kb.table(("absent", 1)) == ()
+    assert Atom("zz") not in rows.index(key, (0,))
+    assert rows.index(("absent", 1), (0,)) == {} and ("absent", 1) not in rows
     # No bound position: the join reads every row of the table.
-    assert kb.table(key) == [
+    assert rows[key] == [
         (Atom("a"), Int(1)), (Atom("b"), Int(1)), (Struct("f", (Atom("a"),)), Int(1)),
         (Atom("a"), Int(3)), (Atom("a"), Int(1)),
     ]
@@ -345,7 +346,7 @@ def test_flat_fact_lines_load_as_argument_tuples(monkeypatch):
         for name in ("Clause", "Struct"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     kb = KnowledgeBase.from_text(SEED_SOURCES[FallacyCode.ID])
-    assert kb.table(("he", 3))[1] == (Atom("brush_teeth"), Atom("14_mins"),
+    assert kb.tables()[("he", 3)][1] == (Atom("brush_teeth"), Atom("14_mins"),
                                       Atom("teeth_health_for_one_week"))
     assert len(derive_instances(FallacyCode.ID, kb)) == 1
 

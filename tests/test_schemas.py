@@ -94,6 +94,14 @@ def test_every_body_predicate_is_vocabulary_auxiliary_or_builtin():
                     assert name in PREDICATE_VOCABULARY or name in heads, (code, name)
 
 
+def test_signatures_are_vocabulary_predicates():
+    # Each schema's fact predicates are worked out from its query body; every
+    # one must be in the vocabulary, at the vocabulary's arity.
+    for code in SCHEMA_CODES:
+        for name, arity in schema_for(code).signatures:
+            assert PREDICATE_VOCABULARY.get(name, (None,))[0] == arity, (code, name, arity)
+
+
 def test_label_only_codes_have_no_schema():
     for code in (FallacyCode.EC, FallacyCode.NF, FallacyCode.FD):
         with pytest.raises(UnknownSchemaError):
@@ -173,6 +181,14 @@ def test_derive_rejects_arity_mismatch():
     kb = kb_from("hp(kid).\n")
     with pytest.raises(SignatureError):
         derive_instances(FallacyCode.FA, kb)
+
+
+def test_ordering_diagnostic_checks_signatures():
+    # The relaxed FS body reads ha/2 as facts; a rule for it is refused by
+    # the signature check before any join runs.
+    kb = kb_from("ha(u, t).\nrc(x, e).\nha(U, E) :- rc(U, E).\n")
+    with pytest.raises(SignatureError, match="ha/2"):
+        ordering_diagnostic(FallacyCode.FS, kb, [])
 
 
 def test_derive_deduplicates_preserving_first_occurrence():
@@ -464,7 +480,7 @@ def test_native_im_closure_matches_its_rule_text(edges, cycle):
     # keeps ground goals terminating on cycles); no row starts elsewhere.
     sources = {b: {x for x, y in edges if y == b} for _, b in edges}
     demanded = {a for a, b in edges if len(sources[b]) > 1}
-    program = Program(kb, schema.rules[1:])
+    program = Program(engine.RowStore(kb.tables()), schema.rules[1:])
     nodes = sorted({node for edge in edges for node in edge}, key=lambda atom: atom.name)
     proved = {
         (p, q)
@@ -515,7 +531,7 @@ def test_no_flounder_on_randomized_ground_kbs():
     [FallacyCode.FP, FallacyCode.FC, FallacyCode.BQ, FallacyCode.CT],
 )
 def test_positive_only_schemas_are_monotone(code):
-    rng = random.Random(hash(code.value) % 1000)
+    rng = random.Random(SCHEMA_CODES.index(code))
     for _ in range(25):
         kb = random_kb(code, rng)
         before = {t.args for t in derive_instances(code, kb)}
