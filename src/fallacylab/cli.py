@@ -30,7 +30,7 @@ from .jsonl import read_input
 from .kb import KnowledgeBase
 from .labels import parse_code
 from .metrics import build_report, load_benchmark, load_predictions
-from .parser import parse_program
+from .parser import parse_statements
 from .pipeline import (
     generate_bundle,
     judge_benchmark,
@@ -233,8 +233,8 @@ def main(verbose: bool) -> None:
 def validate(kb_path: str, code_text: str) -> None:
     """Check a fact file against a schema's predicate signatures."""
     code = parse_code(code_text)
-    parsed = parse_program(read_input(kb_path))
-    report = validate_kb_against_schema(code, [item.clause for item in parsed])
+    statements = [item for item, _, _, _ in parse_statements(read_input(kb_path))]
+    report = validate_kb_against_schema(code, statements)
     click.echo(report.render(), file=sys.stdout)
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)
 
@@ -249,8 +249,7 @@ def derive(code_text: str, kb_path: str | None) -> None:
     kb = KnowledgeBase.from_text(read_input(kb_path)) if kb_path else load_seed(code)
     tuples = derive_instances(code, kb)
     note = ordering_diagnostic(code, kb, tuples)
-    for item in tuples:
-        click.echo(item.render(), file=sys.stdout)
+    click.echo("".join(f"{t.render()}\n" for t in tuples), file=sys.stdout, nl=False)
     if note:
         click.echo(f"diagnostic: {note}", file=sys.stderr)
     sys.exit(EXIT_OK)

@@ -47,7 +47,7 @@ from .errors import (
 from .jsonl import encode_canonical, read_jsonl, write_jsonl
 from .kb import KnowledgeBase
 from .labels import FallacyCode, check_predicted_labels, definitions_block, parse_code
-from .parser import ParseError, parse_program
+from .parser import ParseError, parse_statements
 from .schemas import ValidTuple, schema_for, validate_kb_against_schema
 
 log = logging.getLogger(__name__)
@@ -530,17 +530,16 @@ class Gateway:
         rejected = 0
         for block in _split_blocks(_strip_fences(response)):
             try:
-                parsed = parse_program(block)
+                statements = [item for item, _, _, _ in parse_statements(block)]
             except ParseError as exc:
                 rejected += 1
                 log.warning("%s: dropped unparseable group: %s", code.value, exc)
                 continue
-            clauses = [item.clause for item in parsed]
-            if not clauses or not all(c.is_fact for c in clauses):
+            if not statements or not all(type(s) is tuple or s.is_fact for s in statements):
                 rejected += 1
                 log.warning("%s: dropped group containing non-facts", code.value)
                 continue
-            report = validate_kb_against_schema(code, clauses)
+            report = validate_kb_against_schema(code, statements)
             if not report.clean:
                 rejected += 1
                 log.warning("%s: dropped invalid group: %s", code.value, report.render())

@@ -37,8 +37,10 @@ lines of one call share their constants and predicate keys: one ``Atom`` or
 ``Int`` per spelling, one ``(name, arity)`` per predicate.
 
 ``parse_statements`` yields each clause as it is parsed, a flat fact as its
-key and argument tuple, so a knowledge base can store it without building a
-term for it; ``parse_program`` builds the ``Clause`` of every statement.
+key and argument tuple, so no term is built for it.  It feeds the
+knowledge-base loader, ``fallacylab validate`` and the gateway's harvest of
+generated fact groups; ``parse_program`` builds the ``Clause`` of every
+statement.
 
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical

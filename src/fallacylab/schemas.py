@@ -53,7 +53,7 @@ from .engine import (
 from .errors import SignatureError, UnknownSchemaError
 from .kb import KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
-from .parser import parse_program, serialize_clause, serialize_term
+from .parser import FlatFact, parse_program, serialize_clause, serialize_term
 
 # Fact vocabulary: predicate name -> (arity, gloss).  The glosses double as
 # prompt annotations.
@@ -310,8 +310,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_kb_against_schema(code: FallacyCode, clauses: Iterable[Clause]) -> ValidationReport:
+def validate_kb_against_schema(
+    code: FallacyCode, statements: Iterable[Clause | FlatFact]
+) -> ValidationReport:
     """Check facts against a schema's signatures.
+
+    Each statement is a ``Clause`` or, as ``parse_statements`` yields a flat
+    fact line, a ``FlatFact``.  A flat fact of a signature's name and arity
+    is counted by its key alone: its arguments are constants, so it is
+    ground.  Any other is checked as the ``Clause`` it stands for.
 
     Reports unknown predicates, arity mismatches, non-ground facts, and
     required predicates with zero facts.  Never raises; the report carries
@@ -322,8 +329,14 @@ def validate_kb_against_schema(code: FallacyCode, clauses: Iterable[Clause]) -> 
     findings: list[Finding] = []
     counts: dict[str, int] = {name: 0 for name in expected}
 
-    for clause in clauses:
-        if not clause.is_fact:
+    for clause in statements:
+        if type(clause) is tuple:
+            (name, arity), args = clause
+            if expected.get(name) == arity:
+                counts[name] += 1
+                continue
+            clause = Clause(Struct(name, args))
+        elif not clause.is_fact:
             continue
         name, arity = indicator(clause.head)
         if not is_ground(clause.head):
@@ -366,7 +379,7 @@ class ValidTuple:
     args: tuple[Term, ...]
 
     def render(self) -> str:
-        return serialize_term(Struct("pd", self.args))
+        return f"pd({', '.join(map(serialize_term, self.args))})"
 
 
 def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:

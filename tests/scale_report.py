@@ -8,13 +8,15 @@ For each of the eleven schema codes it builds ``--groups`` one-instance fact
 groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
 ``--repeat`` timings of parsing the text alone (``parse_program``), of
+validating it against its own code (``validate_kb_against_schema`` over
+the ``parse_statements`` list, as ``fallacylab validate`` runs it), of
 loading it (``KnowledgeBase.from_text``: the parse plus the base build) and,
 separately, of deriving over the loaded base (``derive_instances`` plus
 ``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
 columns split the derive: the join's part (``engine.join``) and the
 soundness recheck of every derived tuple (``confirm_instance``).  It exits 1
-if any code derives other tuples than the generator lists.  The file name
-keeps pytest from collecting it.
+if any code's text has a validation finding or derives other tuples than the
+generator lists.  The file name keeps pytest from collecting it.
 """
 from __future__ import annotations
 
@@ -30,13 +32,14 @@ import inputs  # noqa: E402
 from fallacylab.engine import join  # noqa: E402
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
-from fallacylab.parser import parse_program  # noqa: E402
+from fallacylab.parser import parse_program, parse_statements  # noqa: E402
 from fallacylab.schemas import (  # noqa: E402
     confirm_instance,
     derive_instances,
     fact_table,
     ordering_diagnostic,
     schema_for,
+    validate_kb_against_schema,
 )
 
 
@@ -51,7 +54,8 @@ def _best(repeat: int, fn):
 
 
 _COLUMNS = (
-    ("parse s", 9), ("load s", 9), ("derive s", 10), ("solve s", 9), ("recheck s", 11)
+    ("parse s", 9), ("validate s", 12), ("load s", 9), ("derive s", 10), ("solve s", 9),
+    ("recheck s", 11),
 )
 
 
@@ -69,13 +73,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.groups} groups, seed {args.seed}, best of {args.repeat}")
     print(f"{'code':<5}" + "".join(f"{name:>{width}}" for name, width in _COLUMNS) + f"{'tuples':>8}")
     totals = [0.0] * len(_COLUMNS)
-    wrong = []
+    wrong, invalid = [], []
     for name, groups in inputs.derive_inputs(args.seed, args.groups).items():
         code = FallacyCode(name)
         text = inputs.groups_text(groups)
-        # The parsed clauses are dropped before the load is timed, so the
-        # collector does not walk them during it.
+        # The parsed clauses and statements are dropped before the load is
+        # timed, so the collector does not walk them during it.
         parse_s = _best(args.repeat, lambda: parse_program(text))[0]
+        statements = [item for item, _, _, _ in parse_statements(text)]
+        validate_s, report = _best(
+            args.repeat, lambda: validate_kb_against_schema(code, statements)
+        )
+        del statements
+        if not report.clean:
+            invalid.append(name)
         load_s, kb = _best(args.repeat, lambda: KnowledgeBase.from_text(text))
 
         def derive():
@@ -93,14 +104,15 @@ def main(argv: list[str] | None = None) -> int:
         recheck_s, _ = _best(
             args.repeat, lambda: all(confirm_instance(code, table, t.args) for t in tuples)
         )
-        times = (parse_s, load_s, derive_s, solve_s, recheck_s)
+        times = (parse_s, validate_s, load_s, derive_s, solve_s, recheck_s)
         totals = [total + seconds for total, seconds in zip(totals, times)]
         print(f"{name:<5}" + _columns(times) + f"{len(tuples):>8}")
     print(f"{'all':<5}" + _columns(totals))
+    if invalid:
+        print(f"validation findings: {', '.join(invalid)}", file=sys.stderr)
     if wrong:
         print(f"tuples differ from the generator's list: {', '.join(wrong)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if invalid or wrong else 0
 
 
 if __name__ == "__main__":

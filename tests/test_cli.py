@@ -67,6 +67,35 @@ def test_validate_reports_a_non_ground_fact_as_a_finding(runner, tmp_path):
     assert "  [non_ground_fact] qc(X, b).\n" in result.stdout
 
 
+def test_validate_reports_every_finding_kind_in_file_order(runner, tmp_path):
+    # Clean flat facts among an unknown predicate, an arity mismatch, a
+    # non-ground fact, a nested compound, a rule (skipped) and an empty
+    # required predicate (lp/2).
+    path = tmp_path / "fc.pl"
+    path.write_text(
+        "% clean facts, then one of each finding kind\n"
+        "hp(chimney, survives_fire).\n"
+        "ipo(chimney, building). % a part\n"
+        "\n"
+        "zz(chimney, brick).\n"
+        "ipo(chimney, building, town).\n"
+        "hp(X, survives_fire).\n"
+        "ipo(f(brick), g(wall, 2), town).\n"
+        "hp(brick, survives_fire) :- ipo(brick, chimney).\n"
+        "hp(roof(tile), survives_fire).\n"
+    )
+    result = run(runner, "validate", "--kb", path, "--code", "FC")
+    assert result.exit_code == 1
+    assert result.stdout == (
+        "FC: 5 finding(s)\n"
+        "  [unknown_predicate] zz/2 not used by FC: zz(chimney, brick).\n"
+        "  [arity_mismatch] ipo expects arity 2, found 3: ipo(chimney, building, town).\n"
+        "  [non_ground_fact] hp(X, survives_fire).\n"
+        "  [arity_mismatch] ipo expects arity 2, found 3: ipo(f(brick), g(wall, 2), town).\n"
+        "  [missing_required] lp/2 required by FC, empty\n"
+    )
+
+
 def test_derive_kb_with_a_non_ground_fact_exits_two_at_its_line(runner, tmp_path):
     path = tmp_path / "ct.pl"
     path.write_text("qc(a, b). % fine\n\nqc(X, b).\n")

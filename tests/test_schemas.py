@@ -18,7 +18,7 @@ from fallacylab.errors import SignatureError, UnknownSchemaError
 from fallacylab.gateway import Gateway
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
-from fallacylab.parser import parse_program
+from fallacylab.parser import parse_program, parse_statements
 from fallacylab.schemas import (
     PREDICATE_VOCABULARY,
     confirm_instance,
@@ -401,6 +401,50 @@ def test_validate_clean_seed_is_empty_report():
         clauses = [p.clause for p in parse_program(load_seed(code).serialize())]
         report = validate_kb_against_schema(code, clauses)
         assert report.clean, report.render()
+
+
+_constants = st.sampled_from(["a", "chimney", "2_mins", "0", "42", "1" * 30])
+_names = st.sampled_from(sorted(PREDICATE_VOCABULARY) + ["zz", "note", "pd"])
+
+
+@st.composite
+def _fact_line(draw, arg=_constants):
+    name = draw(_names)
+    # A vocabulary name at its own arity most of the time, so each code
+    # meets some facts it counts.
+    arity = draw(st.sampled_from([PREDICATE_VOCABULARY.get(name, (2,))[0]] * 3 + [1, 2, 3]))
+    args = ", ".join(draw(st.lists(arg, min_size=arity, max_size=arity)))
+    comment = draw(st.sampled_from(["", " % why", "%x"]))
+    return f"{name}({args}).{comment}"
+
+
+_term_args = st.one_of(_constants, st.sampled_from(["X", "_", "f(a)", "g(b, 2)"]))
+_validate_lines = st.one_of(
+    _fact_line(),
+    _fact_line(_term_args),
+    st.sampled_from([
+        "hp(a, b) :- ipo(a, b).",
+        "lp(X, y) :- \\+ hp(X, y).",
+        "hp.",
+        "% a comment",
+        "",
+        "  ipo (  a ,b )  .",
+    ]),
+)
+
+
+@given(st.lists(_validate_lines, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_validate_reads_flat_facts_as_their_clauses(lines):
+    # A flat fact is counted by its key alone, and any other statement is
+    # checked as a clause; both must report what the clauses alone report.
+    text = "\n".join(lines) + "\n"
+    statements = [item for item, *_ in parse_statements(text)]
+    clauses = [p.clause for p in parse_program(text)]
+    for code in SCHEMA_CODES:
+        assert validate_kb_against_schema(code, statements) == validate_kb_against_schema(
+            code, clauses
+        )
 
 
 # ---------------------------------------------------------------------------
