@@ -6,17 +6,26 @@ tuples per ``(name, arity)``, read as the rule's facts.  Its body is a
 conjunctive query with stratified negation, so evaluating it is a join over
 rows; it runs no resolution.  Next comes the goal with the most bound
 arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
-runs as soon as its variables are bound.  The body is compiled into steps
-over slots, one per clause variable: each goal's arguments are constants,
-slots bound by earlier steps, or slots the goal binds.  A goal's rows come
-from the table's index on the positions of its constants and earlier slots
+runs as soon as its variables are bound.  The body is planned as steps over
+slots, one per clause variable: each goal's arguments are constants, slots
+bound by earlier steps, or slots the goal binds.  A goal's rows come from
+the table's index on the positions of its constants and earlier slots
 (``RowStore.index``), keyed by their values, so every row of a bucket holds
-them and only the goal's own bindings are matched.  Rows are ground, so
-each is matched one way against the step's pattern, with no substitution.
-SLD resolution over facts yields a body's solutions in lexicographic order
-of the positions of the rows its positive goals matched, in body order, so
-the join sorts its solutions by that vector and they come out in SLD's
-order and multiplicity.
+them and only the goal's own bindings are matched.
+
+``compile_join`` writes that plan as the Python source of its nested loops
+and runs ``exec`` on it once per rule, on the rule's first join: a ``for``
+per positive goal over its bucket, or over every row when it has no key,
+unpacking each row into slot locals, and an ``if`` or a ``for ... break /
+else`` per builtin and negation.  Constants reach the function through its
+namespace, never as source text.  Rows are ground, so each is matched one
+way, with no substitution; compounds go through ``_match`` and ``_build``.
+
+Each solution comes with its witness: the position of the row each positive
+goal matched, in body order.  SLD resolution over facts yields a body's
+solutions in lexicographic order of their witnesses, so the join sorts its
+solutions by witness and they come out in SLD's order and multiplicity.
+The witness is also what the schemas' recheck certifies a tuple by.
 
 Nothing here resolves: the schemas need no more than the join, and plain
 SLD resolution lives on only as the tests' reference for it.  A table
@@ -29,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -178,6 +187,11 @@ class Clause:
         computed once per clause."""
         return tuple(dict.fromkeys(var_names(self.head, *self.body)))
 
+    @cached_property
+    def compiled_join(self) -> "CompiledJoin":
+        """The body's join, compiled by ``compile_join`` on first use and
+        then kept with the clause."""
+        return compile_join(self)
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +262,58 @@ class RowStore(dict):
 
 
 # ---------------------------------------------------------------------------
-# Slot-compiled joins for rules over facts
+# Joins compiled to nested loops, for rules over facts
 # ---------------------------------------------------------------------------
 
+#: One solution of a join: its witness, the position of the row each
+#: positive body goal matched, in body order, and the head's arguments.
+Solution = tuple[tuple[int, ...], tuple[Term, ...]]
 
-def join(rule: Clause, rows: RowStore) -> list[tuple[Term, ...]]:
-    """The head arguments of each solution of ``rule``'s body over
-    ``rows``, in the order and multiplicity SLD gives a goal of distinct
-    variables resolved against ``rule`` and the rows as facts.
 
-    Raises ValueError when a builtin or negation would run before its
-    variables are bound, or when a head variable is bound by no body goal.
+def join(rule: Clause, rows: RowStore) -> list[Solution]:
+    """The solutions of ``rule``'s body over ``rows``, each as its witness
+    and its head arguments, in the order and multiplicity SLD gives a goal
+    of distinct variables resolved against ``rule`` and the rows as facts.
+
+    The body runs as the function ``compile_join`` writes for it, compiled
+    on the rule's first join (``Clause.compiled_join``).  Raises ValueError
+    when a builtin or negation would run before its variables are bound, or
+    when a head variable is bound by no body goal.
     """
-    plan = _make_plan(rule)
-    # Each goal's rows, and its index when it has a key, fetched once.
-    lookups = [
-        (rows.get(step.key, ()), rows.index(step.key, step.key_positions) if step.key_of else None)
-        if isinstance(step, _Scan)
-        else None
-        for step in plan.steps
-    ]
-    found: list[tuple[tuple[int, ...], tuple]] = []
-    _run_steps(plan.steps, lookups, 0, list(plan.slots), [0] * plan.goal_count, found)
+    found = rule.compiled_join.run(rows)
     # Over facts, SLD yields solutions in lexicographic order of the row
     # positions its positive goals matched, in body order.
     found.sort(key=itemgetter(0))
-    return [tuple(_build(pattern, values) for pattern in plan.head) for _, values in found]
+    return found
+
+
+@dataclass(frozen=True)
+class CompiledJoin:
+    """A rule's join plan, the Python source of the nested loops it
+    describes, and the function that source defines: ``run(rows)`` lists
+    the body's solutions over ``rows``, unsorted."""
+
+    plan: "_Plan"
+    source: str
+    run: Callable[[RowStore], list[Solution]]
+
+
+def compile_join(rule: Clause) -> CompiledJoin:
+    """Plan ``rule``'s body and compile the plan to a Python function; see
+    ``join`` for the ValueErrors."""
+    plan = _make_plan(rule)
+    source, namespace = _JoinSource(plan).emit()
+    exec(compile(source, "<join>", "exec"), namespace)
+    # Popped, so the function and its namespace form no reference cycle.
+    return CompiledJoin(plan, source, namespace.pop("run"))
 
 
 # A pattern matches a term of a ground fact.  The clause's variables are
-# slots, indexes into the list of values one run of a plan fills in, so a
-# pattern is ``(_CONST, term)``, ``(_CHECK, slot)`` for a slot bound before
-# it is reached, ``(_BIND, slot)`` for one it binds, or ``(_STRUCT,
-# (functor, argument patterns))``.
+# slots, one local of the compiled function each, so a pattern is
+# ``(_CONST, term)``, ``(_CHECK, slot)`` for a slot bound before it is
+# reached, ``(_BIND, slot)`` for one it binds, or ``(_STRUCT, (functor,
+# argument patterns))``.  The compiled code matches and builds a compound
+# pattern through ``_match`` and ``_build`` over a scratch list of slots.
 _CONST, _CHECK, _BIND, _STRUCT = range(4)
 
 
@@ -327,6 +360,14 @@ def _build(pattern: tuple, slots: list) -> Term:
     return Struct(functor, tuple(_build(p, slots) for p in patterns))
 
 
+def _pattern_slots(pattern: tuple, kind: int) -> list[int]:
+    """The slots of ``pattern``'s variables of ``kind``, once each."""
+    found, payload = pattern
+    if found == _STRUCT:
+        return list(dict.fromkeys(s for p in payload[1] for s in _pattern_slots(p, kind)))
+    return [payload] if found == kind else []
+
+
 @dataclass(frozen=True)
 class _Scan:
     """A body goal, positive or negated, compiled against the slots bound
@@ -343,8 +384,8 @@ class _Scan:
     ordinal: int
     key: tuple[str, int]
     key_positions: tuple[int, ...]
-    #: The index key of the slots, or None when the goal has no key.
-    key_of: "itemgetter | None"
+    #: The slot holding the key's value at each of ``key_positions``.
+    key_slots: tuple[int, ...]
     #: (position, slot) bound from each row, at each new variable's first
     #: argument that is a variable.
     binds: tuple[tuple[int, int], ...]
@@ -472,45 +513,161 @@ def _compile_scan(
         ordinal,
         indicator(term),
         tuple(key_positions),
-        itemgetter(*key_slots) if key_slots else None,
+        tuple(key_slots),
         tuple(binds),
         nested,
     )
 
 
-def _run_steps(steps, lookups, k, slots, positions, found) -> None:
-    """Run ``steps[k:]``, adding each solution's row positions and slot
-    values to ``found``."""
-    if k == len(steps):
-        found.append((tuple(positions), tuple(slots)))
-        return
-    step = steps[k]
-    if isinstance(step, _Test):
-        lhs, rhs = _build(step.lhs, slots), _build(step.rhs, slots)
-        if (compare_terms(lhs, rhs) < 0) if step.less else lhs != rhs:
-            _run_steps(steps, lookups, k + 1, slots, positions, found)
-        return
-    rows, index = lookups[k]
-    candidates = range(len(rows)) if index is None else index.get(step.key_of(slots), ())
-    if step.ordinal < 0:
-        for position in candidates:
-            if _match_row(step, rows[position], slots):
-                return
-        _run_steps(steps, lookups, k + 1, slots, positions, found)
-        return
-    for position in candidates:
-        if _match_row(step, rows[position], slots):
-            positions[step.ordinal] = position
-            _run_steps(steps, lookups, k + 1, slots, positions, found)
+class _JoinSource:
+    """Writes a plan as the source of ``run(rows)``: one ``for`` per
+    positive goal over its index bucket, or over every row when it has no
+    key, unpacking each row into slot locals; one ``if`` per builtin and per
+    match a row's unpacked values still need; one ``for ... break / else``
+    per negated goal.  Every constant, key and pattern the source uses is a
+    name bound in its namespace, never source text, so the source of a rule
+    depends on its shape alone."""
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.namespace: dict[str, object] = {
+            "_match": _match, "_build": _build, "compare_terms": compare_terms,
+        }
+        self.constants = 0
+        #: Lines run once per call, before the loops: a local per key
+        #: constant, then the rows and index of each goal.
+        self.prologue: list[str] = []
+        self.body: list[str] = []
+        #: Whether a compound pattern needs the scratch list of slots ``m``.
+        self.scratch = False
+
+    def emit(self) -> tuple[str, dict[str, object]]:
+        for slot, value in enumerate(self.plan.slots):
+            if value is not None:
+                self.prologue.append(f"s{slot} = {self.constant(value)}")
+        self.steps(0, 1)
+        if self.scratch:
+            self.prologue.append(f"m = [None] * {len(self.plan.slots)}")
+        lines = ["def run(rows):"]
+        lines += [f"    {line}" for line in self.prologue]
+        lines += ["    found = []", "    append = found.append"]
+        lines += self.body
+        lines.append("    return found")
+        return "\n".join(lines) + "\n", self.namespace
+
+    def constant(self, value: object) -> str:
+        name = f"c{self.constants}"
+        self.constants += 1
+        self.namespace[name] = value
+        return name
+
+    def line(self, depth: int, text: str) -> None:
+        self.body.append("    " * depth + text)
+
+    def steps(self, k: int, depth: int) -> None:
+        """Write ``steps[k:]`` at indentation ``depth``."""
+        plan = self.plan
+        if k == len(plan.steps):
+            head = [self.term(pattern, depth) for pattern in plan.head]
+            witness = _tuple([f"p{ordinal}" for ordinal in range(plan.goal_count)])
+            self.line(depth, f"append(({witness}, {_tuple(head)}))")
+            return
+        step = plan.steps[k]
+        if isinstance(step, _Test):
+            lhs, rhs = self.term(step.lhs, depth), self.term(step.rhs, depth)
+            test = f"compare_terms({lhs}, {rhs}) < 0" if step.less else f"{lhs} != {rhs}"
+            self.line(depth, f"if {test}:")
+            self.steps(k + 1, depth + 1)
+            return
+        key = self.constant(step.key)
+        index, value = self.lookup(k, step, key)
+        if step.ordinal < 0 and not step.nested:
+            # Every candidate row matches, so the negation holds when there
+            # is none.  Index buckets are never empty.
+            absent = f"{value} not in {index}" if index else f"not {self.rows(k, key)}"
+            self.line(depth, f"if {absent}:")
+            self.steps(k + 1, depth + 1)
+            return
+        inner = self.scan(k, step, self.rows(k, key), index, value, depth)
+        if step.ordinal >= 0:
+            self.steps(k + 1, inner)
+        else:
+            self.line(inner, "break")
+            self.line(depth, "else:")
+            self.steps(k + 1, depth + 1)
+
+    def rows(self, k: int, key: str) -> str:
+        """The local of one goal's rows, fetched once per call."""
+        self.prologue.append(f"r{k} = rows.get({key}, ())")
+        return f"r{k}"
+
+    def lookup(self, k: int, step: _Scan, key: str) -> tuple[str | None, str | None]:
+        """The local of one goal's index, fetched once per call, and the
+        expression of its key's value; Nones when the goal has no key."""
+        if not step.key_positions:
+            return None, None
+        index = f"x{k}"
+        self.prologue.append(f"{index} = rows.index({key}, {step.key_positions!r})")
+        if len(step.key_slots) == 1:
+            return index, f"s{step.key_slots[0]}"
+        return index, _tuple([f"s{slot}" for slot in step.key_slots])
+
+    def scan(
+        self, k: int, step: _Scan, rows: str, index: str | None, value: str | None, depth: int
+    ) -> int:
+        """Write the loop over one goal's candidate rows and the checks each
+        row still needs; returns the indentation of the code a row that
+        passes them runs."""
+        targets = ["_"] * step.key[1]
+        for position, slot in step.binds:
+            targets[position] = f"s{slot}"
+        for position, _ in step.nested:
+            targets[position] = f"t{k}_{position}"
+        unpack = ", ".join(targets) + ("," if len(targets) == 1 else "")
+        read = any(target != "_" for target in targets)
+        position = f"p{step.ordinal}" if step.ordinal >= 0 else f"q{k}"
+        if index:
+            self.line(depth, f"for {position} in {index}.get({value}, ()):")
+            if read:
+                self.line(depth + 1, f"{unpack} = {rows}[{position}]")
+        elif read:
+            self.line(depth, f"for {position}, ({unpack}) in enumerate({rows}):")
+        else:
+            self.line(depth, f"for {position} in range(len({rows})):")
+        depth += 1
+        for position, pattern in step.nested:
+            cell = f"t{k}_{position}"
+            kind, slot = pattern
+            if kind == _CHECK:
+                self.line(depth, f"if {cell} == s{slot}:")
+                depth += 1
+                continue
+            binds = _pattern_slots(pattern, _BIND)
+            checks = _pattern_slots(pattern, _CHECK)
+            self.load([slot for slot in checks if slot not in binds], depth)
+            self.line(depth, f"if _match({self.constant(pattern)}, {cell}, m):")
+            depth += 1
+            for slot in binds:
+                self.line(depth, f"s{slot} = m[{slot}]")
+        return depth
+
+    def term(self, pattern: tuple, depth: int) -> str:
+        """An expression for the term of a pattern whose slots are bound."""
+        kind, payload = pattern
+        if kind == _CHECK:
+            return f"s{payload}"
+        if kind == _CONST:
+            return self.constant(payload)
+        self.load(_pattern_slots(pattern, _CHECK), depth)
+        return f"_build({self.constant(pattern)}, m)"
+
+    def load(self, slots: list[int], depth: int) -> None:
+        """Copy slot locals into the scratch list for a compound pattern."""
+        self.scratch = True
+        for slot in slots:
+            self.line(depth, f"m[{slot}] = s{slot}")
 
 
-def _match_row(step: _Scan, args: tuple[Term, ...], slots: list) -> bool:
-    """Whether one candidate row, which holds the step's key, fits the rest
-    of its goal; binds the step's new slots when it does.  Called once per
-    candidate row."""
-    for position, slot in step.binds:
-        slots[slot] = args[position]
-    for position, pattern in step.nested:
-        if not _match(pattern, args[position], slots):
-            return False
-    return True
+def _tuple(items: list[str]) -> str:
+    """Source of a tuple display of ``items``."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"

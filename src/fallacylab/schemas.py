@@ -22,19 +22,24 @@ every schema body is one join over that table's rows (``engine.join``):
 
 ``fact_table`` checks the base against the schema's signatures first, so
 no base the join reads defines a body predicate by a rule or shares one
-with the schema.  ``derive_instances`` re-checks every tuple it returns
-literal by literal, independent of the join, before handing it out.  The
-recheck reads the same table through an index of its own, so a fault in
-the join's lookup cannot vouch for itself.  Each schema's query rule is
-compiled once for that, in body order, over a list of slots that starts
-with the tuple's values: each goal's arguments are constants, slots already
-filled, or slots the goal fills from a row.  Each candidate row is compared
-in place, with no binding dict.
+with the schema.  ``derive_instances`` certifies every tuple it returns
+before handing it out, by the witness the join found it with: the row
+position each positive goal matched.  The recheck (``confirm_instance``) is
+written by hand, never generated by the join's compiler, so a fault in the
+join can only propose rows and cannot vouch for them.  It walks the query
+body in body order, over a list of slots that starts with the tuple's
+values: it reads each positive goal's witness row and matches every argument
+against the tuple and the slots already filled, checks each builtin, and
+probes each negated goal through an index of its own
+(``FactTable.matching``).  Derivation is thus a certifying algorithm
+(McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
+Computer Science Review 5(2), 2011).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .engine import (
@@ -134,11 +139,12 @@ class FactTable(RowStore):
     insertion order, duplicates kept: a base's own row lists, which it must
     not change, plus the rows of each auxiliary relation.
 
-    The join reads it through ``index``; the recheck through ``matching``,
-    which keeps an index of its own, in its own storage and built by its own
-    code, so a fault in the join's lookup cannot vouch for itself.  Both
-    indexes are built on first use, so the table must be complete before
-    either is first read.
+    The join reads it through ``index``.  The recheck reads each positive
+    goal's row at its witness position, and probes each negated goal
+    through ``matching``: its only index, in its own storage and built by
+    its own code, so a fault in the join's lookup cannot vouch for a
+    negation.  Both indexes are built on first use, so the table must be
+    complete before either is first read.
     """
 
     def __init__(self, tables: Mapping[tuple[str, int], list[tuple[Term, ...]]] = ()):
@@ -156,8 +162,11 @@ class FactTable(RowStore):
         index = self._matches.get((key, positions))
         if index is None:
             index = {}
-            for row in self.get(key, []):
-                index.setdefault(tuple([row[position] for position in positions]), []).append(row)
+            rows = self.get(key, [])
+            # Each row's values at the positions, column by column.
+            columns = [map(itemgetter(position), rows) for position in positions]
+            for held, row in zip(zip(*columns), rows):
+                index.setdefault(held, []).append(row)
             self._matches[key, positions] = index
         return index.get(values, [])
 
@@ -228,6 +237,13 @@ class FallacySchema:
     def recheck(self) -> _Recheck:
         """The query rule compiled for ``confirm_instance``, once."""
         return _compile_recheck(self.rules[0])
+
+    @cached_property
+    def unordered_rule(self) -> Clause:
+        """The query rule less its ``@<`` literals, for ``ordering_diagnostic``;
+        one clause, so its join is compiled once."""
+        main = self.rules[0]
+        return Clause(main.head, tuple(l for l in main.body if not isinstance(l, TermLess)))
 
     @property
     def query_head(self) -> Struct:
@@ -399,15 +415,21 @@ def fact_table(schema: FallacySchema, kb: KnowledgeBase) -> FactTable:
 def derive_instances(code: FallacyCode, kb: KnowledgeBase) -> list[ValidTuple]:
     """All ground ``pd`` instantiations of the schema over a base.
 
-    Solutions are deduplicated preserving first occurrence.  Raises
-    SignatureError as ``fact_table`` does; engine errors propagate.
+    Solutions are deduplicated preserving first occurrence, and each tuple
+    is certified by the witness of its first solution (``confirm_instance``)
+    before it is handed out.  Raises SignatureError as ``fact_table`` does;
+    engine errors propagate, and a tuple its witness does not certify is an
+    AssertionError naming it.
     """
     schema = schema_for(code)
     table = fact_table(schema, kb)
+    witnesses: dict[tuple[Term, ...], tuple[int, ...]] = {}
+    for witness, args in join(schema.rules[0], table):
+        witnesses.setdefault(args, witness)
     out: list[ValidTuple] = []
-    for args in dict.fromkeys(join(schema.rules[0], table)):
+    for args, witness in witnesses.items():
         item = ValidTuple(code, args)
-        if not confirm_instance(code, table, args):
+        if not confirm_instance(code, table, args, witness):
             raise AssertionError(f"soundness recheck failed for {item.render()}")
         out.append(item)
     return out
@@ -437,7 +459,7 @@ def _check_signatures(schema: FallacySchema, kb: KnowledgeBase) -> None:
             )
 
 
-# -- direct-lookup recheck, independent of the join --------------------------
+# -- witness recheck, independent of the join -------------------------------
 
 
 @dataclass(frozen=True)
@@ -446,11 +468,13 @@ class _Lookup:
     head order, then the body's in order of first occurrence."""
 
     key: tuple[str, int]
-    negated: bool
+    #: Position among the body's positive goals, the index of its row in a
+    #: witness, or -1 for a negated goal.
+    ordinal: int
     #: The positions of the arguments known when it is reached, and the slot
-    #: or constant of each.
+    #: of each.
     positions: tuple[int, ...]
-    sources: tuple["int | Term", ...]
+    sources: tuple[int, ...]
     #: (position, slot) filled from each row, at a variable's first position.
     binds: tuple[tuple[int, int], ...]
     #: (position, slot) of a variable's later positions in the same goal.
@@ -459,11 +483,11 @@ class _Lookup:
 
 @dataclass(frozen=True)
 class _Compare:
-    """``\\=``, or ``@<`` when ``less``, over slots or constants."""
+    """``\\=``, or ``@<`` when ``less``, over two slots."""
 
     less: bool
-    lhs: "int | Term"
-    rhs: "int | Term"
+    lhs: int
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -472,7 +496,11 @@ class _Recheck:
     body order, over a list of slots that starts with the head's arguments."""
 
     arity: int
-    slot_count: int
+    #: The number of positive goals, one witness position each.
+    goal_count: int
+    #: A None for each slot after the head's, one per body variable that
+    #: some goal fills.
+    free: tuple[None, ...]
     steps: "tuple[_Lookup | _Compare, ...]"
 
 
@@ -484,22 +512,26 @@ def _compile_recheck(main: Clause) -> _Recheck:
             raise ValueError("a schema's query head takes distinct variables")
         slot_of[arg.name] = len(slot_of)
 
-    def source(term: Term) -> "int | Term":
-        return slot_of[term.name] if isinstance(term, Var) else term
-
     steps: list[_Lookup | _Compare] = []
     slot_count = len(slot_of)
+    goal_count = 0
     for lit in main.body:
+        if isinstance(lit, Goal):
+            args = lit.term.args if isinstance(lit.term, Struct) else ()
+        else:
+            args = lit.lhs, lit.rhs
+        if not all(isinstance(arg, Var) for arg in args):
+            raise ValueError("a schema's query body takes variables only")
         if not isinstance(lit, Goal):
-            steps.append(_Compare(isinstance(lit, TermLess), source(lit.lhs), source(lit.rhs)))
+            lhs, rhs = slot_of[lit.lhs.name], slot_of[lit.rhs.name]
+            steps.append(_Compare(isinstance(lit, TermLess), lhs, rhs))
             continue
-        args = lit.term.args if isinstance(lit.term, Struct) else ()
         positions, sources, binds, repeats = [], [], [], []
         fresh: dict[str, int] = {}
         for position, arg in enumerate(args):
-            if not isinstance(arg, Var) or arg.name in slot_of:
+            if arg.name in slot_of:
                 positions.append(position)
-                sources.append(source(arg))
+                sources.append(slot_of[arg.name])
             elif arg.name in fresh:
                 repeats.append((position, fresh[arg.name]))
             else:
@@ -507,57 +539,60 @@ def _compile_recheck(main: Clause) -> _Recheck:
                 binds.append((position, fresh[arg.name]))
         # A negation's own variables hold their slots only while it looks.
         slot_count = max(slot_count, len(slot_of) + len(fresh))
+        ordinal = -1
         if not lit.negated:
             slot_of.update(fresh)
+            ordinal, goal_count = goal_count, goal_count + 1
         steps.append(_Lookup(
             indicator(lit.term),
-            lit.negated,
+            ordinal,
             tuple(positions),
             tuple(sources),
             tuple(binds),
             tuple(repeats),
         ))
-    return _Recheck(len(head), slot_count, tuple(steps))
+    return _Recheck(len(head), goal_count, (None,) * (slot_count - len(head)), tuple(steps))
 
 
-def confirm_instance(code: FallacyCode, table: FactTable, args: Sequence[Term]) -> bool:
-    """Re-check one candidate tuple literal by literal via lookups in the
-    ``fact_table`` of the schema and the base."""
+def confirm_instance(
+    code: FallacyCode, table: FactTable, args: Sequence[Term], witness: Sequence[int]
+) -> bool:
+    """Certify one tuple by its witness: the position, in ``table``, of the
+    row each positive goal of the schema's query body matched, in body order.
+
+    Walks the body in body order over slots that start with the tuple's
+    values.  Each positive goal reads its witness row and matches every
+    argument against the tuple and the slots filled so far; each builtin is
+    checked on those values; each negated goal is probed through
+    ``FactTable.matching``.  A witness of the wrong length, or with a
+    position outside its goal's rows, certifies nothing."""
     recheck = schema_for(code).recheck
-    if len(args) != recheck.arity:
+    if len(args) != recheck.arity or len(witness) != recheck.goal_count:
         return False
-    slots = list(args) + [None] * (recheck.slot_count - len(args))
-    return _check_body(recheck.steps, 0, slots, table)
-
-
-def _check_body(steps: tuple, k: int, slots: list, table: FactTable) -> bool:
-    if k == len(steps):
-        return True
-    step = steps[k]
-    # A slot is a plain int; an Int constant is an int subclass.
-    if isinstance(step, _Compare):
-        lhs = slots[step.lhs] if type(step.lhs) is int else step.lhs
-        rhs = slots[step.rhs] if type(step.rhs) is int else step.rhs
-        holds = compare_terms(lhs, rhs) < 0 if step.less else lhs != rhs
-        return holds and _check_body(steps, k + 1, slots, table)
-    values = tuple([slots[source] if type(source) is int else source for source in step.sources])
-    rows = table.matching(step.key, step.positions, values)
-    if step.negated:
-        for row in rows:
-            if _match_row(step, row, values, slots):
+    slots = [*args, *recheck.free]
+    for step in recheck.steps:
+        if type(step) is _Compare:
+            lhs, rhs = slots[step.lhs], slots[step.rhs]
+            if not (compare_terms(lhs, rhs) < 0 if step.less else lhs != rhs):
                 return False
-        return _check_body(steps, k + 1, slots, table)
-    for row in rows:
-        if _match_row(step, row, values, slots) and _check_body(steps, k + 1, slots, table):
-            return True
-    return False
+        elif step.ordinal < 0:
+            values = tuple([slots[slot] for slot in step.sources])
+            for row in table.matching(step.key, step.positions, values):
+                if _match_row(step, row, slots):
+                    return False
+        else:
+            rows = table.get(step.key, ())
+            position = witness[step.ordinal]
+            if not 0 <= position < len(rows) or not _match_row(step, rows[position], slots):
+                return False
+    return True
 
 
-def _match_row(step: _Lookup, row: tuple[Term, ...], values: tuple, slots: list) -> bool:
-    """Whether one candidate row holds every bound value; fills the goal's
-    free slots when it does.  Called once per candidate row."""
-    for position, value in zip(step.positions, values):
-        if row[position] != value:
+def _match_row(step: _Lookup, row: tuple[Term, ...], slots: list) -> bool:
+    """Whether one row holds the value of every slot its goal reads; fills
+    the goal's free slots when it does."""
+    for position, slot in zip(step.positions, step.sources):
+        if row[position] != slots[slot]:
             return False
     for position, slot in step.binds:
         slots[slot] = row[position]
@@ -589,10 +624,8 @@ def ordering_diagnostic(
     if not order_lits or derived:
         return None
 
-    relaxed_main = Clause(
-        main.head, tuple(l for l in main.body if not isinstance(l, TermLess))
-    )
-    candidates = list(dict.fromkeys(join(relaxed_main, fact_table(schema, kb))))
+    solutions = join(schema.unordered_rule, fact_table(schema, kb))
+    candidates = list(dict.fromkeys(args for _, args in solutions))
     if not candidates:
         return None
     shown = "; ".join(ValidTuple(code, args).render() for args in candidates[:5])

@@ -24,6 +24,24 @@ class FakeProvider:
         return self.responses.pop(0)
 
 
+class CountingRows(list):
+    """A predicate's row list that counts each row it hands out, by index or
+    by iteration, in ``reads[0]``; lists of one count share ``reads``."""
+
+    def __init__(self, rows, reads: list[int]):
+        super().__init__(rows)
+        self.reads = reads
+
+    def __getitem__(self, position):
+        self.reads[0] += 1
+        return super().__getitem__(position)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.reads[0] += 1
+            yield row
+
+
 @pytest.fixture
 def fake_provider_factory():
     return FakeProvider

@@ -315,7 +315,7 @@ def _join(assignments, arg_names, tuples_with_counts) -> list[tuple[dict, int]]:
 def engine_counts(code: FallacyCode, kb: KnowledgeBase) -> Counter:
     """Raw solution multiset from the engine, before deduplication."""
     schema = schema_for(code)
-    return Counter(join(schema.rules[0], fact_table(schema, kb)))
+    return Counter(args for _, args in join(schema.rules[0], fact_table(schema, kb)))
 
 
 def ordered_solutions(
@@ -327,7 +327,7 @@ def ordered_solutions(
     schema = schema_for(code)
     table = fact_table(schema, kb)
     main, head = schema.rules[0], schema.query_head
-    joined = join(main, table)
+    joined = [args for _, args in join(main, table)]
     program = Program(table, [main])
     return joined, [term.args for term in findall(head, [Goal(head)], program)]
 

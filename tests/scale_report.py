@@ -7,16 +7,19 @@ Run from the repository root:
 For each of the eleven schema codes it builds ``--groups`` one-instance fact
 groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
-``--repeat`` timings of parsing the text alone (``parse_program``), of
-validating it against its own code (``validate_kb_against_schema`` over
-the ``parse_statements`` list, as ``fallacylab validate`` runs it), of
-loading it (``KnowledgeBase.from_text``: the parse plus the base build) and,
-separately, of deriving over the loaded base (``derive_instances`` plus
-``ordering_diagnostic``, as ``fallacylab derive`` runs them).  Two more
-columns split the derive: the join's part (``engine.join``) and the
-soundness recheck of every derived tuple (``confirm_instance``).  It exits 1
-if any code's text has a validation finding or derives other tuples than the
-generator lists.  The file name keeps pytest from collecting it.
+``--repeat`` timings of parsing the text alone (``parse_statements``, as the
+load and ``fallacylab validate`` read it), of validating it against its own
+code (``validate_kb_against_schema`` over the ``parse_statements`` list, as
+``fallacylab validate`` runs it), of loading it (``KnowledgeBase.from_text``:
+the parse plus the base build) and, separately, of deriving over the loaded
+base (``derive_instances`` plus ``ordering_diagnostic``, as ``fallacylab
+derive`` runs them).  Two more columns split the derive: the join's part
+(``engine.join``, already compiled) and the soundness recheck of every
+derived tuple by its witness (``confirm_instance``).  Each of those two
+timings reads a fresh ``fact_table``, so no index an earlier repetition
+built is counted as free.  It exits 1 if any code's text has a validation
+finding or derives other tuples than the generator lists.  The file name
+keeps pytest from collecting it.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import inputs  # noqa: E402
 from fallacylab.engine import join  # noqa: E402
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
-from fallacylab.parser import parse_program, parse_statements  # noqa: E402
+from fallacylab.parser import parse_statements  # noqa: E402
 from fallacylab.schemas import (  # noqa: E402
     confirm_instance,
     derive_instances,
@@ -43,12 +46,14 @@ from fallacylab.schemas import (  # noqa: E402
 )
 
 
-def _best(repeat: int, fn):
-    """Smallest wall time of ``repeat`` calls, and the last call's result."""
+def _best(repeat: int, fn, setup=lambda: ()):
+    """Smallest wall time of ``repeat`` calls of ``fn(*setup())``, each on
+    what an untimed ``setup()`` call returns, and the last call's result."""
     best = float("inf")
     for _ in range(repeat):
+        args = setup()
         start = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -79,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         text = inputs.groups_text(groups)
         # The parsed clauses and statements are dropped before the load is
         # timed, so the collector does not walk them during it.
-        parse_s = _best(args.repeat, lambda: parse_program(text))[0]
+        parse_s = _best(args.repeat, lambda: list(parse_statements(text)))[0]
         statements = [item for item, _, _, _ in parse_statements(text)]
         validate_s, report = _best(
             args.repeat, lambda: validate_kb_against_schema(code, statements)
@@ -98,12 +103,25 @@ def main(argv: list[str] | None = None) -> int:
         if [t.render() for t in tuples] != inputs.expected_tuples(groups):
             wrong.append(name)
         schema = schema_for(code)
-        table = fact_table(schema, kb)
         rule = schema.rules[0]
-        solve_s, _ = _best(args.repeat, lambda: join(rule, table))
-        recheck_s, _ = _best(
-            args.repeat, lambda: all(confirm_instance(code, table, t.args) for t in tuples)
+
+        def fresh_table():
+            return (fact_table(schema, kb),)
+
+        solve_s, solutions = _best(args.repeat, lambda table: join(rule, table), fresh_table)
+        witnesses: dict = {}
+        for witness, values in solutions:
+            witnesses.setdefault(values, witness)
+        recheck_s, certified = _best(
+            args.repeat,
+            lambda table: all(
+                confirm_instance(code, table, values, witness)
+                for values, witness in witnesses.items()
+            ),
+            fresh_table,
         )
+        if not certified or list(witnesses) != [t.args for t in tuples]:
+            wrong.append(name)
         times = (parse_s, validate_s, load_s, derive_s, solve_s, recheck_s)
         totals = [total + seconds for total, seconds in zip(totals, times)]
         print(f"{name:<5}" + _columns(times) + f"{len(tuples):>8}")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 import sld_oracle
 from fallacylab import engine, schemas
 from fallacylab.cli import main
-from fallacylab.engine import Atom, Goal, Struct
+from fallacylab.engine import Atom, Goal, Struct, compile_join, join
 from fallacylab.errors import SignatureError, UnknownSchemaError
 from fallacylab.gateway import Gateway
 from fallacylab.kb import KnowledgeBase
@@ -32,7 +37,7 @@ from fallacylab.schemas import (
 from fallacylab.pipeline import generate_bundle
 from fallacylab.seeds import load_seed
 
-from conftest import DATA_DIR, FakeProvider
+from conftest import DATA_DIR, CountingRows, FakeProvider
 from fixpoint_oracle import (
     engine_counts,
     oracle_counts,
@@ -120,6 +125,60 @@ def test_catalog_matches_committed_text():
     # every byte of it.
     expected = (DATA_DIR / "schema_catalog.txt").read_text(encoding="utf-8")
     assert schema_catalog() + "\n" == expected
+
+
+def _join_sources() -> str:
+    return "\n".join(
+        f"% {code.value}\n{schema_for(code).rules[0].compiled_join.source}"
+        for code in SCHEMA_CODES
+    )
+
+
+def test_compiled_joins_match_committed_text():
+    # Each schema's join as the Python it runs; constants and keys are names
+    # in its namespace, so the text depends on the rule's shape alone.
+    assert _join_sources() == (DATA_DIR / "compiled_joins.txt").read_text(encoding="utf-8")
+    for code in SCHEMA_CODES:
+        rule = schema_for(code).rules[0]
+        assert compile_join(rule).source == rule.compiled_join.source
+
+
+_COMPILES = """
+import hashlib
+from fallacylab import engine
+
+compiled = []
+real = engine.compile_join
+engine.compile_join = lambda rule: compiled.append(rule) or real(rule)
+import fallacylab.cli
+from fallacylab.labels import SCHEMA_CODES
+from fallacylab.schemas import derive_instances, ordering_diagnostic, schema_for
+from fallacylab.seeds import load_seed
+
+print(len(compiled))
+for _ in range(2):
+    for code in SCHEMA_CODES:
+        kb = load_seed(code)
+        ordering_diagnostic(code, kb, derive_instances(code, kb))
+print(len(compiled), len(set(map(id, compiled))))
+sources = "".join(schema_for(code).rules[0].compiled_join.source for code in SCHEMA_CODES)
+print(hashlib.sha256(sources.encode()).hexdigest())
+"""
+
+
+def test_each_rule_is_compiled_once_per_process_and_not_at_import():
+    # A fresh interpreter with another hash seed: importing the CLI compiles
+    # nothing, two rounds of derivations compile each schema's query rule and
+    # FS's rule without @< once, and the sources do not hang on the seed.
+    src = Path(schemas.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _COMPILES], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    sources = "".join(schema_for(code).rules[0].compiled_join.source for code in SCHEMA_CODES)
+    digest = hashlib.sha256(sources.encode()).hexdigest()
+    assert done.stdout.split("\n") == ["0", "12 12", digest, ""]
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +364,33 @@ GROUPS = {
 
 
 def _derivation_work(monkeypatch, code: FallacyCode, n_groups: int) -> tuple[int, int]:
-    """Candidate rows tried by the solver's planned join and by the recheck
-    while deriving ``n_groups`` groups of ``code``."""
+    """Rows read by the solver's planned join and by the recheck while
+    deriving ``n_groups`` groups of ``code``: every row the table's lists
+    hand out, by position or by iteration, index builds included."""
     kb = kb_from("\n\n".join(GROUPS[code].format(i=i) for i in range(n_groups)))
-    counts = {"join": 0, "recheck": 0}
+    reads = [0]
+    counts = {}
+    real_table, real_join = schemas.fact_table, schemas.join
 
-    def counting(key, real):
-        def wrapper(*args):
-            counts[key] += 1
-            return real(*args)
+    def counting_table(schema, kb):
+        table = real_table(schema, kb)
+        for key, rows in table.items():
+            table[key] = CountingRows(rows, reads)
+        return table
 
-        return wrapper
+    def counting_join(rule, rows):
+        before = reads[0]
+        solutions = real_join(rule, rows)
+        counts["join"] = reads[0] - before
+        return solutions
 
-    # Each row matcher is called once per candidate row tried.
-    monkeypatch.setattr(engine, "_match_row", counting("join", engine._match_row))
-    monkeypatch.setattr(schemas, "_match_row", counting("recheck", schemas._match_row))
+    # The join runs first; every read after it is the recheck's.
+    monkeypatch.setattr(schemas, "fact_table", counting_table)
+    monkeypatch.setattr(schemas, "join", counting_join)
     derived = derive_instances(code, kb)
     monkeypatch.undo()
     assert len(derived) == n_groups * (2 if code is FallacyCode.IT else 1)
-    return counts["join"], counts["recheck"]
+    return counts["join"], reads[0] - counts["join"]
 
 
 @pytest.mark.parametrize("code", SCHEMA_CODES, ids=[c.value for c in SCHEMA_CODES])
@@ -452,21 +519,89 @@ def test_validate_reads_flat_facts_as_their_clauses(lines):
 # ---------------------------------------------------------------------------
 
 
-def test_every_derived_tuple_passes_direct_lookup_recheck():
-    rng = random.Random(11)
-    for trial in range(60):
-        code = SCHEMA_CODES[trial % len(SCHEMA_CODES)]
-        kb = random_kb(code, rng)
-        table = fact_table(schema_for(code), kb)
-        for item in derive_instances(code, kb):
-            assert confirm_instance(code, table, item.args)
+@given(st.sampled_from(SCHEMA_CODES), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_every_derived_tuple_passes_direct_lookup_recheck(code, seed):
+    # Every solution the join hands over, not only each tuple's first, is
+    # certified by its witness.
+    kb = random_kb(code, random.Random(seed))
+    table = fact_table(schema_for(code), kb)
+    for witness, args in join(schema_for(code).rules[0], table):
+        assert confirm_instance(code, table, args, witness), kb.serialize()
 
 
 def test_confirm_instance_rejects_wrong_tuple():
-    table = fact_table(schema_for(FallacyCode.FC), load_seed(FallacyCode.FC))
+    schema = schema_for(FallacyCode.FC)
+    table = fact_table(schema, load_seed(FallacyCode.FC))
+    witness, args = join(schema.rules[0], table)[0]
+    assert confirm_instance(FallacyCode.FC, table, args, witness)
     assert not confirm_instance(
-        FallacyCode.FC, table, atoms("building", "survives_fire", "chimney")
+        FallacyCode.FC, table, atoms("building", "survives_fire", "chimney"), witness
     )
+
+
+# hp/2 holds (a, p) twice, first and last, so a position of -1 would read a
+# row that matches; ipo/2 and lp/2 hold one row per group.
+_FC_TWICE = "hp(a, p).\nipo(a, w).\nlp(w, p).\nhp(b, q).\nipo(b, v).\nlp(v, q).\nhp(a, p).\n"
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (3, 0, 0), (0, 0, 2), (0, 0), (0, 0, 0, 0), ()],
+    ids=["off-by-one-0", "off-by-one-1", "off-by-one-2", "minus-one", "len-rows-0",
+         "len-rows-2", "too-short", "too-long", "empty"],
+)
+def test_confirm_instance_rejects_forged_witness(witness):
+    table = fact_table(schema_for(FallacyCode.FC), kb_from(_FC_TWICE))
+    args = atoms("a", "p", "w")
+    assert confirm_instance(FallacyCode.FC, table, args, (0, 0, 0))
+    assert confirm_instance(FallacyCode.FC, table, args, (2, 0, 0))
+    assert not confirm_instance(FallacyCode.FC, table, args, witness)
+
+
+@pytest.mark.parametrize(
+    "code, text, args, honest, forged",
+    [
+        # \+ hp(P, F) fails: hp(p, g) is row 3.
+        (FallacyCode.FA, "hp(e, x).\nhp(p, x).\nhp(e, f).\nhp(p, g).\nhp(e, g).\n",
+         ("e", "p", "x", "f"), (0, 1, 2), ("e", "p", "x", "g", (0, 1, 4))),
+        # E \= P fails.
+        (FallacyCode.FA, "hp(e, x).\nhp(p, x).\nhp(e, f).\n",
+         ("e", "p", "x", "f"), (0, 1, 2), ("e", "e", "x", "f", (0, 0, 2))),
+        # T @< E fails: b sorts after a.
+        (FallacyCode.FS, "ha(s, a).\nha(s, b).\nrc(r, b).\nrc(r, a).\n",
+         ("a", "b"), (0, 1, 0), ("b", "a", (1, 0, 1))),
+        # \+ im_t(A, X) fails: a reaches c.
+        (FallacyCode.IT, "im(a, b).\nim(c, b).\nim(d, b).\nim(a, c).\n",
+         ("c", "b"), (1, 2), ("a", "b", (0, 1))),
+        # \+ vc(E, R, U) fails.
+        (FallacyCode.ID, "he(x, a, e).\nhe(x, d, u).\nvc(a, r, d).\nvc(e, r, u).\n"
+         "he(y, a2, e2).\nhe(y, d2, u2).\nvc(a2, r2, d2).\n",
+         ("a2", "d2", "e2", "u2"), (2, 3, 2), ("a", "d", "e", "u", (0, 1, 0))),
+    ],
+    ids=["negation", "not-equal", "term-order", "closure-negation", "negation-by-key"],
+)
+def test_confirm_instance_rejects_rows_that_break_a_filter(code, text, args, honest, forged):
+    kb = kb_from(text)
+    table = fact_table(schema_for(code), kb)
+    assert confirm_instance(code, table, atoms(*args), honest)
+    *wrong, witness = forged
+    assert not confirm_instance(code, table, atoms(*wrong), witness)
+    # The join never proposes the forged pair; IT derives (a, b), but by
+    # the witness through im(d, b).
+    assert (witness, atoms(*wrong)) not in join(schema_for(code).rules[0], table)
+
+
+def test_derive_raises_on_a_witness_that_does_not_certify(monkeypatch):
+    real = schemas.join
+
+    def shifted(rule, rows):
+        # Each witness's first position moves to the next row.
+        return [((witness[0] + 1, *witness[1:]), args) for witness, args in real(rule, rows)]
+
+    monkeypatch.setattr(schemas, "join", shifted)
+    with pytest.raises(AssertionError, match=re.escape("recheck failed for pd(a, p, w)")):
+        derive_instances(FallacyCode.FC, kb_from(_FC_TWICE))
 
 
 def test_seed_derivations_match_exhaustive_oracle():
