@@ -1,6 +1,10 @@
 """Terms, literals and clauses of the Prolog subset, the standard order of
 terms, and ``join``: the one evaluator, for a rule over ground rows.
 
+The subset is function-free Datalog with stratified negation: a term is an
+atom, an integer or a variable, and a goal or head is ``name`` or
+``name(t1, ..., tn)``.
+
 ``join`` runs one rule over one ``RowStore``: a dict of ground argument
 tuples per ``(name, arity)``, read as the rule's facts.  Its body is a
 conjunctive query with stratified negation, so evaluating it is a join over
@@ -19,7 +23,7 @@ per positive goal over its bucket, or over every row when it has no key,
 unpacking each row into slot locals, and an ``if`` or a ``for ... break /
 else`` per builtin and negation.  Constants reach the function through its
 namespace, never as source text.  Rows are ground, so each is matched one
-way, with no substitution; compounds go through ``_match`` and ``_build``.
+way, with no substitution.
 
 Each solution comes with its witness: the position of the row each positive
 goal matched, in body order.  SLD resolution over facts yields a body's
@@ -88,19 +92,21 @@ class Int(int):
 
 @dataclass(frozen=True)
 class Struct:
-    """Compound term ``functor(arg1, ..., argN)`` with N >= 1."""
+    """A predicate ``functor(arg1, ..., argN)`` with N >= 1, as a goal or a
+    clause head; each argument is an atom, an integer or a variable.  The
+    parser builds no other; ``compile_join`` refuses one that nests."""
 
     functor: str
     args: "tuple[Term, ...]"
 
     def __post_init__(self):
         if len(self.args) < 1:
-            raise ValueError("compound terms need at least one argument")
+            raise ValueError("a predicate with arguments needs at least one")
 
 
-Term = Union[Var, Atom, Int, Struct]
+Term = Union[Var, Atom, Int]
 
-#: Goal-position terms: an atom or a compound.
+#: Goal-position terms: an atom or a predicate with arguments.
 GoalTerm = Union[Atom, Struct]
 
 
@@ -111,31 +117,36 @@ def indicator(term: GoalTerm) -> tuple[str, int]:
     return term.name, 0
 
 
-def term_vars(term: Term) -> set[str]:
+def term_vars(term: "Term | GoalTerm") -> set[str]:
     """Names of all variables occurring in a term."""
     return set(var_names(term))
 
 
-def var_names(*items: "Term | Literal") -> Iterator[str]:
+def arguments(item: "Term | GoalTerm | Literal") -> tuple[Term, ...]:
+    """The arguments of a predicate or goal, or a builtin's two operands.
+    An atom may be a goal, so it has none; a variable or an integer stands
+    for itself."""
+    if isinstance(item, Goal):
+        item = item.term
+    if isinstance(item, Struct):
+        return item.args
+    if isinstance(item, (NotEqual, TermLess)):
+        return item.lhs, item.rhs
+    return () if isinstance(item, Atom) else (item,)
+
+
+def var_names(*items: "Term | GoalTerm | Literal") -> Iterator[str]:
     """Names of the variables in terms or literals, one per occurrence, in
     order of occurrence; ``dict.fromkeys`` keeps the first of each."""
     for item in items:
-        if isinstance(item, Var):
-            yield item.name
-        elif isinstance(item, Struct):
-            yield from var_names(*item.args)
-        elif isinstance(item, Goal):
-            yield from var_names(item.term)
-        elif isinstance(item, (NotEqual, TermLess)):
-            yield from var_names(item.lhs, item.rhs)
+        for arg in arguments(item):
+            if isinstance(arg, Var):
+                yield arg.name
 
 
-def is_ground(term: Term) -> bool:
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Struct):
-        return all(is_ground(a) for a in term.args)
-    return True
+def is_ground(term: "Term | GoalTerm") -> bool:
+    """Whether a term, or every argument of a predicate, is a constant."""
+    return not any(isinstance(arg, Var) for arg in arguments(term))
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +210,18 @@ class Clause:
 # ---------------------------------------------------------------------------
 
 def order_key(term: Term):
-    """Sort key realizing the standard order Var < Int < Atom < Compound."""
+    """Sort key realizing the standard order Var < Int < Atom."""
     if isinstance(term, Var):
         return (0, term.name)
     if isinstance(term, Int):
         return (1, term.value)
-    if isinstance(term, Atom):
-        return (2, term.name)
-    return (3, len(term.args), term.functor, tuple(order_key(a) for a in term.args))
+    return (2, term.name)
 
 
 def compare_terms(t1: Term, t2: Term) -> int:
     """-1, 0, or 1 as t1 precedes, equals, or follows t2 in standard order.
 
-    Integers compare by value, atoms lexicographically, compounds by arity,
-    then functor name, then arguments left to right.
+    Variables compare by name, integers by value, atoms lexicographically.
     """
     k1, k2 = order_key(t1), order_key(t2)
     if k1 < k2:
@@ -277,8 +285,9 @@ def join(rule: Clause, rows: RowStore) -> list[Solution]:
 
     The body runs as the function ``compile_join`` writes for it, compiled
     on the rule's first join (``Clause.compiled_join``).  Raises ValueError
-    when a builtin or negation would run before its variables are bound, or
-    when a head variable is bound by no body goal.
+    when an argument is compound, when a builtin or negation would run
+    before its variables are bound, or when a head variable is bound by no
+    body goal.
     """
     found = rule.compiled_join.run(rows)
     # Over facts, SLD yields solutions in lexicographic order of the row
@@ -308,64 +317,17 @@ def compile_join(rule: Clause) -> CompiledJoin:
     return CompiledJoin(plan, source, namespace.pop("run"))
 
 
-# A pattern matches a term of a ground fact.  The clause's variables are
-# slots, one local of the compiled function each, so a pattern is
-# ``(_CONST, term)``, ``(_CHECK, slot)`` for a slot bound before it is
-# reached, ``(_BIND, slot)`` for one it binds, or ``(_STRUCT, (functor,
-# argument patterns))``.  The compiled code matches and builds a compound
-# pattern through ``_match`` and ``_build`` over a scratch list of slots.
-_CONST, _CHECK, _BIND, _STRUCT = range(4)
+# A pattern is a head argument or a builtin operand, read once its variable
+# is bound: ``(_CONST, term)``, or ``(_CHECK, slot)`` for a variable, whose
+# slot is one local of the compiled function.
+_CONST, _CHECK = range(2)
 
 
-def _compile(term: Term, slot_of: Mapping[str, int], bound: set[str]) -> tuple:
-    """The pattern of ``term``.  A variable not in ``bound`` binds its slot
-    and joins ``bound``, so its later occurrences check the slot."""
+def _compile(term: Term, slot_of: Mapping[str, int]) -> tuple:
+    """The pattern of ``term``."""
     if isinstance(term, Var):
-        if term.name in bound:
-            return _CHECK, slot_of[term.name]
-        bound.add(term.name)
-        return _BIND, slot_of[term.name]
-    if isinstance(term, Struct) and not is_ground(term):
-        return _STRUCT, (term.functor, tuple(_compile(a, slot_of, bound) for a in term.args))
+        return _CHECK, slot_of[term.name]
     return _CONST, term
-
-
-def _match(pattern: tuple, value: Term, slots: list) -> bool:
-    """One-way match of a ground ``value`` against ``pattern``."""
-    kind, payload = pattern
-    if kind == _BIND:
-        slots[payload] = value
-        return True
-    if kind == _CHECK:
-        return slots[payload] == value
-    if kind == _CONST:
-        return payload == value
-    functor, patterns = payload
-    return (
-        isinstance(value, Struct)
-        and value.functor == functor
-        and len(value.args) == len(patterns)
-        and all(_match(p, v, slots) for p, v in zip(patterns, value.args))
-    )
-
-
-def _build(pattern: tuple, slots: list) -> Term:
-    """The term of a pattern whose slots are all bound."""
-    kind, payload = pattern
-    if kind == _CONST:
-        return payload
-    if kind == _CHECK:
-        return slots[payload]
-    functor, patterns = payload
-    return Struct(functor, tuple(_build(p, slots) for p in patterns))
-
-
-def _pattern_slots(pattern: tuple, kind: int) -> list[int]:
-    """The slots of ``pattern``'s variables of ``kind``, once each."""
-    found, payload = pattern
-    if found == _STRUCT:
-        return list(dict.fromkeys(s for p in payload[1] for s in _pattern_slots(p, kind)))
-    return [payload] if found == kind else []
 
 
 @dataclass(frozen=True)
@@ -387,11 +349,11 @@ class _Scan:
     #: The slot holding the key's value at each of ``key_positions``.
     key_slots: tuple[int, ...]
     #: (position, slot) bound from each row, at each new variable's first
-    #: argument that is a variable.
+    #: position.
     binds: tuple[tuple[int, int], ...]
-    #: (position, pattern) matched after the binds: compounds with
-    #: variables, and repeats of a variable bound in this goal.
-    nested: tuple[tuple[int, tuple], ...]
+    #: (position, slot) of a variable's later positions in this goal,
+    #: checked against each row after the binds.
+    repeats: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -417,6 +379,13 @@ def _make_plan(rule: Clause) -> _Plan:
     """The slot-compiled join of ``rule``'s body; see ``join`` for the
     ValueErrors."""
     body = rule.body
+    for item in (rule.head, *body):
+        for arg in arguments(item):
+            if isinstance(arg, Struct):
+                raise ValueError(
+                    f"compound argument {arg.functor}/{len(arg.args)}: "
+                    "arguments are atoms, integers or variables"
+                )
     ordinals: dict[int, int] = {}
     for index, lit in enumerate(body):
         if isinstance(lit, Goal) and not lit.negated:
@@ -465,23 +434,19 @@ def _make_plan(rule: Clause) -> _Plan:
                 steps.append(_compile_scan(lit.term, -1, slot_of, set(filled), slots))
             else:
                 steps.append(_Test(
-                    isinstance(lit, TermLess),
-                    _compile(lit.lhs, slot_of, filled),
-                    _compile(lit.rhs, slot_of, filled),
+                    isinstance(lit, TermLess), _compile(lit.lhs, slot_of), _compile(lit.rhs, slot_of)
                 ))
         if not goals:
             break
         best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
         goals.remove(best)
         steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled, slots))
-    head_args = rule.head.args if isinstance(rule.head, Struct) else ()
-    head = tuple(_compile(arg, slot_of, filled) for arg in head_args)
+    head = tuple(_compile(arg, slot_of) for arg in arguments(rule.head))
     return _Plan(head, tuple(steps), tuple(slots), len(ordinals))
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
-    args = term.args if isinstance(term, Struct) else ()
-    return sum(1 for arg in args if term_vars(arg) <= bound)
+    return sum(1 for arg in arguments(term) if not isinstance(arg, Var) or arg.name in bound)
 
 
 def _compile_scan(
@@ -489,33 +454,31 @@ def _compile_scan(
 ) -> _Scan:
     """The step of a body goal; its variables join ``bound``, and each
     constant of its key gets a new slot at the end of ``slots``."""
-    args = term.args if isinstance(term, Struct) else ()
     key_positions: list[int] = []
     key_slots: list[int] = []
     binds: list[tuple[int, int]] = []
-    deferred: list[int] = []
+    repeats: list[tuple[int, int]] = []
     before = set(bound)
-    for position, arg in enumerate(args):
-        if isinstance(arg, Var) and arg.name in before:
-            key_positions.append(position)
-            key_slots.append(slot_of[arg.name])
-        elif is_ground(arg):
+    for position, arg in enumerate(arguments(term)):
+        if not isinstance(arg, Var):
             key_positions.append(position)
             key_slots.append(len(slots))
             slots.append(arg)
-        elif isinstance(arg, Var) and arg.name not in bound:
+        elif arg.name in before:
+            key_positions.append(position)
+            key_slots.append(slot_of[arg.name])
+        elif arg.name in bound:
+            repeats.append((position, slot_of[arg.name]))
+        else:
             bound.add(arg.name)
             binds.append((position, slot_of[arg.name]))
-        else:
-            deferred.append(position)
-    nested = tuple((position, _compile(args[position], slot_of, bound)) for position in deferred)
     return _Scan(
         ordinal,
         indicator(term),
         tuple(key_positions),
         tuple(key_slots),
         tuple(binds),
-        nested,
+        tuple(repeats),
     )
 
 
@@ -523,31 +486,25 @@ class _JoinSource:
     """Writes a plan as the source of ``run(rows)``: one ``for`` per
     positive goal over its index bucket, or over every row when it has no
     key, unpacking each row into slot locals; one ``if`` per builtin and per
-    match a row's unpacked values still need; one ``for ... break / else``
-    per negated goal.  Every constant, key and pattern the source uses is a
-    name bound in its namespace, never source text, so the source of a rule
-    depends on its shape alone."""
+    repeated variable in a goal; one ``for ... break / else`` per negated
+    goal.  Every constant and key the source uses is a name bound in its
+    namespace, never source text, so the source of a rule depends on its
+    shape alone."""
 
     def __init__(self, plan: _Plan):
         self.plan = plan
-        self.namespace: dict[str, object] = {
-            "_match": _match, "_build": _build, "compare_terms": compare_terms,
-        }
+        self.namespace: dict[str, object] = {"compare_terms": compare_terms}
         self.constants = 0
         #: Lines run once per call, before the loops: a local per key
         #: constant, then the rows and index of each goal.
         self.prologue: list[str] = []
         self.body: list[str] = []
-        #: Whether a compound pattern needs the scratch list of slots ``m``.
-        self.scratch = False
 
     def emit(self) -> tuple[str, dict[str, object]]:
         for slot, value in enumerate(self.plan.slots):
             if value is not None:
                 self.prologue.append(f"s{slot} = {self.constant(value)}")
         self.steps(0, 1)
-        if self.scratch:
-            self.prologue.append(f"m = [None] * {len(self.plan.slots)}")
         lines = ["def run(rows):"]
         lines += [f"    {line}" for line in self.prologue]
         lines += ["    found = []", "    append = found.append"]
@@ -568,20 +525,20 @@ class _JoinSource:
         """Write ``steps[k:]`` at indentation ``depth``."""
         plan = self.plan
         if k == len(plan.steps):
-            head = [self.term(pattern, depth) for pattern in plan.head]
+            head = [self.term(pattern) for pattern in plan.head]
             witness = _tuple([f"p{ordinal}" for ordinal in range(plan.goal_count)])
             self.line(depth, f"append(({witness}, {_tuple(head)}))")
             return
         step = plan.steps[k]
         if isinstance(step, _Test):
-            lhs, rhs = self.term(step.lhs, depth), self.term(step.rhs, depth)
+            lhs, rhs = self.term(step.lhs), self.term(step.rhs)
             test = f"compare_terms({lhs}, {rhs}) < 0" if step.less else f"{lhs} != {rhs}"
             self.line(depth, f"if {test}:")
             self.steps(k + 1, depth + 1)
             return
         key = self.constant(step.key)
         index, value = self.lookup(k, step, key)
-        if step.ordinal < 0 and not step.nested:
+        if step.ordinal < 0 and not step.repeats:
             # Every candidate row matches, so the negation holds when there
             # is none.  Index buckets are never empty.
             absent = f"{value} not in {index}" if index else f"not {self.rows(k, key)}"
@@ -621,7 +578,7 @@ class _JoinSource:
         targets = ["_"] * step.key[1]
         for position, slot in step.binds:
             targets[position] = f"s{slot}"
-        for position, _ in step.nested:
+        for position, _ in step.repeats:
             targets[position] = f"t{k}_{position}"
         unpack = ", ".join(targets) + ("," if len(targets) == 1 else "")
         read = any(target != "_" for target in targets)
@@ -635,37 +592,15 @@ class _JoinSource:
         else:
             self.line(depth, f"for {position} in range(len({rows})):")
         depth += 1
-        for position, pattern in step.nested:
-            cell = f"t{k}_{position}"
-            kind, slot = pattern
-            if kind == _CHECK:
-                self.line(depth, f"if {cell} == s{slot}:")
-                depth += 1
-                continue
-            binds = _pattern_slots(pattern, _BIND)
-            checks = _pattern_slots(pattern, _CHECK)
-            self.load([slot for slot in checks if slot not in binds], depth)
-            self.line(depth, f"if _match({self.constant(pattern)}, {cell}, m):")
+        for position, slot in step.repeats:
+            self.line(depth, f"if t{k}_{position} == s{slot}:")
             depth += 1
-            for slot in binds:
-                self.line(depth, f"s{slot} = m[{slot}]")
         return depth
 
-    def term(self, pattern: tuple, depth: int) -> str:
-        """An expression for the term of a pattern whose slots are bound."""
+    def term(self, pattern: tuple) -> str:
+        """An expression for the term of a pattern."""
         kind, payload = pattern
-        if kind == _CHECK:
-            return f"s{payload}"
-        if kind == _CONST:
-            return self.constant(payload)
-        self.load(_pattern_slots(pattern, _CHECK), depth)
-        return f"_build({self.constant(pattern)}, m)"
-
-    def load(self, slots: list[int], depth: int) -> None:
-        """Copy slot locals into the scratch list for a compound pattern."""
-        self.scratch = True
-        for slot in slots:
-            self.line(depth, f"m[{slot}] = s{slot}")
+        return f"s{payload}" if kind == _CHECK else self.constant(payload)
 
 
 def _tuple(items: list[str]) -> str:

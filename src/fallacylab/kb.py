@@ -11,8 +11,10 @@ over facts alone.
 
 A base is built once, by ``from_text``, and never changes after that.  It
 stores each flat fact line the parser yields as its key and argument tuple,
-with no term built for it, and every other fact from its head; a fact with a
-variable is a ParseError at its line.
+with no term built for it.  The few other facts come as clauses and are
+stored from their heads, whose arguments are atoms, integers or variables:
+a fact of arity 0, one that shares or spans lines, or one with a variable,
+which is a ParseError at its line.
 
 A base holds no index: a derivation reads its rows through a table of its
 own (``schemas.fact_table``), whose indexes ``engine.join`` and the recheck
@@ -20,7 +22,7 @@ build there.
 """
 from __future__ import annotations
 
-from .engine import Clause, Struct, Term, indicator, is_ground
+from .engine import Clause, Term, arguments, indicator, is_ground
 from .errors import ParseError
 from .parser import parse_statements, serialize_clause, serialize_term
 
@@ -54,7 +56,7 @@ class KnowledgeBase:
                 head = item.head
                 if not is_ground(head):
                     raise ParseError(f"fact is not ground: {serialize_clause(item)}", line, 1)
-                item = (indicator(head), head.args if isinstance(head, Struct) else ())
+                item = (indicator(head), arguments(head))
             key, row = item
             rows = tables.get(key)
             if rows is None:

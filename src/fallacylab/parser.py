@@ -2,19 +2,19 @@
 
 Grammar (one clause per ``.``-terminated statement):
 
-    clause   := term ( ":-" literal ("," literal)* )? "."
+    clause   := callable ( ":-" literal ("," literal)* )? "."
     literal  := "\\+" callable | term "\\=" term | term "@<" term | callable
-    term     := atom | integer | variable | atom "(" term ("," term)* ")"
+    callable := atom | atom "(" term ("," term)* ")"
+    term     := atom | integer | variable
     atom     := snake_case identifier; a leading digit is allowed as long as
                 the name is not all digits (e.g. ``2_mins``)
     variable := identifier starting with an uppercase letter or ``_``;
                 a bare ``_`` is anonymous (fresh at every occurrence)
     comment  := "%" to end of line; a trailing comment attaches to its clause
 
-Compound terms nest at most ``MAX_TERM_DEPTH`` levels, the clause head or
-goal counting as the first; deeper text is a ParseError.  Every later layer
-(matching, serialization, the standard order) recurses on
-terms, and this bound keeps them all well inside Python's recursion limit.
+The language is function-free: an argument, or an operand of ``\\=`` or
+``@<``, written ``name(...)`` is a ParseError at the line and column of
+its name.
 
 Lines are those of ``str.splitlines``, and each line is scanned in one
 pass of a compiled master pattern (``_TOKEN``) with one named alternative
@@ -38,9 +38,8 @@ lines of one call share their constants and predicate keys: one ``Atom`` or
 
 ``parse_statements`` yields each clause as it is parsed, a flat fact as its
 key and argument tuple, so no term is built for it.  It feeds the
-knowledge-base loader, ``fallacylab validate`` and the gateway's harvest of
-generated fact groups; ``parse_program`` builds the ``Clause`` of every
-statement.
+knowledge-base loader, ``fallacylab validate``, the gateway's harvest of
+generated fact groups and the schemas' own rule text.
 
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import (
@@ -67,9 +65,6 @@ from .engine import (
     Var,
 )
 from .errors import ParseError
-
-#: Deepest compound nesting the parser accepts.
-MAX_TERM_DEPTH = 100
 
 #: One alternative per token kind.  Only a word's alternatives overlap: an
 #: all-digit word is INT, then ATOM and VAR take whole words that fit their
@@ -98,21 +93,10 @@ _FLAT_FACT = re.compile(
 )
 #: Token kinds after which a clause starts.
 _CLAUSE_ENDS = ("DOT", "FACT")
-
-
-@dataclass(frozen=True)
-class ParsedClause:
-    """One clause plus its trailing comment and fact-block ordinal.
-
-    ``group_id`` is the dense index of the blank-line-separated block the
-    clause sits in, counting only blocks that contain at least one fact;
-    rules carry None.
-    """
-
-    clause: Clause
-    comment: str | None
-    group_id: int | None
-    line: int
+#: The literal each builtin operator token makes.
+_BUILTINS = {"NEQ": NotEqual, "LESS": TermLess}
+#: The error of a compound argument or builtin operand, at its functor.
+_COMPOUND = "compound argument: arguments are atoms, integers or variables"
 
 
 def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
@@ -187,25 +171,16 @@ def _flat_args(name: str, args: str, consts: dict[str, Term]) -> tuple[Term, ...
 FlatFact = tuple[tuple[str, int], tuple[Term, ...]]
 
 
-def parse_program(text: str) -> list[ParsedClause]:
-    """Parse program text into clauses with comments and block ordinals."""
-    return [
-        ParsedClause(
-            Clause(Struct(item[0][0], item[1])) if type(item) is tuple else item,
-            comment,
-            group,
-            line,
-        )
-        for item, comment, group, line in parse_statements(text)
-    ]
-
-
 def parse_statements(
     text: str,
 ) -> Iterator[tuple[Clause | FlatFact, str | None, int | None, int]]:
-    """``(clause, comment, group_id, line)`` per clause, in text order, as in
-    ``ParsedClause``, except that a flat fact line comes as a ``FlatFact``
-    instead of a ``Clause``."""
+    """``(clause, comment, group_id, line)`` per clause, in text order: a
+    flat fact line as a ``FlatFact``, any other clause as a ``Clause``.
+
+    ``comment`` is the trailing comment of the clause's last line.
+    ``group_id`` is the dense index of the blank-line-separated block a fact
+    sits in, counting only blocks that hold a fact; rules carry None.
+    ``line`` is the clause's first line."""
     tokens, comments = _scan(text)
     if not tokens:
         return
@@ -262,7 +237,7 @@ def _unexpected(token, expected: str) -> ParseError:
 
 
 def _parse_clause(tokens, pos: int, anon) -> tuple[Clause, int]:
-    head, pos = _parse_term(tokens, pos, anon)
+    head, pos = _parse_callable(tokens, pos, anon)
     if not isinstance(head, (Atom, Struct)):
         _, _, line, column = tokens[pos - 1]
         raise ParseError("clause head must be an atom or compound", line, column)
@@ -279,36 +254,41 @@ def _parse_clause(tokens, pos: int, anon) -> tuple[Clause, int]:
 def _parse_literal(tokens, pos: int, anon) -> tuple[Literal, int]:
     kind, _, line, column = tokens[pos]
     if kind == "NAF":
-        inner, pos = _parse_term(tokens, pos + 1, anon)
+        inner, pos = _parse_callable(tokens, pos + 1, anon)
         if not isinstance(inner, (Atom, Struct)):
             raise ParseError("negation takes a single predicate goal", line, column)
         return Goal(inner, negated=True), pos
-    lhs, pos = _parse_term(tokens, pos, anon)
-    kind, _, line, column = tokens[pos]
-    if kind == "NEQ":
+    lhs, pos = _parse_callable(tokens, pos, anon)
+    builtin = _BUILTINS.get(tokens[pos][0])
+    if builtin is not None:
+        if isinstance(lhs, Struct):
+            raise ParseError(_COMPOUND, line, column)
         rhs, pos = _parse_term(tokens, pos + 1, anon)
-        return NotEqual(lhs, rhs), pos
-    if kind == "LESS":
-        rhs, pos = _parse_term(tokens, pos + 1, anon)
-        return TermLess(lhs, rhs), pos
+        return builtin(lhs, rhs), pos
     if not isinstance(lhs, (Atom, Struct)):
-        raise ParseError("goal must be an atom or compound", line, column)
+        raise ParseError("goal must be an atom or compound", *tokens[pos][2:4])
     return Goal(lhs), pos
 
 
-def _parse_term(tokens, pos: int, anon, depth: int = 1) -> tuple[Term, int]:
+def _parse_callable(tokens, pos: int, anon) -> tuple[Term, int]:
+    """``name(t1, ..., tn)``, or a term: a goal, a head or an operand."""
+    if tokens[pos][0] != "ATOM" or tokens[pos + 1][0] != "LP":
+        return _parse_term(tokens, pos, anon)
+    arg, end = _parse_term(tokens, pos + 2, anon)
+    args = [arg]
+    while tokens[end][0] == "COMMA":
+        arg, end = _parse_term(tokens, end + 1, anon)
+        args.append(arg)
+    return Struct(tokens[pos][1], tuple(args)), _expect(tokens, end, "RP")
+
+
+def _parse_term(tokens, pos: int, anon) -> tuple[Term, int]:
+    """An atom, an integer or a variable."""
     kind, value, line, column = tokens[pos]
     if kind == "ATOM":
-        if tokens[pos + 1][0] != "LP":
-            return Atom(value), pos + 1
-        if depth > MAX_TERM_DEPTH:
-            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", line, column)
-        arg, pos = _parse_term(tokens, pos + 2, anon, depth + 1)
-        args = [arg]
-        while tokens[pos][0] == "COMMA":
-            arg, pos = _parse_term(tokens, pos + 1, anon, depth + 1)
-            args.append(arg)
-        return Struct(value, tuple(args)), _expect(tokens, pos, "RP")
+        if tokens[pos + 1][0] == "LP":
+            raise ParseError(_COMPOUND, line, column)
+        return Atom(value), pos + 1
     if kind == "VAR":
         return Var(f"_#{next(anon)}" if value == "_" else value), pos + 1
     if kind == "INT":
@@ -334,8 +314,7 @@ def serialize_term(term: Term) -> str:
     if isinstance(term, Var):
         # An anonymous variable occurs once in its clause, so ``_`` is exact.
         return "_" if term.name.startswith("_#") else term.name
-    args = ", ".join(serialize_term(a) for a in term.args)
-    return f"{term.functor}({args})"
+    return f"{term.functor}({', '.join(map(serialize_term, term.args))})"
 
 
 def serialize_literal(lit: Literal) -> str:

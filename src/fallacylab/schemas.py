@@ -50,6 +50,7 @@ from .engine import (
     Term,
     TermLess,
     Var,
+    arguments,
     compare_terms,
     indicator,
     is_ground,
@@ -58,7 +59,7 @@ from .engine import (
 from .errors import SignatureError, UnknownSchemaError
 from .kb import KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
-from .parser import FlatFact, parse_program, serialize_clause, serialize_term
+from .parser import FlatFact, parse_statements, serialize_clause, serialize_term
 
 # Fact vocabulary: predicate name -> (arity, gloss).  The glosses double as
 # prompt annotations.
@@ -266,7 +267,7 @@ class FallacySchema:
 def _build_schema(code: FallacyCode) -> FallacySchema:
     """The schema of a code; its fact predicates are its query body's goals,
     in order of first occurrence, less its auxiliaries."""
-    rules = tuple(item.clause for item in parse_program(_SCHEMA_SOURCES[code]))
+    rules = tuple(item for item, _, _, _ in parse_statements(_SCHEMA_SOURCES[code]))
     derived = _DERIVED.get(code, {})
     goals = (indicator(lit.term) for lit in rules[0].body if isinstance(lit, Goal))
     signatures = tuple(key for key in dict.fromkeys(goals) if key not in derived)
@@ -505,7 +506,7 @@ class _Recheck:
 
 
 def _compile_recheck(main: Clause) -> _Recheck:
-    head = main.head.args if isinstance(main.head, Struct) else ()
+    head = arguments(main.head)
     slot_of: dict[str, int] = {}
     for arg in head:
         if not isinstance(arg, Var) or arg.name in slot_of:
@@ -516,10 +517,7 @@ def _compile_recheck(main: Clause) -> _Recheck:
     slot_count = len(slot_of)
     goal_count = 0
     for lit in main.body:
-        if isinstance(lit, Goal):
-            args = lit.term.args if isinstance(lit.term, Struct) else ()
-        else:
-            args = lit.lhs, lit.rhs
+        args = arguments(lit)
         if not all(isinstance(arg, Var) for arg in args):
             raise ValueError("a schema's query body takes variables only")
         if not isinstance(lit, Goal):

@@ -1,10 +1,38 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from fallacylab.engine import Clause, Struct
+from fallacylab.parser import parse_statements
+
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@dataclass(frozen=True)
+class ParsedClause:
+    """One clause plus its trailing comment, fact-block ordinal and first
+    line, as ``parse_statements`` yields them."""
+
+    clause: Clause
+    comment: str | None
+    group_id: int | None
+    line: int
+
+
+def parse_program(text: str) -> list[ParsedClause]:
+    """Every clause of the text, a flat fact line built into its ``Clause``."""
+    return [
+        ParsedClause(
+            Clause(Struct(item[0][0], item[1])) if type(item) is tuple else item,
+            comment,
+            group,
+            line,
+        )
+        for item, comment, group, line in parse_statements(text)
+    ]
 
 
 class FakeProvider:

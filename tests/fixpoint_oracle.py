@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fallacylab.engine import Atom, Goal, Int, Struct, Term, join
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
-from fallacylab.parser import parse_program
 from fallacylab.schemas import fact_table, schema_for
 
+from conftest import parse_program
 from sld_oracle import Program, findall
 
 
@@ -141,8 +141,6 @@ def _order_key(term: Term):
         return (1, term.value)
     if isinstance(term, Atom):
         return (2, term.name)
-    if isinstance(term, Struct):
-        return (3, len(term.args), term.functor, tuple(_order_key(a) for a in term.args))
     return (0, term.name)
 
 

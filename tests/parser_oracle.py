@@ -2,10 +2,12 @@
 
 This is the character-by-character tokenizer (``tokenize``), token stream
 and recursive-descent parser that ``fallacylab.parser`` used before its
-one-pass regex scanner, kept verbatim so tests can require the library's
-``parse_program`` to return the same clauses, comments, group ids and lines,
-or to raise the same ``ParseError`` message at the same line and column.
-The library keeps one parser; nothing outside ``tests/`` imports this file.
+one-pass regex scanner, kept so tests can require the library's statements
+(read through ``conftest.parse_program``) to be the same clauses, comments,
+group ids and lines, or to raise the same ``ParseError`` message at the same
+line and column.  Its term parser refuses a compound argument or builtin
+operand at its functor, as the library's does.  The library keeps one
+parser; nothing outside ``tests/`` imports this file.
 """
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from fallacylab.engine import (
     Var,
 )
 from fallacylab.errors import ParseError
-from fallacylab.parser import MAX_TERM_DEPTH, ParsedClause
 
+from conftest import ParsedClause
+
+_COMPOUND = "compound argument: arguments are atoms, integers or variables"
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 _ATOM_NAME = re.compile(r"[a-z0-9][a-z0-9_]*\Z")
 _VAR_NAME = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
@@ -152,7 +156,7 @@ def _blank_lines(text: str) -> set[int]:
 
 
 def _parse_clause(stream: _TokenStream, anon) -> Clause:
-    head = _parse_term(stream, anon)
+    head = _parse_term(stream, anon, argument=False)
     if not isinstance(head, (Atom, Struct)):
         tok = stream._tokens[stream.pos - 1]
         raise ParseError("clause head must be an atom or compound", tok.line, tok.column)
@@ -172,14 +176,16 @@ def _parse_literal(stream: _TokenStream, anon) -> Literal:
     tok = stream.peek()
     if tok is not None and tok.kind == "NAF":
         stream.next("NAF")
-        inner = _parse_term(stream, anon)
+        inner = _parse_term(stream, anon, argument=False)
         if not isinstance(inner, (Atom, Struct)):
             raise ParseError(
                 "negation takes a single predicate goal", tok.line, tok.column
             )
         return Goal(inner, negated=True)
-    lhs = _parse_term(stream, anon)
+    lhs = _parse_term(stream, anon, argument=False)
     nxt = stream.peek()
+    if nxt is not None and nxt.kind in ("NEQ", "LESS") and isinstance(lhs, Struct):
+        raise ParseError(_COMPOUND, tok.line, tok.column)
     if nxt is not None and nxt.kind == "NEQ":
         stream.next("NEQ")
         return NotEqual(lhs, _parse_term(stream, anon))
@@ -192,7 +198,8 @@ def _parse_literal(stream: _TokenStream, anon) -> Literal:
     return Goal(lhs)
 
 
-def _parse_term(stream: _TokenStream, anon, depth: int = 1) -> Term:
+def _parse_term(stream: _TokenStream, anon, argument: bool = True) -> Term:
+    """A term; ``name(...)`` only where ``argument`` is false."""
     tok = stream.next()
     if tok.kind == "INT":
         return Int(int(tok.value))
@@ -203,15 +210,13 @@ def _parse_term(stream: _TokenStream, anon, depth: int = 1) -> Term:
     if tok.kind == "ATOM":
         nxt = stream.peek()
         if nxt is not None and nxt.kind == "LP":
-            if depth > MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.line, tok.column
-                )
+            if argument:
+                raise ParseError(_COMPOUND, tok.line, tok.column)
             stream.next("LP")
-            args = [_parse_term(stream, anon, depth + 1)]
+            args = [_parse_term(stream, anon)]
             while stream.peek() is not None and stream.peek().kind == "COMMA":
                 stream.next("COMMA")
-                args.append(_parse_term(stream, anon, depth + 1))
+                args.append(_parse_term(stream, anon))
             stream.next("RP")
             return Struct(tok.value, tuple(args))
         return Atom(tok.value)

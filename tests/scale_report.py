@@ -17,13 +17,17 @@ derive`` runs them).  Two more columns split the derive: the join's part
 (``engine.join``, already compiled) and the soundness recheck of every
 derived tuple by its witness (``confirm_instance``).  Each of those two
 timings reads a fresh ``fact_table``, so no index an earlier repetition
-built is counted as free.  It exits 1 if any code's text has a validation
-finding or derives other tuples than the generator lists.  The file name
-keeps pytest from collecting it.
+built is counted as free.  Each timed call follows a full ``gc.collect()``
+and runs with the cyclic collector paused, so no row pays for walking what
+earlier rows left on the heap, and a single ``--repeat 1`` row is
+comparable between checkouts.  It exits 1 if any code's text has a
+validation finding or derives other tuples than the generator lists.  The
+file name keeps pytest from collecting it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -48,13 +52,22 @@ from fallacylab.schemas import (  # noqa: E402
 
 def _best(repeat: int, fn, setup=lambda: ()):
     """Smallest wall time of ``repeat`` calls of ``fn(*setup())``, each on
-    what an untimed ``setup()`` call returns, and the last call's result."""
+    what an untimed ``setup()`` call returns, and the last call's result.
+    Each call runs after a full collection, with the cyclic collector
+    paused."""
     best = float("inf")
+    enabled = gc.isenabled()
     for _ in range(repeat):
         args = setup()
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            result = fn(*args)
+            best = min(best, time.perf_counter() - start)
+        finally:
+            if enabled:
+                gc.enable()
     return best, result
 
 

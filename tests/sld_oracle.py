@@ -19,6 +19,11 @@ a recursive rule pair such as a transitive closure terminate on cyclic
 graphs; everything else is plain SLD resolution.  A clause without
 variables (every fact) is unified as it is; the others are renamed apart,
 from variable names computed once per clause.
+
+Its unifier keeps compound terms and the occurs check.  The clauses and
+goals it resolves are function-free, as the parser makes them, since it
+reads their variables through the engine's one-level ``var_names`` and
+``is_ground``.
 """
 from __future__ import annotations
 

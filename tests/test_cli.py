@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import logging
 import os
 import random
 import re
@@ -17,14 +18,16 @@ from pathlib import Path
 import pytest
 import requests
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fallacylab
 from fallacylab import gateway
 from fallacylab.cli import main, parse_config
-from fallacylab.labels import FallacyCode
-from fallacylab.parser import MAX_TERM_DEPTH
+from fallacylab.labels import SCHEMA_CODES, FallacyCode
+from fallacylab.seeds import SEED_SOURCES
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, FakeProvider
 
 
 @pytest.fixture
@@ -69,8 +72,9 @@ def test_validate_reports_a_non_ground_fact_as_a_finding(runner, tmp_path):
 
 def test_validate_reports_every_finding_kind_in_file_order(runner, tmp_path):
     # Clean flat facts among an unknown predicate, an arity mismatch, a
-    # non-ground fact, a nested compound, a rule (skipped) and an empty
-    # required predicate (lp/2).
+    # non-ground fact, an arity mismatch of integers and an anonymous
+    # variable, a rule (skipped), a clean integer fact and an empty required
+    # predicate (lp/2).
     path = tmp_path / "fc.pl"
     path.write_text(
         "% clean facts, then one of each finding kind\n"
@@ -80,20 +84,103 @@ def test_validate_reports_every_finding_kind_in_file_order(runner, tmp_path):
         "zz(chimney, brick).\n"
         "ipo(chimney, building, town).\n"
         "hp(X, survives_fire).\n"
-        "ipo(f(brick), g(wall, 2), town).\n"
+        "ipo(7, _, town).\n"
         "hp(brick, survives_fire) :- ipo(brick, chimney).\n"
-        "hp(roof(tile), survives_fire).\n"
+        "hp(2_tiles, 451).\n"
     )
     result = run(runner, "validate", "--kb", path, "--code", "FC")
     assert result.exit_code == 1
     assert result.stdout == (
-        "FC: 5 finding(s)\n"
+        "FC: 6 finding(s)\n"
         "  [unknown_predicate] zz/2 not used by FC: zz(chimney, brick).\n"
         "  [arity_mismatch] ipo expects arity 2, found 3: ipo(chimney, building, town).\n"
         "  [non_ground_fact] hp(X, survives_fire).\n"
-        "  [arity_mismatch] ipo expects arity 2, found 3: ipo(f(brick), g(wall, 2), town).\n"
+        "  [non_ground_fact] ipo(7, _, town).\n"
+        "  [arity_mismatch] ipo expects arity 2, found 3: ipo(7, _, town).\n"
         "  [missing_required] lp/2 required by FC, empty\n"
     )
+
+
+_COMPOUND_ERROR = "compound argument: arguments are atoms, integers or variables"
+
+
+@pytest.mark.parametrize("command", ["derive", "validate"])
+def test_compound_argument_exits_two_at_its_functor(runner, tmp_path, command):
+    # Each compound is refused where it starts, the outer one of a nest, and
+    # the run stops there.
+    path = tmp_path / "fc.pl"
+    for text, column in (
+        ("hp(chimney, survives_fire).\nipo(f(brick), g(wall, 2), town).\n", 5),
+        ("ipo(chimney, building).\nhp(roof(tile), survives_fire).\n", 4),
+        ("hp(chimney, survives_fire).\nipo(chimney, wall(g(2))). % nested\n", 14),
+    ):
+        path.write_text(text)
+        result = run(runner, command, "--code", "FC", "--kb", path)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: line 2, column {column}: {_COMPOUND_ERROR}\n"
+
+
+@st.composite
+def _one_compound_argument(draw):
+    """A valid fact file of 1 to 3 copies of a code's seed, one blank line
+    apart, with one argument of one line rewritten into a compound: the
+    code, the text, the rewritten block's index and the compound's line,
+    its line within its block, and its column."""
+    code = draw(st.sampled_from(SCHEMA_CODES))
+    blocks = [SEED_SOURCES[code].splitlines() for _ in range(draw(st.integers(1, 3)))]
+    block = draw(st.integers(0, len(blocks) - 1))
+    row = draw(st.integers(0, len(blocks[block]) - 1))
+    line = blocks[block][row]
+    # Seed lines are canonical: ``name(a1, ..., an). % comment``.
+    start, end = line.index("("), line.index(")")
+    args = line[start + 1:end].split(", ")
+    k = draw(st.integers(0, len(args) - 1))
+    column = start + 2 + sum(len(arg) + 2 for arg in args[:k])
+    inner = draw(st.sampled_from(["{}", "{}, 1", "X, {}", "_", "g({})"])).format(args[k])
+    args[k] = f"{draw(st.sampled_from(['f', 'wrap', '2_f']))}({inner})"
+    blocks[block][row] = f"{line[:start + 1]}{', '.join(args)}{line[end:]}"
+    line_no = sum(len(b) + 1 for b in blocks[:block]) + row + 1
+    text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
+    return code, text, block, line_no, row + 1, column
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@given(_one_compound_argument())
+@settings(max_examples=100, deadline=None)
+def test_a_compound_argument_anywhere_is_a_parse_error_at_its_functor(tmp_path_factory, case):
+    code, text, block, line, block_line, column = case
+    message = f"line {line}, column {column}: {_COMPOUND_ERROR}"
+    path = tmp_path_factory.mktemp("kb") / "kb.pl"
+    path.write_text(text)
+    runner = CliRunner()
+    for command in ("derive", "validate"):
+        result = run(runner, command, "--code", code.value, "--kb", path)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: {message}\n"
+    # The harvest parses each block alone: it drops the rewritten block as
+    # unparseable, at the compound's line within it, and keeps the others.
+    blocks = text.rstrip("\n").split("\n\n")
+    handler = _Messages()
+    gateway.log.addHandler(handler)
+    try:
+        kept, rejected = gateway.Gateway(FakeProvider([]))._harvest_fact_groups(code, text)
+    finally:
+        gateway.log.removeHandler(handler)
+    assert [group.text for group in kept] == blocks[:block] + blocks[block + 1:]
+    assert rejected == 1
+    assert handler.messages == [
+        f"{code.value}: dropped unparseable group: line {block_line}, column {column}: "
+        f"{_COMPOUND_ERROR}"
+    ]
 
 
 def test_derive_kb_with_a_non_ground_fact_exits_two_at_its_line(runner, tmp_path):
@@ -130,47 +217,36 @@ def test_derive_emits_ordering_diagnostic_on_stderr(runner):
 
 
 @pytest.mark.parametrize(
-    "facts, printed",
+    "facts, exit_code, stdout, stderr",
     [
-        ("hr(a, 1).\nrri(1, x).\nrui(1, y).\n", "pd(a, 1, x, y)\n"),
-        ("hr(a, r).\nrri(r, f(x)).\nrui(r, f(y)).\n", "pd(a, r, f(x), f(y))\n"),
+        ("hr(a, 1).\nrri(1, x).\nrui(1, y).\n", 0, "pd(a, 1, x, y)\n", ""),
+        # The first compound, at its functor, stops the run.
+        ("hr(a, r).\nrri(r, f(x)).\nrui(r, f(y)).\n", 2, "",
+         f"error: line 2, column 8: {_COMPOUND_ERROR}\n"),
     ],
     ids=["integer", "compound"],
 )
-def test_derive_kb_with_integer_and_compound_arguments(runner, tmp_path, facts, printed):
+def test_derive_kb_with_integer_and_compound_arguments(
+    runner, tmp_path, facts, exit_code, stdout, stderr
+):
     path = tmp_path / "af.pl"
     path.write_text(facts)
     result = run(runner, "derive", "--code", "AF", "--kb", path)
-    assert result.exit_code == 0
-    assert result.stdout == printed
-    assert result.stderr == ""
+    assert result.exit_code == exit_code
+    assert (result.stdout, result.stderr) == (stdout, stderr)
 
 
-def _nested(levels: int, leaf: str) -> str:
-    return "f(" * levels + leaf + ")" * levels
-
-
-def test_derive_accepts_terms_nested_to_the_parser_bound(runner, tmp_path):
-    deep = _nested(MAX_TERM_DEPTH - 1, "d")  # the fact's head is the first level
-    path = tmp_path / "ie.pl"
-    path.write_text(f"cc(a, {deep}).\ncc(b, e).\nim(a, b).\n")
-    result = run(runner, "derive", "--code", "IE", "--kb", path)
-    assert result.exit_code == 0
-    assert result.stdout == f"pd({deep}, e)\n"
-
-
-@pytest.mark.parametrize("levels", [MAX_TERM_DEPTH, 400])
+@pytest.mark.parametrize("levels", [100, 400])
 @pytest.mark.parametrize("command", ["derive", "validate"])
 def test_terms_nested_beyond_the_parser_bound_exit_two(runner, tmp_path, command, levels):
+    # An argument nests no term at all, so however deep the text goes, the
+    # parser stops at the outermost functor and needs no depth bound.
+    nested = "f(" * levels + "d" + ")" * levels
     path = tmp_path / "ie.pl"
-    path.write_text(f"cc(b, e).\ncc(a, {_nested(levels, 'd')}).\nim(a, b).\n")
+    path.write_text(f"cc(b, e).\ncc(a, {nested}).\nim(a, b).\n")
     result = run(runner, command, "--code", "IE", "--kb", path)
     assert result.exit_code == 2
-    # ``cc(a, `` takes six columns; each level below the head takes two.
-    column = 7 + 2 * (MAX_TERM_DEPTH - 1)
-    assert result.stderr == (
-        f"error: line 2, column {column}: term nested deeper than {MAX_TERM_DEPTH} levels\n"
-    )
+    assert result.stderr == f"error: line 2, column 7: {_COMPOUND_ERROR}\n"
 
 
 @pytest.mark.parametrize("command", ["derive", "validate"])

@@ -42,11 +42,10 @@ from fallacylab.gateway import (
 from fallacylab.jsonl import encode_canonical
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode, definitions_block
-from fallacylab.parser import parse_program
 from fallacylab.schemas import ValidTuple, validate_kb_against_schema
 from fallacylab.seeds import load_seed
 
-from conftest import DATA_DIR, FakeProvider
+from conftest import DATA_DIR, FakeProvider, parse_program
 
 
 # ---------------------------------------------------------------------------

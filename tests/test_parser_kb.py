@@ -10,11 +10,12 @@ from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, RowStore, Struc
 from fallacylab.errors import ParseError, UnknownSchemaError
 from fallacylab.kb import KnowledgeBase
 from fallacylab.labels import FallacyCode
-from fallacylab.parser import MAX_TERM_DEPTH, parse_program, serialize_clause
+from fallacylab.parser import serialize_clause
 from fallacylab.schemas import derive_instances
 from fallacylab.seeds import SEED_SOURCES, load_seed
 
 import parser_oracle
+from conftest import parse_program
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_parse_error_carries_position():
     assert str(err.value) == "line 1, column 13: expected RP, found 'mary'"
 
 
-_NESTED_TOO_DEEP = "p(" + "f(" * MAX_TERM_DEPTH + "a" + ")" * (MAX_TERM_DEPTH + 1) + "."
+_COMPOUND = "compound argument: arguments are atoms, integers or variables"
 
 
 @pytest.mark.parametrize(
@@ -96,14 +97,23 @@ _NESTED_TOO_DEEP = "p(" + "f(" * MAX_TERM_DEPTH + "a" + ")" * (MAX_TERM_DEPTH + 
         ("X.", 1, 1, "clause head must be an atom or compound"),
         ("p(a) :- \\+ X.", 1, 9, "negation takes a single predicate goal"),
         ("p(a) :- q(a), X.", 1, 16, "goal must be an atom or compound"),
-        (_NESTED_TOO_DEEP, 1, 201, f"term nested deeper than {MAX_TERM_DEPTH} levels"),
+        # A compound is refused at its functor, wherever it stands: a fact's
+        # argument, a goal's, a builtin's left or right operand, or inside
+        # another compound, whose outer functor comes first.
+        ("p(a).\nq(b, f(c)).", 2, 6, _COMPOUND),
+        ("p(X) :- q(X, g(X, 1)).", 1, 14, _COMPOUND),
+        ("p(X) :- q(X), f(X) \\= b.", 1, 15, _COMPOUND),
+        ("p(X) :- q(X), X @< g(a).", 1, 20, _COMPOUND),
+        ("p(f(g(a))).", 1, 3, _COMPOUND),
+        ("p(" + "f(" * 100 + "a" + ")" * 101 + ".", 1, 3, _COMPOUND),
         ("p(a).\nq(b, " + "9" * 5000 + ").", 2, 6, "integer literal of 5000 digits is too long"),
     ],
     ids=[
         "invalid-name", "stray-character", "crlf-and-vertical-tab", "splitlines-only-breaks",
         "paragraph-separators", "end-after-goal", "end-inside-term", "expected-dot",
-        "expected-term", "variable-head", "negated-variable", "variable-goal", "too-deep",
-        "integer-too-long",
+        "expected-term", "variable-head", "negated-variable", "variable-goal",
+        "compound-in-fact", "compound-in-goal", "compound-left-operand", "compound-right-operand",
+        "compound-nested", "too-deep", "integer-too-long",
     ],
 )
 def test_parse_error_positions(text, line, column, message):
@@ -170,18 +180,10 @@ def test_rules_carry_no_group():
 # ---------------------------------------------------------------------------
 
 _atoms = st.sampled_from(["a", "b", "foo", "x2", "2_mins", "snake_case_name"])
-_terms = st.recursive(
-    st.one_of(
-        _atoms.map(Atom),
-        st.integers(min_value=0, max_value=99).map(Int),
-        st.sampled_from(["X", "Y", "Zed", "_Tail"]).map(Var),
-    ),
-    lambda children: st.builds(
-        Struct,
-        st.sampled_from(["f", "g", "wrap"]),
-        st.lists(children, min_size=1, max_size=3).map(tuple),
-    ),
-    max_leaves=5,
+_terms = st.one_of(
+    _atoms.map(Atom),
+    st.integers(min_value=0, max_value=99).map(Int),
+    st.sampled_from(["X", "Y", "Zed", "_Tail"]).map(Var),
 )
 _literals = st.one_of(
     st.builds(Goal, st.builds(Struct, _atoms, st.lists(_terms, min_size=1, max_size=3).map(tuple)), st.booleans()),
@@ -214,17 +216,13 @@ def test_canonical_round_trip_is_bit_exact():
 # ---------------------------------------------------------------------------
 
 
-def _nested(levels: int) -> str:
-    """A fact whose deepest compound sits ``levels`` deep, the head first."""
-    return "p(" + "f(" * (levels - 1) + "a" + ")" * levels + "."
-
-
 #: Flat fact lines (one fact of atoms and integers, maybe a comment) take
-#: the scanner's whole-line path; the look-alikes after them must not.
+#: the scanner's whole-line path; the look-alikes after them must not.  The
+#: compound arguments and operands are refused by both parsers.
 _CLAUSES = (
     "p(a).", "q(X, 2_mins, 7) :- p(X), \\+ r(X, _), X \\= a, _ @< Y.", "r(f(g(_), _), 0).",
     "s :- t.", "p(b). % note", "q(a,\n  b). % end", "r(c, % start\n  d).",
-    _nested(MAX_TERM_DEPTH), _nested(MAX_TERM_DEPTH + 1),
+    "q(X) :- p(X), f(X) \\= X.", "q(X) :- p(X), X @< g(a).",
     "p( a ,b ) .  %c", "p(0, 007).", "\tq(2_mins,x1 , 12). % n ", "r(X) :-\nq(b).",
     "r(X) :-\n  q(b), % tail\n  p(a, 1).", "p(_x).", "p(a). q(b).",
 )
@@ -302,11 +300,17 @@ def test_from_text_then_query():
 
 
 def test_non_ground_fact_rejected_at_load():
-    for text, line in (("q(a).\np(X).\n", 2), ("r(a, f(X)). % nested\n", 1)):
+    for text, line in (("q(a).\np(X).\n", 2), ("r(a, _). % anonymous\n", 1)):
         with pytest.raises(ParseError) as caught:
             KnowledgeBase.from_text(text)
         assert (caught.value.line, caught.value.column) == (line, 1)
         assert str(caught.value).startswith(f"line {line}, column 1: fact is not ground: ")
+
+
+def test_compound_fact_argument_rejected_at_load_at_its_functor():
+    with pytest.raises(ParseError) as caught:
+        KnowledgeBase.from_text("q(a).\nr(a, f(X)). % nested\n")
+    assert str(caught.value) == f"line 2, column 6: {_COMPOUND}"
 
 
 def test_duplicate_fact_stored_twice():
@@ -316,7 +320,7 @@ def test_duplicate_fact_stored_twice():
 
 
 def test_key_lookup_returns_row_positions_in_insertion_order():
-    kb = KnowledgeBase.from_text("p(a, 1).\np(b, 1).\np(f(a), 1).\np(a, 3).\np(a, 1).\n")
+    kb = KnowledgeBase.from_text("p(a, 1).\np(b, 1).\np(7, 1).\np(a, 3).\np(a, 1).\n")
     rows = RowStore(kb.tables())
     key = ("p", 2)
     # A constant key: the positions of the rows holding it there, in order.
@@ -324,8 +328,8 @@ def test_key_lookup_returns_row_positions_in_insertion_order():
     # An integer key.
     assert rows.index(key, (1,))[Int(1)] == [0, 1, 2, 4]
     assert [rows[key][i] for i in rows.index(key, (1,))[Int(3)]] == [(Atom("a"), Int(3))]
-    # A ground compound keys its own bucket, like any other value.
-    assert rows.index(key, (0,))[Struct("f", (Atom("a"),))] == [2]
+    # An integer keys its own bucket beside the atoms.
+    assert rows.index(key, (0,))[Int(7)] == [2]
     # Several positions key by the tuple of their values.
     assert rows.index(key, (0, 1))[Atom("a"), Int(1)] == [0, 4]
     # A value no row holds, and an absent predicate.
@@ -333,7 +337,7 @@ def test_key_lookup_returns_row_positions_in_insertion_order():
     assert rows.index(("absent", 1), (0,)) == {} and ("absent", 1) not in rows
     # No bound position: the join reads every row of the table.
     assert rows[key] == [
-        (Atom("a"), Int(1)), (Atom("b"), Int(1)), (Struct("f", (Atom("a"),)), Int(1)),
+        (Atom("a"), Int(1)), (Atom("b"), Int(1)), (Int(7), Int(1)),
         (Atom("a"), Int(3)), (Atom("a"), Int(1)),
     ]
 
@@ -352,13 +356,13 @@ def test_flat_fact_lines_load_as_argument_tuples(monkeypatch):
 
 
 #: Comments, comment-only lines, blank-line groups, rules between groups,
-#: compound and integer arguments, a fact of arity 0, two facts on a line,
-#: and a fact over two lines.
+#: integer and digit-leading arguments, a fact of arity 0, two facts on a
+#: line, and a fact over two lines.
 MIXED_TEXT = """\
 % a comment-only line before anything
 hp(a, b). % first group
 hp( c ,d ).   %   spaced comment
-lp(f(a, 1), g(h(b))). % compound ground arguments
+lp(007, 2_b). % integer and digit-leading arguments
 
 ipo(x, 2_mins).
 safe(X) :- hp(X, Y), \\+ lp(Y, X). % a rule between groups
@@ -375,7 +379,7 @@ t(X) :- r(X, Y).
 MIXED_CANONICAL = """\
 hp(a, b). % first group
 hp(c, d). % spaced comment
-lp(f(a, 1), g(h(b))). % compound ground arguments
+lp(7, 2_b). % integer and digit-leading arguments
 
 ipo(x, 2_mins).
 flag.
@@ -397,7 +401,8 @@ def test_serialize_writes_the_canonical_text_back():
     assert kb.serialize() == MIXED_CANONICAL
     assert KnowledgeBase.from_text(MIXED_CANONICAL).serialize() == MIXED_CANONICAL
     assert [(p.group_id, p.comment) for p in parse_program(kb.serialize())][:4] == [
-        (0, "first group"), (0, "spaced comment"), (0, "compound ground arguments"), (1, None)
+        (0, "first group"), (0, "spaced comment"),
+        (0, "integer and digit-leading arguments"), (1, None),
     ]
     # An anonymous variable is written back as ``_``, so the text reloads.
     anonymous = "r(a, b).\n\nt(X) :- r(X, _), \\+ s(_, X).\n"
