@@ -9,11 +9,13 @@ stream an in-process caller swaps in (and all its output) alive.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -148,25 +150,31 @@ def parse_config(
     )
 
 
-def _make_provider(run: RunConfig, which: str) -> Provider:
+@contextlib.contextmanager
+def _provider(run: RunConfig, which: str) -> Iterator[Provider]:
+    """The command's provider.  A recording's cassette is saved when the
+    block succeeds; a live provider's connections are closed when the block
+    ends, either way."""
     provider_cfg = run.generator if which == "generator" else run.evaluator
     if run.mode == "replay":
-        return ReplayProvider(run.cassette, model_name=provider_cfg.model_name)
+        yield ReplayProvider(run.cassette, model_name=provider_cfg.model_name)
+        return
     live = HttpProvider(provider_cfg)
-    if run.mode == "record":
-        return RecordingProvider(live, run.cassette)
-    return live
+    try:
+        if run.mode == "record":
+            recorder = RecordingProvider(live, run.cassette)
+            yield recorder
+            recorder.save()
+        else:
+            yield live
+    finally:
+        live.close()
 
 
 def _parallelism(run: RunConfig) -> int:
     """Items sent at once: replay has no upstream to wait on, so it runs one
     item at a time whatever ``evaluator.parallelism`` says."""
     return 1 if run.mode == "replay" else run.parallelism
-
-
-def _finish_provider(provider: Provider) -> None:
-    if isinstance(provider, RecordingProvider):
-        provider.save()
 
 
 def _resolve_run(config, mode, cassette) -> RunConfig:
@@ -267,10 +275,9 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
     """Run the full generation loop for one code and write its artifacts."""
     code = parse_code(code_text)
     run = _resolve_run(config_path, mode, cassette)
-    provider = _make_provider(run, "generator")
-    gateway = Gateway(provider, generation_temperature=run.generation_temperature)
-    bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
-    _finish_provider(provider)
+    with _provider(run, "generator") as provider:
+        gateway = Gateway(provider, generation_temperature=run.generation_temperature)
+        bundle = generate_bundle(code, n if n is not None else run.batch_size, gateway)
     paths = write_bundle(bundle, out_dir)
     for note in bundle.diagnostics:
         click.echo(f"diagnostic: {note}", file=sys.stderr)
@@ -291,9 +298,8 @@ def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> N
     """Triple-score labeled sentences and summarize per-code means."""
     rows = load_sentences(sentences_path)
     run = _resolve_run(config_path, mode, cassette)
-    provider = _make_provider(run, "evaluator")
-    scored = score_sentences(rows, Gateway(provider), _parallelism(run))
-    _finish_provider(provider)
+    with _provider(run, "evaluator") as provider:
+        scored = score_sentences(rows, Gateway(provider), _parallelism(run))
     paths = write_scores(scored, method_tag, out_dir)
     for path in paths:
         click.echo(str(path), file=sys.stdout)
@@ -321,9 +327,8 @@ def eval_cmd(benchmark_path, predictions_path, mode, cassette, config_path, out_
         preds = load_predictions(predictions_path)
     else:
         run = _resolve_run(config_path, mode, cassette)
-        provider = _make_provider(run, "evaluator")
-        preds = judge_benchmark(entries, Gateway(provider), _parallelism(run))
-        _finish_provider(provider)
+        with _provider(run, "evaluator") as provider:
+            preds = judge_benchmark(entries, Gateway(provider), _parallelism(run))
     report = build_report(entries, preds)
     paths = write_report(report, preds, out_dir)
     for path in paths:

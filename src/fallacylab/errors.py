@@ -13,6 +13,7 @@ class ParseError(FallacyLabError):
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 import string
 import threading
@@ -234,6 +233,8 @@ class Provider(Protocol):
 #: asks for longer ends the call at once.
 MAX_RETRY_AFTER_S = 300
 
+#: Seconds a connection waits to open, or for the next bytes of a reply.
+_TIMEOUT_S = 120
 
 
 class HttpProvider:
@@ -243,10 +244,21 @@ class HttpProvider:
     ``Retry-After`` above ``MAX_RETRY_AFTER_S`` and any other failure raise
     at once.
 
+    The endpoint, the headers and the proxy are resolved when the provider
+    is built: an endpoint that is not an http(s) URL is a ProviderError
+    there.  ``https_proxy``, ``http_proxy``, ``all_proxy`` and ``no_proxy``
+    are read from the environment then, through ``urllib.request``; an
+    https endpoint reaches its proxy through a ``CONNECT`` tunnel, an http
+    one sends its absolute URI, and credentials in the proxy's URL are sent
+    as ``Proxy-Authorization``.  No other file or variable is read:
+    ``~/.netrc`` is not.
+
     ``complete`` may be called from several threads at once: each thread
-    posts through its own ``requests.Session`` unless one is injected.
-    ``requests`` is imported on the first call, so a command that never
-    reaches the network does not load it (about 14 MB and 0.1 s)."""
+    posts through its own ``transport.HttpSession``, one keep-alive
+    connection, unless a session is injected.  :meth:`close` closes every
+    connection the provider opened.  The transport, and ``http.client``
+    with it, is imported when the first provider is built, so a command
+    that never reaches the network does not load it."""
 
     def __init__(self, config: ProviderConfig, *, session=None, sleep=time.sleep):
         if not config.endpoint:
@@ -254,8 +266,12 @@ class HttpProvider:
         self.config = config
         self.model_name = config.model_name
         self.request_count = 0
-        self._count_lock = threading.Lock()
+        from .transport import resolve
+
+        self._route = resolve(config.endpoint, config.credentials_env)
+        self._lock = threading.Lock()
         self._session = session
+        self._sessions: list = []  # every HttpSession this provider opened
         self._thread = threading.local()
         self._sleep = sleep
 
@@ -264,46 +280,44 @@ class HttpProvider:
             return self._session
         session = getattr(self._thread, "session", None)
         if session is None:
-            import requests
+            from . import transport
 
-            session = self._thread.session = requests.Session()
+            session = self._thread.session = transport.HttpSession(self._route)
+            with self._lock:
+                self._sessions.append(session)
         return session
 
-    def complete(self, prompt: str, *, temperature: float) -> str:
-        import requests
+    def close(self) -> None:
+        """Close every connection this provider opened; an injected session
+        is its owner's to close."""
+        with self._lock:
+            sessions = list(self._sessions)
+        for session in sessions:
+            session.close()
 
-        # Failures worth retrying besides HTTP 429 and 5xx.
-        transport_errors = (
-            requests.ConnectionError,
-            requests.Timeout,
-            requests.exceptions.ChunkedEncodingError,  # connection dropped mid-body
-            ConnectionError,
-            TimeoutError,
-        )
-        headers = {"Content-Type": "application/json"}
-        if self.config.credentials_env:
-            key = os.environ.get(self.config.credentials_env, "")
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
+    def complete(self, prompt: str, *, temperature: float) -> str:
+        from http.client import HTTPException
+
         payload = {
             "model": self.model_name,
             "temperature": temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
+        route = self._route
         session = self._session_here()
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
-            with self._count_lock:
+            with self._lock:
                 self.request_count += 1
             delay = 2**attempt
             try:
                 response = session.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=120
+                    route.target, json=payload, headers=route.headers, timeout=_TIMEOUT_S
                 )
-            except transport_errors as exc:
+            # Refused, reset, timed out, a name that did not resolve, or a
+            # reply cut short.
+            except (OSError, HTTPException) as exc:
                 last_error = exc
-            except OSError as exc:  # e.g. requests' InvalidURL: retrying cannot help
-                raise ProviderError(f"request failed: {exc}") from None
             else:
                 status = response.status_code
                 if status != 429 and status < 500:
@@ -525,15 +539,17 @@ class Gateway:
 
     def _harvest_fact_groups(self, code: FallacyCode, response: str) -> tuple[list[FactGroup], int]:
         """The reply's groups that parse and validate cleanly, and the number
-        of groups dropped."""
+        of groups dropped.  A group that does not parse is logged at its
+        error's line in the reply as sent, fence lines counted."""
         kept: list[FactGroup] = []
         rejected = 0
-        for block in _split_blocks(_strip_fences(response)):
+        for block, lines in _fact_blocks(response):
             try:
                 statements = [item for item, _, _, _ in parse_statements(block)]
             except ParseError as exc:
                 rejected += 1
-                log.warning("%s: dropped unparseable group: %s", code.value, exc)
+                where = ParseError(exc.message, lines[exc.line - 1], exc.column)
+                log.warning("%s: dropped unparseable group: %s", code.value, where)
                 continue
             if not statements or not all(type(s) is tuple or s.is_fact for s in statements):
                 rejected += 1
@@ -672,17 +688,23 @@ def _strip_fences(text: str) -> str:
     return "\n".join(lines)
 
 
-def _split_blocks(text: str) -> list[str]:
+def _fact_blocks(text: str) -> list[tuple[str, list[int]]]:
+    """The reply's blank-line-separated blocks, fence lines left out, each
+    with the reply's line number of each of its lines."""
     blocks = []
     current: list[str] = []
-    for line in text.splitlines():
+    numbers: list[int] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if _FENCE_RE.match(line):
+            continue
         if line.strip():
             current.append(line)
+            numbers.append(number)
         elif current:
-            blocks.append("\n".join(current))
-            current = []
+            blocks.append(("\n".join(current), numbers))
+            current, numbers = [], []
     if current:
-        blocks.append("\n".join(current))
+        blocks.append(("\n".join(current), numbers))
     return blocks
 
 

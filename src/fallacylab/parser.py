@@ -240,7 +240,7 @@ def _parse_clause(tokens, pos: int, anon) -> tuple[Clause, int]:
     head, pos = _parse_callable(tokens, pos, anon)
     if not isinstance(head, (Atom, Struct)):
         _, _, line, column = tokens[pos - 1]
-        raise ParseError("clause head must be an atom or compound", line, column)
+        raise ParseError("clause head must be name or name(...)", line, column)
     body: list[Literal] = []
     if tokens[pos][0] == "NECK":
         literal, pos = _parse_literal(tokens, pos + 1, anon)
@@ -266,7 +266,7 @@ def _parse_literal(tokens, pos: int, anon) -> tuple[Literal, int]:
         rhs, pos = _parse_term(tokens, pos + 1, anon)
         return builtin(lhs, rhs), pos
     if not isinstance(lhs, (Atom, Struct)):
-        raise ParseError("goal must be an atom or compound", *tokens[pos][2:4])
+        raise ParseError("goal must be name or name(...)", *tokens[pos][2:4])
     return Goal(lhs), pos
 
 

@@ -159,7 +159,7 @@ def _parse_clause(stream: _TokenStream, anon) -> Clause:
     head = _parse_term(stream, anon, argument=False)
     if not isinstance(head, (Atom, Struct)):
         tok = stream._tokens[stream.pos - 1]
-        raise ParseError("clause head must be an atom or compound", tok.line, tok.column)
+        raise ParseError("clause head must be name or name(...)", tok.line, tok.column)
     body: list[Literal] = []
     tok = stream.peek()
     if tok is not None and tok.kind == "NECK":
@@ -194,7 +194,7 @@ def _parse_literal(stream: _TokenStream, anon) -> Literal:
         return TermLess(lhs, _parse_term(stream, anon))
     if not isinstance(lhs, (Atom, Struct)):
         where = nxt if nxt is not None else stream._tokens[stream.pos - 1]
-        raise ParseError("goal must be an atom or compound", where.line, where.column)
+        raise ParseError("goal must be name or name(...)", where.line, where.column)
     return Goal(lhs)
 
 

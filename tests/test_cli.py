@@ -16,14 +16,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-import requests
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fallacylab
-from fallacylab import gateway
+from fallacylab import gateway, transport
 from fallacylab.cli import main, parse_config
+from fallacylab.gateway import load_cassette
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
 from fallacylab.seeds import SEED_SOURCES
 
@@ -125,8 +125,8 @@ def test_compound_argument_exits_two_at_its_functor(runner, tmp_path, command):
 def _one_compound_argument(draw):
     """A valid fact file of 1 to 3 copies of a code's seed, one blank line
     apart, with one argument of one line rewritten into a compound: the
-    code, the text, the rewritten block's index and the compound's line,
-    its line within its block, and its column."""
+    code, the text, the rewritten block's index and the compound's line and
+    column."""
     code = draw(st.sampled_from(SCHEMA_CODES))
     blocks = [SEED_SOURCES[code].splitlines() for _ in range(draw(st.integers(1, 3)))]
     block = draw(st.integers(0, len(blocks) - 1))
@@ -142,7 +142,7 @@ def _one_compound_argument(draw):
     blocks[block][row] = f"{line[:start + 1]}{', '.join(args)}{line[end:]}"
     line_no = sum(len(b) + 1 for b in blocks[:block]) + row + 1
     text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
-    return code, text, block, line_no, row + 1, column
+    return code, text, block, line_no, column
 
 
 class _Messages(logging.Handler):
@@ -154,10 +154,17 @@ class _Messages(logging.Handler):
         self.messages.append(record.getMessage())
 
 
+_AF_SEED = SEED_SOURCES[FallacyCode.AF].rstrip("\n")
+
+
 @given(_one_compound_argument())
+# Three 3-line blocks, the compound opening the third: line 9 of the reply.
+@example((FallacyCode.AF, "\n\n".join(
+    [_AF_SEED, _AF_SEED, _AF_SEED.replace("hr(shampoo_bottle,", "hr(f(shampoo_bottle),", 1)]
+) + "\n", 2, 9, 4))
 @settings(max_examples=100, deadline=None)
 def test_a_compound_argument_anywhere_is_a_parse_error_at_its_functor(tmp_path_factory, case):
-    code, text, block, line, block_line, column = case
+    code, text, block, line, column = case
     message = f"line {line}, column {column}: {_COMPOUND_ERROR}"
     path = tmp_path_factory.mktemp("kb") / "kb.pl"
     path.write_text(text)
@@ -167,18 +174,21 @@ def test_a_compound_argument_anywhere_is_a_parse_error_at_its_functor(tmp_path_f
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: {message}\n"
     # The harvest parses each block alone: it drops the rewritten block as
-    # unparseable, at the compound's line within it, and keeps the others.
+    # unparseable, at the compound's line in the reply, its opening fence
+    # counted, and keeps the others.
     blocks = text.rstrip("\n").split("\n\n")
     handler = _Messages()
     gateway.log.addHandler(handler)
     try:
-        kept, rejected = gateway.Gateway(FakeProvider([]))._harvest_fact_groups(code, text)
+        kept, rejected = gateway.Gateway(FakeProvider([]))._harvest_fact_groups(
+            code, f"```prolog\n{text}```\n"
+        )
     finally:
         gateway.log.removeHandler(handler)
     assert [group.text for group in kept] == blocks[:block] + blocks[block + 1:]
     assert rejected == 1
     assert handler.messages == [
-        f"{code.value}: dropped unparseable group: line {block_line}, column {column}: "
+        f"{code.value}: dropped unparseable group: line {line + 1}, column {column}: "
         f"{_COMPOUND_ERROR}"
     ]
 
@@ -545,7 +555,8 @@ def _offline_eval(runner, benchmark, out):
 def test_eval_reads_a_raw_unicode_line_separator_inside_a_sentence(runner, tmp_path, separator):
     # JSON allows these unescaped in a string, and json.dumps writes them so
     # with ensure_ascii=False; only "\n" ends a JSON Lines record.
-    records = [json.loads(line) for line in (DATA_DIR / "benchmark_small.jsonl").open()]
+    with (DATA_DIR / "benchmark_small.jsonl").open() as lines:
+        records = [json.loads(line) for line in lines]
     records[0]["sentence"] = records[0]["sentence"].replace(", ", f",{separator}", 1)
     benchmark = tmp_path / "bench.jsonl"
     benchmark.write_text(
@@ -977,7 +988,7 @@ def test_parse_config_rejects_bad_lines(tmp_path):
 
 
 class _Upstream:
-    """A fake chat endpoint behind ``requests.Session``: every session it
+    """A fake chat endpoint behind ``transport.HttpSession``: every session it
     makes posts here.  A reply is a function of the prompt and of how often
     that prompt was asked before, and each request sleeps 0-5 ms, so
     concurrent items finish out of order.  It counts requests in flight."""
@@ -996,7 +1007,7 @@ class _Upstream:
         self.sessions: list[set[int]] = []
         self.random = random.Random(7)
 
-    def session(self):
+    def session(self, route):
         upstream, threads = self, set()
         self.sessions.append(threads)
 
@@ -1004,6 +1015,9 @@ class _Upstream:
             def post(self, url, json, headers, timeout):
                 threads.add(threading.get_ident())
                 return upstream.answer(json["messages"][0]["content"])
+
+            def close(self):
+                pass
 
         return Session()
 
@@ -1070,7 +1084,7 @@ def _record_run(runner, monkeypatch, tmp_path, command, width, upstream):
     config = _write(tmp_path / f"{name}.cfg", (
         "evaluator.endpoint = http://127.0.0.1:9/v1\nevaluator.model = eval-model\n"
         f"evaluator.max_retries = 0\nevaluator.parallelism = {width}\n"))
-    monkeypatch.setattr(requests, "Session", upstream.session)
+    monkeypatch.setattr(transport, "HttpSession", upstream.session)
     out, cassette = tmp_path / name, tmp_path / f"{name}.jsonl"
     result = run(runner, command, flag, inputs, "--mode", "record", "--cassette", cassette,
                  "--config", config, "--out", out)
@@ -1116,11 +1130,17 @@ def test_live_retry_after_above_the_cap_exits_3_without_waiting(
     runner, monkeypatch, tmp_path, command, wait
 ):
     class Session:
+        def __init__(self, route):
+            pass
+
         def post(self, url, json, headers, timeout):
             return _RateLimited(wait)
 
+        def close(self):
+            pass
+
     sleeps = []
-    monkeypatch.setattr(requests, "Session", Session)
+    monkeypatch.setattr(transport, "HttpSession", Session)
     monkeypatch.setitem(gateway.HttpProvider.__init__.__kwdefaults__, "sleep", sleeps.append)
     line = {"id": "s0", "sentence": "Since claim 1 holds, it follows.", "labels": ["AF"]}
     if command == "eval":
@@ -1135,6 +1155,62 @@ def test_live_retry_after_above_the_cap_exits_3_without_waiting(
     assert result.exit_code == 3, result.output
     assert f"Retry-After asks for {wait} s" in result.stderr
     assert sleeps == []
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_an_endpoint_that_is_no_http_url_exits_3_before_any_request(runner, monkeypatch, tmp_path, mode):
+    sessions = []
+    monkeypatch.setattr(transport, "HttpSession", sessions.append)
+    line = {"id": "s0", "sentence": "Since claim 1 holds, it follows.", "labels": ["AF"]}
+    inputs = _write(tmp_path / "in.jsonl", json.dumps(line) + "\n")
+    config = _write(tmp_path / "run.cfg", "evaluator.endpoint = localhost:8080/v1\n")
+    result = run(runner, "score", "--sentences", inputs, "--mode", mode, "--cassette",
+                 tmp_path / "c.jsonl", "--config", config, "--out", tmp_path / "out")
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: endpoint 'localhost:8080/v1' is not an http(s) URL\n"
+    assert sessions == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.jsonl", "run.cfg"]
+
+
+_RECORD_WITHOUT_REQUESTS = """
+import gc
+import sys
+
+import fallacylab.cli
+
+print("loaded:", [name for name in ("http.client", "requests") if name in sys.modules])
+sys.modules["requests"] = None  # importing it now fails
+try:
+    fallacylab.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+gc.collect()  # an unclosed socket warns here
+print("exit:", code)
+"""
+
+
+def test_record_runs_on_the_standard_library_and_closes_its_connection(tmp_path, chat_server):
+    # A fresh interpreter, so that the modules loaded are the command's own.
+    sentences = _write(tmp_path / "sentences.jsonl", "".join(
+        json.dumps({"id": f"s{i}", "sentence": f"Since claim {i} holds, it follows.",
+                    "labels": ["AF"]}) + "\n" for i in range(2)))
+    config = _write(tmp_path / "record.cfg", (
+        f"evaluator.endpoint = {chat_server.endpoint}\nevaluator.model = eval-model\n"))
+    src = Path(fallacylab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _RECORD_WITHOUT_REQUESTS,
+         "score", "--sentences", sentences, "--mode", "record", "--cassette", tmp_path / "c.jsonl",
+         "--config", config, "--out", tmp_path / "out"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("loaded: []\n")
+    assert done.stdout.endswith("exit: 0\n")
+    assert done.stderr == ""
+    assert len(chat_server.arrivals) == 6
+    assert chat_server.opened == 1
+    assert len(load_cassette(tmp_path / "c.jsonl")) == 6
 
 
 @pytest.mark.parametrize("command", ["score", "eval"])

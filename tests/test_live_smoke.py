@@ -9,6 +9,7 @@ optionally FALLACYLAB_LIVE_MODEL / FALLACYLAB_LIVE_KEY_ENV) are set, e.g.:
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 import pytest
 
@@ -23,13 +24,17 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def live_gateway() -> Gateway:
+def live_gateway() -> Iterator[Gateway]:
     config = ProviderConfig(
         endpoint=os.environ["FALLACYLAB_LIVE_ENDPOINT"],
         model_name=os.environ.get("FALLACYLAB_LIVE_MODEL", "unspecified"),
         credentials_env=os.environ.get("FALLACYLAB_LIVE_KEY_ENV", "FALLACYLAB_LIVE_KEY"),
     )
-    return Gateway(HttpProvider(config))
+    provider = HttpProvider(config)
+    try:
+        yield Gateway(provider)
+    finally:
+        provider.close()
 
 
 def test_live_generation_smoke(live_gateway):

@@ -94,9 +94,9 @@ _COMPOUND = "compound argument: arguments are atoms, integers or variables"
         ("p(a, \n  b", 2, 3, "unexpected end of input"),
         ("p(a) :- q(a) r(a).", 1, 14, "expected DOT, found 'r'"),
         ("% c\n\n  , p(a).", 3, 3, "expected a term, found ','"),
-        ("X.", 1, 1, "clause head must be an atom or compound"),
+        ("X.", 1, 1, "clause head must be name or name(...)"),
         ("p(a) :- \\+ X.", 1, 9, "negation takes a single predicate goal"),
-        ("p(a) :- q(a), X.", 1, 16, "goal must be an atom or compound"),
+        ("p(a) :- q(a), X.", 1, 16, "goal must be name or name(...)"),
         # A compound is refused at its functor, wherever it stands: a fact's
         # argument, a goal's, a builtin's left or right operand, or inside
         # another compound, whose outer functor comes first.
