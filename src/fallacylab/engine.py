@@ -10,20 +10,19 @@ tuples per ``(name, arity)``, read as the rule's facts.  Its body is a
 conjunctive query with stratified negation, so evaluating it is a join over
 rows; it runs no resolution.  Next comes the goal with the most bound
 arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
-runs as soon as its variables are bound.  The body is planned as steps over
-slots, one per clause variable: each goal's arguments are constants, slots
-bound by earlier steps, or slots the goal binds.  A goal's rows come from
-the table's index on the positions of its constants and earlier slots
-(``RowStore.index``), keyed by their values, so every row of a bucket holds
-them and only the goal's own bindings are matched.
+runs as soon as its variables are bound.  A goal's rows come from the
+table's index on the positions of its constants and of the variables bound
+before it (``RowStore.index``), keyed by their values, so every row of a
+bucket holds them and only the goal's own bindings are matched.
 
-``compile_join`` writes that plan as the Python source of its nested loops
-and runs ``exec`` on it once per rule, on the rule's first join: a ``for``
-per positive goal over its bucket, or over every row when it has no key,
-unpacking each row into slot locals, and an ``if`` or a ``for ... break /
-else`` per builtin and negation.  Constants reach the function through its
-namespace, never as source text.  Rows are ground, so each is matched one
-way, with no substitution.
+``compile_join`` walks the body once in that order and writes each literal
+straight into the Python source of nested loops, each inside the last, with
+a local per clause variable: a ``for`` per positive goal over its bucket, or
+over every row when it has no key, unpacking each row into those locals, and
+an ``if`` or a ``for ... break / else`` per builtin and negation.  The source
+is run by ``exec`` once per rule, on the rule's first join.  Constants reach
+the function through its namespace, never as source text.  Rows are ground,
+so each is matched one way, with no substitution.
 
 Each solution comes with its witness: the position of the row each positive
 goal matched, in body order.  SLD resolution over facts yields a body's
@@ -41,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -60,8 +60,7 @@ class Var:
 # A constant is the builtin value it spells, so hashing and comparing one,
 # which every index bucket and row match does, runs no Python code: an Atom
 # equals the plain str of its name and an Int the int of its value.  No
-# term is ever put beside a plain value, save a slot index, which callers
-# tell apart by ``type(x) is int``.
+# term is ever put beside a plain value, which it would equal.
 
 
 class Atom(str):
@@ -298,86 +297,27 @@ def join(rule: Clause, rows: RowStore) -> list[Solution]:
 
 @dataclass(frozen=True)
 class CompiledJoin:
-    """A rule's join plan, the Python source of the nested loops it
-    describes, and the function that source defines: ``run(rows)`` lists
-    the body's solutions over ``rows``, unsorted."""
+    """The Python source of a rule's join, as nested loops, and the function
+    it defines: ``run(rows)`` lists the body's solutions over ``rows``,
+    unsorted."""
 
-    plan: "_Plan"
     source: str
     run: Callable[[RowStore], list[Solution]]
 
 
 def compile_join(rule: Clause) -> CompiledJoin:
-    """Plan ``rule``'s body and compile the plan to a Python function; see
-    ``join`` for the ValueErrors."""
-    plan = _make_plan(rule)
-    source, namespace = _JoinSource(plan).emit()
+    """Write ``rule``'s body, in the order ``_run_order`` gives, as the source
+    of ``run(rows)`` and compile it; see ``join`` for the ValueErrors."""
+    source, namespace = _JoinSource(rule).emit()
     exec(compile(source, "<join>", "exec"), namespace)
     # Popped, so the function and its namespace form no reference cycle.
-    return CompiledJoin(plan, source, namespace.pop("run"))
+    return CompiledJoin(source, namespace.pop("run"))
 
 
-# A pattern is a head argument or a builtin operand, read once its variable
-# is bound: ``(_CONST, term)``, or ``(_CHECK, slot)`` for a variable, whose
-# slot is one local of the compiled function.
-_CONST, _CHECK = range(2)
-
-
-def _compile(term: Term, slot_of: Mapping[str, int]) -> tuple:
-    """The pattern of ``term``."""
-    if isinstance(term, Var):
-        return _CHECK, slot_of[term.name]
-    return _CONST, term
-
-
-@dataclass(frozen=True)
-class _Scan:
-    """A body goal, positive or negated, compiled against the slots bound
-    before it runs.
-
-    Its key holds the arguments known before any row is read: constants and
-    slots bound by earlier steps.  A constant has a slot of its own, filled
-    before the run, so the key is read off the slots alone.  A slot bound
-    earlier in the same goal is not known when the rows are fetched, so it
-    is matched against each row instead.
-    """
-
-    #: Position among the body's positive goals, or -1 for a negated goal.
-    ordinal: int
-    key: tuple[str, int]
-    key_positions: tuple[int, ...]
-    #: The slot holding the key's value at each of ``key_positions``.
-    key_slots: tuple[int, ...]
-    #: (position, slot) bound from each row, at each new variable's first
-    #: position.
-    binds: tuple[tuple[int, int], ...]
-    #: (position, slot) of a variable's later positions in this goal,
-    #: checked against each row after the binds.
-    repeats: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class _Test:
-    """A builtin over bound slots: ``\\=`` or ``@<``."""
-
-    less: bool
-    lhs: tuple
-    rhs: tuple
-
-
-@dataclass(frozen=True)
-class _Plan:
-    #: The pattern of each head argument, over slots the body binds.
-    head: tuple[tuple, ...]
-    steps: "tuple[_Scan | _Test, ...]"
-    #: The slots before a run: None for each variable, then the key constants.
-    slots: tuple
-    goal_count: int
-
-
-def _make_plan(rule: Clause) -> _Plan:
-    """The slot-compiled join of ``rule``'s body; see ``join`` for the
-    ValueErrors."""
+def _run_order(rule: Clause) -> list[tuple[int, Literal]]:
+    """``rule``'s body literals in the order the join runs them, each with
+    its position among the body's positive goals, or -1 for a builtin or a
+    negation; see ``join`` for the ValueErrors."""
     body = rule.body
     for item in (rule.head, *body):
         for arg in arguments(item):
@@ -419,92 +359,76 @@ def _make_plan(rule: Clause) -> _Plan:
 
     # Next the goal with the most bound arguments, ties broken by body order;
     # each test runs as soon as its variables are bound.
-    slot_of = {name: slot for slot, name in enumerate(rule.variables)}
-    slots: list = [None] * len(slot_of)
+    order: list[tuple[int, Literal]] = []
     filled: set[str] = set()
-    steps: list[_Scan | _Test] = []
     goals = list(ordinals)
     tests = list(needs)
     while True:
         for index in [index for index in tests if needs[index] <= filled]:
             tests.remove(index)
-            lit = body[index]
-            if isinstance(lit, Goal):
-                # A negation's own variables are bound only while it looks.
-                steps.append(_compile_scan(lit.term, -1, slot_of, set(filled), slots))
-            else:
-                steps.append(_Test(
-                    isinstance(lit, TermLess), _compile(lit.lhs, slot_of), _compile(lit.rhs, slot_of)
-                ))
+            order.append((-1, body[index]))
         if not goals:
-            break
+            return order
         best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
         goals.remove(best)
-        steps.append(_compile_scan(body[best].term, ordinals[best], slot_of, filled, slots))
-    head = tuple(_compile(arg, slot_of) for arg in arguments(rule.head))
-    return _Plan(head, tuple(steps), tuple(slots), len(ordinals))
+        filled |= names[best]
+        order.append((ordinals[best], body[best]))
 
 
 def _bound_args(term: GoalTerm, bound: set[str]) -> int:
     return sum(1 for arg in arguments(term) if not isinstance(arg, Var) or arg.name in bound)
 
 
-def _compile_scan(
-    term: GoalTerm, ordinal: int, slot_of: Mapping[str, int], bound: set[str], slots: list
-) -> _Scan:
-    """The step of a body goal; its variables join ``bound``, and each
-    constant of its key gets a new slot at the end of ``slots``."""
-    key_positions: list[int] = []
-    key_slots: list[int] = []
-    binds: list[tuple[int, int]] = []
-    repeats: list[tuple[int, int]] = []
-    before = set(bound)
-    for position, arg in enumerate(arguments(term)):
-        if not isinstance(arg, Var):
-            key_positions.append(position)
-            key_slots.append(len(slots))
-            slots.append(arg)
-        elif arg.name in before:
-            key_positions.append(position)
-            key_slots.append(slot_of[arg.name])
-        elif arg.name in bound:
-            repeats.append((position, slot_of[arg.name]))
-        else:
-            bound.add(arg.name)
-            binds.append((position, slot_of[arg.name]))
-    return _Scan(
-        ordinal,
-        indicator(term),
-        tuple(key_positions),
-        tuple(key_slots),
-        tuple(binds),
-        tuple(repeats),
-    )
-
-
 class _JoinSource:
-    """Writes a plan as the source of ``run(rows)``: one ``for`` per
-    positive goal over its index bucket, or over every row when it has no
-    key, unpacking each row into slot locals; one ``if`` per builtin and per
-    repeated variable in a goal; one ``for ... break / else`` per negated
-    goal.  Every constant and key the source uses is a name bound in its
-    namespace, never source text, so the source of a rule depends on its
-    shape alone."""
+    """Writes a rule's body as the source of ``run(rows)``, one literal at a
+    time in run order, each nested in the last: a ``for`` per positive goal
+    over its index bucket, or over every row when it has no key, unpacking
+    each row into slot locals; an ``if`` per builtin and per variable
+    repeated in a goal; a ``for ... break / else`` per negated goal.
 
-    def __init__(self, plan: _Plan):
-        self.plan = plan
+    A slot is a local ``s{n}``: one per clause variable, then one per
+    constant of a goal, filled before the loops, so a goal's key is read off
+    slots alone.  A goal's key holds the arguments known before its rows are
+    fetched: constants and variables bound by earlier goals.  Every constant
+    and key the source uses is a name bound in its namespace, never source
+    text, so the source of a rule depends on its shape alone."""
+
+    def __init__(self, rule: Clause):
+        self.rule = rule
+        self.order = _run_order(rule)
         self.namespace: dict[str, object] = {"compare_terms": compare_terms}
         self.constants = 0
-        #: Lines run once per call, before the loops: a local per key
+        self.slot_of = {name: f"s{slot}" for slot, name in enumerate(rule.variables)}
+        #: Lines run once per call, before the loops: a slot per goal
         #: constant, then the rows and index of each goal.
         self.prologue: list[str] = []
         self.body: list[str] = []
+        goal_constants = [
+            arg
+            for _, lit in self.order if isinstance(lit, Goal)
+            for arg in arguments(lit.term) if not isinstance(arg, Var)
+        ]
+        for slot, value in enumerate(goal_constants, len(self.slot_of)):
+            self.prologue.append(f"s{slot} = {self.constant(value)}")
+        #: Those slots again, one per goal constant as ``goal`` reaches it.
+        self.constant_slots = count(len(self.slot_of))
 
     def emit(self) -> tuple[str, dict[str, object]]:
-        for slot, value in enumerate(self.plan.slots):
-            if value is not None:
-                self.prologue.append(f"s{slot} = {self.constant(value)}")
-        self.steps(0, 1)
+        bound: set[str] = set()
+        depth = 1
+        for k, (ordinal, lit) in enumerate(self.order):
+            if isinstance(lit, Goal):
+                depth = self.goal(k, ordinal, lit.term, bound, depth)
+                continue
+            lhs, rhs = self.term(lit.lhs), self.term(lit.rhs)
+            less = isinstance(lit, TermLess)
+            test = f"compare_terms({lhs}, {rhs}) < 0" if less else f"{lhs} != {rhs}"
+            self.line(depth, f"if {test}:")
+            depth += 1
+        head = [self.term(arg) for arg in arguments(self.rule.head)]
+        goals = sum(1 for ordinal, _ in self.order if ordinal >= 0)
+        witness = _tuple([f"p{ordinal}" for ordinal in range(goals)])
+        self.line(depth, f"append(({witness}, {_tuple(head)}))")
         lines = ["def run(rows):"]
         lines += [f"    {line}" for line in self.prologue]
         lines += ["    found = []", "    append = found.append"]
@@ -521,68 +445,53 @@ class _JoinSource:
     def line(self, depth: int, text: str) -> None:
         self.body.append("    " * depth + text)
 
-    def steps(self, k: int, depth: int) -> None:
-        """Write ``steps[k:]`` at indentation ``depth``."""
-        plan = self.plan
-        if k == len(plan.steps):
-            head = [self.term(pattern) for pattern in plan.head]
-            witness = _tuple([f"p{ordinal}" for ordinal in range(plan.goal_count)])
-            self.line(depth, f"append(({witness}, {_tuple(head)}))")
-            return
-        step = plan.steps[k]
-        if isinstance(step, _Test):
-            lhs, rhs = self.term(step.lhs), self.term(step.rhs)
-            test = f"compare_terms({lhs}, {rhs}) < 0" if step.less else f"{lhs} != {rhs}"
-            self.line(depth, f"if {test}:")
-            self.steps(k + 1, depth + 1)
-            return
-        key = self.constant(step.key)
-        index, value = self.lookup(k, step, key)
-        if step.ordinal < 0 and not step.repeats:
+    def term(self, term: Term) -> str:
+        """An expression for a bound variable or a constant."""
+        return self.slot_of[term.name] if isinstance(term, Var) else self.constant(term)
+
+    def goal(self, k: int, ordinal: int, term: GoalTerm, bound: set[str], depth: int) -> int:
+        """Write the ``k``th literal, a goal, at ``depth``: its variables not
+        in ``bound`` are bound from each row, and join ``bound`` when the
+        goal is positive.  Returns the depth of the code the goal's success
+        runs."""
+        key = self.constant(indicator(term))
+        args = arguments(term)
+        positions: list[int] = []
+        values: list[str] = []
+        targets = ["_"] * len(args)
+        repeats: list[str] = []
+        own: set[str] = set()
+        for position, arg in enumerate(args):
+            if not isinstance(arg, Var):
+                positions.append(position)
+                values.append(f"s{next(self.constant_slots)}")
+            elif arg.name in bound:
+                positions.append(position)
+                values.append(self.slot_of[arg.name])
+            elif arg.name in own:
+                # Not known when the rows are fetched, so matched per row.
+                targets[position] = f"t{k}_{position}"
+                repeats.append(f"if t{k}_{position} == {self.slot_of[arg.name]}:")
+            else:
+                own.add(arg.name)
+                targets[position] = self.slot_of[arg.name]
+        if ordinal >= 0:
+            bound |= own
+        index = value = None
+        if positions:
+            index = f"x{k}"
+            self.prologue.append(f"{index} = rows.index({key}, {tuple(positions)!r})")
+            value = values[0] if len(values) == 1 else _tuple(values)
+        if ordinal < 0 and not repeats:
             # Every candidate row matches, so the negation holds when there
             # is none.  Index buckets are never empty.
             absent = f"{value} not in {index}" if index else f"not {self.rows(k, key)}"
             self.line(depth, f"if {absent}:")
-            self.steps(k + 1, depth + 1)
-            return
-        inner = self.scan(k, step, self.rows(k, key), index, value, depth)
-        if step.ordinal >= 0:
-            self.steps(k + 1, inner)
-        else:
-            self.line(inner, "break")
-            self.line(depth, "else:")
-            self.steps(k + 1, depth + 1)
-
-    def rows(self, k: int, key: str) -> str:
-        """The local of one goal's rows, fetched once per call."""
-        self.prologue.append(f"r{k} = rows.get({key}, ())")
-        return f"r{k}"
-
-    def lookup(self, k: int, step: _Scan, key: str) -> tuple[str | None, str | None]:
-        """The local of one goal's index, fetched once per call, and the
-        expression of its key's value; Nones when the goal has no key."""
-        if not step.key_positions:
-            return None, None
-        index = f"x{k}"
-        self.prologue.append(f"{index} = rows.index({key}, {step.key_positions!r})")
-        if len(step.key_slots) == 1:
-            return index, f"s{step.key_slots[0]}"
-        return index, _tuple([f"s{slot}" for slot in step.key_slots])
-
-    def scan(
-        self, k: int, step: _Scan, rows: str, index: str | None, value: str | None, depth: int
-    ) -> int:
-        """Write the loop over one goal's candidate rows and the checks each
-        row still needs; returns the indentation of the code a row that
-        passes them runs."""
-        targets = ["_"] * step.key[1]
-        for position, slot in step.binds:
-            targets[position] = f"s{slot}"
-        for position, _ in step.repeats:
-            targets[position] = f"t{k}_{position}"
+            return depth + 1
+        rows = self.rows(k, key)
         unpack = ", ".join(targets) + ("," if len(targets) == 1 else "")
         read = any(target != "_" for target in targets)
-        position = f"p{step.ordinal}" if step.ordinal >= 0 else f"q{k}"
+        position = f"p{ordinal}" if ordinal >= 0 else f"q{k}"
         if index:
             self.line(depth, f"for {position} in {index}.get({value}, ()):")
             if read:
@@ -591,16 +500,20 @@ class _JoinSource:
             self.line(depth, f"for {position}, ({unpack}) in enumerate({rows}):")
         else:
             self.line(depth, f"for {position} in range(len({rows})):")
-        depth += 1
-        for position, slot in step.repeats:
-            self.line(depth, f"if t{k}_{position} == s{slot}:")
-            depth += 1
-        return depth
+        inner = depth + 1
+        for repeat in repeats:
+            self.line(inner, repeat)
+            inner += 1
+        if ordinal >= 0:
+            return inner
+        self.line(inner, "break")
+        self.line(depth, "else:")
+        return depth + 1
 
-    def term(self, pattern: tuple) -> str:
-        """An expression for the term of a pattern."""
-        kind, payload = pattern
-        return f"s{payload}" if kind == _CHECK else self.constant(payload)
+    def rows(self, k: int, key: str) -> str:
+        """The local of one goal's rows, fetched once per call."""
+        self.prologue.append(f"r{k} = rows.get({key}, ())")
+        return f"r{k}"
 
 
 def _tuple(items: list[str]) -> str:

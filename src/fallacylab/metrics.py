@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .errors import (
     DivisionDomainError,
@@ -21,9 +21,11 @@ from .errors import (
     LengthMismatchError,
     MismatchError,
 )
-from .gateway import JudgeVerdict, ScoreTriple
 from .jsonl import read_id, read_jsonl, read_labels, read_text
 from .labels import MAX_PREDICTED_LABELS, FallacyCode, check_predicted_labels
+
+if TYPE_CHECKING:
+    from .gateway import ScoreTriple
 
 _SOURCES = ("bench", "augmented", "benign")
 
@@ -92,15 +94,6 @@ def load_predictions(path: str | Path) -> list[Prediction]:
         )
 
     return list(read_jsonl(path, ("id", "logic_error"), prediction))
-
-
-def predictions_from_verdicts(
-    ids: Sequence[str], verdicts: Sequence[JudgeVerdict]
-) -> list[Prediction]:
-    return [
-        Prediction(entry_id=i, logic_error=v.logic_error, labels=v.logic_fallacies)
-        for i, v in zip(ids, verdicts)
-    ]
 
 
 # ---------------------------------------------------------------------------

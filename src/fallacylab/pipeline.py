@@ -21,7 +21,6 @@ from .metrics import (
     BenchmarkEntry,
     EvalReport,
     Prediction,
-    predictions_from_verdicts,
     score_stats,
 )
 from .schemas import ValidTuple, derive_instances, ordering_diagnostic
@@ -228,7 +227,10 @@ def judge_benchmark(
     verdicts = _map_in_order(
         lambda entry: gateway.judge_sentence(entry.sentence), entries, gateway, parallelism
     )
-    return predictions_from_verdicts([e.id for e in entries], verdicts)
+    return [
+        Prediction(entry_id=entry.id, logic_error=v.logic_error, labels=v.logic_fallacies)
+        for entry, v in zip(entries, verdicts)
+    ]
 
 
 def write_report(

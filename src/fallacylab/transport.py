@@ -41,15 +41,18 @@ class Route(NamedTuple):
 
 def _split_url(url: str, schemes: tuple[str, ...]):
     """``(parts, port)`` of a URL with a host and one of ``schemes``, the
-    port defaulted by scheme; None for any other text."""
+    port defaulted by scheme when it has none; None for any other text, and
+    for port 0, which no server listens on."""
     try:
         parts = urllib.parse.urlsplit(url)
-        port = parts.port or (443 if parts.scheme == "https" else 80)
+        port = parts.port
     except ValueError:  # an unclosed bracket, or a port that is no port
         return None
     if parts.scheme not in schemes or not parts.hostname or _UNSAFE_URL_RE.search(url):
         return None
-    return parts, port
+    if port is None:
+        return parts, 443 if parts.scheme == "https" else 80
+    return (parts, port) if port else None
 
 
 def resolve(endpoint: str, credentials_env: str | None) -> Route:

@@ -1176,6 +1176,10 @@ _RECORD_WITHOUT_REQUESTS = """
 import gc
 import sys
 
+import fallacylab.metrics
+
+print("with metrics:", [name for name in ("fallacylab.gateway",) if name in sys.modules])
+
 import fallacylab.cli
 
 print("loaded:", [name for name in ("http.client", "requests") if name in sys.modules])
@@ -1205,7 +1209,7 @@ def test_record_runs_on_the_standard_library_and_closes_its_connection(tmp_path,
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("loaded: []\n")
+    assert done.stdout.startswith("with metrics: []\nloaded: []\n")
     assert done.stdout.endswith("exit: 0\n")
     assert done.stderr == ""
     assert len(chat_server.arrivals) == 6

@@ -28,7 +28,7 @@ from fallacylab.engine import (
 from fallacylab.kb import KnowledgeBase
 from fallacylab.parser import serialize_clause, serialize_term
 
-from conftest import CountingRows
+from conftest import DATA_DIR, CountingRows
 from sld_oracle import DepthLimitError, FlounderError, Program, findall, resolve, solve, unify
 
 
@@ -578,3 +578,16 @@ def test_compile_join_refuses_a_compound_argument(rule, message):
     # Rules built in Python bypass the parser, which refuses compounds.
     with pytest.raises(ValueError, match=f"compound argument {message}"):
         compile_join(rule)
+
+
+def test_compiled_join_branches_match_committed_text():
+    # Rules that reach the lines no schema's join writes: key constants, a
+    # variable repeated in a goal or a negation, a negation with and without
+    # a key, builtins over constants, arity-0 goals and heads, and constant
+    # head arguments.  Each block is a rule and the source written for it.
+    text = (DATA_DIR / "compiled_join_branches.txt").read_text(encoding="utf-8")
+    rules = [line[2:] for line in text.splitlines() if line.startswith("% ")]
+    assert len(rules) == 13
+    assert "\n".join(
+        f"% {rule}\n{compile_join(kb_from(rule).rules[0]).source}" for rule in rules
+    ) == text
