@@ -53,6 +53,10 @@ EXIT_PROVIDER = 3
 log = logging.getLogger(__name__)
 
 
+#: The provider modes a run may use.
+MODES = ("live", "replay", "record")
+
+
 @dataclass
 class RunConfig:
     generator: ProviderConfig = field(default_factory=ProviderConfig)
@@ -68,7 +72,7 @@ class RunConfig:
     generation_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("live", "replay", "record"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "replay" and not self.cassette:
             raise ValueError("replay mode requires a cassette path")
@@ -94,12 +98,15 @@ def parse_config(
     cassette: str | None = None,
 ) -> RunConfig:
     """Read the simple ``key = value`` config format.  A key outside
-    ``CONFIG_KEYS`` is a ValueError naming its line.
+    ``CONFIG_KEYS``, or a bad value the file sets, is a ValueError naming
+    its line.
 
     ``mode`` and ``cassette`` arguments override the file's values, so
     command-line flags win; validation runs on the final combination.
     """
     values: dict[str, str] = {}
+    #: The line that set each key's value.
+    lines: dict[str, int] = {}
     if path is not None:
         for line_no, line in enumerate(read_input(path).splitlines(), start=1):
             stripped = line.strip()
@@ -112,6 +119,10 @@ def parse_config(
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value.strip()
+            lines[key] = line_no
+
+    def where(key: str) -> str:
+        return f"{path}:{lines[key]}: " if key in lines else ""
 
     def number(key: str, default: str, kind: type, valid, expected: str):
         text = values.get(key, default)
@@ -120,7 +131,7 @@ def parse_config(
         except ValueError:
             value = None
         if value is None or not valid(value):
-            raise ValueError(f"{key} must be {expected}, got {text!r}")
+            raise ValueError(f"{where(key)}{key} must be {expected}, got {text!r}")
         return value
 
     def provider(prefix: str) -> ProviderConfig:
@@ -134,6 +145,8 @@ def parse_config(
             credentials_env=values.get(f"{prefix}.credentials_env") or None,
         )
 
+    if mode is None and values.get("mode", "replay") not in MODES:
+        raise ValueError(f"{where('mode')}unknown mode {values['mode']!r}")
     return RunConfig(
         generator=provider("generator"),
         parallelism=number(
@@ -266,7 +279,7 @@ def derive(code_text: str, kb_path: str | None) -> None:
 @main.command()
 @_code_option()
 @click.option("--n", default=None, type=int, help="Fact combinations to request.")
-@click.option("--mode", type=click.Choice(["live", "replay", "record"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -289,7 +302,7 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
 @main.command()
 @click.option("--sentences", "sentences_path", required=True, type=click.Path(exists=True))
 @click.option("--method-tag", default="generated", show_default=True)
-@click.option("--mode", type=click.Choice(["live", "replay", "record"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -315,7 +328,7 @@ def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> N
     default=None,
     help="Pre-computed predictions; omit to judge via the provider.",
 )
-@click.option("--mode", type=click.Choice(["live", "replay", "record"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--cassette", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())

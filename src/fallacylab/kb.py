@@ -10,11 +10,13 @@ nothing but validation, the signature check and ``serialize``: the join runs
 over facts alone.
 
 A base is built once, by ``from_text``, and never changes after that.  It
-stores each flat fact line the parser yields as its key and argument tuple,
-with no term built for it.  The few other facts come as clauses and are
-stored from their heads, whose arguments are atoms, integers or variables:
-a fact of arity 0, one that shares or spans lines, or one with a variable,
-which is a ParseError at its line.
+stores each flat fact line the parser yields under its key, building the
+argument tuple from the line's argument text with ``parser.flat_args``; one
+load keeps one ``Atom`` or ``Int`` per spelling, and no clause or head is
+built for such a line.  The few other facts come as clauses and are stored
+from their heads, whose arguments are atoms, integers or variables: a fact
+of arity 0, one that shares or spans lines, or one with a variable, which
+is a ParseError at its line.
 
 A base holds no index: a derivation reads its rows through a table of its
 own (``schemas.fact_table``), whose indexes ``engine.join`` and the recheck
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from .engine import Clause, Term, arguments, indicator, is_ground
 from .errors import ParseError
-from .parser import parse_statements, serialize_clause, serialize_term
+from .parser import flat_args, parse_statements, serialize_clause, serialize_term
 
 #: A predicate's ``(name, arity)``.
 Key = tuple[str, int]
@@ -48,16 +50,19 @@ class KnowledgeBase:
         kb = cls()
         tables, rules = kb._tables, kb.rules
         keys, args, comments, groups = kb._fact_keys, kb._fact_args, kb._comments, kb._groups
+        #: One term per spelling across the load.
+        consts: dict[str, Term] = {}
         for item, comment, group, line in parse_statements(text):
-            if type(item) is not tuple:
-                if not item.is_fact:
-                    rules.append(item)
-                    continue
+            if type(item) is tuple:
+                key, row = item[0], flat_args(item[1], consts)
+            elif item.is_fact:
                 head = item.head
                 if not is_ground(head):
                     raise ParseError(f"fact is not ground: {serialize_clause(item)}", line, 1)
-                item = (indicator(head), arguments(head))
-            key, row = item
+                key, row = indicator(head), arguments(head)
+            else:
+                rules.append(item)
+                continue
             rows = tables.get(key)
             if rows is None:
                 rows = tables[key] = []

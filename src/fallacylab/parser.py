@@ -28,18 +28,23 @@ with an optional comment, every ``ci`` an atom or an integer.  Where a
 clause may start (no token yet, or the last one ends a clause), the scanner
 first tries one whole-line pattern (``_FLAT_FACT``) for such a line and, on
 a match, emits a single ``FACT`` token holding the fact's ``(name, arity)``,
-arguments and comment, which the parser takes as a whole clause.  Any
-other line, an all-digit functor or an integer too long for ``int``
-included, goes through the master pattern, which rules and error positions
-still need.  A line that looks like a fact but continues a rule is never at
-a clause start, so it is scanned token by token as before.  The flat fact
-lines of one call share their constants and predicate keys: one ``Atom`` or
-``Int`` per spelling, one ``(name, arity)`` per predicate.
+the text between its parentheses and its comment, which the parser takes as
+a whole clause.  The arity is one more than the commas in that text, as no
+constant holds a comma.  Any other line, an all-digit functor or an integer
+too long for ``int`` included, goes through the master pattern, which rules
+and error positions still need.  A line that looks like a fact but
+continues a rule is never at a clause start, so it is scanned token by
+token as before.  The flat fact lines of one call share their predicate
+keys, one ``(name, arity)`` per predicate; the scanner builds no term for
+them.
 
 ``parse_statements`` yields each clause as it is parsed, a flat fact as its
-key and argument tuple, so no term is built for it.  It feeds the
-knowledge-base loader, ``fallacylab validate``, the gateway's harvest of
-generated fact groups and the schemas' own rule text.
+key and argument text.  ``flat_args`` builds the argument tuple of such a
+fact, and only a reader that stores or prints the arguments calls it: the
+knowledge-base loader for every fact, ``fallacylab validate`` and the
+gateway's harvest of generated fact groups only for a fact they report,
+since they count the rest by key.  The schemas' own rule text is read from
+the same stream.
 
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from typing import Iterator
 
 from .engine import (
@@ -103,29 +109,35 @@ def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
     """``(kind, value, line, column)`` tokens and the comment text of each
     line that holds no flat fact.
 
-    A flat fact line is one ``("FACT", key, line, args, comment)`` token:
-    its ``(name, arity)``, arguments and comment text.  The whole text is
-    scanned before any of it is parsed, so a bad character or name anywhere
-    is reported ahead of a grammar error.
+    A flat fact line is one ``("FACT", key, line, args_text, comment)``
+    token: its ``(name, arity)``, the text between its parentheses and its
+    comment text.  The whole text is scanned before any of it is parsed, so
+    a bad character or name anywhere is reported ahead of a grammar error.
     """
     tokens: list[tuple] = []
     comments: dict[int, str] = {}
-    #: One term per spelling: an atom keys itself, as it equals its name.
-    consts: dict[str, Term] = {}
     keys: dict[tuple[str, int], tuple[str, int]] = {}
+    limit = sys.get_int_max_str_digits()
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not tokens or tokens[-1][0] in _CLAUSE_ENDS:
             fact = _FLAT_FACT.fullmatch(line)
-            if fact is not None:
-                args = _flat_args(fact[1], fact[2], consts)
-                if args is not None:
-                    key = (fact[1], len(args))
-                    key = keys.setdefault(key, key)
-                    comment = fact[3]
-                    tokens.append((
-                        "FACT", key, line_no, args, None if comment is None else comment.strip()
-                    ))
-                    continue
+            # The master pattern reads an all-digit functor, which is an
+            # integer, not a name, and an integer too long for ``int``, an
+            # error reported at its position; only text longer than the
+            # limit can hold such an integer.
+            if fact is not None and not fact[1].isdigit() and not (
+                limit and len(fact[2]) > limit and any(
+                    len(spelling) > limit and spelling.isdigit()
+                    for spelling in map(str.strip, fact[2].split(","))
+                )
+            ):
+                args_text, comment = fact[2], fact[3]
+                key = (fact[1], args_text.count(",") + 1)
+                key = keys.setdefault(key, key)
+                tokens.append((
+                    "FACT", key, line_no, args_text, None if comment is None else comment.strip()
+                ))
+                continue
         for match in _TOKEN.finditer(line):
             kind = match.lastgroup
             if kind in _CLAUSE_TOKENS:
@@ -142,24 +154,20 @@ def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
     return tokens, comments
 
 
-def _flat_args(name: str, args: str, consts: dict[str, Term]) -> tuple[Term, ...] | None:
-    """The arguments of a flat fact line, taken from ``consts`` (one ``Atom``
-    or ``Int`` per spelling), or None when the general scanner must read the
-    line: an all-digit functor is an integer, not a name, and an integer too
-    long for ``int`` is an error reported at its position."""
-    if name.isdigit():
-        return None
+def flat_args(args_text: str, consts: dict[str, Term]) -> tuple[Term, ...]:
+    """The arguments of a flat fact from its ``FlatFact`` text, each taken
+    from ``consts``, which keeps one ``Atom`` or ``Int`` per spelling and
+    gains any spelling it lacks.  Share one dict across a load, so equal
+    spellings there are one object."""
     terms = []
-    for spelling in args.split(","):
+    for spelling in args_text.split(","):
         spelling = spelling.strip()
         term = consts.get(spelling)
         if term is None:
             if spelling.isdigit():
-                try:
-                    term = consts[spelling] = Int(int(spelling))
-                except ValueError:  # longer than sys.get_int_max_str_digits()
-                    return None
+                term = consts[spelling] = Int(int(spelling))
             else:
+                # An atom keys itself, as it equals its name.
                 term = Atom(spelling)
                 consts[term] = term
         terms.append(term)
@@ -167,15 +175,17 @@ def _flat_args(name: str, args: str, consts: dict[str, Term]) -> tuple[Term, ...
 
 
 #: A flat fact as ``parse_statements`` yields it: its ``(name, arity)`` and
-#: its arguments, all atoms and integers.
-FlatFact = tuple[tuple[str, int], tuple[Term, ...]]
+#: the text between its parentheses, comma-separated atoms and integers,
+#: which ``flat_args`` builds into its argument tuple.
+FlatFact = tuple[tuple[str, int], str]
 
 
 def parse_statements(
     text: str,
 ) -> Iterator[tuple[Clause | FlatFact, str | None, int | None, int]]:
     """``(clause, comment, group_id, line)`` per clause, in text order: a
-    flat fact line as a ``FlatFact``, any other clause as a ``Clause``.
+    flat fact line as a ``FlatFact``, whose arguments ``flat_args`` builds,
+    any other clause as a ``Clause``.
 
     ``comment`` is the trailing comment of the clause's last line.
     ``group_id`` is the dense index of the blank-line-separated block a fact

@@ -59,7 +59,7 @@ from .engine import (
 from .errors import SignatureError, UnknownSchemaError
 from .kb import KnowledgeBase
 from .labels import SCHEMA_CODES, FallacyCode
-from .parser import FlatFact, parse_statements, serialize_clause, serialize_term
+from .parser import FlatFact, flat_args, parse_statements, serialize_clause, serialize_term
 
 # Fact vocabulary: predicate name -> (arity, gloss).  The glosses double as
 # prompt annotations.
@@ -335,7 +335,8 @@ def validate_kb_against_schema(
     Each statement is a ``Clause`` or, as ``parse_statements`` yields a flat
     fact line, a ``FlatFact``.  A flat fact of a signature's name and arity
     is counted by its key alone: its arguments are constants, so it is
-    ground.  Any other is checked as the ``Clause`` it stands for.
+    ground, and none of them is built.  Any other is built with
+    ``flat_args`` and checked as the ``Clause`` it stands for.
 
     Reports unknown predicates, arity mismatches, non-ground facts, and
     required predicates with zero facts.  Never raises; the report carries
@@ -345,14 +346,15 @@ def validate_kb_against_schema(
     expected = dict(schema.signatures)
     findings: list[Finding] = []
     counts: dict[str, int] = {name: 0 for name in expected}
+    consts: dict[str, Term] = {}
 
     for clause in statements:
         if type(clause) is tuple:
-            (name, arity), args = clause
+            (name, arity), args_text = clause
             if expected.get(name) == arity:
                 counts[name] += 1
                 continue
-            clause = Clause(Struct(name, args))
+            clause = Clause(Struct(name, flat_args(args_text, consts)))
         elif not clause.is_fact:
             continue
         name, arity = indicator(clause.head)

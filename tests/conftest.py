@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fallacylab.engine import Clause, Struct
-from fallacylab.parser import parse_statements
+from fallacylab.parser import flat_args, parse_statements
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -27,10 +27,12 @@ class ParsedClause:
 
 
 def parse_program(text: str) -> list[ParsedClause]:
-    """Every clause of the text, a flat fact line built into its ``Clause``."""
+    """Every clause of the text, a flat fact line built into its ``Clause``
+    by ``flat_args``, with one constant per spelling across the call."""
+    consts: dict = {}
     return [
         ParsedClause(
-            Clause(Struct(item[0][0], item[1])) if type(item) is tuple else item,
+            Clause(Struct(item[0][0], flat_args(item[1], consts))) if type(item) is tuple else item,
             comment,
             group,
             line,

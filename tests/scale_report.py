@@ -8,10 +8,13 @@ For each of the eleven schema codes it builds ``--groups`` one-instance fact
 groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
 ``--repeat`` timings of parsing the text alone (``parse_statements``, as the
-load and ``fallacylab validate`` read it), of validating it against its own
-code (``validate_kb_against_schema`` over the ``parse_statements`` list, as
-``fallacylab validate`` runs it), of loading it (``KnowledgeBase.from_text``:
-the parse plus the base build) and, separately, of deriving over the loaded
+load and ``fallacylab validate`` read it; a flat fact line comes out as its
+key and argument text, so ``parse s`` builds no row), of validating it
+against its own code (``validate_kb_against_schema`` over the
+``parse_statements`` list, as ``fallacylab validate`` runs it), of loading
+it (``KnowledgeBase.from_text``: the parse plus the base build, which builds
+each flat fact's row with ``parser.flat_args``) and, separately, of deriving
+over the loaded
 base (``derive_instances`` plus ``ordering_diagnostic``, as ``fallacylab
 derive`` runs them).  Two more columns split the derive: the join's part
 (``engine.join``, already compiled) and the soundness recheck of every

@@ -201,6 +201,37 @@ def test_derive_kb_with_a_non_ground_fact_exits_two_at_its_line(runner, tmp_path
     assert result.stderr == "error: line 3, column 1: fact is not ground: qc(X, b).\n"
 
 
+def test_flat_fact_integer_at_the_int_digit_limit(runner, tmp_path):
+    # A flat fact line holding an integer longer than ``int`` reads goes to
+    # the token scanner, which reports it at its position; one at the limit,
+    # or any length with the limit off, loads.
+    path = tmp_path / "ct.pl"
+
+    def outcomes(number):
+        path.write_text(f"qc(t, m).\nqoc(t, d).\nfroc(d, f).\nifqoc(f, {number}). % long\n")
+        return [
+            (result.exit_code, result.stdout, result.stderr)
+            for result in (
+                run(runner, command, "--code", "CT", "--kb", path)
+                for command in ("derive", "validate")
+            )
+        ]
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for number in ("9" * 640, "0" * 639 + "7"):
+            assert outcomes(number) == [(0, f"pd(t, {int(number)})\n", ""), (0, "CT: ok\n", "")]
+        for number in ("9" * 641, "0" * 640 + "7"):
+            error = "error: line 4, column 10: integer literal of 641 digits is too long\n"
+            assert outcomes(number) == [(2, "", error)] * 2
+        sys.set_int_max_str_digits(0)
+        number = "9" * 5000
+        assert outcomes(number) == [(0, f"pd(t, {number})\n", ""), (0, "CT: ok\n", "")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_validate_unparseable_kb_exit_two(runner, tmp_path):
     path = tmp_path / "bad.pl"
     path.write_text("hp(chimney survives_fire).\n")
@@ -669,7 +700,7 @@ def _bad_parallelism(command, value):
         return (
             [command, *inputs, "--mode", "record", "--cassette", tmp / "c.jsonl",
              "--out", tmp / "out", "--config", config],
-            ["evaluator.parallelism", repr(value)],
+            [f"{config}:2: evaluator.parallelism must be a positive integer, got {value!r}"],
         )
 
     return case
@@ -743,7 +774,7 @@ BAD_INPUTS = {
     "generator-temperature-not-number": lambda tmp: (
         ["generate", "--code", "AF", "--n", 5, "--mode", "live", "--out", tmp / "out", "--config",
          _write(tmp / "run.cfg", "generator.endpoint = http://127.0.0.1:9/\ngenerator.temperature = hot\n")],
-        ["generator.temperature", "'hot'"],
+        [f"{tmp / 'run.cfg'}:2: generator.temperature must be a number within [0, 2], got 'hot'"],
     ),
     # A misspelled key used to be ignored: width 1, temperature 1.0.
     "config-key-misspelled-parallelism": lambda tmp: (
@@ -973,6 +1004,39 @@ def test_run_config_validates_generation_temperature(tmp_path):
     path.write_text("cassette = tape.jsonl\nevaluator.temperature = 9\n")
     with pytest.raises(ValueError, match=r"run\.cfg:2: unknown config key 'evaluator\.temperature'"):
         parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("evaluator.parallelism = 0", "evaluator.parallelism must be a positive integer, got '0'"),
+        ("batch_size = 0", "batch_size must be a positive integer, got '0'"),
+        ("generator.max_retries = -1",
+         "generator.max_retries must be a non-negative integer, got '-1'"),
+        ("evaluator.max_retries = x", "evaluator.max_retries must be a non-negative integer, got 'x'"),
+        ("generator.temperature = nan", "generator.temperature must be a number within [0, 2], got 'nan'"),
+        ("mode = bogus", "unknown mode 'bogus'"),
+    ],
+)
+def test_parse_config_names_the_line_of_a_bad_value(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"cassette = tape.jsonl\n{line}\n")
+    with pytest.raises(ValueError) as caught:
+        parse_config(path)
+    assert str(caught.value) == f"{path}:2: {message}"
+
+
+def test_parse_config_flag_and_default_errors_name_no_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    # A --mode flag wins over the file's value, so a bad one there is unread.
+    path.write_text("cassette = tape.jsonl\nmode = bogus\n")
+    assert parse_config(path, mode="record").mode == "record"
+    with pytest.raises(ValueError) as caught:
+        parse_config(path, mode="bogus")
+    assert str(caught.value) == "unknown mode 'bogus'"
+    with pytest.raises(ValueError) as caught:
+        parse_config(None)
+    assert str(caught.value) == "replay mode requires a cassette path"
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):

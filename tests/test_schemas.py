@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sld_oracle
-from fallacylab import engine, schemas
+from fallacylab import engine, parser, schemas
+from fallacylab import kb as kb_module
 from fallacylab.cli import main
 from fallacylab.engine import Atom, Goal, Struct, compile_join, join
 from fallacylab.errors import SignatureError, UnknownSchemaError
@@ -511,6 +512,69 @@ def test_validate_reads_flat_facts_as_their_clauses(lines):
         assert validate_kb_against_schema(code, statements) == validate_kb_against_schema(
             code, clauses
         )
+
+
+def _count_flat_args(monkeypatch, module) -> list[str]:
+    """The argument text of each ``parser.flat_args`` call ``module`` makes."""
+    calls: list[str] = []
+
+    def counting(args_text, consts):
+        calls.append(args_text)
+        return parser.flat_args(args_text, consts)
+
+    monkeypatch.setattr(module, "flat_args", counting)
+    return calls
+
+
+def test_validate_and_harvest_build_no_row_of_a_clean_flat_fact(monkeypatch, tmp_path):
+    texts = {code: load_seed(code).fact_text() for code in SCHEMA_CODES}
+    calls = _count_flat_args(monkeypatch, schemas)
+    load_calls = _count_flat_args(monkeypatch, kb_module)
+    for code, text in texts.items():
+        path = tmp_path / "seed.pl"
+        path.write_text(text + "\n")
+        result = CliRunner().invoke(main, ["validate", "--code", code.value, "--kb", str(path)])
+        assert (result.exit_code, result.stdout) == (0, f"{code.value}: ok\n")
+        kept, rejected = Gateway(FakeProvider([]))._harvest_fact_groups(
+            code, f"```prolog\n{text}\n\n{text}\n```\n"
+        )
+        assert (len(kept), rejected) == (2, 0)
+    assert calls == [] and load_calls == []
+
+
+def test_validate_builds_the_row_of_each_flat_fact_it_reports(monkeypatch, tmp_path):
+    calls = _count_flat_args(monkeypatch, schemas)
+    path = tmp_path / "af.pl"
+    path.write_text(
+        load_seed(FallacyCode.AF).fact_text()
+        + "\nzz(a, 1).\nhr(a). % short\nrri( b ,c,  07 ).\nhp(X, a).\n"
+    )
+    result = CliRunner().invoke(main, ["validate", "--code", "AF", "--kb", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == (
+        "AF: 5 finding(s)\n"
+        "  [unknown_predicate] zz/2 not used by AF: zz(a, 1).\n"
+        "  [arity_mismatch] hr expects arity 2, found 1: hr(a).\n"
+        "  [arity_mismatch] rri expects arity 2, found 3: rri(b, c, 7).\n"
+        "  [non_ground_fact] hp(X, a).\n"
+        "  [unknown_predicate] hp/2 not used by AF: hp(X, a).\n"
+    )
+    # The three bad flat facts; the non-ground fact is a clause already.
+    assert calls == ["a, 1", "a", " b ,c,  07"]
+
+
+def test_load_builds_each_flat_fact_row_once_with_one_constant_per_spelling(monkeypatch):
+    calls = _count_flat_args(monkeypatch, kb_module)
+    text = "p(a, 1).\nq(a) :- p(a, 1).\np(a, 01). % note\nr.\np(b,\n 1).\np(b, 1).\n"
+    first = KnowledgeBase.from_text(text)
+    assert calls == ["a, 1", "a, 01", "b, 1"]
+    (a, one), (a2, zero_one), (b, one2), (b2, one3) = first.tables()[("p", 2)]
+    assert a2 is a and one3 is one and b2 == b
+    assert zero_one == one and zero_one is not one
+    # The fact spanning lines is built from its clause, not from the scanner.
+    assert one2 == one
+    second = KnowledgeBase.from_text(text)
+    assert second.tables()[("p", 2)][0][0] is not a
 
 
 # ---------------------------------------------------------------------------
