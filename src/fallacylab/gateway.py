@@ -495,6 +495,8 @@ class FactGroup(NamedTuple):
 
 _SCORE_RE = re.compile(r"(?<![\d.])([0-3])(?![\d.])")
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*$")
+#: A list marker (``-``, ``*``, ``•``, ``1.`` or ``1)``) opening a reply line.
+_LIST_MARKER_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
 
 
 class Gateway:
@@ -605,7 +607,7 @@ class Gateway:
     def _sentences_from_response(response: str) -> list[str]:
         sentences = []
         for line in _strip_fences(response).splitlines():
-            cleaned = re.sub(r"^\s*(?:[-*•]|\d+[.)])\s*", "", line).strip()
+            cleaned = _LIST_MARKER_RE.sub("", line).strip()
             if cleaned:
                 sentences.append(cleaned)
         return sentences

@@ -16,12 +16,13 @@ The language is function-free: an argument, or an operand of ``\\=`` or
 ``@<``, written ``name(...)`` is a ParseError at the line and column of
 its name.
 
-Lines are those of ``str.splitlines``, and each line is scanned in one
-pass of a compiled master pattern (``_TOKEN``) with one named alternative
-per token kind, in the manner of the ``re`` module's "Writing a Tokenizer".
-Tokens are plain ``(kind, value, line, column)`` tuples, columns 1-based;
-the same pass keeps each line's trailing comment.  The recursive-descent
-parser reads the token list by index.
+Lines are those of ``str.splitlines``.  A line of spaces and tabs alone
+holds no token and is skipped before any pattern runs; any other line is
+scanned in one pass of a compiled master pattern (``_TOKEN``) with one named
+alternative per token kind, in the manner of the ``re`` module's "Writing a
+Tokenizer".  Tokens are plain ``(kind, value, line, column)`` tuples,
+columns 1-based; the same pass keeps each line's trailing comment.  The
+recursive-descent parser reads the token list by index.
 
 Most lines of a fact file hold one flat fact, ``name(c1, ..., cn).``
 with an optional comment, every ``ci`` an atom or an integer.  Where a
@@ -29,14 +30,18 @@ clause may start (no token yet, or the last one ends a clause), the scanner
 first tries one whole-line pattern (``_FLAT_FACT``) for such a line and, on
 a match, emits a single ``FACT`` token holding the fact's ``(name, arity)``,
 the text between its parentheses and its comment, which the parser takes as
-a whole clause.  The arity is one more than the commas in that text, as no
-constant holds a comma.  Any other line, an all-digit functor or an integer
-too long for ``int`` included, goes through the master pattern, which rules
-and error positions still need.  A line that looks like a fact but
-continues a rule is never at a clause start, so it is scanned token by
-token as before.  The flat fact lines of one call share their predicate
-keys, one ``(name, arity)`` per predicate; the scanner builds no term for
-them.
+a whole clause.  In that pattern each repetition of the argument list opens
+with its comma, ``C(?:,C)*`` rather than ``(?:C,)*C``: the repetition tried
+after the last argument then fails at the ``)`` on its first character,
+where the other form would first take the last argument into it and give
+its characters back one at a time.  The arity is one more than the commas
+in the argument text, as no constant holds a comma.  Any other line, an
+all-digit functor or an integer too long for ``int`` included, goes through
+the master pattern, which rules and error positions still need.  A line
+that looks like a fact but continues a rule is never at a clause start, so
+it is scanned token by token as before.  The flat fact lines of one call
+share their predicate keys, one ``(name, arity)`` per predicate; the
+scanner builds no term for them.
 
 ``parse_statements`` yields each clause as it is parsed, a flat fact as its
 key and argument text.  ``flat_args`` builds the argument tuple of such a
@@ -91,10 +96,11 @@ _CLAUSE_TOKENS = frozenset(
     ("NECK", "NAF", "NEQ", "LESS", "LP", "RP", "COMMA", "DOT", "INT", "ATOM", "VAR")
 )
 #: A whole line holding one flat fact: the functor, the comma-separated
-#: atoms and integers between its parentheses, and the comment text.
+#: atoms and integers between its parentheses, and the comment text.  Each
+#: argument repetition opens with its comma (see the module docstring).
 _CONST = r"[a-z0-9][a-z0-9_]*"
 _FLAT_FACT = re.compile(
-    rf"[ \t]*({_CONST})[ \t]*\(((?:[ \t]*{_CONST}[ \t]*,)*[ \t]*{_CONST})[ \t]*\)"
+    rf"[ \t]*({_CONST})[ \t]*\(([ \t]*{_CONST}(?:[ \t]*,[ \t]*{_CONST})*)[ \t]*\)"
     r"[ \t]*\.[ \t]*(?:%(.*))?"
 )
 #: Token kinds after which a clause starts.
@@ -119,6 +125,10 @@ def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
     keys: dict[tuple[str, int], tuple[str, int]] = {}
     limit = sys.get_int_max_str_digits()
     for line_no, line in enumerate(text.splitlines(), start=1):
+        # A line of spaces and tabs alone holds no token.  Strip nothing
+        # else: a line of ``\xa0`` must reach ``_TOKEN`` and be an error.
+        if not line.strip(" \t"):
+            continue
         if not tokens or tokens[-1][0] in _CLAUSE_ENDS:
             fact = _FLAT_FACT.fullmatch(line)
             # The master pattern reads an all-digit functor, which is an

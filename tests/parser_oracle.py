@@ -6,8 +6,10 @@ one-pass regex scanner, kept so tests can require the library's statements
 (read through ``conftest.parse_program``) to be the same clauses, comments,
 group ids and lines, or to raise the same ``ParseError`` message at the same
 line and column.  Its term parser refuses a compound argument or builtin
-operand at its functor, as the library's does.  The library keeps one
-parser; nothing outside ``tests/`` imports this file.
+operand at its functor, as the library's does.  ``FLAT_FACT`` is the
+library's earlier flat-fact line pattern, whose argument list repeats
+``(?:C,)*C``, kept verbatim as the reference for the current one.  The
+library keeps one parser; nothing outside ``tests/`` imports this file.
 """
 from __future__ import annotations
 
@@ -34,6 +36,11 @@ _COMPOUND = "compound argument: arguments are atoms, integers or variables"
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 _ATOM_NAME = re.compile(r"[a-z0-9][a-z0-9_]*\Z")
 _VAR_NAME = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
+_CONST = r"[a-z0-9][a-z0-9_]*"
+FLAT_FACT = re.compile(
+    rf"[ \t]*({_CONST})[ \t]*\(((?:[ \t]*{_CONST}[ \t]*,)*[ \t]*{_CONST})[ \t]*\)"
+    r"[ \t]*\.[ \t]*(?:%(.*))?"
+)
 
 _PUNCT = (
     (":-", "NECK"),

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fallacylab
 from fallacylab import kb as kb_module
 from fallacylab import parser
 from fallacylab.engine import Atom, Clause, Goal, Int, NotEqual, RowStore, Struct, TermLess, Var
@@ -107,13 +112,14 @@ _COMPOUND = "compound argument: arguments are atoms, integers or variables"
         ("p(f(g(a))).", 1, 3, _COMPOUND),
         ("p(" + "f(" * 100 + "a" + ")" * 101 + ".", 1, 3, _COMPOUND),
         ("p(a).\nq(b, " + "9" * 5000 + ").", 2, 6, "integer literal of 5000 digits is too long"),
+        ("p(a).\n\xa0\nq(b).\n", 2, 1, "unexpected character '\\xa0'"),
     ],
     ids=[
         "invalid-name", "stray-character", "crlf-and-vertical-tab", "splitlines-only-breaks",
         "paragraph-separators", "end-after-goal", "end-inside-term", "expected-dot",
         "expected-term", "variable-head", "negated-variable", "variable-goal",
         "compound-in-fact", "compound-in-goal", "compound-left-operand", "compound-right-operand",
-        "compound-nested", "too-deep", "integer-too-long",
+        "compound-nested", "too-deep", "integer-too-long", "nbsp-only-line",
     ],
 )
 def test_parse_error_positions(text, line, column, message):
@@ -143,6 +149,9 @@ def test_blank_line_blocks_become_groups():
     text = "a(x).\nb(x).\n\nc(y).\n\n\nd(z).\ne(z).\n"
     groups = [p.group_id for p in parse_program(text)]
     assert groups == [0, 0, 1, 2, 2]
+    # A line of spaces and tabs splits groups exactly as an empty one does.
+    spaced = text.replace("\n\nc", "\n \t \nc").replace("\n\n\nd", "\n\t\n  \nd")
+    assert [p.group_id for p in parse_program(spaced)] == groups
 
 
 def test_comment_only_lines_do_not_split_groups():
@@ -229,8 +238,8 @@ _CLAUSES = (
 _TOKENS = (":-", "\\+", "\\=", "@<", "(", ")", ",", ".", "foo", "X", "_", "_Tail", "12", "007")
 #: Spacing, comments and every line break ``str.splitlines`` knows.
 _LAYOUT = (
-    " ", "\t", "%", "% a note ", "\n% a comment line\n", "\n", "\n\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
-    "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    " ", "\t", "%", "% a note ", "\n% a comment line\n", "\n", "\n\n", "\n \t \n", "\r", "\r\n", "\x0b",
+    "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
 )
 _STRAY = (
     "!", "é", "\xa0", "\x1f", "\\", "@", ":", "aB", "12Ab", "fooBar", "2X", "12(a).", "p(aB).",
@@ -259,6 +268,81 @@ def _outcome(parse, text):
 @settings(max_examples=500, deadline=None)
 def test_parse_program_matches_reference_parser(text):
     assert _outcome(parse_program, text) == _outcome(parser_oracle.parse_program, text)
+
+
+#: A fact-like line is a flat fact of these words and gaps, changed in up
+#: to two places by a stray piece: put in, or put in place of a piece.
+_FACT_WORDS = ("p", "foo_bar", "x2", "2_mins", "0", "12", "007")
+_FACT_GAPS = ("", "", " ", "\t", " \t ")
+_FACT_COMMENTS = ("", "", "%", "% a note ", "%% p(a).", "\t%x")
+_FACT_STRAY = (
+    "", "(", ")", ".", ",", ",,", "%", " ", "\t", "\xa0", "X", "Foo", "fooBar", "_", "12", "2_mins",
+)
+
+
+@st.composite
+def _fact_like_lines(draw):
+    def gap():
+        return draw(st.sampled_from(_FACT_GAPS))
+
+    pieces = [gap(), draw(st.sampled_from(_FACT_WORDS)), gap(), "(", gap()]
+    if draw(st.integers(0, 9)) == 0:
+        pieces += [",", gap()]
+    for i, word in enumerate(draw(st.lists(st.sampled_from(_FACT_WORDS), min_size=1, max_size=4))):
+        if i:
+            pieces += [gap(), ",", gap()]
+        pieces.append(word)
+    if draw(st.integers(0, 9)) == 0:
+        pieces += [gap(), ","]
+    pieces += [gap(), ")", gap(), ".", gap(), draw(st.sampled_from(_FACT_COMMENTS))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(pieces) - 1))
+        stray = draw(st.sampled_from(_FACT_STRAY))
+        if draw(st.booleans()):
+            pieces[at] = stray
+        else:
+            pieces.insert(at, stray)
+    return "".join(pieces)
+
+
+@given(_fact_like_lines())
+@settings(max_examples=1000, deadline=None)
+def test_flat_fact_pattern_matches_as_its_reference_does(line):
+    # The two argument lists, ``C(?:,C)*`` and the reference's ``(?:C,)*C``,
+    # must match the same lines and split them into the same groups.
+    ours, reference = parser._FLAT_FACT.fullmatch(line), parser_oracle.FLAT_FACT.fullmatch(line)
+    if reference is None:
+        assert ours is None
+    else:
+        assert ours is not None and ours.groups() == reference.groups()
+
+
+#: Pattern syntax that Python 3.11 added (possessive quantifiers and atomic
+#: groups), found outside escapes and character classes, which the first
+#: pattern replaces with a plain letter.
+_ESCAPES_AND_CLASSES = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]", re.S)
+_PY311_ONLY = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def _py311_only(pattern: str) -> re.Match | None:
+    return _PY311_ONLY.search(_ESCAPES_AND_CLASSES.sub("x", pattern))
+
+
+def test_module_patterns_compile_on_python_3_10():
+    # The package supports Python 3.10, whose ``re`` rejects 3.11's
+    # possessive quantifiers and atomic groups.
+    for flagged in ("a*+", "a++", "a?+", "a{2}+", "(?>a)", r"\d++"):
+        assert _py311_only(flagged), flagged
+    for plain in (r"\++", r"x*\++", "[*+]", r"[\]?+]", "a+b+", r"a{2}\+", r"\(?>"):
+        assert not _py311_only(plain), plain
+    patterns = {}
+    for module in pkgutil.walk_packages(fallacylab.__path__, "fallacylab."):
+        for name, value in vars(importlib.import_module(module.name)).items():
+            if isinstance(value, re.Pattern):
+                patterns[f"{module.name}.{name}"] = value.pattern
+    assert "fallacylab.parser._FLAT_FACT" in patterns
+    assert "fallacylab.gateway._LIST_MARKER_RE" in patterns
+    assert {name: text for name, text in patterns.items() if _py311_only(text)} == {}
 
 
 def test_fact_like_lines_continuing_a_rule_stay_in_the_rule():
