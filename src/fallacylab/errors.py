@@ -45,7 +45,8 @@ class TemplateError(FallacyLabError):
 
 
 class ProviderError(FallacyLabError):
-    """The completion provider failed after exhausting retries."""
+    """The completion provider failed: after its retries ran out, or at once
+    where a retry would not help (a 4xx, a malformed body, a bad endpoint)."""
 
 
 class ReplayMissError(ProviderError):
@@ -56,15 +57,19 @@ class EmptyYieldError(FallacyLabError):
     """Fact generation produced zero usable records."""
 
 
-class CountMismatchError(FallacyLabError):
+class ModelOutputError(FallacyLabError):
+    """A model reply the gateway cannot use, even when asked once more."""
+
+
+class CountMismatchError(ModelOutputError):
     """The model returned a different number of sentences than requested."""
 
 
-class ScoreParseError(FallacyLabError):
+class ScoreParseError(ModelOutputError):
     """A scoring response contained no extractable 0-3 integer."""
 
 
-class JudgeJsonError(FallacyLabError):
+class JudgeJsonError(ModelOutputError):
     """A judge response was not parseable as the expected JSON object."""
 
 

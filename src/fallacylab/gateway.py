@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 from .errors import (
     CountMismatchError,
@@ -37,6 +37,7 @@ from .errors import (
     EmptyYieldError,
     JsonlFormatError,
     JudgeJsonError,
+    ModelOutputError,
     ProviderError,
     ReplayMissError,
     ScoreParseError,
@@ -50,6 +51,7 @@ from .parser import ParseError, parse_statements
 from .schemas import ValidTuple, schema_for, validate_kb_against_schema
 
 log = logging.getLogger(__name__)
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,6 @@ def _head_state(model: str, head: str):
 
 class Provider(Protocol):
     model_name: str
-    request_count: int
 
     def complete(self, prompt: str, *, temperature: float) -> str: ...
 
@@ -411,10 +412,6 @@ class RecordingProvider:
         self._entries: list[dict[str, str]] = []
         self._thread = threading.local()
 
-    @property
-    def request_count(self) -> int:
-        return self.inner.request_count
-
     def complete(self, prompt: str, *, temperature: float) -> str:
         response = self.inner.complete(prompt, temperature=temperature)
         key = fingerprint(self.model_name, temperature, prompt)
@@ -506,6 +503,21 @@ class Gateway:
         self.provider = provider
         self.generation_temperature = generation_temperature
 
+    def _ask(
+        self, operation: str, prompt: str, temperature: float,
+        parse: Callable[[str], _T], corrective: str | None = None,
+    ) -> _T:
+        """``parse(reply)`` for the model's reply to ``prompt``.  A reply that
+        ``parse`` rejects with a ModelOutputError is logged and the model is
+        asked once more, with ``corrective`` if given, else the same prompt;
+        the second reply's error propagates."""
+        complete = self.provider.complete
+        try:
+            return parse(complete(prompt, temperature=temperature))
+        except ModelOutputError as exc:
+            log.warning("%s response unusable (%s), retrying once", operation, exc)
+        return parse(complete(corrective or prompt, temperature=temperature))
+
     # -- fact generation ----------------------------------------------------
 
     def generate_facts(self, code: FallacyCode, seed: KnowledgeBase, n: int) -> list[str]:
@@ -577,76 +589,38 @@ class Gateway:
         if len(codes) != 1:
             raise ValueError("all tuples in one transformation batch share a code")
         code = tuples[0].code
+        n = len(tuples)
         prompt = TRANSFORM_TEMPLATE.render(
-            n=len(tuples),
+            n=n,
             fallacy_type=code.display_name,
             list_of_sentence=", ".join(f'"{s}"' for s in style_examples),
             prolog_facts="\n".join(f"{t.render()}." for t in tuples),
         )
-        sentences = self._sentences_from_response(
-            self.provider.complete(prompt, temperature=self.generation_temperature)
+        corrective = (
+            f"{prompt}\n\nYou must return exactly {n} sentences, one per line, with no extra text."
         )
-        if len(sentences) != len(tuples):
-            corrective = (
-                prompt
-                + f"\n\nYou must return exactly {len(tuples)} sentences, "
-                "one per line, with no extra text."
-            )
-            sentences = self._sentences_from_response(
-                self.provider.complete(
-                    corrective, temperature=self.generation_temperature
-                )
-            )
-            if len(sentences) != len(tuples):
-                raise CountMismatchError(
-                    f"expected {len(tuples)} sentences, got {len(sentences)}"
-                )
+        parse = functools.partial(_sentences, n)
+        sentences = self._ask("transform", prompt, self.generation_temperature, parse, corrective)
         return [(sentence, code) for sentence in sentences]
-
-    @staticmethod
-    def _sentences_from_response(response: str) -> list[str]:
-        sentences = []
-        for line in _strip_fences(response).splitlines():
-            cleaned = _LIST_MARKER_RE.sub("", line).strip()
-            if cleaned:
-                sentences.append(cleaned)
-        return sentences
 
     # -- quality scoring ------------------------------------------------------
 
     def score_sentence(self, sentence: str, code: FallacyCode) -> ScoreTriple:
         """Three independent temperature-0 scores with an exact mean."""
         prompt = SCORE_TEMPLATE.render(fallacy_type=code.display_name, sentence=sentence)
-        scores = []
-        for _ in range(3):
-            scores.append(self._one_score(prompt))
-        return ScoreTriple(sentence, code, tuple(scores))
-
-    def _one_score(self, prompt: str) -> int:
-        for attempt in range(2):
-            response = self.provider.complete(prompt, temperature=0.0)
-            match = _SCORE_RE.search(response)
-            if match:
-                return int(match.group(1))
-            if attempt == 0:
-                log.warning("score response had no 0-3 integer, retrying once")
-        raise ScoreParseError(f"no 0-3 integer in response: {response[:80]!r}")
+        scores = tuple(self._ask("score", prompt, 0.0, _score) for _ in range(3))
+        return ScoreTriple(sentence, code, scores)
 
     # -- judging ---------------------------------------------------------------
 
     def judge_sentence(self, sentence: str) -> JudgeVerdict:
         """Detection plus rank-ordered categorization with all 14 definitions."""
         prompt = JUDGE_TEMPLATE.render(sentence=sentence)
-        last: Exception | None = None
-        for attempt in range(2):
-            response = self.provider.complete(prompt, temperature=0.0)
-            try:
-                return self._parse_verdict(sentence, response)
-            except (JudgeJsonError, UnknownLabelError) as exc:
-                last = exc
-                if attempt == 0:
-                    log.warning("judge response unusable (%s), retrying once", exc)
-        raise JudgeJsonError(f"judge response unusable after retry: {last}")
+        try:
+            # Looked up on each reply, so a wrapped _parse_verdict is the one called.
+            return self._ask("judge", prompt, 0.0, lambda r: self._parse_verdict(sentence, r))
+        except JudgeJsonError as exc:
+            raise JudgeJsonError(f"judge response unusable after retry: {exc}") from None
 
     @staticmethod
     def _parse_verdict(sentence: str, response: str) -> JudgeVerdict:
@@ -667,10 +641,10 @@ class Gateway:
         labels_raw = data.get("logic_fallacies", [])
         if not isinstance(labels_raw, list):
             raise JudgeJsonError("logic_fallacies must be a list")
-        labels = tuple(parse_code(item) for item in labels_raw)
         try:
+            labels = tuple(parse_code(item) for item in labels_raw)
             check_predicted_labels(labels, "logic_fallacies")
-        except (DuplicateLabelError, JsonlFormatError) as exc:
+        except (UnknownLabelError, DuplicateLabelError, JsonlFormatError) as exc:
             raise JudgeJsonError(str(exc)) from None
         return JudgeVerdict(
             sentence=str(data.get("sentence", sentence)),
@@ -683,6 +657,26 @@ class Gateway:
 # ---------------------------------------------------------------------------
 # Response cleanup helpers
 # ---------------------------------------------------------------------------
+
+
+def _sentences(count: int, reply: str) -> list[str]:
+    """The reply's ``count`` sentences, one a line, list markers dropped."""
+    sentences = []
+    for line in _strip_fences(reply).splitlines():
+        cleaned = _LIST_MARKER_RE.sub("", line).strip()
+        if cleaned:
+            sentences.append(cleaned)
+    if len(sentences) != count:
+        raise CountMismatchError(f"expected {count} sentences, got {len(sentences)}")
+    return sentences
+
+
+def _score(reply: str) -> int:
+    """The first 0-3 integer standing alone in the reply."""
+    match = _SCORE_RE.search(reply)
+    if not match:
+        raise ScoreParseError(f"no 0-3 integer in response: {reply[:80]!r}")
+    return int(match.group(1))
 
 
 def _strip_fences(text: str) -> str:

@@ -24,10 +24,8 @@ class ScriptedProvider:
     def __init__(self, responses, model_name):
         self.responses = list(responses)
         self.model_name = model_name
-        self.request_count = 0
 
     def complete(self, prompt, *, temperature):
-        self.request_count += 1
         return self.responses.pop(0)
 
 

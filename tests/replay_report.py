@@ -45,11 +45,7 @@ class _ScriptedModel:
 
     model_name = MODEL
 
-    def __init__(self):
-        self.request_count = 0
-
     def complete(self, prompt: str, *, temperature: float) -> str:
-        self.request_count += 1
         text = replies.reply(prompt)
         if text is None:
             raise ValueError(f"no scripted reply for prompt {prompt[:60]!r}")

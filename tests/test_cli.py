@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 import fallacylab
 from fallacylab import gateway, transport
 from fallacylab.cli import main, parse_config
-from fallacylab.gateway import load_cassette
+from fallacylab.errors import ModelOutputError
+from fallacylab.gateway import Gateway, fingerprint, load_cassette, write_cassette
 from fallacylab.labels import SCHEMA_CODES, FallacyCode
+from fallacylab.pipeline import generate_bundle
 from fallacylab.seeds import SEED_SOURCES
 
 from conftest import DATA_DIR, FakeProvider
@@ -641,6 +643,57 @@ def test_eval_missing_benchmark_exit_two(runner, tmp_path):
         tmp_path,
     )
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# a model reply unusable twice (exit 2)
+# ---------------------------------------------------------------------------
+
+_SENTENCE = "Since b follows a, therefore b causes a."
+
+
+def _unusable_twice(command, tmp):
+    """The command's arguments and a cassette, recorded in ``tmp``, whose
+    replies to the first transform, score or judge request and to its retry
+    are both unusable."""
+    sentences = _write(tmp / "sentences.jsonl", json.dumps(
+        {"id": "s0", "sentence": _SENTENCE, "labels": ["WD"], "source": "bench"}) + "\n")
+    model, args, call, replies = {
+        "score": ("eval-model", ["--sentences", sentences],
+                  lambda gateway: gateway.score_sentence(_SENTENCE, FallacyCode.WD),
+                  ["no idea", "no idea"]),
+        "eval": ("eval-model", ["--benchmark", sentences],
+                 lambda gateway: gateway.judge_sentence(_SENTENCE), ["not json", "not json"]),
+        "generate": ("gen-model", ["--code", "AF", "--n", 5],
+                     lambda gateway: generate_bundle(FallacyCode.AF, 5, gateway),
+                     [load_cassette(DATA_DIR / "cassette_generate_af.jsonl")[0]["response"],
+                      "only one line", "only one line"]),
+    }[command]
+    provider = FakeProvider(replies, model_name=model)
+    with pytest.raises(ModelOutputError):
+        call(Gateway(provider))
+    cassette = tmp / "cassette.jsonl"
+    write_cassette(cassette, [
+        {"fingerprint": fingerprint(model, temperature, prompt), "response": reply}
+        for (prompt, temperature), reply in zip(provider.calls, replies, strict=True)
+    ])
+    return args, cassette
+
+
+@pytest.mark.parametrize("command, error", [
+    # pinned byte for byte
+    ("score", "error: no 0-3 integer in response: 'no idea'"),
+    ("eval", "error: judge response unusable after retry: "
+             "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("generate", "error: expected 5 sentences, got 1"),
+])
+def test_a_reply_unusable_twice_exits_two_with_its_error_line(runner, tmp_path, command, error):
+    args, cassette = _unusable_twice(command, tmp_path)
+    result = run(runner, command, *args, *_replay_args(cassette, tmp_path / "out"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [error]
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fallacylab.errors import (
     CountMismatchError,
     EmptyYieldError,
     JudgeJsonError,
+    ModelOutputError,
     ProviderError,
     ReplayMissError,
     ScoreParseError,
@@ -33,8 +34,10 @@ from fallacylab.gateway import (
     GEN_FACTS_TEMPLATE,
     JUDGE_TEMPLATE,
     SCORE_TEMPLATE,
+    TRANSFORM_TEMPLATE,
     Gateway,
     HttpProvider,
+    JudgeVerdict,
     ProviderConfig,
     PromptTemplate,
     RecordingProvider,
@@ -974,6 +977,66 @@ def test_judge_runs_at_temperature_zero():
     )
     Gateway(provider, generation_temperature=1.0).judge_sentence("s")
     assert provider.calls[0][1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Model-output retries
+# ---------------------------------------------------------------------------
+
+_PAIR = [wd_tuple("x", "y"), wd_tuple("p", "q")]
+_WD = FallacyCode.WD
+_RETRIED = {
+    # operation: (call, first prompt, temperature)
+    "transform": (
+        lambda gateway: gateway.transform_to_sentences(_PAIR, []),
+        TRANSFORM_TEMPLATE.render(
+            n=2, fallacy_type=_WD.display_name, list_of_sentence="",
+            prolog_facts="\n".join(f"{t.render()}." for t in _PAIR),
+        ),
+        0.7,
+    ),
+    "score": (
+        lambda gateway: gateway.score_sentence("s", _WD),
+        SCORE_TEMPLATE.render(fallacy_type=_WD.display_name, sentence="s"),
+        0.0,
+    ),
+    "judge": (lambda gateway: gateway.judge_sentence("s"), JUDGE_TEMPLATE.render(sentence="s"), 0.0),
+}
+_CORRECTIVE = "\n\nYou must return exactly 2 sentences, one per line, with no extra text."
+_VERDICT = '{"sentence": "s", "logic_error": "yes", "logic_fallacies": ["WD"], "details": ""}'
+
+
+@pytest.mark.parametrize(
+    "operation, replies, suffixes, expected",
+    [
+        ("transform", ["one line", "1. first\n2. second"], ["", _CORRECTIVE],
+         [("first", _WD), ("second", _WD)]),
+        ("transform", ["one line", "still one line"], ["", _CORRECTIVE], CountMismatchError),
+        # the second of three scores misses once: four requests, one prompt
+        ("score", ["2", "no digit", "3", "1"], [""] * 4, ScoreTriple("s", _WD, (2, 3, 1))),
+        ("score", ["2", "no digit", "none"], [""] * 3, ScoreParseError),
+        ("judge", ["not json", _VERDICT], [""] * 2, JudgeVerdict("s", True, (_WD,), "")),
+        ("judge", ["not json", '{"logic_error": "maybe"}'], [""] * 2, JudgeJsonError),
+    ],
+    ids=["transform-bad-then-good", "transform-bad-twice", "score-bad-then-good",
+         "score-bad-twice", "judge-bad-then-good", "judge-bad-twice"],
+)
+def test_an_unusable_reply_is_asked_once_more(caplog, operation, replies, suffixes, expected):
+    call, prompt, temperature = _RETRIED[operation]
+    provider = FakeProvider(replies)
+    gateway = Gateway(provider, generation_temperature=0.7)
+    with caplog.at_level("WARNING", logger="fallacylab.gateway"):
+        if isinstance(expected, type):
+            with pytest.raises(expected) as raised:
+                call(gateway)
+            assert isinstance(raised.value, ModelOutputError)
+        else:
+            assert call(gateway) == expected
+    assert provider.calls == [(prompt + suffix, temperature) for suffix in suffixes]
+    logged = [r.getMessage() for r in caplog.records if r.name == "fallacylab.gateway"]
+    assert len(logged) == 1
+    assert logged[0].startswith(f"{operation} response unusable (")
+    assert logged[0].endswith("), retrying once")
 
 
 def test_generate_facts_drops_group_containing_rules():
