@@ -44,7 +44,7 @@ from .errors import (
     TemplateError,
     UnknownLabelError,
 )
-from .jsonl import encode_canonical, read_jsonl, write_jsonl
+from .jsonl import encode_canonical, loads, read_jsonl, write_jsonl
 from .kb import KnowledgeBase
 from .labels import FallacyCode, check_predicted_labels, definitions_block, parse_code
 from .parser import ParseError, parse_statements
@@ -204,8 +204,15 @@ def _fingerprint(model: str, temperature: float, spelling: str, prompt: str) -> 
         head = ""
     state = _head_state(model, head).copy()
     tail = _escape(prompt[len(head):])[1:]
-    state.update((tail + ', "temperature": ' + encode_canonical(temperature) + "}").encode())
+    state.update((tail + _temperature_tail(temperature, spelling)).encode())
     return state.hexdigest()
+
+
+@functools.cache
+def _temperature_tail(temperature: float, spelling: str) -> str:
+    """The end of a request's canonical JSON text after its prompt.  Keyed,
+    like the memo above, on the repr as well as the value."""
+    return ', "temperature": ' + encode_canonical(temperature) + "}"
 
 
 #: The templates whose constant heads fingerprints hash once.
@@ -626,7 +633,7 @@ class Gateway:
     def _parse_verdict(sentence: str, response: str) -> JudgeVerdict:
         raw = _extract_json(response)
         try:
-            data = json.loads(raw)
+            data = loads(raw)
         except (ValueError, RecursionError) as exc:
             raise JudgeJsonError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict):

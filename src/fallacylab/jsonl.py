@@ -2,11 +2,19 @@
 predictions: one JSON object per line, keys sorted, non-ASCII escaped, each
 line ending in ``\\n``.  Also the one reader every input file goes through,
 so bytes that are not UTF-8 are reported at their file and line, and the one
-writer every output file goes through, so none is ever left half-written."""
+writer every output file goes through, so none is ever left half-written.
+
+Each line, and each judge reply, is decoded by :func:`loads`: one call of a C
+scanner built once, where ``json.loads`` wraps that same call in three Python
+ones.  A blank line holds JSON whitespace only (spaces, tabs and a ``\\r``);
+any other line is a record or an error.  Records are written through one C
+encoder built at import, where ``JSONEncoder.encode`` builds a new one per
+call; its text is ``encode_canonical``'s."""
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -15,10 +23,38 @@ from .labels import FallacyCode, parse_code
 
 T = TypeVar("T")
 
-#: The canonical JSON text of one record: keys sorted, non-ASCII escaped.
-#: One encoder serves every call; ``json.dumps`` with options builds a new
-#: one each time.
-encode_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=True)
+
+#: The canonical JSON text of one value: keys sorted, non-ASCII escaped.
+#: One JSONEncoder serves every call; ``json.dumps`` with options builds a
+#: new one each time.
+encode_canonical = _CANONICAL.encode
+
+# The C encoder that encode_canonical builds anew on each call, built once.
+# Arguments: markers, default, encoder, indent, key and item separators,
+# sort_keys, skipkeys, allow_nan.  No markers turns the circularity check
+# off; written records are built by the program and never circular.  None
+# off CPython.
+_encode_record = c_make_encoder and c_make_encoder(
+    None, _CANONICAL.default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+
+_scan = json.JSONDecoder().scan_once
+
+
+def loads(text: str):
+    """``json.loads(text)``: the same value, or the same exception.
+
+    The value is one scanner call when it starts at the first character and
+    only JSON whitespace follows it; any other text goes to ``json.loads``,
+    which scans it the same way and raises its error."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    if not text[end:].strip(" \t\n\r"):
+        return value
+    return json.loads(text)
 
 
 def read_input(path: str | Path) -> str:
@@ -40,28 +76,28 @@ def read_input(path: str | Path) -> str:
 def read_jsonl(
     path: str | Path, required: Sequence[str] = (), parse: Callable[[dict], T] = dict
 ) -> Iterator[T]:
-    """Yield ``parse`` of each non-blank line's object.  A line that is not a
-    JSON object (a number too long for ``int`` or nesting too deep for the
-    decoder included), lacks a ``required`` key, or that ``parse`` rejects
-    with a package error raises JsonlFormatError naming ``path:line``.
+    """Yield ``parse`` of each non-blank line's object; a blank line holds
+    nothing but spaces, tabs and ``\\r``.  A line that is not a JSON object
+    (a number too long for ``int`` or nesting too deep for the decoder
+    included), lacks a ``required`` key, or that ``parse`` rejects with a
+    package error raises JsonlFormatError naming ``path:line``.
 
     Lines end at ``\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
     stand unescaped inside a JSON string, and a ``\r`` before the ``\n`` is
     JSON whitespace."""
     for line_no, line in enumerate(read_input(path).split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:
-            record = json.loads(line)
+            record = loads(line)
         except (ValueError, RecursionError) as exc:
             raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
         if not isinstance(record, dict):
             raise JsonlFormatError(f"{path}:{line_no}: expected an object")
-        missing = [key for key in required if key not in record]
-        if missing:
-            raise JsonlFormatError(
-                f"{path}:{line_no}: missing key(s) {', '.join(map(repr, missing))}"
-            )
+        for key in required:
+            if key not in record:
+                missing = ", ".join(repr(k) for k in required if k not in record)
+                raise JsonlFormatError(f"{path}:{line_no}: missing key(s) {missing}")
         try:
             item = parse(record)
         except FallacyLabError as exc:
@@ -101,7 +137,10 @@ def read_labels(record: dict) -> tuple[FallacyCode, ...]:
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    write_atomic(path, "".join(encode_canonical(r) + "\n" for r in records))
+    if _encode_record is None:
+        write_atomic(path, "".join(encode_canonical(r) + "\n" for r in records))
+    else:
+        write_atomic(path, "".join(["".join(_encode_record(r, 0)) + "\n" for r in records]))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

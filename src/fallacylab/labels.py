@@ -175,6 +175,9 @@ def parse_code(text: str) -> FallacyCode:
 
     Raises UnknownLabelError when no mapping exists.
     """
+    # Every key is its own normal form, so an exact hit needs no normalising.
+    if type(text) is str and text in _ALIASES:
+        return _ALIASES[text]
     key = " ".join(str(text).split()).upper()
     try:
         return _ALIASES[key]

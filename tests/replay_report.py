@@ -12,6 +12,9 @@ entries (a quarter benign) with the benchmark's seeded input generator
 ``fallacylab eval`` in replay mode in this process and prints the best of
 ``--repeat`` wall times of each, with the requests each command sent, the
 distinct fingerprints among them and the fingerprints it actually hashed.
+``load s`` is the best of ``--repeat`` times of decoding the command's
+cassette and input file by themselves, the share of ``s`` its JSON Lines
+reads take.
 It exits 1 if the scores or predictions differ from the replies'
 by-construction values.  The file name keeps pytest from collecting it.
 """
@@ -35,7 +38,7 @@ from fallacylab.gateway import Gateway, RecordingProvider, load_cassette  # noqa
 from fallacylab.jsonl import read_jsonl  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
 from fallacylab.metrics import load_benchmark  # noqa: E402
-from fallacylab.pipeline import judge_benchmark, score_sentences  # noqa: E402
+from fallacylab.pipeline import judge_benchmark, load_sentences, score_sentences  # noqa: E402
 
 MODEL = "eval-model"
 
@@ -96,9 +99,13 @@ def main(argv: list[str] | None = None) -> int:
             "score": ["score", "--sentences", str(sentences)],
             "eval": ["eval", "--benchmark", str(benchmark)],
         }
+        loads = {
+            "score": lambda: (load_cassette(cassettes["score"]), load_sentences(sentences)),
+            "eval": lambda: (load_cassette(cassettes["eval"]), load_benchmark(benchmark)),
+        }
         print(f"{args.sentences} sentences, {args.entries} entries, seed {args.seed}, "
               f"best of {args.repeat}")
-        print(f"{'command':<9}{'s':>8}{'requests':>10}{'distinct':>10}{'hashed':>8}")
+        print(f"{'command':<9}{'s':>8}{'load s':>8}{'requests':>10}{'distinct':>10}{'hashed':>8}")
         failed = False
         for name, command in commands.items():
             out = work / "out" / name
@@ -110,9 +117,14 @@ def main(argv: list[str] | None = None) -> int:
                              "--cassette", str(cassettes[name]), "--out", str(out)])
                 best = min(best, time.perf_counter() - start)
                 failed |= code != 0
+            load = float("inf")
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                loads[name]()
+                load = min(load, time.perf_counter() - start)
             hashed = gateway._fingerprint.cache_info().misses
             keys = [entry["fingerprint"] for entry in load_cassette(cassettes[name])]
-            print(f"{name:<9}{best:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed:>8}")
+            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed:>8}")
 
         got = [(r["id"], r["code"], r["scores"]) for r in read_jsonl(work / "out/score/scores.jsonl")]
         if got != [(rid, code, [replies.score_of(s)] * 3) for rid, s, code in rows]:

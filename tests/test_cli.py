@@ -737,6 +737,38 @@ def _bad_first_line(name, line, args):
     return case
 
 
+def _not_blank_line(name, char, args):
+    """A command whose input file ``name`` holds a blank line of JSON
+    whitespace and then ``char`` alone; None in ``args`` stands for that
+    file."""
+
+    def case(tmp):
+        path = tmp / name
+        path.write_text(f" \t\r\n{char}\n", encoding="utf-8")
+        return (
+            [path if arg is None else arg for arg in args(tmp)],
+            [f"{path}:2: Expecting value: line 1 column 1 (char 0)"],
+        )
+
+    return case
+
+
+#: The commands that read each JSON Lines input; None stands for the file.
+_JSONL_INPUTS = [
+    ("sentences", lambda tmp: [
+        "score", "--sentences", None, *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")]),
+    ("benchmark", lambda tmp: [
+        "eval", "--benchmark", None,
+        "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"]),
+    ("predictions", lambda tmp: [
+        "eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
+        "--predictions", None, "--out", tmp / "out"]),
+    ("cassette", lambda tmp: [
+        "score", "--sentences", DATA_DIR / "sentences_small.jsonl",
+        *_replay_args(None, tmp / "out")]),
+]
+
+
 def _bad_parallelism(command, value):
     """A record-mode ``score`` or ``eval`` whose ``evaluator.parallelism`` is
     ``value``; the endpoint is never contacted."""
@@ -953,22 +985,20 @@ BAD_INPUTS = {
     # than int() reads, is a bad line like any other.
     **{
         f"{kind}-{shape}": _bad_first_line(f"{kind}.jsonl", line, args)
-        for kind, args in [
-            ("sentences", lambda tmp: [
-                "score", "--sentences", None, *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")]),
-            ("benchmark", lambda tmp: [
-                "eval", "--benchmark", None,
-                "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"]),
-            ("predictions", lambda tmp: [
-                "eval", "--benchmark", DATA_DIR / "benchmark_small.jsonl",
-                "--predictions", None, "--out", tmp / "out"]),
-            ("cassette", lambda tmp: [
-                "score", "--sentences", DATA_DIR / "sentences_small.jsonl",
-                *_replay_args(None, tmp / "out")]),
-        ]
+        for kind, args in _JSONL_INPUTS
         for shape, line in [
             ("nested-too-deep", "[" * 50_000),
             ("number-too-long", '{"id": ' + "1" * 5_000 + "}"),
+        ]
+    },
+    # Only spaces, tabs and a \r make a blank line: other white space alone
+    # on a line is no JSON value.
+    **{
+        f"{kind}-{name}-only-line": _not_blank_line(f"{kind}.jsonl", char, args)
+        for kind, args in _JSONL_INPUTS
+        for name, char in [
+            ("nbsp", "\xa0"), ("form-feed", "\x0c"), ("file-separator", "\x1c"),
+            ("next-line", "\x85"), ("ideographic-space", "\u3000"),
         ]
     },
     # A cassette entry that is not two strings would fail only when replayed.

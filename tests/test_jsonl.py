@@ -1,0 +1,121 @@
+from __future__ import annotations
+
+import json
+import platform
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fallacylab import jsonl
+from fallacylab.jsonl import encode_canonical, loads, read_jsonl, write_jsonl
+
+# Non-ASCII, control characters, lone surrogates, quotes and backslashes,
+# besides whatever else hypothesis draws.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\x85\u2028\ud800\udfff\xe9\U0001f600'),
+    )
+)
+
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 1e16, 2.3333333333333335, float("nan"), float("inf")])
+)
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200), _FLOATS, _TEXT
+)
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+_WHITESPACE = st.text(" \t\r\n", max_size=3)
+
+
+def _outcome(decode, text):
+    """The value's repr, or the exception's type and text."""
+    try:
+        return repr(decode(text))
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return type(exc), str(exc)
+
+
+@st.composite
+def _documents(draw):
+    """JSON text of a drawn value with white space around and inside it,
+    some of it then mutated into what ``json.loads`` rejects or reads
+    laxly."""
+    value = draw(_VALUES)
+    text = json.dumps(
+        value,
+        ensure_ascii=draw(st.booleans()),
+        indent=draw(st.none() | _WHITESPACE),
+        separators=(draw(_WHITESPACE) + "," + draw(_WHITESPACE),
+                    draw(_WHITESPACE) + ":" + draw(_WHITESPACE)),
+    )
+    text = draw(_WHITESPACE) + text + draw(_WHITESPACE)
+    mutation = draw(st.sampled_from(["none", "truncate", "garbage", "bom", "nan", "surrogate"]))
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+    elif mutation == "garbage":
+        text += draw(st.sampled_from(["x", "}", "]", ",", "0", '""', "\xa0", "\x0c", "\ufeff"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "nan":
+        special = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "nan", "inf"]))
+        text = "[" + text + ", " + special + "]"
+    elif mutation == "surrogate":
+        escape = draw(st.sampled_from(["\\ud800", "\\udfff", "\\ud83d\\ude00", "\\udc00\\ud800"]))
+        text = '["' + escape + '", ' + text + "]"
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_documents())
+def test_loads_equals_json_loads(text):
+    assert _outcome(loads, text) == _outcome(json.loads, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" * 5_000,
+        '{"id": ' + "1" * 5_000 + "}",
+        "[" * 50_000,
+        "[" * 50_000 + "]" * 50_000,
+        "",
+        "\r\n",
+        '{"a": 1}\r',
+        '{"a": 1}\t \r',
+        '{"a": 1}\xa0',
+        ' {"a": 1}',
+    ],
+    ids=["int-5000-digits", "object-int-5000-digits", "open-50000-deep", "nested-50000-deep",
+         "empty", "crlf-only", "cr-tail", "whitespace-tail", "nbsp-tail", "leading-space"],
+)
+def test_loads_equals_json_loads_on_fixed_examples(text):
+    assert _outcome(loads, text) == _outcome(json.loads, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(_TEXT, _VALUES, min_size=1, max_size=2), max_size=2))
+def test_write_jsonl_text_is_encode_canonical(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    write_jsonl(path, records)
+    expected = "".join(encode_canonical(record) + "\n" for record in records)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="C encoder only")
+def test_write_jsonl_encodes_through_the_c_encoder_on_cpython():
+    assert jsonl._encode_record is not None
+
+
+def test_only_json_whitespace_makes_a_blank_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('\n \t\r\n{"a": 1}\r\n\t\n{"a": 2}\n\r', encoding="utf-8")
+    assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]

@@ -523,3 +523,15 @@ def test_parse_code_edges():
     assert parse_code("False Cause") is FallacyCode.FS
     with pytest.raises(UnknownLabelError):
         parse_code("straw man")
+    for label in (["AF"], {"AF": 1}, 5, None, True):
+        with pytest.raises(UnknownLabelError):
+            parse_code(label)
+
+
+def test_every_label_key_is_its_own_normal_form():
+    # parse_code returns an exact key's code before it normalises the text,
+    # which gives the same code only because each key normalises to itself.
+    from fallacylab.labels import _ALIASES
+
+    for key in _ALIASES:
+        assert " ".join(key.split()).upper() == key

@@ -10,6 +10,7 @@ import scale_report
 def test_replay_report_runs_score_and_eval(capsys):
     assert replay_report.main(["--sentences", "30", "--entries", "40", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert "load s" in lines[1]
     assert [line.split()[0] for line in lines[2:]] == ["score", "eval"]
 
 
