@@ -7,10 +7,15 @@ sentence transformation use the configured generation temperature (default
 same cassette and inputs yield identical outputs.
 
 A cassette keys each response by :func:`fingerprint`, the sha256 of the
-request's canonical JSON.  Every score and judge prompt starts with the same
-instruction and definitions text, its template's ``head``: that text is
-built, escaped and hashed once per process and model, and each request
-hashes only the bytes after it.
+request's canonical JSON.  Each template is compiled once into its constant
+*lead* (for the score and judge templates, the instruction and definitions
+text, its ``head``, then the query up to its first field), each field with
+the literal text after it, and the *suffix* after its last field.  A prompt
+is rendered by one join of those pieces and the values.  A key starts from
+the sha256 state of the request's text up to the end of its template's
+lead, taken once per process and model, and appends the escaped middle of
+the prompt, then the suffix's escaped bytes and the temperature, built once.
+A one-entry memo hands a score's three identical requests one key.
 """
 from __future__ import annotations
 
@@ -66,7 +71,9 @@ class PromptTemplate:
     An instruction whose only placeholder is ``{fallacy_definitions}``, as
     in the score and judge templates, starts every prompt with the same
     text.  It is formatted with the definitions block once per process, on
-    first use, into :attr:`head`, and rendering formats only the query."""
+    first use, into :attr:`head`.  The template is compiled then, too, into
+    :attr:`parts`, and rendering joins those with the values: no text is
+    parsed per prompt."""
 
     id: str
     instruction: str
@@ -81,13 +88,33 @@ class PromptTemplate:
             return ""
         return self.instruction.format(fallacy_definitions=definitions_block()) + "\n\n"
 
-    def render(self, **values: object) -> str:
+    @functools.cached_property
+    def parts(self) -> tuple[str, tuple[tuple[str, str], ...]]:
+        """``(lead, ((field, literal text after it), ...))``: the lead is the
+        head and the text before the first field, ``{{`` and ``}}`` read as
+        braces.  The last field's literal text is the template's suffix.  A
+        field is a plain name, with no conversion or format spec."""
         head = self.head
         text = self.query if head else f"{self.instruction}\n\n{self.query}"
+        pieces = [head]  # literal, field, literal, ..., field, literal
+        for literal, name, spec, conversion in string.Formatter().parse(text):
+            pieces[-1] += literal
+            if name is None:
+                continue
+            if not name.isidentifier() or spec or conversion:
+                raise TemplateError(f"template {self.id!r}: {{{name}}} is not a plain field")
+            pieces += [name, ""]
+        return pieces[0], tuple(zip(pieces[1::2], pieces[2::2]))
+
+    def render(self, **values: object) -> str:
+        lead, fields = self.parts
+        parts = [lead]
         try:
-            return head + text.format(**values)
+            for name, literal in fields:
+                parts += (format(values[name]), literal)
         except KeyError as exc:
             raise TemplateError(f"template {self.id!r} missing placeholder {exc}") from None
+        return "".join(parts)
 
 
 GEN_FACTS_TEMPLATE = PromptTemplate(
@@ -182,52 +209,68 @@ def fingerprint(model: str, temperature: float, prompt: str) -> str:
     """The cassette key of a request: the sha256 of its canonical JSON text,
     ``{"model": M, "prompt": P, "temperature": T}``.
 
-    That text escapes each code point of the prompt by itself, so its start,
-    up to the end of a constant prompt head, is hashed once per model and
-    head; a request hashes a copy of that state fed with the rest.  A prompt
-    that starts with no head hashes from the empty one."""
-    return _fingerprint(model, temperature, repr(temperature), prompt)
+    A score sends one prompt three times in a row, so the last key is
+    remembered, for the same prompt object with an equal model, temperature
+    and temperature repr: 0 and 0.0, or 0.0 and -0.0, are equal, but their
+    JSON texts differ, and so do their keys.  The memo is one tuple, swapped
+    whole, so threads may share it."""
+    global _last
+    spelling = repr(temperature)
+    last = _last
+    if last[0] is prompt and last[1] == model and last[2] == temperature and last[3] == spelling:
+        return last[4]
+    key = _fingerprint(model, temperature, spelling, prompt)
+    _last = (prompt, model, temperature, spelling, key)
+    return key
 
 
-# A score sends one prompt three times in a row, so remembering the last key
-# encodes and hashes it once.  The memo is keyed on the temperature's repr as
-# well as its value: 0 and 0.0, or 0.0 and -0.0, are equal and hash alike,
-# but their JSON texts differ, and so do their fingerprints.  The repr of an
-# int or float fixes its JSON text, at a tenth of the cost of encoding it.
-@functools.lru_cache(maxsize=1)
+#: ``(prompt, model, temperature, its repr, key)`` of the last fingerprint.
+_last: tuple = (None,) * 5
+
+
 def _fingerprint(model: str, temperature: float, spelling: str, prompt: str) -> str:
-    for template in _HEAD_TEMPLATES:
-        head = template.head
-        if prompt.startswith(head):
+    """The key, hashed.  The canonical text escapes each code point of the
+    prompt by itself, so it splits exactly where the prompt does: around the
+    middle between the first template lead and suffix that the prompt starts
+    and ends with, or else between an empty lead and suffix."""
+    size = len(prompt)
+    for lead, suffix, least, state, closing in _splits(model, temperature, spelling):
+        if size >= least and prompt.startswith(lead) and prompt.endswith(suffix):
             break
-    else:
-        head = ""
-    state = _head_state(model, head).copy()
-    tail = _escape(prompt[len(head):])[1:]
-    state.update((tail + _temperature_tail(temperature, spelling)).encode())
+    state = state.copy()
+    state.update(_escape(prompt[len(lead):size - len(suffix)])[1:-1].encode())
+    state.update(closing)
     return state.hexdigest()
 
 
 @functools.cache
-def _temperature_tail(temperature: float, spelling: str) -> str:
-    """The end of a request's canonical JSON text after its prompt.  Keyed,
-    like the memo above, on the repr as well as the value."""
-    return ', "temperature": ' + encode_canonical(temperature) + "}"
+def _splits(model: str, temperature: float, spelling: str) -> tuple:
+    """``(lead, suffix, their summed length, the head state of the lead, the
+    closing bytes of the suffix)`` for each template, then for the empty
+    pair, which every prompt matches.  Keyed, like the memo, on the
+    temperature's repr as well as its value."""
+    pairs = []
+    for template in (SCORE_TEMPLATE, JUDGE_TEMPLATE, GEN_FACTS_TEMPLATE, TRANSFORM_TEMPLATE):
+        lead, fields = template.parts
+        pairs.append((lead, fields[-1][1] if fields else ""))
+    tail = ', "temperature": ' + encode_canonical(temperature) + "}"
+    return tuple(
+        (lead, suffix, len(lead) + len(suffix), _head_state(model, lead),
+         (_escape(suffix)[1:] + tail).encode())
+        for lead, suffix in [*pairs, ("", "")]
+    )
 
-
-#: The templates whose constant heads fingerprints hash once.
-_HEAD_TEMPLATES = (SCORE_TEMPLATE, JUDGE_TEMPLATE)
 
 #: JSON string escaping with ``ensure_ascii``, in quotes.
 _escape = json.encoder.encode_basestring_ascii
 
 
 @functools.cache
-def _head_state(model: str, head: str):
+def _head_state(model: str, lead: str):
     """The sha256 state of a request's canonical JSON text up to the end of
-    ``head`` in its prompt, closing quote not included.  Callers copy it and
-    never update it, so threads may share it."""
-    text = '{"model": ' + encode_canonical(model) + ', "prompt": ' + _escape(head)[:-1]
+    ``lead`` in its prompt.  Callers copy it and never update it, so threads
+    may share it."""
+    text = '{"model": ' + encode_canonical(model) + ', "prompt": ' + _escape(lead)[:-1]
     return hashlib.sha256(text.encode())
 
 
@@ -463,10 +506,16 @@ def write_cassette(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
 
 @dataclass(frozen=True)
 class JudgeVerdict:
+    """A judge's reply.  Its labels are checked here, so a prediction made
+    from a verdict need not check them again."""
+
     sentence: str
     logic_error: bool
     logic_fallacies: tuple[FallacyCode, ...]  # order encodes rank
     details: str
+
+    def __post_init__(self):
+        check_predicted_labels(self.logic_fallacies, "logic_fallacies")
 
 
 @dataclass(frozen=True)
@@ -476,7 +525,8 @@ class ScoreTriple:
     scores: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.scores) != 3 or any(s not in (0, 1, 2, 3) for s in self.scores):
+        # Exactly int: 3.0 and True equal a score but cannot index one.
+        if len(self.scores) != 3 or not all(type(s) is int and 0 <= s <= 3 for s in self.scores):
             raise ValueError("a score triple is exactly three integers in 0..3")
 
     @property
@@ -641,24 +691,22 @@ class Gateway:
         flag = data.get("logic_error")
         if isinstance(flag, bool):
             logic_error = flag
-        elif isinstance(flag, str) and flag.strip().lower() in ("yes", "no"):
-            logic_error = flag.strip().lower() == "yes"
+        elif isinstance(flag, str) and (word := flag.strip().lower()) in ("yes", "no"):
+            logic_error = word == "yes"
         else:
             raise JudgeJsonError(f"logic_error must be yes/no, got {flag!r}")
         labels_raw = data.get("logic_fallacies", [])
         if not isinstance(labels_raw, list):
             raise JudgeJsonError("logic_fallacies must be a list")
         try:
-            labels = tuple(parse_code(item) for item in labels_raw)
-            check_predicted_labels(labels, "logic_fallacies")
+            return JudgeVerdict(
+                sentence=str(data.get("sentence", sentence)),
+                logic_error=logic_error,
+                logic_fallacies=tuple(parse_code(item) for item in labels_raw),
+                details=str(data.get("details", "")),
+            )
         except (UnknownLabelError, DuplicateLabelError, JsonlFormatError) as exc:
             raise JudgeJsonError(str(exc)) from None
-        return JudgeVerdict(
-            sentence=str(data.get("sentence", sentence)),
-            logic_error=logic_error,
-            logic_fallacies=labels,
-            details=str(data.get("details", "")),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DuplicateLabelError, JsonlFormatError, UnknownLabelError
 
@@ -160,14 +160,20 @@ _ALIASES.update({name.upper(): code for code, name in DISPLAY_NAMES.items()})
 MAX_PREDICTED_LABELS = len(FallacyCode) - 1
 
 
-def check_predicted_labels(labels: Sequence[FallacyCode], owner: str) -> None:
+def check_predicted_labels(
+    labels: Sequence[FallacyCode], owner: str | Callable[[], str]
+) -> None:
     """Raise unless ``labels`` can be one prediction's ranked labels: no
     repeated code and at most MAX_PREDICTED_LABELS codes.  ``owner`` begins
-    the message."""
-    if len(set(labels)) != len(labels):
+    the message; a function there is called only when the check fails."""
+    repeated = len(set(labels)) != len(labels)
+    if not repeated and len(labels) <= MAX_PREDICTED_LABELS:
+        return
+    if callable(owner):
+        owner = owner()
+    if repeated:
         raise DuplicateLabelError(f"{owner}: repeated label")
-    if len(labels) > MAX_PREDICTED_LABELS:
-        raise JsonlFormatError(f"{owner}: more than {MAX_PREDICTED_LABELS} labels")
+    raise JsonlFormatError(f"{owner}: more than {MAX_PREDICTED_LABELS} labels")
 
 
 def parse_code(text: str) -> FallacyCode:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DivisionDomainError,
@@ -25,7 +25,7 @@ from .jsonl import read_id, read_jsonl, read_labels, read_text
 from .labels import MAX_PREDICTED_LABELS, FallacyCode, check_predicted_labels
 
 if TYPE_CHECKING:
-    from .gateway import ScoreTriple
+    from .gateway import JudgeVerdict, ScoreTriple
 
 _SOURCES = ("bench", "augmented", "benign")
 
@@ -63,7 +63,19 @@ class Prediction:
     labels: tuple[FallacyCode, ...]
 
     def __post_init__(self):
-        check_predicted_labels(self.labels, f"prediction {self.entry_id}")
+        check_predicted_labels(self.labels, lambda: f"prediction {self.entry_id}")
+
+    @classmethod
+    def from_verdict(cls, entry_id: str, verdict: JudgeVerdict) -> Prediction:
+        """The prediction a judge verdict makes for an entry.  A verdict's
+        labels were checked when it was built, so the fields are set as a
+        frozen dataclass's ``__init__`` sets them, without ``__post_init__``
+        (filling ``vars(prediction)`` would give each one a dict of its own)."""
+        prediction = object.__new__(cls)
+        object.__setattr__(prediction, "entry_id", entry_id)
+        object.__setattr__(prediction, "logic_error", verdict.logic_error)
+        object.__setattr__(prediction, "labels", verdict.logic_fallacies)
+        return prediction
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkEntry]:
@@ -121,24 +133,73 @@ def _pair(entries: Sequence[BenchmarkEntry], preds: Sequence[Prediction]):
     return [(entry, by_id[entry.id]) for entry in entries]
 
 
+#: Every ranked score of at most MAX_PREDICTED_LABELS labels is an integer
+#: over this denominator, lcm(1..13); a rank-i step is ``_RANK_STEPS[i - 1]``.
+RANK_DENOMINATOR = math.lcm(*range(1, MAX_PREDICTED_LABELS + 1))
+_RANK_STEPS = tuple(RANK_DENOMINATOR // i for i in range(1, MAX_PREDICTED_LABELS + 1))
+
+
+class _Tally(NamedTuple):
+    """What a report counts, from one pass over the pairs in integers."""
+
+    confusion: tuple[int, int, int, int]  # tp, fn, fp, tn
+    per_fallacy: dict[FallacyCode, Fraction]
+    ranked: list[int]  # over RANK_DENOMINATOR, one per fallacious entry
+    kappa: Fraction
+    labels: int  # predicted labels in all
+
+
+def _tally(pairs: Sequence[tuple[BenchmarkEntry, Prediction]]) -> _Tally:
+    tp = fn = fp = tn = agree = labels = 0
+    hits: Counter[FallacyCode] = Counter()
+    totals: Counter[FallacyCode] = Counter()
+    truth_sets: Counter[frozenset] = Counter()
+    predicted_sets: Counter[frozenset] = Counter()
+    ranked = []
+    for entry, pred in pairs:
+        truth = frozenset(entry.labels)
+        predicted = frozenset(pred.labels)
+        truth_sets[truth] += 1
+        predicted_sets[predicted] += 1
+        agree += truth == predicted
+        labels += len(pred.labels)
+        if not entry.labels:  # benign: benign entries, and only they, have no labels
+            if pred.logic_error:
+                fp += 1
+            else:
+                tn += 1
+            continue
+        if pred.logic_error:
+            tp += 1
+        else:
+            fn += 1
+        for code in entry.labels:
+            totals[code] += 1
+            if code in predicted:
+                hits[code] += 1
+        # A prediction has at most MAX_PREDICTED_LABELS labels, so zip
+        # leaves none out.
+        score = 0
+        for step, label in zip(_RANK_STEPS, pred.labels):
+            score += step if label in truth else -step
+        ranked.append(score)
+    return _Tally(
+        (tp, fn, fp, tn),
+        {code: Fraction(hits[code], total) for code, total in totals.items()},
+        ranked,
+        _kappa(len(pairs), agree, truth_sets, predicted_sets),
+        labels,
+    )
+
+
 def detection_metrics(
     entries: Sequence[BenchmarkEntry], preds: Sequence[Prediction]
 ) -> DetectionMetrics:
     """FP/FN rates plus precision, recall, and F1 over the fallacious class."""
-    return _detection(_pair(entries, preds))
+    return _detection(*_tally(_pair(entries, preds)).confusion)
 
 
-def _detection(pairs: Sequence[tuple[BenchmarkEntry, Prediction]]) -> DetectionMetrics:
-    tp = fp = fn = tn = 0
-    for entry, pred in pairs:
-        if entry.fallacious and pred.logic_error:
-            tp += 1
-        elif entry.fallacious:
-            fn += 1
-        elif pred.logic_error:
-            fp += 1
-        else:
-            tn += 1
+def _detection(tp: int, fn: int, fp: int, tn: int) -> DetectionMetrics:
     n_pos = tp + fn
     n_neg = fp + tn
     if n_pos == 0 or n_neg == 0:
@@ -166,21 +227,7 @@ def per_fallacy_accuracy(
     Counted per label occurrence, not per sentence; codes with zero
     ground-truth occurrences are omitted.
     """
-    return _per_fallacy(_pair(entries, preds))
-
-
-def _per_fallacy(
-    pairs: Sequence[tuple[BenchmarkEntry, Prediction]]
-) -> dict[FallacyCode, Fraction]:
-    hits: Counter[FallacyCode] = Counter()
-    totals: Counter[FallacyCode] = Counter()
-    for entry, pred in pairs:
-        predicted = set(pred.labels)
-        for code in entry.labels:
-            totals[code] += 1
-            if code in predicted:
-                hits[code] += 1
-    return {code: Fraction(hits[code], totals[code]) for code in totals}
+    return _tally(_pair(entries, preds)).per_fallacy
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +278,18 @@ def cohens_kappa(a: Sequence[Hashable], b: Sequence[Hashable]) -> Fraction:
         raise LengthMismatchError("annotation lists must be non-empty")
     xs = [_freeze(v) for v in a]
     ys = [_freeze(v) for v in b]
-    n = len(xs)
-    observed = Fraction(sum(1 for x, y in zip(xs, ys) if x == y), n)
-    count_a: Counter = Counter(xs)
-    count_b: Counter = Counter(ys)
-    expected = sum(
-        (
-            Fraction(count_a[c], n) * Fraction(count_b[c], n)
-            for c in set(count_a) | set(count_b)
-        ),
-        Fraction(0),
-    )
-    if expected == 1:
+    agree = sum(1 for x, y in zip(xs, ys) if x == y)
+    return _kappa(len(xs), agree, Counter(xs), Counter(ys))
+
+
+def _kappa(n: int, agree: int, count_a: Mapping, count_b: Mapping) -> Fraction:
+    """Kappa from ``agree`` matching pairs among ``n`` and each side's count
+    per category.  Observed agreement is ``agree / n`` and the chance one is
+    ``expected / n**2``, so kappa is one ratio of integers."""
+    expected = sum(count * count_b.get(c, 0) for c, count in count_a.items())
+    if expected == n * n:
         return Fraction(1)
-    return (observed - expected) / (1 - expected)
+    return Fraction(agree * n - expected, n * n - expected)
 
 
 def _freeze(value: Hashable) -> Hashable:
@@ -289,17 +334,24 @@ class ScoreStats:
 
 def score_stats(triples: Sequence[ScoreTriple], method_tag: str) -> ScoreStats:
     """Histogram and exact mean of individual scores per (method, code)."""
-    histogram: Counter[tuple[str, FallacyCode, int]] = Counter()
-    sums: Counter[FallacyCode] = Counter()
-    counts: Counter[FallacyCode] = Counter()
+    tallies: dict[FallacyCode, list[int]] = {}  # code -> count of each score 0..3
     for triple in triples:
-        code = triple.code
+        tally = tallies.get(triple.code)
+        if tally is None:
+            tally = tallies[triple.code] = [0, 0, 0, 0]
         for score in triple.scores:
-            histogram[(method_tag, code, score)] += 1
-        sums[code] += sum(triple.scores)
-        counts[code] += len(triple.scores)
-    means = {(method_tag, code): Fraction(sums[code], counts[code]) for code in sums}
-    return ScoreStats(dict(histogram), means)
+            tally[score] += 1
+    histogram = {
+        (method_tag, code, score): count
+        for code, tally in tallies.items()
+        for score, count in enumerate(tally)
+        if count
+    }
+    means = {
+        (method_tag, code): Fraction(sum(s * count for s, count in enumerate(tally)), sum(tally))
+        for code, tally in tallies.items()
+    }
+    return ScoreStats(histogram, means)
 
 
 def enhancement(baseline_mean: Fraction, improved_mean: Fraction) -> Fraction:
@@ -320,10 +372,15 @@ def enhancement(baseline_mean: Fraction, improved_mean: Fraction) -> Fraction:
 class EvalReport:
     detection: DetectionMetrics
     per_fallacy: dict[FallacyCode, Fraction]
-    ranked_scores: list[Fraction]
+    ranked_numerators: list[int]  # each fallacious entry's score, over RANK_DENOMINATOR
     ranked_mean: Fraction
     kappa: Fraction
     label_total: int
+
+    @property
+    def ranked_scores(self) -> list[Fraction]:
+        """Each fallacious entry's ranked score, in entry order."""
+        return [Fraction(n, RANK_DENOMINATOR) for n in self.ranked_numerators]
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,7 +399,7 @@ class EvalReport:
             },
             "ranked": {
                 "mean": _num(self.ranked_mean),
-                "count": len(self.ranked_scores),
+                "count": len(self.ranked_numerators),
             },
             "kappa": _num(self.kappa),
             "label_count": self.label_total,
@@ -370,33 +427,18 @@ class EvalReport:
 def build_report(
     entries: Sequence[BenchmarkEntry], preds: Sequence[Prediction]
 ) -> EvalReport:
-    pairs = _pair(entries, preds)
-    ranked = [
-        ranked_score(entry.labels, pred.labels)
-        for entry, pred in pairs
-        if entry.fallacious
-    ]
-    kappa = cohens_kappa(
-        [frozenset(e.labels) for e, _ in pairs],
-        [frozenset(p.labels) for _, p in pairs],
-    )
+    tally = _tally(_pair(entries, preds))
     # Detection needs a fallacious entry, so ``ranked`` is never empty below.
-    detection = _detection(pairs)
+    detection = _detection(*tally.confusion)
+    ranked = tally.ranked
     return EvalReport(
         detection=detection,
-        per_fallacy=_per_fallacy(pairs),
-        ranked_scores=ranked,
-        ranked_mean=_mean(ranked),
-        kappa=kappa,
-        label_total=label_count(preds),
+        per_fallacy=tally.per_fallacy,
+        ranked_numerators=ranked,
+        ranked_mean=Fraction(sum(ranked), RANK_DENOMINATOR * len(ranked)),
+        kappa=tally.kappa,
+        label_total=tally.labels,
     )
-
-
-def _mean(values: Sequence[Fraction]) -> Fraction:
-    """Exact mean, summed as integers over the values' common denominator."""
-    common = math.lcm(*(v.denominator for v in values))
-    total = sum(v.numerator * (common // v.denominator) for v in values)
-    return Fraction(total, common * len(values))
 
 
 def _num(value: Fraction) -> float:

@@ -207,7 +207,8 @@ def write_scores(
                 "sentence": triple.sentence,
                 "code": triple.code.value,
                 "scores": list(triple.scores),
-                "mean": round(float(triple.mean), 6),
+                # Small ints divide correctly rounded: float(triple.mean).
+                "mean": round(sum(triple.scores) / 3, 6),
             }
             for rid, triple in scored
         ),
@@ -227,10 +228,7 @@ def judge_benchmark(
     verdicts = _map_in_order(
         lambda entry: gateway.judge_sentence(entry.sentence), entries, gateway, parallelism
     )
-    return [
-        Prediction(entry_id=entry.id, logic_error=v.logic_error, labels=v.logic_fallacies)
-        for entry, v in zip(entries, verdicts)
-    ]
+    return [Prediction.from_verdict(entry.id, v) for entry, v in zip(entries, verdicts)]
 
 
 def write_report(

@@ -11,7 +11,8 @@ entries (a quarter benign) with the benchmark's seeded input generator
 (``perfbench/replies.py``).  It then runs ``fallacylab score`` and
 ``fallacylab eval`` in replay mode in this process and prints the best of
 ``--repeat`` wall times of each, with the requests each command sent, the
-distinct fingerprints among them and the fingerprints it actually hashed.
+distinct fingerprints among them and the fingerprints it actually hashed
+in its last run (a score's three requests share one hash).
 ``load s`` is the best of ``--repeat`` times of decoding the command's
 cassette and input file by themselves, the share of ``s`` its JSON Lines
 reads take.
@@ -59,6 +60,25 @@ def _record(cassette: Path, flow) -> None:
     provider = RecordingProvider(_ScriptedModel(), cassette)
     flow(provider)
     provider.save()
+
+
+@contextlib.contextmanager
+def _counting_hashes():
+    """A one-item list that counts the keys hashed in the block: the calls
+    of ``gateway._fingerprint``, which :func:`gateway.fingerprint` makes
+    when its memo misses."""
+    count = [0]
+    hash_key = gateway._fingerprint
+
+    def counted(*args):
+        count[0] += 1
+        return hash_key(*args)
+
+    gateway._fingerprint = counted
+    try:
+        yield count
+    finally:
+        gateway._fingerprint = hash_key
 
 
 def _run(args: list[str]) -> int:
@@ -111,20 +131,19 @@ def main(argv: list[str] | None = None) -> int:
             out = work / "out" / name
             best = float("inf")
             for _ in range(args.repeat):
-                gateway._fingerprint.cache_clear()
-                start = time.perf_counter()
-                code = _run([*command, "--mode", "replay", "--config", str(config),
-                             "--cassette", str(cassettes[name]), "--out", str(out)])
-                best = min(best, time.perf_counter() - start)
+                with _counting_hashes() as hashed:
+                    start = time.perf_counter()
+                    code = _run([*command, "--mode", "replay", "--config", str(config),
+                                 "--cassette", str(cassettes[name]), "--out", str(out)])
+                    best = min(best, time.perf_counter() - start)
                 failed |= code != 0
             load = float("inf")
             for _ in range(args.repeat):
                 start = time.perf_counter()
                 loads[name]()
                 load = min(load, time.perf_counter() - start)
-            hashed = gateway._fingerprint.cache_info().misses
             keys = [entry["fingerprint"] for entry in load_cassette(cassettes[name])]
-            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed:>8}")
+            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed[0]:>8}")
 
         got = [(r["id"], r["code"], r["scores"]) for r in read_jsonl(work / "out/score/scores.jsonl")]
         if got != [(rid, code, [replies.score_of(s)] * 3) for rid, s, code in rows]:

@@ -9,6 +9,7 @@ import importlib.util
 import itertools
 import json
 import socket
+import string
 import sys
 import threading
 import time
@@ -86,6 +87,41 @@ def test_only_an_instruction_without_other_values_is_a_constant_head():
         template.render()
 
 
+_TEMPLATES = (SCORE_TEMPLATE, JUDGE_TEMPLATE, GEN_FACTS_TEMPLATE, TRANSFORM_TEMPLATE)
+
+
+def _fields(template):
+    text = f"{template.instruction}\n\n{template.query}"
+    return sorted({name for _, name, _, _ in string.Formatter().parse(text)} - {None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(template=st.sampled_from(_TEMPLATES), data=st.data())
+def test_render_equals_str_format(template, data):
+    # Braces in the values are text, never fields; an int is formatted as
+    # str.format formats it.
+    value = st.one_of(
+        st.text(st.sampled_from("{}x\u00e9 ")), st.integers(), st.sampled_from(["{x}", "{{", "}}"])
+    )
+    values = {name: data.draw(value, label=name) for name in _fields(template)}
+    values.pop("fallacy_definitions", None)
+    expected = (
+        template.instruction.format(fallacy_definitions=definitions_block(), **values)
+        + "\n\n"
+        + template.query.format(**values)
+    )
+    assert template.render(**values) == expected
+    for name in values:
+        with pytest.raises(TemplateError, match=f"missing placeholder '{name}'"):
+            template.render(**{k: v for k, v in values.items() if k != name})
+
+
+@pytest.mark.parametrize("query", ["{0}", "{}", "{a.b}", "{a[0]}", "{a!r}", "{a:>3}"])
+def test_template_field_must_be_a_plain_name(query):
+    with pytest.raises(TemplateError, match="not a plain field"):
+        PromptTemplate("t", "hi", query).render(a="x")
+
+
 # ---------------------------------------------------------------------------
 # Providers: fingerprints, replay, record
 # ---------------------------------------------------------------------------
@@ -126,20 +162,56 @@ _ODD_TEXT = st.text(
 )
 
 
-@settings(max_examples=400, deadline=None)
+def _lead_and_suffix(template):
+    lead, fields = template.parts
+    return lead, fields[-1][1]
+
+
+@st.composite
+def _prompts(draw):
+    """A prompt around a template's lead and suffix, or none: a whole one,
+    one cut short at either end, or one whose lead and suffix overlap."""
+    template = draw(st.sampled_from([*_TEMPLATES, None]))
+    if template is None:
+        return draw(_ODD_TEXT)
+    lead, suffix = _lead_and_suffix(template)
+    middle = draw(
+        st.one_of(
+            _ODD_TEXT,
+            st.just(""),
+            st.just(suffix),
+            _ODD_TEXT.map(lambda text: suffix + text + lead + suffix),
+        )
+    )
+    prompt = lead + middle + suffix
+    cut = draw(st.integers(0, len(prompt)))
+    overlap = draw(st.integers(0, len(suffix)))
+    return draw(
+        st.sampled_from([prompt, prompt[:cut], prompt[cut:], lead + suffix[overlap:]])
+    )
+
+
+@settings(max_examples=600, deadline=None)
 @given(
     model=_ODD_TEXT,
     temperature=st.one_of(st.integers(), st.floats()),
-    head=st.sampled_from(["", "score", "judge"]),
-    rest=_ODD_TEXT,
+    prompt=_prompts(),
 )
-def test_fingerprint_equals_sha256_of_the_canonical_request(model, temperature, head, rest):
-    prompt = {"": "", "score": SCORE_TEMPLATE.head, "judge": JUDGE_TEMPLATE.head}[head] + rest
-    # Unmemoized: the one-entry memo is covered by the tests around this one.
-    unmemoized = gateway_module._fingerprint.__wrapped__
-    assert unmemoized(model, temperature, repr(temperature), prompt) == _canonical_fingerprint(
+def test_fingerprint_equals_sha256_of_the_canonical_request(model, temperature, prompt):
+    assert fingerprint(model, temperature, prompt) == _canonical_fingerprint(
         model, temperature, prompt
     )
+
+
+def test_fingerprint_of_a_prompt_shorter_than_its_lead_and_suffix():
+    # The judge suffix starts with the blank line its lead ends with, so
+    # this prompt starts with the lead and ends with the suffix, and shares
+    # their two newlines; it has no middle and matches no template.
+    lead, suffix = _lead_and_suffix(JUDGE_TEMPLATE)
+    assert lead.endswith("\n\n") and suffix.startswith("\n\n")
+    prompt = lead + suffix[2:]
+    assert prompt.startswith(lead) and prompt.endswith(suffix)
+    assert fingerprint("m", 0.0, prompt) == _canonical_fingerprint("m", 0.0, prompt)
 
 
 def test_fingerprint_of_a_real_score_and_judge_prompt_is_pinned():
@@ -878,6 +950,13 @@ def test_definitions_and_prompt_bytes_are_pinned():
 def test_score_triple_validates_values():
     with pytest.raises(ValueError):
         ScoreTriple("s", FallacyCode.AF, (4, 0, 0))
+
+
+@pytest.mark.parametrize("scores", [(3, 3), (3, 3, 3, 3), (-1, 0, 0), (3.0, 3, 3), (True, 0, 0)])
+def test_score_triple_is_three_ints(scores):
+    # 3.0 and True equal scores, but score_stats indexes its counts by score.
+    with pytest.raises(ValueError):
+        ScoreTriple("s", FallacyCode.AF, scores)
 
 
 # ---------------------------------------------------------------------------

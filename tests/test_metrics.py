@@ -435,6 +435,56 @@ def test_build_report_ranked_mean_matches_fraction_loop(rows):
     assert report.ranked_mean == sum(ranked, Fraction(0)) / len(ranked)
 
 
+_PUBLIC_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(ALL_CODES), max_size=4),
+        st.booleans(),
+        st.one_of(
+            st.lists(st.sampled_from(ALL_CODES), max_size=MAX_PREDICTED_LABELS, unique=True),
+            st.permutations(ALL_CODES).map(lambda codes: codes[:MAX_PREDICTED_LABELS]),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@given(_PUBLIC_ROWS, st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_build_report_equals_the_public_metrics(rows, agree, rng):
+    # One fallacious and one benign entry first: detection needs both.
+    rows = [([FallacyCode.AF], True, [FallacyCode.FS]), ([], False, [])] + rows
+    if agree:  # every prediction names its truth's labels, in any order: kappa is 1
+        rows = [(truth, flag, rng.sample(list(dict.fromkeys(truth)), len(set(truth))))
+                for truth, flag, _ in rows]
+    entries = [entry(i, labels) for i, (labels, _, _) in enumerate(rows)]
+    preds = [pred(i, flag, labels) for i, (_, flag, labels) in enumerate(rows)]
+    ranked = [ranked_score(e.labels, p.labels) for e, p in zip(entries, preds) if e.fallacious]
+    kappa = cohens_kappa([e.labels for e in entries], [p.labels for p in preds])
+    report = build_report(entries, preds)
+    assert report.detection == detection_metrics(entries, preds)
+    assert report.per_fallacy == per_fallacy_accuracy(entries, preds)
+    # The public functions share build_report's counting pass, so the
+    # counts are checked against brute force as well.
+    tp, fn, fp, tn = confusion_oracle(entries, preds)
+    assert (report.detection.fp_rate, report.detection.fn_rate) == (
+        Fraction(fp, fp + tn), Fraction(fn, tp + fn)
+    )
+    hits, totals = Counter(), Counter()
+    for e, p in zip(entries, preds):
+        for code in e.labels:
+            totals[code] += 1
+            hits[code] += code in p.labels
+    assert report.per_fallacy == {code: Fraction(hits[code], totals[code]) for code in totals}
+    sets = [frozenset(e.labels) for e in entries], [frozenset(p.labels) for p in preds]
+    assert report.kappa == kappa_oracle(*sets)
+    assert report.ranked_scores == ranked
+    assert report.ranked_mean == sum(ranked, Fraction(0)) / len(ranked)
+    assert report.kappa == kappa and (kappa == 1 or not agree)
+    assert report.label_total == label_count(preds)
+    for value in (report.ranked_mean, report.kappa, *report.ranked_scores, *report.per_fallacy.values()):
+        assert type(value) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # Enhancement
 # ---------------------------------------------------------------------------

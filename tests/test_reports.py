@@ -12,6 +12,10 @@ def test_replay_report_runs_score_and_eval(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "load s" in lines[1]
     assert [line.split()[0] for line in lines[2:]] == ["score", "eval"]
+    # Requests, distinct keys and keys hashed: a score's three requests
+    # share one key, hashed once.
+    counts = {line.split()[0]: [int(n) for n in line.split()[3:]] for line in lines[2:]}
+    assert counts == {"score": [90, 30, 30], "eval": [40, 40, 40]}
 
 
 def test_scale_report_runs_every_code(capsys):
