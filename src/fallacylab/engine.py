@@ -6,23 +6,25 @@ atom, an integer or a variable, and a goal or head is ``name`` or
 ``name(t1, ..., tn)``.
 
 ``join`` runs one rule over one ``RowStore``: a dict of ground argument
-tuples per ``(name, arity)``, read as the rule's facts.  Its body is a
-conjunctive query with stratified negation, so evaluating it is a join over
-rows; it runs no resolution.  Next comes the goal with the most bound
-arguments, ties broken by body order, and each ``\\=``, ``@<`` and negation
-runs as soon as its variables are bound.  A goal's rows come from the
-table's index on the positions of its constants and of the variables bound
-before it (``RowStore.index``), keyed by their values, so every row of a
-bucket holds them and only the goal's own bindings are matched.
+tuples per ``(name, arity)``, read as the rule's facts.  The rule has the
+shape of a schema's query: every argument is a variable, no variable occurs
+twice in one goal, and every goal has arguments.  Its body is a conjunctive
+query with stratified negation, so evaluating it is a join over rows; it
+runs no resolution.  Next comes the goal with the most bound arguments,
+ties broken by body order, and each ``\\=``, ``@<`` and negation runs as
+soon as its variables are bound.  A goal's rows come from the table's index
+on the positions of the variables bound before it (``RowStore.index``),
+keyed by their values, so every row of a bucket holds them and only the
+goal's own bindings are matched.
 
 ``compile_join`` walks the body once in that order and writes each literal
 straight into the Python source of nested loops, each inside the last, with
 a local per clause variable: a ``for`` per positive goal over its bucket, or
-over every row when it has no key, unpacking each row into those locals, and
-an ``if`` or a ``for ... break / else`` per builtin and negation.  The source
-is run by ``exec`` once per rule, on the rule's first join.  Constants reach
-the function through its namespace, never as source text.  Rows are ground,
-so each is matched one way, with no substitution.
+over every row when it has no key, unpacking each row into those locals,
+and an ``if`` per builtin and negation.  The source is run by ``exec`` once
+per rule, on the rule's first join.  Predicate keys reach the function
+through its namespace, never as source text.  Rows are ground, so each is
+matched one way, with no substitution.
 
 Each solution comes with its witness: the position of the row each positive
 goal matched, in body order.  SLD resolution over facts yields a body's
@@ -37,10 +39,8 @@ its indexes are filled on first lookup.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -283,10 +283,11 @@ def join(rule: Clause, rows: RowStore) -> list[Solution]:
     of distinct variables resolved against ``rule`` and the rows as facts.
 
     The body runs as the function ``compile_join`` writes for it, compiled
-    on the rule's first join (``Clause.compiled_join``).  Raises ValueError
-    when an argument is compound, when a builtin or negation would run
-    before its variables are bound, or when a head variable is bound by no
-    body goal.
+    on the rule's first join (``Clause.compiled_join``).  The rule must have
+    a schema query's shape: every argument a variable, no variable twice in
+    one goal, no goal without arguments, every variable of a builtin or a
+    negation bound by the positive goals before it, and every head variable
+    bound by a body goal.  Any other rule is a ValueError.
     """
     found = rule.compiled_join.run(rows)
     # Over facts, SLD yields solutions in lexicographic order of the row
@@ -326,33 +327,33 @@ def _run_order(rule: Clause) -> list[tuple[int, Literal]]:
                     f"compound argument {arg.functor}/{len(arg.args)}: "
                     "arguments are atoms, integers or variables"
                 )
+            if not isinstance(arg, Var):
+                value = arg.name if isinstance(arg, Atom) else arg.value
+                raise ValueError(
+                    f"constant argument {value}: a joined rule's arguments are variables"
+                )
+    # Every variable of a builtin or negation is bound by the positive goals
+    # before it, as SLD binds them.
+    names: list[set[str]] = []
     ordinals: dict[int, int] = {}
-    for index, lit in enumerate(body):
-        if isinstance(lit, Goal) and not lit.negated:
-            ordinals[index] = len(ordinals)
-    names = [set(var_names(lit)) for lit in body]
-    occurrences = Counter(term_vars(rule.head))
-    for lit_names in names:
-        occurrences.update(lit_names)
-
-    # What each builtin or negation needs bound: every variable, save those
-    # of a negation that occur nowhere else in the rule (read
-    # existentially).  SLD binds them from the positive goals before it.
-    needs: dict[int, set[str]] = {}
     seen: set[str] = set()
     for index, lit in enumerate(body):
-        if index in ordinals:
-            seen |= names[index]
-            continue
-        need = names[index]
+        names.append(set(var_names(lit)))
         if isinstance(lit, Goal):
-            need = {name for name in need if occurrences[name] > 1}
-        if not need <= seen:
+            name, arity = indicator(lit.term)
+            if not arity:
+                raise ValueError(f"goal {name}/0: a joined goal has arguments")
+            if len(names[index]) < arity:
+                raise ValueError(f"a variable occurs twice in goal {name}/{arity}")
+            if not lit.negated:
+                ordinals[index] = len(ordinals)
+                seen |= names[index]
+                continue
+        if not names[index] <= seen:
             raise ValueError(
                 "a builtin or negation comes before its variable(s) are bound: "
-                + ", ".join(sorted(need - seen))
+                + ", ".join(sorted(names[index] - seen))
             )
-        needs[index] = need
     unbound = term_vars(rule.head) - seen
     if unbound:
         raise ValueError("head variable(s) bound by no body goal: " + ", ".join(sorted(unbound)))
@@ -362,56 +363,41 @@ def _run_order(rule: Clause) -> list[tuple[int, Literal]]:
     order: list[tuple[int, Literal]] = []
     filled: set[str] = set()
     goals = list(ordinals)
-    tests = list(needs)
+    tests = [index for index in range(len(body)) if index not in ordinals]
     while True:
-        for index in [index for index in tests if needs[index] <= filled]:
+        for index in [index for index in tests if names[index] <= filled]:
             tests.remove(index)
             order.append((-1, body[index]))
         if not goals:
             return order
-        best = max(goals, key=lambda index: (_bound_args(body[index].term, filled), -index))
+        best = max(goals, key=lambda index: (len(names[index] & filled), -index))
         goals.remove(best)
         filled |= names[best]
         order.append((ordinals[best], body[best]))
-
-
-def _bound_args(term: GoalTerm, bound: set[str]) -> int:
-    return sum(1 for arg in arguments(term) if not isinstance(arg, Var) or arg.name in bound)
 
 
 class _JoinSource:
     """Writes a rule's body as the source of ``run(rows)``, one literal at a
     time in run order, each nested in the last: a ``for`` per positive goal
     over its index bucket, or over every row when it has no key, unpacking
-    each row into slot locals; an ``if`` per builtin and per variable
-    repeated in a goal; a ``for ... break / else`` per negated goal.
+    each row into slot locals; an ``if`` per builtin and per negation.
 
-    A slot is a local ``s{n}``: one per clause variable, then one per
-    constant of a goal, filled before the loops, so a goal's key is read off
-    slots alone.  A goal's key holds the arguments known before its rows are
-    fetched: constants and variables bound by earlier goals.  Every constant
-    and key the source uses is a name bound in its namespace, never source
-    text, so the source of a rule depends on its shape alone."""
+    A slot is a local ``s{n}``, one per clause variable.  A goal's key holds
+    its arguments that earlier goals bound, so it is read off slots alone,
+    and a negation's key is all of its arguments.  Each predicate key the
+    source looks up is a name bound in its namespace, never source text, so
+    the source of a rule depends on its shape alone."""
 
     def __init__(self, rule: Clause):
         self.rule = rule
         self.order = _run_order(rule)
         self.namespace: dict[str, object] = {"compare_terms": compare_terms}
-        self.constants = 0
+        self.keys = 0
         self.slot_of = {name: f"s{slot}" for slot, name in enumerate(rule.variables)}
-        #: Lines run once per call, before the loops: a slot per goal
-        #: constant, then the rows and index of each goal.
+        #: Lines run once per call, before the loops: the rows and index of
+        #: each goal.
         self.prologue: list[str] = []
         self.body: list[str] = []
-        goal_constants = [
-            arg
-            for _, lit in self.order if isinstance(lit, Goal)
-            for arg in arguments(lit.term) if not isinstance(arg, Var)
-        ]
-        for slot, value in enumerate(goal_constants, len(self.slot_of)):
-            self.prologue.append(f"s{slot} = {self.constant(value)}")
-        #: Those slots again, one per goal constant as ``goal`` reaches it.
-        self.constant_slots = count(len(self.slot_of))
 
     def emit(self) -> tuple[str, dict[str, object]]:
         bound: set[str] = set()
@@ -420,12 +406,12 @@ class _JoinSource:
             if isinstance(lit, Goal):
                 depth = self.goal(k, ordinal, lit.term, bound, depth)
                 continue
-            lhs, rhs = self.term(lit.lhs), self.term(lit.rhs)
+            lhs, rhs = self.slot_of[lit.lhs.name], self.slot_of[lit.rhs.name]
             less = isinstance(lit, TermLess)
             test = f"compare_terms({lhs}, {rhs}) < 0" if less else f"{lhs} != {rhs}"
             self.line(depth, f"if {test}:")
             depth += 1
-        head = [self.term(arg) for arg in arguments(self.rule.head)]
+        head = [self.slot_of[name] for name in var_names(self.rule.head)]
         goals = sum(1 for ordinal, _ in self.order if ordinal >= 0)
         witness = _tuple([f"p{ordinal}" for ordinal in range(goals)])
         self.line(depth, f"append(({witness}, {_tuple(head)}))")
@@ -436,84 +422,47 @@ class _JoinSource:
         lines.append("    return found")
         return "\n".join(lines) + "\n", self.namespace
 
-    def constant(self, value: object) -> str:
-        name = f"c{self.constants}"
-        self.constants += 1
-        self.namespace[name] = value
-        return name
-
     def line(self, depth: int, text: str) -> None:
         self.body.append("    " * depth + text)
 
-    def term(self, term: Term) -> str:
-        """An expression for a bound variable or a constant."""
-        return self.slot_of[term.name] if isinstance(term, Var) else self.constant(term)
-
-    def goal(self, k: int, ordinal: int, term: GoalTerm, bound: set[str], depth: int) -> int:
+    def goal(self, k: int, ordinal: int, term: Struct, bound: set[str], depth: int) -> int:
         """Write the ``k``th literal, a goal, at ``depth``: its variables not
         in ``bound`` are bound from each row, and join ``bound`` when the
         goal is positive.  Returns the depth of the code the goal's success
         runs."""
-        key = self.constant(indicator(term))
-        args = arguments(term)
+        key = f"c{self.keys}"
+        self.keys += 1
+        self.namespace[key] = indicator(term)
         positions: list[int] = []
         values: list[str] = []
-        targets = ["_"] * len(args)
-        repeats: list[str] = []
-        own: set[str] = set()
-        for position, arg in enumerate(args):
-            if not isinstance(arg, Var):
-                positions.append(position)
-                values.append(f"s{next(self.constant_slots)}")
-            elif arg.name in bound:
+        targets: list[str] = []
+        for position, arg in enumerate(term.args):
+            if arg.name in bound:
                 positions.append(position)
                 values.append(self.slot_of[arg.name])
-            elif arg.name in own:
-                # Not known when the rows are fetched, so matched per row.
-                targets[position] = f"t{k}_{position}"
-                repeats.append(f"if t{k}_{position} == {self.slot_of[arg.name]}:")
+                targets.append("_")
             else:
-                own.add(arg.name)
-                targets[position] = self.slot_of[arg.name]
-        if ordinal >= 0:
-            bound |= own
+                targets.append(self.slot_of[arg.name])
         index = value = None
         if positions:
             index = f"x{k}"
             self.prologue.append(f"{index} = rows.index({key}, {tuple(positions)!r})")
             value = values[0] if len(values) == 1 else _tuple(values)
-        if ordinal < 0 and not repeats:
-            # Every candidate row matches, so the negation holds when there
-            # is none.  Index buckets are never empty.
-            absent = f"{value} not in {index}" if index else f"not {self.rows(k, key)}"
-            self.line(depth, f"if {absent}:")
+        if ordinal < 0:
+            # Every argument is bound, so the negation holds when no row
+            # has the key.  Index buckets are never empty.
+            self.line(depth, f"if {value} not in {index}:")
             return depth + 1
-        rows = self.rows(k, key)
-        unpack = ", ".join(targets) + ("," if len(targets) == 1 else "")
-        read = any(target != "_" for target in targets)
-        position = f"p{ordinal}" if ordinal >= 0 else f"q{k}"
-        if index:
-            self.line(depth, f"for {position} in {index}.get({value}, ()):")
-            if read:
-                self.line(depth + 1, f"{unpack} = {rows}[{position}]")
-        elif read:
-            self.line(depth, f"for {position}, ({unpack}) in enumerate({rows}):")
-        else:
-            self.line(depth, f"for {position} in range(len({rows})):")
-        inner = depth + 1
-        for repeat in repeats:
-            self.line(inner, repeat)
-            inner += 1
-        if ordinal >= 0:
-            return inner
-        self.line(inner, "break")
-        self.line(depth, "else:")
-        return depth + 1
-
-    def rows(self, k: int, key: str) -> str:
-        """The local of one goal's rows, fetched once per call."""
+        bound.update(arg.name for arg in term.args)
         self.prologue.append(f"r{k} = rows.get({key}, ())")
-        return f"r{k}"
+        if not index:
+            self.line(depth, f"for p{ordinal}, {_tuple(targets)} in enumerate(r{k}):")
+            return depth + 1
+        self.line(depth, f"for p{ordinal} in {index}.get({value}, ()):")
+        if len(positions) < len(targets):
+            # Some argument is bound, so a row of one argument is never read.
+            self.line(depth + 1, f"{', '.join(targets)} = r{k}[p{ordinal}]")
+        return depth + 1
 
 
 def _tuple(items: list[str]) -> str:

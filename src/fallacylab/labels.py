@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DuplicateLabelError, JsonlFormatError, UnknownLabelError
 
@@ -160,20 +160,14 @@ _ALIASES.update({name.upper(): code for code, name in DISPLAY_NAMES.items()})
 MAX_PREDICTED_LABELS = len(FallacyCode) - 1
 
 
-def check_predicted_labels(
-    labels: Sequence[FallacyCode], owner: str | Callable[[], str]
-) -> None:
+def check_predicted_labels(labels: Sequence[FallacyCode], owner: str) -> None:
     """Raise unless ``labels`` can be one prediction's ranked labels: no
     repeated code and at most MAX_PREDICTED_LABELS codes.  ``owner`` begins
-    the message; a function there is called only when the check fails."""
-    repeated = len(set(labels)) != len(labels)
-    if not repeated and len(labels) <= MAX_PREDICTED_LABELS:
-        return
-    if callable(owner):
-        owner = owner()
-    if repeated:
+    the message."""
+    if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"{owner}: repeated label")
-    raise JsonlFormatError(f"{owner}: more than {MAX_PREDICTED_LABELS} labels")
+    if len(labels) > MAX_PREDICTED_LABELS:
+        raise JsonlFormatError(f"{owner}: more than {MAX_PREDICTED_LABELS} labels")
 
 
 def parse_code(text: str) -> FallacyCode:

@@ -7,6 +7,8 @@ prediction's explicit logic_error boolean is true.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ class Prediction:
     labels: tuple[FallacyCode, ...]
 
     def __post_init__(self):
-        check_predicted_labels(self.labels, lambda: f"prediction {self.entry_id}")
+        check_predicted_labels(self.labels, f"prediction {self.entry_id}")
 
     @classmethod
     def from_verdict(cls, entry_id: str, verdict: JudgeVerdict) -> Prediction:
@@ -293,9 +295,7 @@ def _kappa(n: int, agree: int, count_a: Mapping, count_b: Mapping) -> Fraction:
 
 
 def _freeze(value: Hashable) -> Hashable:
-    if isinstance(value, (set, frozenset)):
-        return frozenset(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (set, frozenset, list, tuple)):
         return frozenset(value)
     return value
 
@@ -316,12 +316,16 @@ class ScoreStats:
     means: Mapping[tuple[str, FallacyCode], Fraction]
 
     def histogram_csv(self) -> str:
-        lines = ["method,code,score,count"]
-        for (method, code, score), count in sorted(
-            self.histogram.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
-        ):
-            lines.append(f"{method},{code.value},{score},{count}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("method", "code", "score", "count"))
+        writer.writerows(
+            (method, code.value, score, count)
+            for (method, code, score), count in sorted(
+                self.histogram.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
+            )
+        )
+        return out.getvalue()
 
     def means_table(self) -> str:
         lines = ["method  code  mean"]

@@ -67,7 +67,6 @@ STYLE_EXAMPLES: dict[FallacyCode, tuple[str, ...]] = {
 @dataclass
 class GenerationBundle:
     code: FallacyCode
-    seed: KnowledgeBase
     kb: KnowledgeBase
     tuples: list[ValidTuple]
     sentences: list[tuple[str, FallacyCode]]
@@ -93,7 +92,7 @@ def generate_bundle(code: FallacyCode, n: int, gateway: Gateway) -> GenerationBu
     sentences: list[tuple[str, FallacyCode]] = []
     if tuples:
         sentences = gateway.transform_to_sentences(tuples, STYLE_EXAMPLES[code])
-    return GenerationBundle(code, seed, kb, tuples, sentences, diagnostics)
+    return GenerationBundle(code, kb, tuples, sentences, diagnostics)
 
 
 def write_bundle(bundle: GenerationBundle, out_dir: str | Path) -> list[Path]:

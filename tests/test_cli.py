@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import io
 import json
@@ -245,6 +246,19 @@ def test_derive_prints_canonical_tuples(runner):
     result = run(runner, "derive", "--code", "FC")
     assert result.exit_code == 0
     assert result.output.strip() == "pd(chimney, survives_fire, building)"
+
+
+def test_derive_kb_ignores_rules_no_join_runs(runner, tmp_path):
+    # A base's rules are inert, so none of these reaches the join's compiler,
+    # which refuses each: a goal constant, a variable twice in one goal, a
+    # negation's own variable, and goals without arguments.
+    path = tmp_path / "fc.pl"
+    path.write_text(
+        SEED_SOURCES[FallacyCode.FC] + "p(X, X) :- q(X, a), \\+ r(Y, Y).\nflag.\nt :- flag.\n"
+    )
+    result = run(runner, "derive", "--code", "FC", "--kb", path)
+    assert result.exit_code == 0, result.output
+    assert (result.stdout, result.stderr) == ("pd(chimney, survives_fire, building)\n", "")
 
 
 def test_derive_accepts_alias_and_full_name(runner):
@@ -498,6 +512,29 @@ def test_score_replay_outputs(runner, tmp_path):
     assert "AF  3.00" in summary and "WD  2.67" in summary
     histogram = (tmp_path / "score_histogram.csv").read_text()
     assert "generated,AF,3,3" in histogram
+
+
+def _score_histogram(runner, out, tag):
+    """The rows of the score histogram of the committed replay fixtures under
+    ``tag``, read back as CSV."""
+    result = run(
+        runner, "score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--method-tag", tag,
+        "--mode", "replay", "--cassette", DATA_DIR / "cassette_score.jsonl",
+        "--config", DATA_DIR / "replay.cfg", "--out", out,
+    )
+    assert result.exit_code == 0, result.output
+    with open(out / "score_histogram.csv", newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.mark.parametrize("tag", ["smarty,pat", '"pat" run', "two\nlines"],
+                         ids=["comma", "quote", "line-break"])
+def test_score_histogram_reads_back_any_method_tag(runner, tmp_path, tag):
+    plain = _score_histogram(runner, tmp_path / "plain", "generated")
+    rows = _score_histogram(runner, tmp_path / "tagged", tag)
+    assert rows[0] == plain[0] == ["method", "code", "score", "count"]
+    assert len(rows) == len(plain) > 1
+    assert rows[1:] == [[tag, *row[1:]] for row in plain[1:]]
 
 
 # ---------------------------------------------------------------------------

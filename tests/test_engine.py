@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fallacylab.engine import (
@@ -17,6 +16,7 @@ from fallacylab.engine import (
     Struct,
     TermLess,
     Var,
+    arguments,
     compare_terms,
     compile_join,
     indicator,
@@ -26,9 +26,10 @@ from fallacylab.engine import (
     var_names,
 )
 from fallacylab.kb import KnowledgeBase
+from fallacylab.labels import SCHEMA_CODES
 from fallacylab.parser import serialize_clause, serialize_term
+from fallacylab.schemas import schema_for
 
-from conftest import DATA_DIR, CountingRows
 from sld_oracle import DepthLimitError, FlounderError, Program, findall, resolve, solve, unify
 
 
@@ -364,21 +365,21 @@ def _sld(rule: Clause, source: Program) -> list[tuple]:
 
 
 def _joinable(rule: Clause) -> bool:
-    """Whether ``join`` must run ``rule``: positive goals before each builtin
-    bind all of its variables and before each negation those it shares with
-    the rest of the rule, and positive goals bind every head variable."""
-    occurrences = Counter(term_vars(rule.head))
-    for lit in rule.body:
-        occurrences.update(set(var_names(lit)))
+    """Whether ``join`` must run ``rule``: every argument is a variable, each
+    goal has arguments and repeats none, positive goals before each builtin
+    and negation bind all of its variables, and positive goals bind every
+    head variable."""
+    items = (rule.head, *rule.body)
+    if not all(isinstance(arg, Var) for item in items for arg in arguments(item)):
+        return False
     bound: set[str] = set()
     for lit in rule.body:
-        names = set(var_names(lit))
+        names = list(var_names(lit))
+        if isinstance(lit, Goal) and (not names or len(set(names)) < len(names)):
+            return False
         if isinstance(lit, Goal) and not lit.negated:
-            bound |= names
-        elif isinstance(lit, Goal):
-            if not {name for name in names if occurrences[name] > 1} <= bound:
-                return False
-        elif not names <= bound:
+            bound.update(names)
+        elif not bound.issuperset(names):
             return False
     return term_vars(rule.head) <= bound
 
@@ -387,53 +388,97 @@ def _joinable(rule: Clause) -> bool:
 _S_RULES = "s(X, Y) :- q(X, Y).\ns(X, Y) :- r(X, Z), s(Z, Y).\n"
 
 _plan_constants = st.sampled_from([Atom("a"), Atom("b"), Int(1)])
+# n/1, q/2 and r/2 have rows; s/2 has none.
 _plan_facts = st.lists(
-    st.tuples(st.sampled_from(["q", "r"]), _plan_constants, _plan_constants).map(
-        lambda t: Clause(Struct(t[0], t[1:]))
-    ),
+    st.one_of(
+        st.tuples(st.sampled_from(["q", "r"]), _plan_constants, _plan_constants),
+        st.tuples(st.just("n"), _plan_constants),
+    ).map(lambda t: Clause(Struct(t[0], t[1:]))),
     min_size=4,
     max_size=16,
 )
-_body_vars = st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W")])
-_body_args = st.one_of(_body_vars, _body_vars, _body_vars, _plan_constants)
-_positive_goals = st.tuples(
-    st.sampled_from(["q", "q", "r", "r", "s"]), _body_args, _body_args
-).map(lambda t: Goal(Struct(t[0], t[1:])))
-_body_literals = st.one_of(
-    _positive_goals,
-    _positive_goals,
-    _positive_goals,
-    st.tuples(st.sampled_from(["q", "r", "s"]), _body_args, _body_args).map(
-        lambda t: Goal(Struct(t[0], t[1:]), negated=True)
-    ),
-    st.builds(NotEqual, _body_args, _body_args),
-    st.builds(TermLess, _body_args, _body_args),
+_PLAN_ARITY = {"n": 1, "q": 2, "r": 2, "s": 2}
+_PLAN_VARS = [Var("X"), Var("Y"), Var("Z"), Var("W")]
+#: Occurs in no schema-shaped rule, so it is bound by none of its goals.
+_FRESH = Var("U")
+
+
+def _plan_goal(draw, names: list[str], pool: list[Var], negated: bool = False) -> Goal:
+    """A goal on one of ``names`` over distinct variables of ``pool``."""
+    name = draw(st.sampled_from(names))
+    arity = _PLAN_ARITY[name]
+    args = draw(st.lists(st.sampled_from(pool), min_size=arity, max_size=arity, unique=True))
+    return Goal(Struct(name, tuple(args)), negated)
+
+
+@st.composite
+def _schema_shaped(draw) -> Clause:
+    """A rule for p of a schema query's shape: distinct variables in each
+    goal, each builtin and negation right after goals that bind its
+    variables, and head variables the goals bind."""
+    body: list = []
+    bound: list[Var] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        goal = _plan_goal(draw, ["n", "q", "q", "r", "r", "s"], _PLAN_VARS)
+        body.append(goal)
+        bound += [arg for arg in goal.term.args if arg not in bound]
+        test = draw(st.sampled_from([None, None, NotEqual, TermLess, Goal]))
+        if test is Goal:
+            negatable = ["n", "q", "r", "s"] if len(bound) > 1 else ["n"]
+            body.append(_plan_goal(draw, negatable, bound, negated=True))
+        elif test is not None:
+            body.append(test(draw(st.sampled_from(bound)), draw(st.sampled_from(bound))))
+    head = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3))
+    return Clause(Struct("p", tuple(head)), tuple(body))
+
+
+@st.composite
+def _refused_shape(draw, rule: Clause) -> Clause:
+    """``rule`` with one thing no schema's query has: a constant in a goal,
+    the head or a builtin, a variable twice in one goal, a negation's own
+    variable, a goal without arguments, a builtin or negation before its
+    variables are bound, or a head variable no goal binds."""
+    body = list(rule.body)
+    head = list(rule.head.args)
+    constant = draw(_plan_constants)
+    shape = draw(st.sampled_from(
+        ["goal-constant", "head-constant", "operand-constant", "repeat", "existential",
+         "arity-0", "early-test", "unbound-head"]
+    ))
+    lit = None
+    if shape == "goal-constant":
+        at = draw(st.sampled_from([i for i, item in enumerate(body) if isinstance(item, Goal)]))
+        args = list(body[at].term.args)
+        args[draw(st.integers(min_value=0, max_value=len(args) - 1))] = constant
+        body[at] = Goal(Struct(body[at].term.functor, tuple(args)), body[at].negated)
+    elif shape == "head-constant":
+        head[draw(st.integers(min_value=0, max_value=len(head) - 1))] = constant
+    elif shape == "operand-constant":
+        var = draw(st.sampled_from(head))
+        lit = draw(st.sampled_from([NotEqual, TermLess]))(*draw(st.permutations([var, constant])))
+    elif shape == "repeat":
+        var = draw(st.sampled_from(_PLAN_VARS))
+        lit = Goal(Struct(draw(st.sampled_from(["q", "r", "s"])), (var, var)), draw(st.booleans()))
+    elif shape == "existential":
+        var = draw(st.sampled_from(head))
+        args = draw(st.permutations([var, _FRESH]))
+        lit = Goal(Struct(draw(st.sampled_from(["q", "r", "s"])), tuple(args)), negated=True)
+    elif shape == "arity-0":
+        lit = Goal(Atom("flag"), draw(st.booleans()))
+    elif shape == "early-test":
+        x, y = draw(st.permutations(_PLAN_VARS))[:2]
+        body.insert(0, draw(st.sampled_from([NotEqual(x, y), Goal(Struct("q", (x, y)), True)])))
+    else:
+        head.append(_FRESH)
+    if lit is not None:
+        body.insert(draw(st.integers(min_value=0, max_value=len(body))), lit)
+    return Clause(Struct("p", tuple(head)), tuple(body))
+
+
+# Three in four rules have the schemas' shape; the rest are refused.
+_plan_rule = st.one_of(
+    _schema_shaped(), _schema_shaped(), _schema_shaped(), _schema_shaped().flatmap(_refused_shape)
 )
-_plan_bodies = st.one_of(
-    # Most bodies start with positive goals, so that they bind what their
-    # filters need; many of the others are refused.
-    *[
-        st.tuples(
-            st.lists(_positive_goals, min_size=2, max_size=3),
-            st.lists(_body_literals, max_size=2),
-        ).map(lambda parts: tuple(parts[0] + parts[1]))
-    ]
-    * 3,
-    st.lists(_body_literals, min_size=1, max_size=4).map(tuple),
-)
-
-
-def _rule_for(body: tuple) -> st.SearchStrategy:
-    """Rules for p/2 with ``body``, whose head variables are mostly ones the
-    body's positive goals bind."""
-    positive = [lit for lit in body if isinstance(lit, Goal) and not lit.negated]
-    names = sorted(set(var_names(*positive))) or ["X"]
-    head_vars = st.sampled_from([Var(name) for name in names])
-    head_args = st.one_of(head_vars, head_vars, _plan_constants)
-    return st.tuples(head_args, head_args).map(lambda args: Clause(Struct("p", args), body))
-
-
-_plan_rule = _plan_bodies.flatmap(_rule_for)
 
 
 @given(_plan_facts, st.one_of(st.none(), st.integers(min_value=0, max_value=7)), _plan_rule)
@@ -444,9 +489,11 @@ def test_join_matches_sld(facts, repeat, rule):
         facts = [*facts, facts[repeat % len(facts)]]
     rows = rows_of(kb_from("\n".join(map(serialize_clause, facts))))
     if not _joinable(rule):
+        event("refused")
         with pytest.raises(ValueError):
             join(rule, rows)
         return
+    event("joined")
     # Same solutions, order and multiplicity as SLD over the same rows plus
     # the rule.  A goal on s/2, which has no rows, meets an empty predicate.
     assert _joined(rule, rows) == _sld(rule, Program(rows, [rule]))
@@ -474,35 +521,60 @@ def test_planned_join_reorders_goals_and_keeps_sld_order():
     ]
 
 
+_UNARY_FACTS = "r(a).\nr(b).\nr(c).\ns(b).\ns(c).\ns(c).\n"
+
+
 @pytest.mark.parametrize(
-    "program, expected",
+    "rule, lines, expected",
     [
-        # Z is bound by the first argument of q(Z, Z) and checked by the
-        # second, so it cannot pick the index bucket of the row it reads.
-        # The head repeats X, which the body binds once.
-        ("q(a, a).\nq(a, b).\nq(b, b).\nq(c, d).\np(X, X) :- q(X, X), q(Z, Z).\n",
-         "p(a, a) p(a, a) p(b, b) p(b, b)"),
-        ("n(a).\nn(b).\nn(c).\nm(a, c, c).\nm(b, c, d).\np(X) :- n(X), \\+ m(X, W, W).\n",
-         "p(b) p(c)"),
-        # A constant in the head, and integer keys in a goal and a negation.
-        ("r(a, 1).\nr(b, 2).\nr(c, 1).\ns(a, 7).\ns(c, 8).\np(k, X) :- r(X, 1), \\+ s(X, 8).\n",
-         "p(k, a)"),
-        # Z binds at s's first position and is checked at its third.
-        ("r(a, 1).\nr(b, 2).\ns(a, 1, a).\ns(b, 1, c).\ns(b, 2, b).\n"
-         "p(X, Z) :- r(X, Y), s(Z, Y, Z).\n",
-         "p(a, a) p(b, b)"),
+        ("p(X) :- r(X), \\+ s(X).",
+         ["for p0, (s0,) in enumerate(r0):", "if s0 not in x1:", "append(((p0,), (s0,)))"],
+         "p(a)"),
+        ("p(X) :- r(X), s(X).",
+         ["for p0, (s0,) in enumerate(r0):", "append(((p0, p1), (s0,)))"],
+         "p(b) p(c) p(c)"),
     ],
-    ids=["repeat-in-goal", "existential-repeat-in-negation", "constant-head-integer-keys",
-         "repeat-binds-in-goal"],
+    ids=["single-key-negation", "keyed-goal-binding-nothing"],
 )
-def test_slot_join_edge_cases_match_sld(program, expected):
-    kb = kb_from(program)
-    reads = [0]
-    rows = RowStore({key: CountingRows(table, reads) for key, table in kb.tables().items()})
-    joined = _joined(kb.rules[0], rows)
+def test_join_lines_no_schema_writes_match_sld(rule, lines, expected):
+    # The lines a schema-shaped rule can reach and no schema's source has:
+    # a one-position row, a negation keyed by one value and a one-argument
+    # head.
+    kb = kb_from(_UNARY_FACTS + rule)
+    schema_lines = {
+        line.strip()
+        for code in SCHEMA_CODES
+        for line in schema_for(code).rules[0].compiled_join.source.splitlines()
+    }
+    source = compile_join(kb.rules[0]).source.splitlines()
+    assert [line.strip() for line in source if line.strip() not in schema_lines] == lines
+    joined = _joined(kb.rules[0], rows_of(kb))
     assert joined == _sld(kb.rules[0], Program(rows_of(kb), kb.rules))
     assert " ".join(serialize_term(Struct("p", args)) for args in joined) == expected
-    assert reads[0]  # the rows were read by the join
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("p(X) :- r(X, a).", "constant argument a"),
+        ("p(k, X) :- r(X, Y).", "constant argument k"),
+        ("p(X) :- r(X, Y), X \\= 1.", "constant argument 1"),
+        ("p(X) :- r(X, X).", "twice in goal r/2"),
+        ("p(X) :- n(X), \\+ m(X, W).", "bound: W"),
+        ("p(X) :- flag, n(X).", "goal flag/0"),
+        ("p(X) :- n(X), \\+ flag.", "goal flag/0"),
+        ("p(X, X) :- q(X, X), q(Z, Z).", "twice in goal q/2"),
+        ("p(X) :- n(X), \\+ m(X, W, W).", "twice in goal m/3"),
+        ("p(k, X) :- r(X, 1), \\+ s(X, 8).", "constant argument k"),
+        ("p(X, Z) :- r(X, Y), s(Z, Y, Z).", "twice in goal s/3"),
+    ],
+    ids=["goal-constant", "head-constant", "operand-constant", "repeat", "existential",
+         "arity-0-goal", "arity-0-negation", "repeat-in-goal", "existential-repeat-in-negation",
+         "constant-head-integer-keys", "repeat-binds-in-goal"],
+)
+def test_compile_join_refuses_a_shape_no_schema_has(rule, message):
+    with pytest.raises(ValueError, match=message):
+        compile_join(kb_from(rule).rules[0])
 
 
 @pytest.mark.parametrize(
@@ -536,7 +608,7 @@ def test_negation_over_rules_in_a_planned_body(program, error):
     "program, message",
     [
         ("q(a, b).\np(X, Y) :- q(X, Z).\n", "bound by no body goal: Y"),
-        ("q(a, b).\np(X) :- X \\= b, q(X, Y).\n", "before its variable"),
+        ("q(a, b).\np(X) :- X \\= Y, q(X, Y).\n", "before its variable"),
         ("q(a, b).\np(X) :- \\+ q(X, Y), q(Y, X).\n", "before its variable"),
     ],
     ids=["unbound-head-variable", "early-builtin", "early-negation"],
@@ -578,16 +650,3 @@ def test_compile_join_refuses_a_compound_argument(rule, message):
     # Rules built in Python bypass the parser, which refuses compounds.
     with pytest.raises(ValueError, match=f"compound argument {message}"):
         compile_join(rule)
-
-
-def test_compiled_join_branches_match_committed_text():
-    # Rules that reach the lines no schema's join writes: key constants, a
-    # variable repeated in a goal or a negation, a negation with and without
-    # a key, builtins over constants, arity-0 goals and heads, and constant
-    # head arguments.  Each block is a rule and the source written for it.
-    text = (DATA_DIR / "compiled_join_branches.txt").read_text(encoding="utf-8")
-    rules = [line[2:] for line in text.splitlines() if line.startswith("% ")]
-    assert len(rules) == 13
-    assert "\n".join(
-        f"% {rule}\n{compile_join(kb_from(rule).rules[0]).source}" for rule in rules
-    ) == text
