@@ -30,7 +30,6 @@ import re
 import string
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -424,16 +423,18 @@ def _chat_content(response) -> str:
 
 
 class ReplayProvider:
-    """Serves recorded responses; an unmatched request is an error."""
+    """Serves recorded responses; an unmatched request is an error.
+
+    The cassette is held as :func:`load_cassette` reads it, one list of
+    responses per fingerprint, each list reversed once so that a request
+    takes its key's next response from the end."""
 
     def __init__(self, cassette_path: str | Path, *, model_name: str = "unspecified"):
         self.model_name = model_name
         self.request_count = 0
-        self._queues: dict[str, deque[str]] = {}
-        for entry in load_cassette(cassette_path):
-            self._queues.setdefault(entry["fingerprint"], deque()).append(
-                entry["response"]
-            )
+        self._queues = load_cassette(cassette_path)
+        for queue in self._queues.values():
+            queue.reverse()
 
     def complete(self, prompt: str, *, temperature: float) -> str:
         key = fingerprint(self.model_name, temperature, prompt)
@@ -444,7 +445,7 @@ class ReplayProvider:
                 f"no recorded response for fingerprint {key[:12]}... "
                 f"(prompt starts: {prompt[:60]!r})"
             )
-        return queue.popleft()
+        return queue.pop()
 
 
 class RecordingProvider:
@@ -485,14 +486,25 @@ class RecordingProvider:
         write_cassette(self.path, self._entries)
 
 
-def load_cassette(path: str | Path) -> list[dict[str, str]]:
-    return list(read_jsonl(path, required=("fingerprint", "response"), parse=_cassette_entry))
+def load_cassette(path: str | Path) -> dict[str, list[str]]:
+    """Each fingerprint of the cassette with its responses in recorded order.
+
+    The lines stream into the lists: no record outlives its line."""
+    responses: dict[str, list[str]] = {}
+    for key, response in read_jsonl(path, ("fingerprint", "response"), _cassette_entry):
+        queue = responses.get(key)
+        if queue is None:
+            responses[key] = [response]
+        else:
+            queue.append(response)
+    return responses
 
 
-def _cassette_entry(record: dict) -> dict[str, str]:
-    if type(record["fingerprint"]) is not str or type(record["response"]) is not str:
+def _cassette_entry(record: dict) -> tuple[str, str]:
+    key, response = record["fingerprint"], record["response"]
+    if type(key) is not str or type(response) is not str:
         raise JsonlFormatError("'fingerprint' and 'response' must be strings")
-    return record
+    return key, response
 
 
 def write_cassette(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
@@ -504,21 +516,20 @@ def write_cassette(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JudgeVerdict:
-    """A judge's reply.  Its labels are checked here, so a prediction made
-    from a verdict need not check them again."""
+    """What a judge's reply decides: the flag and the ranked labels.  Its
+    labels are checked here, so a prediction made from a verdict need not
+    check them again."""
 
-    sentence: str
     logic_error: bool
     logic_fallacies: tuple[FallacyCode, ...]  # order encodes rank
-    details: str
 
     def __post_init__(self):
         check_predicted_labels(self.logic_fallacies, "logic_fallacies")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreTriple:
     sentence: str
     code: FallacyCode
@@ -674,13 +685,12 @@ class Gateway:
         """Detection plus rank-ordered categorization with all 14 definitions."""
         prompt = JUDGE_TEMPLATE.render(sentence=sentence)
         try:
-            # Looked up on each reply, so a wrapped _parse_verdict is the one called.
-            return self._ask("judge", prompt, 0.0, lambda r: self._parse_verdict(sentence, r))
+            return self._ask("judge", prompt, 0.0, self._parse_verdict)
         except JudgeJsonError as exc:
             raise JudgeJsonError(f"judge response unusable after retry: {exc}") from None
 
     @staticmethod
-    def _parse_verdict(sentence: str, response: str) -> JudgeVerdict:
+    def _parse_verdict(response: str) -> JudgeVerdict:
         raw = _extract_json(response)
         try:
             data = loads(raw)
@@ -699,12 +709,7 @@ class Gateway:
         if not isinstance(labels_raw, list):
             raise JudgeJsonError("logic_fallacies must be a list")
         try:
-            return JudgeVerdict(
-                sentence=str(data.get("sentence", sentence)),
-                logic_error=logic_error,
-                logic_fallacies=tuple(parse_code(item) for item in labels_raw),
-                details=str(data.get("details", "")),
-            )
+            return JudgeVerdict(logic_error, tuple(parse_code(item) for item in labels_raw))
         except (UnknownLabelError, DuplicateLabelError, JsonlFormatError) as exc:
             raise JudgeJsonError(str(exc)) from None
 

@@ -4,12 +4,15 @@ line ending in ``\\n``.  Also the one reader every input file goes through,
 so bytes that are not UTF-8 are reported at their file and line, and the one
 writer every output file goes through, so none is ever left half-written.
 
-Each line, and each judge reply, is decoded by :func:`loads`: one call of a C
-scanner built once, where ``json.loads`` wraps that same call in three Python
-ones.  A blank line holds JSON whitespace only (spaces, tabs and a ``\\r``);
-any other line is a record or an error.  Records are written through one C
-encoder built at import, where ``JSONEncoder.encode`` builds a new one per
-call; its text is ``encode_canonical``'s."""
+An input is read a line at a time, so a reader holds one line's bytes and
+text, never the file's.  Each line, and each judge reply, is decoded by
+:func:`loads`: one call of a C scanner built once, where ``json.loads`` wraps
+that same call in three Python ones.  A blank line holds JSON whitespace only
+(spaces, tabs and a ``\\r``); any other line is a record or an error.  A byte
+that is not UTF-8 anywhere in the file takes precedence over any line's
+error, as when the whole file was decoded first.  Records are written
+through one C encoder built at import, where ``JSONEncoder.encode`` builds a
+new one per call; its text is ``encode_canonical``'s."""
 from __future__ import annotations
 
 import json
@@ -82,27 +85,37 @@ def read_jsonl(
     included), lacks a ``required`` key, or that ``parse`` rejects with a
     package error raises JsonlFormatError naming ``path:line``.
 
-    Lines end at ``\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
-    stand unescaped inside a JSON string, and a ``\r`` before the ``\n`` is
+    The file is read a line at a time and each line decoded as UTF-8 on its
+    own.  Before any line's error is raised, :func:`read_input` decodes the
+    whole file, so a byte that is not UTF-8, even lines later, is the error
+    reported, with its line and byte.
+
+    Lines end at ``\\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
+    stand unescaped inside a JSON string, and a ``\\r`` before the ``\\n`` is
     JSON whitespace."""
-    for line_no, line in enumerate(read_input(path).split("\n"), start=1):
-        if not line.strip(" \t\r"):
-            continue
-        try:
-            record = loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
-        if not isinstance(record, dict):
-            raise JsonlFormatError(f"{path}:{line_no}: expected an object")
-        for key in required:
-            if key not in record:
-                missing = ", ".join(repr(k) for k in required if k not in record)
-                raise JsonlFormatError(f"{path}:{line_no}: missing key(s) {missing}")
-        try:
-            item = parse(record)
-        except FallacyLabError as exc:
-            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
-        yield item
+    with open(path, "rb") as handle:
+        for line_no, data in enumerate(handle, start=1):
+            try:
+                line = data.decode("utf-8")
+                if not line.strip(" \t\r\n"):
+                    continue
+                try:
+                    record = loads(line)
+                except (ValueError, RecursionError):
+                    # Raised again by the line without its "\n", so that a
+                    # position at its end is named on this line, not the next.
+                    record = loads(line.removesuffix("\n"))
+                if not isinstance(record, dict):
+                    raise JsonlFormatError("expected an object")
+                for key in required:
+                    if key not in record:
+                        missing = ", ".join(repr(k) for k in required if k not in record)
+                        raise JsonlFormatError(f"missing key(s) {missing}")
+                item = parse(record)
+            except (ValueError, RecursionError, FallacyLabError) as exc:
+                read_input(path)  # raises first when any byte of the file is not UTF-8
+                raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
+            yield item
 
 
 def read_text(record: dict, key: str) -> str:

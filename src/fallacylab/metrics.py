@@ -37,7 +37,7 @@ _SOURCES = ("bench", "augmented", "benign")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkEntry:
     id: str
     sentence: str
@@ -58,7 +58,7 @@ class BenchmarkEntry:
         return self.source != "benign"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     entry_id: str
     logic_error: bool
@@ -70,9 +70,8 @@ class Prediction:
     @classmethod
     def from_verdict(cls, entry_id: str, verdict: JudgeVerdict) -> Prediction:
         """The prediction a judge verdict makes for an entry.  A verdict's
-        labels were checked when it was built, so the fields are set as a
-        frozen dataclass's ``__init__`` sets them, without ``__post_init__``
-        (filling ``vars(prediction)`` would give each one a dict of its own)."""
+        labels were checked when it was built, so the slots are filled as a
+        frozen dataclass's ``__init__`` fills them, without ``__post_init__``."""
         prediction = object.__new__(cls)
         object.__setattr__(prediction, "entry_id", entry_id)
         object.__setattr__(prediction, "logic_error", verdict.logic_error)
@@ -319,12 +318,16 @@ class ScoreStats:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("method", "code", "score", "count"))
-        writer.writerows(
-            (method, code.value, score, count)
-            for (method, code, score), count in sorted(
-                self.histogram.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
-            )
-        )
+        for (method, code, score), count in sorted(
+            self.histogram.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
+        ):
+            if "\r" in method:
+                # Quoted as Python 3.13's writer quotes it; 3.10-3.12 quote
+                # only the characters of the line terminator.
+                out.write('"' + method.replace('"', '""') + '",')
+                writer.writerow((code.value, score, count))
+            else:
+                writer.writerow((method, code.value, score, count))
         return out.getvalue()
 
     def means_table(self) -> str:

@@ -15,7 +15,8 @@ distinct fingerprints among them and the fingerprints it actually hashed
 in its last run (a score's three requests share one hash).
 ``load s`` is the best of ``--repeat`` times of decoding the command's
 cassette and input file by themselves, the share of ``s`` its JSON Lines
-reads take.
+reads take.  ``peak MB`` is the command's tracemalloc peak, the most memory
+its Python objects held at once, measured in one more run that is not timed.
 It exits 1 if the scores or predictions differ from the replies'
 by-construction values.  The file name keeps pytest from collecting it.
 """
@@ -27,6 +28,7 @@ import io
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -125,25 +127,35 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(f"{args.sentences} sentences, {args.entries} entries, seed {args.seed}, "
               f"best of {args.repeat}")
-        print(f"{'command':<9}{'s':>8}{'load s':>8}{'requests':>10}{'distinct':>10}{'hashed':>8}")
+        print(f"{'command':<9}{'s':>8}{'load s':>8}{'requests':>10}{'distinct':>10}{'hashed':>8}"
+              f"{'peak MB':>9}")
         failed = False
         for name, command in commands.items():
             out = work / "out" / name
+            argv = [*command, "--mode", "replay", "--config", str(config),
+                    "--cassette", str(cassettes[name]), "--out", str(out)]
             best = float("inf")
             for _ in range(args.repeat):
                 with _counting_hashes() as hashed:
                     start = time.perf_counter()
-                    code = _run([*command, "--mode", "replay", "--config", str(config),
-                                 "--cassette", str(cassettes[name]), "--out", str(out)])
+                    code = _run(argv)
                     best = min(best, time.perf_counter() - start)
                 failed |= code != 0
+            tracemalloc.start()
+            try:
+                failed |= _run(argv) != 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             load = float("inf")
             for _ in range(args.repeat):
                 start = time.perf_counter()
                 loads[name]()
                 load = min(load, time.perf_counter() - start)
-            keys = [entry["fingerprint"] for entry in load_cassette(cassettes[name])]
-            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed[0]:>8}")
+            responses = load_cassette(cassettes[name])
+            requests = sum(map(len, responses.values()))
+            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{requests:>10}{len(responses):>10}{hashed[0]:>8}"
+                  f"{peak / 2**20:>9.1f}")
 
         got = [(r["id"], r["code"], r["scores"]) for r in read_jsonl(work / "out/score/scores.jsonl")]
         if got != [(rid, code, [replies.score_of(s)] * 3) for rid, s, code in rows]:

@@ -527,8 +527,8 @@ def _score_histogram(runner, out, tag):
         return list(csv.reader(handle))
 
 
-@pytest.mark.parametrize("tag", ["smarty,pat", '"pat" run', "two\nlines"],
-                         ids=["comma", "quote", "line-break"])
+@pytest.mark.parametrize("tag", ["smarty,pat", '"pat" run', "two\nlines", "a\rb"],
+                         ids=["comma", "quote", "line-break", "carriage-return"])
 def test_score_histogram_reads_back_any_method_tag(runner, tmp_path, tag):
     plain = _score_histogram(runner, tmp_path / "plain", "generated")
     rows = _score_histogram(runner, tmp_path / "tagged", tag)
@@ -703,7 +703,7 @@ def _unusable_twice(command, tmp):
                  lambda gateway: gateway.judge_sentence(_SENTENCE), ["not json", "not json"]),
         "generate": ("gen-model", ["--code", "AF", "--n", 5],
                      lambda gateway: generate_bundle(FallacyCode.AF, 5, gateway),
-                     [load_cassette(DATA_DIR / "cassette_generate_af.jsonl")[0]["response"],
+                     [next(iter(load_cassette(DATA_DIR / "cassette_generate_af.jsonl").values()))[0],
                       "only one line", "only one line"]),
     }[command]
     provider = FakeProvider(replies, model_name=model)
@@ -823,6 +823,35 @@ def _bad_parallelism(command, value):
             [command, *inputs, "--mode", "record", "--cassette", tmp / "c.jsonl",
              "--out", tmp / "out", "--config", config],
             [f"{config}:2: evaluator.parallelism must be a positive integer, got {value!r}"],
+        )
+
+    return case
+
+
+#: A line each JSON Lines input accepts, with a ``%d`` in its id or key.
+_VALID_LINES = {
+    "sentences": '{"id": "s%d", "sentence": "x", "labels": ["AF"]}',
+    "benchmark": '{"id": "b%d", "sentence": "x", "labels": ["AF"], "source": "bench"}',
+    "predictions": '{"id": "b%d", "logic_error": true, "labels": ["AF"]}',
+    "cassette": '{"fingerprint": "f%d", "response": "3"}',
+}
+
+
+def _not_utf8_after(kind, head, gap):
+    """A command whose ``kind`` input opens with the lines ``head`` and holds
+    a byte that is not UTF-8 ``gap`` lines after the last of them, valid
+    lines between.  The whole file is decoded before a line's error is
+    raised, so that byte is the error, at its own line and byte."""
+
+    def case(tmp):
+        path = tmp / f"{kind}.jsonl"
+        between = [_VALID_LINES[kind] % n for n in range(len(head), len(head) + gap - 1)]
+        path.write_bytes("".join(f"{line}\n" for line in [*head, *between]).encode()
+                         + b'{"id": "\xff"}\n')
+        line_no = len(head) + gap
+        return (
+            [path if arg is None else arg for arg in dict(_JSONL_INPUTS)[kind](tmp)],
+            [f"{path}:{line_no}: not UTF-8 text: byte 0xff at byte 9 of the line (invalid start byte)\n"],
         )
 
     return case
@@ -1013,6 +1042,22 @@ BAD_INPUTS = {
     "config-not-utf8": _not_utf8("run.cfg", lambda tmp: [
         "score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "replay",
         "--cassette", DATA_DIR / "cassette_score.jsonl", "--config", None, "--out", tmp / "out"]),
+    # Read a line at a time, a JSON Lines input still reports a byte that is
+    # not UTF-8 before any line's error, however far down the file it is.
+    **{
+        f"{kind}-{name}-then-not-utf8": _not_utf8_after(kind, head, gap)
+        for kind, missing_key in [
+            ("sentences", '{"id": "s0"}'), ("benchmark", '{"id": "b0", "labels": ["AF"]}'),
+            ("predictions", '{"id": "b0", "labels": []}'), ("cassette", '{"response": "3"}'),
+        ]
+        for name, head, gap in [
+            ("bad-json", ['{"id": '], 40),
+            ("missing-key", [missing_key], 40),
+            ("repeated-id", [_VALID_LINES[kind] % 0] * 2, 40),
+            ("valid-line", [_VALID_LINES[kind] % 0], 1),
+        ]
+        if name != "repeated-id" or kind in ("benchmark", "predictions")
+    },
     "benchmark-unknown-label": lambda tmp: (
         ["eval", "--benchmark", _write(tmp / "b.jsonl", '{"id": "s0", "sentence": "x", "labels": ["ZZ"]}\n'),
          "--predictions", DATA_DIR / "predictions_small.jsonl", "--out", tmp / "out"],
@@ -1398,7 +1443,7 @@ def test_record_runs_on_the_standard_library_and_closes_its_connection(tmp_path,
     assert done.stderr == ""
     assert len(chat_server.arrivals) == 6
     assert chat_server.opened == 1
-    assert len(load_cassette(tmp_path / "c.jsonl")) == 6
+    assert sum(map(len, load_cassette(tmp_path / "c.jsonl").values())) == 6
 
 
 @pytest.mark.parametrize("command", ["score", "eval"])

@@ -279,17 +279,22 @@ def test_fingerprint_memo_keeps_equal_temperatures_apart(temperatures):
 
 def test_replay_pops_fifo_per_fingerprint(tmp_path):
     path = tmp_path / "tape.jsonl"
-    key = fingerprint("m", 0.0, "p")
+    key, other = fingerprint("m", 0.0, "p"), fingerprint("m", 0.0, "q")
     write_cassette(
         path,
         [
             {"fingerprint": key, "response": "first"},
+            {"fingerprint": other, "response": "q first"},
             {"fingerprint": key, "response": "second"},
+            {"fingerprint": key, "response": "third"},
         ],
     )
+    assert load_cassette(path) == {key: ["first", "second", "third"], other: ["q first"]}
     provider = ReplayProvider(path, model_name="m")
     assert provider.complete("p", temperature=0.0) == "first"
     assert provider.complete("p", temperature=0.0) == "second"
+    assert provider.complete("q", temperature=0.0) == "q first"
+    assert provider.complete("p", temperature=0.0) == "third"
     with pytest.raises(ReplayMissError):
         provider.complete("p", temperature=0.0)
 
@@ -299,7 +304,7 @@ def test_record_then_replay_round_trip(tmp_path):
     recorder = RecordingProvider(FakeProvider(["pong"], model_name="m"), path)
     assert recorder.complete("ping", temperature=0.5) == "pong"
     recorder.save()
-    assert len(load_cassette(path)) == 1
+    assert load_cassette(path) == {fingerprint("m", 0.5, "ping"): ["pong"]}
     replay = ReplayProvider(path, model_name="m")
     assert replay.complete("ping", temperature=0.5) == "pong"
 
@@ -1094,7 +1099,7 @@ _VERDICT = '{"sentence": "s", "logic_error": "yes", "logic_fallacies": ["WD"], "
         # the second of three scores misses once: four requests, one prompt
         ("score", ["2", "no digit", "3", "1"], [""] * 4, ScoreTriple("s", _WD, (2, 3, 1))),
         ("score", ["2", "no digit", "none"], [""] * 3, ScoreParseError),
-        ("judge", ["not json", _VERDICT], [""] * 2, JudgeVerdict("s", True, (_WD,), "")),
+        ("judge", ["not json", _VERDICT], [""] * 2, JudgeVerdict(True, (_WD,))),
         ("judge", ["not json", '{"logic_error": "maybe"}'], [""] * 2, JudgeJsonError),
     ],
     ids=["transform-bad-then-good", "transform-bad-twice", "score-bad-then-good",

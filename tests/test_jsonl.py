@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fallacylab import jsonl
-from fallacylab.jsonl import encode_canonical, loads, read_jsonl, write_jsonl
+from fallacylab.errors import FallacyLabError, JsonlFormatError
+from fallacylab.jsonl import encode_canonical, loads, read_input, read_jsonl, write_jsonl
 
 # Non-ASCII, control characters, lone surrogates, quotes and backslashes,
 # besides whatever else hypothesis draws.
@@ -119,3 +120,68 @@ def test_only_json_whitespace_makes_a_blank_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('\n \t\r\n{"a": 1}\r\n\t\n{"a": 2}\n\r', encoding="utf-8")
     assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
+
+
+def _read_whole(path, required, parse):
+    """``read_jsonl`` as it reads a file decoded whole and split at ``\\n``:
+    the oracle of the streaming reader's records and errors."""
+    for line_no, line in enumerate(read_input(path).split("\n"), start=1):
+        if not line.strip(" \t\r"):
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
+        if not isinstance(record, dict):
+            raise JsonlFormatError(f"{path}:{line_no}: expected an object")
+        for key in required:
+            if key not in record:
+                missing = ", ".join(repr(k) for k in required if k not in record)
+                raise JsonlFormatError(f"{path}:{line_no}: missing key(s) {missing}")
+        try:
+            item = parse(record)
+        except FallacyLabError as exc:
+            raise JsonlFormatError(f"{path}:{line_no}: {exc}") from None
+        yield item
+
+
+def _small(record):
+    if len(record) > 2:
+        raise JsonlFormatError("more than two keys")
+    return record
+
+
+_LINES = st.one_of(
+    _documents().map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.sampled_from([
+        b'{"a": 1}', b'{"a": 1, "b": 2, "c": 3}', b'{"b": 2}', b"[1]", b"", b" \t\r",
+        b'{"a": 1', b'{"a": "\xe2\x82\xac"}', b"\xff", b'{"a": "\xe2\x82"}', b'{"a": 1}\r',
+    ]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=6), st.sampled_from([b"", b"\n"]),
+       st.sampled_from([(), ("a",)]), st.sampled_from([dict, _small]))
+def test_read_jsonl_reads_as_the_whole_file_decoded_first(
+    tmp_path_factory, lines, end, required, parse
+):
+    # Records, errors and which error comes first: a byte that is not UTF-8
+    # anywhere in the file before any line's own error.
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    path.write_bytes(b"\n".join(lines) + end)
+    assert _outcome(lambda p: list(read_jsonl(p, required, parse)), path) == _outcome(
+        lambda p: list(_read_whole(p, required, parse)), path
+    )
+
+
+@pytest.mark.parametrize("line", ['{"a": 1', '{"a": ', "[1, ", "{", '"ab', '{"a": 1\r'])
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "end-of-file"])
+def test_a_bad_line_is_reported_as_the_line_without_its_newline(tmp_path, line, end):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 0}\n' + line + end, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    with pytest.raises(JsonlFormatError) as raised:
+        list(read_jsonl(path))
+    assert str(raised.value) == f"{path}:2: {expected.value}"
