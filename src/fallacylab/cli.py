@@ -167,10 +167,22 @@ def parse_config(
 def _provider(run: RunConfig, which: str) -> Iterator[Provider]:
     """The command's provider.  A recording's cassette is saved when the
     block succeeds; a live provider's connections are closed when the block
-    ends, either way."""
+    ends, either way.  A replayed cassette is read to its end and checked
+    when the block ends, also before an exception from it propagates, so a
+    bad line or byte anywhere in the file is the error reported, as when
+    the file is read first; it is closed on every path."""
     provider_cfg = run.generator if which == "generator" else run.evaluator
     if run.mode == "replay":
-        yield ReplayProvider(run.cassette, model_name=provider_cfg.model_name)
+        replay = ReplayProvider(run.cassette, model_name=provider_cfg.model_name)
+        try:
+            yield replay
+        except Exception:
+            replay.finish()
+            raise
+        else:
+            replay.finish()
+        finally:
+            replay.close()
         return
     live = HttpProvider(provider_cfg)
     try:
@@ -309,6 +321,13 @@ def generate(code_text, n, mode, cassette, config_path, out_dir) -> None:
 @_exit_codes
 def score(sentences_path, method_tag, mode, cassette, config_path, out_dir) -> None:
     """Triple-score labeled sentences and summarize per-code means."""
+    if (not method_tag or not method_tag.isprintable()
+            or method_tag.strip(" ") != method_tag or "  " in method_tag):
+        # The summary table separates its columns by two spaces, a row per line.
+        raise ValueError(
+            f"--method-tag {method_tag!r} must be printable text with no leading, "
+            "trailing or repeated space"
+        )
     rows = load_sentences(sentences_path)
     run = _resolve_run(config_path, mode, cassette)
     with _provider(run, "evaluator") as provider:

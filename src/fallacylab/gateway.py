@@ -20,9 +20,7 @@ A one-entry memo hands a score's three identical requests one key.
 from __future__ import annotations
 
 import datetime
-import email.utils
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -33,7 +31,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 from .errors import (
     CountMismatchError,
@@ -269,6 +267,8 @@ def _head_state(model: str, lead: str):
     """The sha256 state of a request's canonical JSON text up to the end of
     ``lead`` in its prompt.  Callers copy it and never update it, so threads
     may share it."""
+    import hashlib  # here, run once per model and lead: it loads OpenSSL
+
     text = '{"model": ' + encode_canonical(model) + ', "prompt": ' + _escape(lead)[:-1]
     return hashlib.sha256(text.encode())
 
@@ -397,6 +397,8 @@ def _retry_after(response) -> int:
             return int(text)
         except ValueError:
             return 0
+    import email.utils  # here: it loads the email package and socket
+
     try:
         when = email.utils.parsedate_to_datetime(text)
     except (TypeError, ValueError, OverflowError):
@@ -425,27 +427,52 @@ def _chat_content(response) -> str:
 class ReplayProvider:
     """Serves recorded responses; an unmatched request is an error.
 
-    The cassette is held as :func:`load_cassette` reads it, one list of
-    responses per fingerprint, each list reversed once so that a request
-    takes its key's next response from the end."""
+    The cassette is opened when the provider is built and read as requests
+    arrive, through :func:`load_cassette`'s stream: a request takes the
+    first entry of its fingerprint not yet served.  Entries read past on the
+    way wait in one first-in first-out list per fingerprint; a cassette read
+    in the order it was recorded leaves every list empty, so only the entry
+    in flight is held.  A request no entry matches reads the file to its
+    end.  Requests are served one at a time, from one thread.
+
+    :meth:`finish` reads and checks the rest of the file, so a bad line or
+    byte anywhere fails the command as if the file had been read first;
+    :meth:`close` closes it."""
 
     def __init__(self, cassette_path: str | Path, *, model_name: str = "unspecified"):
         self.model_name = model_name
         self.request_count = 0
-        self._queues = load_cassette(cassette_path)
-        for queue in self._queues.values():
-            queue.reverse()
+        self._entries = load_cassette(cassette_path)
+        self._waiting: dict[str, list[str]] = {}
 
     def complete(self, prompt: str, *, temperature: float) -> str:
         key = fingerprint(self.model_name, temperature, prompt)
         self.request_count += 1
-        queue = self._queues.get(key)
-        if not queue:
-            raise ReplayMissError(
-                f"no recorded response for fingerprint {key[:12]}... "
-                f"(prompt starts: {prompt[:60]!r})"
-            )
-        return queue.pop()
+        waiting = self._waiting
+        if waiting:
+            queue = waiting.get(key)
+            if queue:
+                response = queue.pop(0)
+                if not queue:
+                    del waiting[key]
+                return response
+        for entry_key, response in self._entries:
+            if entry_key == key:
+                return response
+            waiting.setdefault(entry_key, []).append(response)
+        raise ReplayMissError(
+            f"no recorded response for fingerprint {key[:12]}... "
+            f"(prompt starts: {prompt[:60]!r})"
+        )
+
+    def finish(self) -> None:
+        """Read the rest of the cassette, raising its first error."""
+        for _ in self._entries:
+            pass
+
+    def close(self) -> None:
+        """Close the cassette, read to its end or not."""
+        self._entries.close()
 
 
 class RecordingProvider:
@@ -486,18 +513,12 @@ class RecordingProvider:
         write_cassette(self.path, self._entries)
 
 
-def load_cassette(path: str | Path) -> dict[str, list[str]]:
-    """Each fingerprint of the cassette with its responses in recorded order.
-
-    The lines stream into the lists: no record outlives its line."""
-    responses: dict[str, list[str]] = {}
-    for key, response in read_jsonl(path, ("fingerprint", "response"), _cassette_entry):
-        queue = responses.get(key)
-        if queue is None:
-            responses[key] = [response]
-        else:
-            queue.append(response)
-    return responses
+def load_cassette(path: str | Path) -> Iterator[tuple[str, str]]:
+    """The cassette's ``(fingerprint, response)`` entries in recorded order,
+    a line at a time.  The file is opened by this call and closed when the
+    entries run out, a line fails or the stream is closed; no record
+    outlives its line."""
+    return read_jsonl(path, ("fingerprint", "response"), _cassette_entry)
 
 
 def _cassette_entry(record: dict) -> tuple[str, str]:

@@ -12,11 +12,14 @@ that same call in three Python ones.  A blank line holds JSON whitespace only
 that is not UTF-8 anywhere in the file takes precedence over any line's
 error, as when the whole file was decoded first.  Records are written
 through one C encoder built at import, where ``JSONEncoder.encode`` builds a
-new one per call; its text is ``encode_canonical``'s."""
+new one per call; its text is ``encode_canonical``'s.  They are encoded and
+written a batch at a time, so a writer holds one batch's text, never the
+file's."""
 from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -85,15 +88,27 @@ def read_jsonl(
     included), lacks a ``required`` key, or that ``parse`` rejects with a
     package error raises JsonlFormatError naming ``path:line``.
 
-    The file is read a line at a time and each line decoded as UTF-8 on its
-    own.  Before any line's error is raised, :func:`read_input` decodes the
-    whole file, so a byte that is not UTF-8, even lines later, is the error
-    reported, with its line and byte.
+    The file is opened by this call, so a missing file fails here, and
+    closed when the records run out, a line fails, or the iterator is
+    closed.  It is read a line at a time and each line decoded as UTF-8 on
+    its own.  Before any line's error is raised, :func:`read_input` decodes
+    the whole file, so a byte that is not UTF-8, even lines later, is the
+    error reported, with its line and byte.
 
     Lines end at ``\\n`` only, as in JSON Lines: U+0085, U+2028 and U+2029 may
     stand unescaped inside a JSON string, and a ``\\r`` before the ``\\n`` is
     JSON whitespace."""
+    records = _records(path, required, parse)
+    next(records)  # opens the file
+    return records
+
+
+def _records(path, required, parse):
+    """:func:`read_jsonl`'s records, after one empty yield that it takes: the
+    file is then open, and the ``with`` closes it however the generator
+    ends, closed before its first record included."""
     with open(path, "rb") as handle:
+        yield
         for line_no, data in enumerate(handle, start=1):
             try:
                 line = data.decode("utf-8")
@@ -149,21 +164,39 @@ def read_labels(record: dict) -> tuple[FallacyCode, ...]:
     return tuple(parse_code(label) for label in labels)
 
 
+#: Records encoded into one string and written at once by :func:`write_jsonl`.
+_BATCH = 1000
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    if _encode_record is None:
-        write_atomic(path, "".join(encode_canonical(r) + "\n" for r in records))
-    else:
-        write_atomic(path, "".join(["".join(_encode_record(r, 0)) + "\n" for r in records]))
+    """Write one canonical line per record with :func:`write_atomic`.  The
+    records are encoded and written about a thousand at a time, so no more
+    than a batch of their text is held at once."""
+    write_atomic(path, _encoded(iter(records)))
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 so that ``path`` holds either its
-    previous bytes (or stays absent) or all of ``text``, never a part.
+def _encoded(records: Iterator[dict]) -> Iterator[str]:
+    """The text of each next :data:`_BATCH` records, until none is left."""
+    while True:
+        if _encode_record is None:
+            lines = [encode_canonical(r) + "\n" for r in islice(records, _BATCH)]
+        else:
+            lines = ["".join(_encode_record(r, 0)) + "\n" for r in islice(records, _BATCH)]
+        if not lines:
+            return
+        yield "".join(lines)
 
-    The text goes to a new temporary file in the target's directory, which
-    ``os.replace`` then renames over the target; an exception on the way
-    removes the temporary file.  This guards against the process dying
-    mid-write, not against power loss: nothing is fsynced.
+
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or the strings of an iterable one after
+    another, to ``path`` as UTF-8 so that ``path`` holds either its previous
+    bytes (or stays absent) or all of ``text``, never a part.
+
+    The text goes to a new temporary file in the target's directory, each
+    string as it comes, and ``os.replace`` then renames that file over the
+    target; an exception on the way, raised by the iterable too, removes
+    the temporary file.  This guards against the process dying mid-write,
+    not against power loss: nothing is fsynced.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -172,7 +205,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     handle = open(temp, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

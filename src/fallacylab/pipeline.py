@@ -224,10 +224,12 @@ def write_scores(
 def judge_benchmark(
     entries: Sequence[BenchmarkEntry], gateway: Gateway, parallelism: int = 1
 ) -> list[Prediction]:
-    verdicts = _map_in_order(
-        lambda entry: gateway.judge_sentence(entry.sentence), entries, gateway, parallelism
-    )
-    return [Prediction.from_verdict(entry.id, v) for entry, v in zip(entries, verdicts)]
+    """The prediction of each entry, in order, each built as its verdict
+    returns."""
+    def judge(entry):
+        return Prediction.from_verdict(entry.id, gateway.judge_sentence(entry.sentence))
+
+    return _map_in_order(judge, entries, gateway, parallelism)
 
 
 def write_report(

@@ -14,9 +14,10 @@ entries (a quarter benign) with the benchmark's seeded input generator
 distinct fingerprints among them and the fingerprints it actually hashed
 in its last run (a score's three requests share one hash).
 ``load s`` is the best of ``--repeat`` times of decoding the command's
-cassette and input file by themselves, the share of ``s`` its JSON Lines
-reads take.  ``peak MB`` is the command's tracemalloc peak, the most memory
-its Python objects held at once, measured in one more run that is not timed.
+cassette (reading :func:`gateway.load_cassette`'s stream to its end) and
+input file by themselves, the share of ``s`` its JSON Lines reads take.
+``peak KB`` is the command's tracemalloc peak, the most memory its Python
+objects held at once, measured in one more run that is not timed.
 It exits 1 if the scores or predictions differ from the replies'
 by-construction values.  The file name keeps pytest from collecting it.
 """
@@ -122,13 +123,13 @@ def main(argv: list[str] | None = None) -> int:
             "eval": ["eval", "--benchmark", str(benchmark)],
         }
         loads = {
-            "score": lambda: (load_cassette(cassettes["score"]), load_sentences(sentences)),
-            "eval": lambda: (load_cassette(cassettes["eval"]), load_benchmark(benchmark)),
+            "score": lambda: (list(load_cassette(cassettes["score"])), load_sentences(sentences)),
+            "eval": lambda: (list(load_cassette(cassettes["eval"])), load_benchmark(benchmark)),
         }
         print(f"{args.sentences} sentences, {args.entries} entries, seed {args.seed}, "
               f"best of {args.repeat}")
         print(f"{'command':<9}{'s':>8}{'load s':>8}{'requests':>10}{'distinct':>10}{'hashed':>8}"
-              f"{'peak MB':>9}")
+              f"{'peak KB':>9}")
         failed = False
         for name, command in commands.items():
             out = work / "out" / name
@@ -152,10 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                 start = time.perf_counter()
                 loads[name]()
                 load = min(load, time.perf_counter() - start)
-            responses = load_cassette(cassettes[name])
-            requests = sum(map(len, responses.values()))
-            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{requests:>10}{len(responses):>10}{hashed[0]:>8}"
-                  f"{peak / 2**20:>9.1f}")
+            keys = [key for key, _ in load_cassette(cassettes[name])]
+            print(f"{name:<9}{best:>8.3f}{load:>8.3f}{len(keys):>10}{len(set(keys)):>10}{hashed[0]:>8}"
+                  f"{peak / 2**10:>9.1f}")
 
         got = [(r["id"], r["code"], r["scores"]) for r in read_jsonl(work / "out/score/scores.jsonl")]
         if got != [(rid, code, [replies.score_of(s)] * 3) for rid, s, code in rows]:

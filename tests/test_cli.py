@@ -527,8 +527,7 @@ def _score_histogram(runner, out, tag):
         return list(csv.reader(handle))
 
 
-@pytest.mark.parametrize("tag", ["smarty,pat", '"pat" run', "two\nlines", "a\rb"],
-                         ids=["comma", "quote", "line-break", "carriage-return"])
+@pytest.mark.parametrize("tag", ["smarty,pat", '"pat" run'], ids=["comma", "quote"])
 def test_score_histogram_reads_back_any_method_tag(runner, tmp_path, tag):
     plain = _score_histogram(runner, tmp_path / "plain", "generated")
     rows = _score_histogram(runner, tmp_path / "tagged", tag)
@@ -703,7 +702,7 @@ def _unusable_twice(command, tmp):
                  lambda gateway: gateway.judge_sentence(_SENTENCE), ["not json", "not json"]),
         "generate": ("gen-model", ["--code", "AF", "--n", 5],
                      lambda gateway: generate_bundle(FallacyCode.AF, 5, gateway),
-                     [next(iter(load_cassette(DATA_DIR / "cassette_generate_af.jsonl").values()))[0],
+                     [next(load_cassette(DATA_DIR / "cassette_generate_af.jsonl"))[1],
                       "only one line", "only one line"]),
     }[command]
     provider = FakeProvider(replies, model_name=model)
@@ -730,6 +729,75 @@ def test_a_reply_unusable_twice_exits_two_with_its_error_line(runner, tmp_path, 
     assert result.exit_code == 2
     assert result.stdout == ""
     assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [error]
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# a replayed cassette, read as requests arrive
+# ---------------------------------------------------------------------------
+
+#: A line that is not JSON, and one that is not UTF-8, with the error each
+#: names after its ``path:line: ``.
+_BAD_CASSETTE_LINES = {
+    "bad-json": (b'{"fingerprint": \n', "Expecting value: line 1 column 17 (char 16)"),
+    "not-utf8": (b'{"id": "\xff"}\n', "not UTF-8 text: byte 0xff at byte 9 of the line "
+                                         "(invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("line", _BAD_CASSETTE_LINES)
+@pytest.mark.parametrize("command, inputs, cassette", [
+    ("score", ["--sentences", DATA_DIR / "sentences_small.jsonl"], "cassette_score.jsonl"),
+    ("eval", ["--benchmark", DATA_DIR / "benchmark_small.jsonl"], "cassette_eval.jsonl"),
+])
+def test_a_bad_cassette_line_after_the_last_request_fails_the_command(
+    runner, tmp_path, command, inputs, cassette, line
+):
+    # Every request is served before the bad line is read; it fails the
+    # command all the same, as when the whole file is read first.
+    data, message = _BAD_CASSETTE_LINES[line]
+    recorded = (DATA_DIR / cassette).read_bytes()
+    path = tmp_path / "cassette.jsonl"
+    path.write_bytes(recorded + data)
+    line_no = recorded.count(b"\n") + 1
+    result = run(runner, command, *inputs, *_replay_args(path, tmp_path / "out"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}:{line_no}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", _BAD_CASSETTE_LINES)
+@pytest.mark.parametrize("command", ["score", "eval", "generate"])
+def test_a_bad_cassette_line_after_a_reply_unusable_twice_is_the_error(
+    runner, tmp_path, command, line
+):
+    args, cassette = _unusable_twice(command, tmp_path)
+    recorded = cassette.read_bytes()
+    data, message = _BAD_CASSETTE_LINES[line]
+    cassette.write_bytes(recorded + data)
+    line_no = recorded.count(b"\n") + 1
+    result = run(runner, command, *args, *_replay_args(cassette, tmp_path / "out"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        f"error: {cassette}:{line_no}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sentences, error", [
+    ("sentences_small.jsonl", "error: [Errno 2] No such file or directory: '{cassette}'\n"),
+    (None, "error: {sentences}:1: expected an object\n"),
+], ids=["cassette-missing", "sentences-read-first"])
+def test_a_missing_cassette_fails_when_the_provider_is_built(runner, tmp_path, sentences, error):
+    # The inputs are read first, then the cassette is opened, before any request.
+    sentences = DATA_DIR / sentences if sentences else _write(tmp_path / "s.jsonl", "[1]\n")
+    cassette = tmp_path / "missing.jsonl"
+    result = run(runner, "score", "--sentences", sentences,
+                 *_replay_args(cassette, tmp_path / "out"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == error.format(cassette=cassette, sentences=sentences)
     assert not (tmp_path / "out").exists()
 
 
@@ -878,6 +946,22 @@ BAD_INPUTS = {
          *_replay_args(DATA_DIR / "cassette_score.jsonl", tmp / "out")],
         [f"{tmp / 's.jsonl'}:1"],
     ),
+    # The summary table prints a tag as it is, one row a line and its columns
+    # two spaces apart: a tag it cannot show is refused before any input is
+    # read (the sentences here are bad, the cassette missing).
+    **{
+        f"score-method-tag-{name}": lambda tmp, tag=tag: (
+            ["score", "--sentences", _write(tmp / "s.jsonl", "[1]\n"), "--method-tag", tag,
+             *_replay_args(tmp / "missing.jsonl", tmp / "out")],
+            [f"error: --method-tag {tag!r} must be printable text with no leading, "
+             "trailing or repeated space\n"],
+        )
+        for name, tag in [
+            ("empty", ""), ("only-space", " "), ("line-break", "two\nlines"),
+            ("carriage-return", "a\rb"), ("tab", "a\tb"), ("no-break-space", "a\xa0b"),
+            ("leading-space", " pat"), ("trailing-space", "pat "), ("two-spaces", "smarty  pat"),
+        ]
+    },
     "cassette-line-without-fingerprint": lambda tmp: (
         ["score", "--sentences", DATA_DIR / "sentences_small.jsonl",
          *_replay_args(_write(tmp / "c.jsonl", '{"response": "3"}\n'), tmp / "out")],
@@ -1443,7 +1527,21 @@ def test_record_runs_on_the_standard_library_and_closes_its_connection(tmp_path,
     assert done.stderr == ""
     assert len(chat_server.arrivals) == 6
     assert chat_server.opened == 1
-    assert sum(map(len, load_cassette(tmp_path / "c.jsonl").values())) == 6
+    assert len(list(load_cassette(tmp_path / "c.jsonl"))) == 6
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_email():
+    # A fresh interpreter: hashlib loads OpenSSL's libcrypto and email.utils
+    # loads socket, though a command needs them only for a cassette key or
+    # a Retry-After date.
+    src = Path(fallacylab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, fallacylab.cli; print(sorted("
+         "name for name in ('hashlib', '_hashlib', 'email', 'socket') if name in sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("command", ["score", "eval"])

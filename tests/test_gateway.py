@@ -289,7 +289,8 @@ def test_replay_pops_fifo_per_fingerprint(tmp_path):
             {"fingerprint": key, "response": "third"},
         ],
     )
-    assert load_cassette(path) == {key: ["first", "second", "third"], other: ["q first"]}
+    assert list(load_cassette(path)) == [
+        (key, "first"), (other, "q first"), (key, "second"), (key, "third")]
     provider = ReplayProvider(path, model_name="m")
     assert provider.complete("p", temperature=0.0) == "first"
     assert provider.complete("p", temperature=0.0) == "second"
@@ -297,6 +298,33 @@ def test_replay_pops_fifo_per_fingerprint(tmp_path):
     assert provider.complete("p", temperature=0.0) == "third"
     with pytest.raises(ReplayMissError):
         provider.complete("p", temperature=0.0)
+    provider.close()
+
+
+@pytest.mark.parametrize("order", ["recorded", "reversed", "interleaved"])
+def test_replay_serves_each_fingerprint_first_in_first_out_in_any_file_order(tmp_path, order):
+    # Requests p, p, q, p, r, q; an entry read past waits for its request.
+    recorded = [("p", "p1"), ("p", "p2"), ("q", "q1"), ("p", "p3"), ("r", "r1"), ("q", "q2")]
+    lines = {
+        "recorded": recorded,
+        "reversed": recorded[::-1],
+        "interleaved": [recorded[i] for i in (4, 0, 2, 5, 1, 3)],
+    }[order]
+    path = tmp_path / "tape.jsonl"
+    write_cassette(path, [{"fingerprint": fingerprint("m", 0.0, prompt), "response": response}
+                          for prompt, response in lines])
+    provider = ReplayProvider(path, model_name="m")
+    got = [provider.complete(prompt, temperature=0.0) for prompt, _ in recorded]
+    want = {
+        "recorded": ["p1", "p2", "q1", "p3", "r1", "q2"],
+        "reversed": ["p3", "p2", "q2", "p1", "r1", "q1"],
+        "interleaved": ["p1", "p2", "q1", "p3", "r1", "q2"],
+    }[order]
+    assert got == want
+    provider.finish()
+    with pytest.raises(ReplayMissError):
+        provider.complete("q", temperature=0.0)
+    provider.close()
 
 
 def test_record_then_replay_round_trip(tmp_path):
@@ -304,9 +332,10 @@ def test_record_then_replay_round_trip(tmp_path):
     recorder = RecordingProvider(FakeProvider(["pong"], model_name="m"), path)
     assert recorder.complete("ping", temperature=0.5) == "pong"
     recorder.save()
-    assert load_cassette(path) == {fingerprint("m", 0.5, "ping"): ["pong"]}
+    assert list(load_cassette(path)) == [(fingerprint("m", 0.5, "ping"), "pong")]
     replay = ReplayProvider(path, model_name="m")
     assert replay.complete("ping", temperature=0.5) == "pong"
+    replay.close()
 
 
 def test_build_cassettes_reproduces_committed_fixtures(tmp_path):

@@ -116,6 +116,45 @@ def test_write_jsonl_encodes_through_the_c_encoder_on_cpython():
     assert jsonl._encode_record is not None
 
 
+@pytest.mark.parametrize("count", [0, 1, 999, 1000, 1001, 2500])
+def test_write_jsonl_writes_a_thousand_records_at_a_time(tmp_path, count):
+    records = [{"id": f"r{i}", "n": i} for i in range(count)]
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, iter(records))
+    assert path.read_text(encoding="utf-8") == "".join(encode_canonical(r) + "\n" for r in records)
+    batches = [chunk.count("\n") for chunk in jsonl._encoded(iter(records))]
+    assert batches == [1000] * (count // 1000) + ([count % 1000] if count % 1000 else [])
+
+
+@pytest.mark.parametrize("previous", [True, False], ids=["overwrite", "fresh"])
+def test_write_jsonl_failing_part_way_leaves_no_part_behind(tmp_path, previous):
+    # Two batches are written to the temporary file before the records fail.
+    path = tmp_path / "records.jsonl"
+    if previous:
+        path.write_text("old\n", encoding="utf-8")
+
+    def records():
+        yield from ({"n": i} for i in range(2500))
+        raise ValueError("record 2500")
+
+    with pytest.raises(ValueError, match="record 2500"):
+        write_jsonl(path, records())
+    assert [p.name for p in tmp_path.iterdir()] == (["records.jsonl"] if previous else [])
+    if previous:
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+
+def test_read_jsonl_opens_the_file_when_called_and_closes_it_when_closed(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_jsonl(tmp_path / "missing.jsonl")
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n{"a": 2}\n', encoding="utf-8")
+    records = read_jsonl(path)
+    assert next(records) == {"a": 1}
+    records.close()  # closes the file, which would warn, an error here, if left open
+    assert list(records) == []
+
+
 def test_only_json_whitespace_makes_a_blank_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('\n \t\r\n{"a": 1}\r\n\t\n{"a": 2}\n\r', encoding="utf-8")

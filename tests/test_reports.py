@@ -10,13 +10,13 @@ import scale_report
 def test_replay_report_runs_score_and_eval(capsys):
     assert replay_report.main(["--sentences", "30", "--entries", "40", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "load s" in lines[1] and lines[1].endswith("peak MB")
+    assert "load s" in lines[1] and lines[1].endswith("peak KB")
     assert [line.split()[0] for line in lines[2:]] == ["score", "eval"]
     # Requests, distinct keys and keys hashed: a score's three requests
     # share one key, hashed once.
     counts = {line.split()[0]: [int(n) for n in line.split()[3:6]] for line in lines[2:]}
     assert counts == {"score": [90, 30, 30], "eval": [40, 40, 40]}
-    # The last column is each command's tracemalloc peak in MB.
+    # The last column is each command's tracemalloc peak in KB.
     assert all(float(line.split()[6]) > 0 for line in lines[2:])
     assert all(len(line.split()) == 7 for line in lines[2:])
 
