@@ -14,6 +14,7 @@ import functools
 import logging
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -28,7 +29,7 @@ from .gateway import (
     RecordingProvider,
     ReplayProvider,
 )
-from .jsonl import read_input
+from .jsonl import read_blocks, read_input
 from .kb import KnowledgeBase
 from .labels import parse_code
 from .metrics import build_report, load_benchmark, load_predictions
@@ -266,8 +267,8 @@ def main(verbose: bool) -> None:
 def validate(kb_path: str, code_text: str) -> None:
     """Check a fact file against a schema's predicate signatures."""
     code = parse_code(code_text)
-    statements = [item for item, _, _, _ in parse_statements(read_input(kb_path))]
-    report = validate_kb_against_schema(code, statements)
+    statements = parse_statements(read_blocks(kb_path))
+    report = validate_kb_against_schema(code, map(itemgetter(0), statements))
     click.echo(report.render(), file=sys.stdout)
     sys.exit(EXIT_OK if report.clean else EXIT_FINDINGS)
 
@@ -279,7 +280,7 @@ def validate(kb_path: str, code_text: str) -> None:
 def derive(code_text: str, kb_path: str | None) -> None:
     """Print derived fallacy tuples, one per line in canonical syntax."""
     code = parse_code(code_text)
-    kb = KnowledgeBase.from_text(read_input(kb_path)) if kb_path else load_seed(code)
+    kb = KnowledgeBase.from_text(read_blocks(kb_path)) if kb_path else load_seed(code)
     tuples = derive_instances(code, kb)
     note = ordering_diagnostic(code, kb, tuples)
     click.echo("".join(f"{t.render()}\n" for t in tuples), file=sys.stdout, nl=False)

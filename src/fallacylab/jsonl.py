@@ -4,17 +4,20 @@ line ending in ``\\n``.  Also the one reader every input file goes through,
 so bytes that are not UTF-8 are reported at their file and line, and the one
 writer every output file goes through, so none is ever left half-written.
 
-An input is read a line at a time, so a reader holds one line's bytes and
-text, never the file's.  Each line, and each judge reply, is decoded by
-:func:`loads`: one call of a C scanner built once, where ``json.loads`` wraps
-that same call in three Python ones.  A blank line holds JSON whitespace only
-(spaces, tabs and a ``\\r``); any other line is a record or an error.  A byte
-that is not UTF-8 anywhere in the file takes precedence over any line's
-error, as when the whole file was decoded first.  Records are written
-through one C encoder built at import, where ``JSONEncoder.encode`` builds a
-new one per call; its text is ``encode_canonical``'s.  They are encoded and
-written a batch at a time, so a writer holds one batch's text, never the
-file's."""
+A JSON Lines input is read a line at a time, so a reader holds one line's
+bytes and text, never the file's.  A fact file is read a block at a time by
+:func:`read_blocks`: about 64 KiB of bytes, cut after their last ``\\n`` and
+decoded, the cut-off rest carried into the next block, so the parser reading
+it holds one block, never the file.  Each JSON line, and each judge reply,
+is decoded by :func:`loads`: one call of a C scanner built once, where
+``json.loads`` wraps that same call in three Python ones.  A blank line
+holds JSON whitespace only (spaces, tabs and a ``\\r``); any other line is
+a record or an error.  A byte that is not UTF-8 anywhere in the file takes
+precedence over any line's error, as when the whole file was decoded first.
+Records are written through one C encoder built at import, where
+``JSONEncoder.encode`` builds a new one per call; its text is
+``encode_canonical``'s.  They are encoded and written a batch at a time, so
+a writer holds one batch's text, never the file's."""
 from __future__ import annotations
 
 import json
@@ -77,6 +80,42 @@ def read_input(path: str | Path) -> str:
             f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} at byte "
             f"{column} of the line ({exc.reason})"
         ) from None
+
+
+#: Bytes :func:`read_blocks` reads at a time.
+_BLOCK = 1 << 16
+
+
+def read_blocks(path: str | Path) -> Iterator[str]:
+    """The text of an input file, decoded as UTF-8 about 64 KiB at a time,
+    each block ending after its last ``\\n``; a line longer than a block
+    stays whole in the next one, and the last block ends where the file
+    does.  A block whose bytes are not UTF-8 calls :func:`read_input`, which
+    raises the error of the file's first such byte.
+
+    UTF-8 puts no byte 0x0A inside a character, so a cut after ``\\n`` never
+    splits one, and ``str.splitlines`` of each block gives the lines of the
+    whole text.  The file is opened when the first block is asked for and
+    closed when the blocks run out or the iterator is closed."""
+    with open(path, "rb") as handle:
+        carry = b""
+        while data := handle.read(_BLOCK):
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                yield _decoded(carry + data[:cut], path)
+                carry = data[cut:]
+            else:
+                carry += data
+        if carry:
+            yield _decoded(carry, path)
+
+
+def _decoded(data: bytes, path: str | Path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        read_input(path)  # raises, at the file's first byte that is not UTF-8
+        raise
 
 
 def read_jsonl(

@@ -10,19 +10,22 @@ nothing but validation, the signature check and ``serialize``: the join runs
 over facts alone.
 
 A base is built once, by ``from_text``, and never changes after that.  It
-stores each flat fact line the parser yields under its key, building the
-argument tuple from the line's argument text with ``parser.flat_args``; one
-load keeps one ``Atom`` or ``Int`` per spelling, and no clause or head is
-built for such a line.  The few other facts come as clauses and are stored
-from their heads, whose arguments are atoms, integers or variables: a fact
-of arity 0, one that shares or spans lines, or one with a variable, which
-is a ParseError at its line.
+reads a string or a file's blocks through ``parser.parse_statements`` a
+clause at a time and stores each flat fact line the parser yields under its
+key, building the argument tuple from the line's argument text with
+``parser.flat_args``; one load keeps one ``Atom`` or ``Int`` per spelling,
+and no clause or head is built for such a line.  The few other facts come
+as clauses and are stored from their heads, whose arguments are atoms,
+integers or variables: a fact of arity 0, one that shares or spans lines,
+or one with a variable, which is a ParseError at its line.
 
 A base holds no index: a derivation reads its rows through a table of its
 own (``schemas.fact_table``), whose indexes ``engine.join`` and the recheck
 build there.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 from .engine import Clause, Term, arguments, indicator, is_ground
 from .errors import ParseError
@@ -45,20 +48,26 @@ class KnowledgeBase:
         self._groups: list[int] = []
 
     @classmethod
-    def from_text(cls, text: str) -> "KnowledgeBase":
-        """A base holding the text's clauses in order."""
+    def from_text(cls, text: str | Iterable[str]) -> "KnowledgeBase":
+        """A base holding the clauses of ``text``, a string or the blocks of
+        a file's text (``jsonl.read_blocks``), in order."""
         kb = cls()
         tables, rules = kb._tables, kb.rules
         keys, args, comments, groups = kb._fact_keys, kb._fact_args, kb._comments, kb._groups
         #: One term per spelling across the load.
         consts: dict[str, Term] = {}
-        for item, comment, group, line in parse_statements(text):
+        statements = parse_statements(text)
+        for item, comment, group, line in statements:
             if type(item) is tuple:
                 key, row = item[0], flat_args(item[1], consts)
             elif item.is_fact:
                 head = item.head
                 if not is_ground(head):
-                    raise ParseError(f"fact is not ground: {serialize_clause(item)}", line, 1)
+                    # Thrown into the stream, which raises it, or an error
+                    # further on in the text that ranks before it.
+                    statements.throw(
+                        ParseError(f"fact is not ground: {serialize_clause(item)}", line, 1)
+                    )
                 key, row = indicator(head), arguments(head)
             else:
                 rules.append(item)

@@ -16,32 +16,37 @@ The language is function-free: an argument, or an operand of ``\\=`` or
 ``@<``, written ``name(...)`` is a ParseError at the line and column of
 its name.
 
-Lines are those of ``str.splitlines``.  A line of spaces and tabs alone
-holds no token and is skipped before any pattern runs; any other line is
-scanned in one pass of a compiled master pattern (``_TOKEN``) with one named
-alternative per token kind, in the manner of the ``re`` module's "Writing a
-Tokenizer".  Tokens are plain ``(kind, value, line, column)`` tuples,
-columns 1-based; the same pass keeps each line's trailing comment.  The
-recursive-descent parser reads the token list by index.
+Input is read a line at a time, in one loop (``parse_statements``).  A
+string is one block; a file comes as the blocks of ``jsonl.read_blocks``,
+about 64 KiB each and each ending after a ``\\n``, so ``str.splitlines`` of
+each block gives the whole text's lines.  A line of spaces and tabs alone
+holds no token and is skipped before any pattern runs.
 
 Most lines of a fact file hold one flat fact, ``name(c1, ..., cn).``
 with an optional comment, every ``ci`` an atom or an integer.  Where a
-clause may start (no token yet, or the last one ends a clause), the scanner
-first tries one whole-line pattern (``_FLAT_FACT``) for such a line and, on
-a match, emits a single ``FACT`` token holding the fact's ``(name, arity)``,
-the text between its parentheses and its comment, which the parser takes as
-a whole clause.  In that pattern each repetition of the argument list opens
-with its comma, ``C(?:,C)*`` rather than ``(?:C,)*C``: the repetition tried
-after the last argument then fails at the ``)`` on its first character,
-where the other form would first take the last argument into it and give
-its characters back one at a time.  The arity is one more than the commas
-in the argument text, as no constant holds a comma.  Any other line, an
-all-digit functor or an integer too long for ``int`` included, goes through
-the master pattern, which rules and error positions still need.  A line
+clause may start (no clause is open), the loop first tries one whole-line
+pattern (``_FLAT_FACT``) for such a line and, on a match, yields the fact at
+once as its ``(name, arity)`` and the text between its parentheses, with its
+comment, building no token and no term.  In that pattern each repetition of
+the argument list opens with its comma, ``C(?:,C)*`` rather than
+``(?:C,)*C``: the repetition tried after the last argument then fails at the
+``)`` on its first character, where the other form would first take the
+last argument into it and give its characters back one at a time.  The
+arity is one more than the commas in the argument text, as no constant holds
+a comma.  The flat fact lines of one call share their predicate keys, one
+``(name, arity)`` per predicate.
+
+Any other line, an all-digit functor or an integer too long for ``int``
+included, is scanned in one pass of a compiled master pattern (``_TOKEN``)
+with one named alternative per token kind, in the manner of the ``re``
+module's "Writing a Tokenizer".  Tokens are plain ``(kind, value, line,
+column)`` tuples, columns 1-based; the same pass takes the line's trailing
+comment.  Tokens are kept only for the clause still open: a clause ends at
+its ``.``, so once its line is scanned the recursive-descent parser reads
+each clause that closes there from the token list by index and drops its
+tokens; several clauses on one line each take that line's comment.  A line
 that looks like a fact but continues a rule is never at a clause start, so
-it is scanned token by token as before.  The flat fact lines of one call
-share their predicate keys, one ``(name, arity)`` per predicate; the
-scanner builds no term for them.
+it is scanned token by token.
 
 ``parse_statements`` yields each clause as it is parsed, a flat fact as its
 key and argument text.  ``flat_args`` builds the argument tuple of such a
@@ -50,6 +55,15 @@ knowledge-base loader for every fact, ``fallacylab validate`` and the
 gateway's harvest of generated fact groups only for a fact they report,
 since they count the rest by key.  The schemas' own rule text is read from
 the same stream.
+
+Errors rank as if the whole text were decoded and scanned before any of it
+is parsed.  First comes a byte that is not UTF-8 anywhere in a file
+(``jsonl.read_blocks`` raises it); then the first bad character or name
+anywhere; then the first grammar error, or error a reader throws into the
+stream with ``throw()`` (``KnowledgeBase.from_text`` so refuses a fact with
+a variable), in text order.  Before an error of the second or third rank is
+raised, the rest of the input is read, and scanned too after one of the
+third, so that an error of a higher rank further on is the one reported.
 
 Blank lines separate fact blocks; block membership is reported so a
 knowledge-base loader can group facts per generated instance.  The canonical
@@ -61,7 +75,8 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from typing import Iterator
+from collections import deque
+from typing import Iterable, Iterator
 
 from .engine import (
     Atom,
@@ -103,65 +118,10 @@ _FLAT_FACT = re.compile(
     rf"[ \t]*({_CONST})[ \t]*\(([ \t]*{_CONST}(?:[ \t]*,[ \t]*{_CONST})*)[ \t]*\)"
     r"[ \t]*\.[ \t]*(?:%(.*))?"
 )
-#: Token kinds after which a clause starts.
-_CLAUSE_ENDS = ("DOT", "FACT")
 #: The literal each builtin operator token makes.
 _BUILTINS = {"NEQ": NotEqual, "LESS": TermLess}
 #: The error of a compound argument or builtin operand, at its functor.
 _COMPOUND = "compound argument: arguments are atoms, integers or variables"
-
-
-def _scan(text: str) -> tuple[list[tuple], dict[int, str]]:
-    """``(kind, value, line, column)`` tokens and the comment text of each
-    line that holds no flat fact.
-
-    A flat fact line is one ``("FACT", key, line, args_text, comment)``
-    token: its ``(name, arity)``, the text between its parentheses and its
-    comment text.  The whole text is scanned before any of it is parsed, so
-    a bad character or name anywhere is reported ahead of a grammar error.
-    """
-    tokens: list[tuple] = []
-    comments: dict[int, str] = {}
-    keys: dict[tuple[str, int], tuple[str, int]] = {}
-    limit = sys.get_int_max_str_digits()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        # A line of spaces and tabs alone holds no token.  Strip nothing
-        # else: a line of ``\xa0`` must reach ``_TOKEN`` and be an error.
-        if not line.strip(" \t"):
-            continue
-        if not tokens or tokens[-1][0] in _CLAUSE_ENDS:
-            fact = _FLAT_FACT.fullmatch(line)
-            # The master pattern reads an all-digit functor, which is an
-            # integer, not a name, and an integer too long for ``int``, an
-            # error reported at its position; only text longer than the
-            # limit can hold such an integer.
-            if fact is not None and not fact[1].isdigit() and not (
-                limit and len(fact[2]) > limit and any(
-                    len(spelling) > limit and spelling.isdigit()
-                    for spelling in map(str.strip, fact[2].split(","))
-                )
-            ):
-                args_text, comment = fact[2], fact[3]
-                key = (fact[1], args_text.count(",") + 1)
-                key = keys.setdefault(key, key)
-                tokens.append((
-                    "FACT", key, line_no, args_text, None if comment is None else comment.strip()
-                ))
-                continue
-        for match in _TOKEN.finditer(line):
-            kind = match.lastgroup
-            if kind in _CLAUSE_TOKENS:
-                tokens.append((kind, match.group(), line_no, match.start() + 1))
-            elif kind == "COMMENT":
-                # A comment runs to the end of its line, so a line holds at most one.
-                comments[line_no] = match.group()[1:].strip()
-            elif kind == "NAME":
-                raise ParseError(f"invalid name {match.group()!r}", line_no, match.start() + 1)
-            elif kind == "CHAR":
-                raise ParseError(
-                    f"unexpected character {match.group()!r}", line_no, match.start() + 1
-                )
-    return tokens, comments
 
 
 def flat_args(args_text: str, consts: dict[str, Term]) -> tuple[Term, ...]:
@@ -191,56 +151,119 @@ FlatFact = tuple[tuple[str, int], str]
 
 
 def parse_statements(
-    text: str,
+    source: str | Iterable[str],
 ) -> Iterator[tuple[Clause | FlatFact, str | None, int | None, int]]:
     """``(clause, comment, group_id, line)`` per clause, in text order: a
     flat fact line as a ``FlatFact``, whose arguments ``flat_args`` builds,
     any other clause as a ``Clause``.
 
+    ``source`` is a string, read as one block, or the blocks of a file's
+    text (``jsonl.read_blocks``), each but the last ending in ``\\n``.
     ``comment`` is the trailing comment of the clause's last line.
     ``group_id`` is the dense index of the blank-line-separated block a fact
     sits in, counting only blocks that hold a fact; rules carry None.
-    ``line`` is the clause's first line."""
-    tokens, comments = _scan(text)
-    if not tokens:
-        return
-    # An END token at the last token's position makes running out of input
-    # one more token kind, reported where the last real token stands.  It
-    # ends a clause only after a real token, so a FACT token, which holds no
-    # column, never gives it one that is reported.
-    tokens.append(("END", "", *tokens[-1][2:4]))
-    anon = itertools.count(1)
+    ``line`` is the clause's first line.
 
-    pos = 0
-    prev_end = 0
-    block = fact_block = -1
+    A reader that refuses a clause throws its ParseError in with
+    ``throw()``, which raises it, or an error of a higher rank that the rest
+    of the source holds (see the module docstring)."""
+    blocks = (source,) if isinstance(source, str) else source
+    # A block ends after a ``\n``, so its lines are those the whole text has.
+    lines = enumerate(itertools.chain.from_iterable(map(str.splitlines, blocks)), start=1)
+    keys: dict[tuple[str, int], tuple[str, int]] = {}
+    limit = sys.get_int_max_str_digits()
+    anon = itertools.count(1)
+    #: The tokens of the clause still open: the lines since its start.
+    tokens: list[tuple] = []
     groups = 0
-    while True:
-        token = tokens[pos]
-        kind, start_line = token[0], token[2]
-        if kind == "FACT":
-            clause, comment, is_fact = (token[1], token[3]), token[4], True
-            pos, end_line = pos + 1, start_line
-        elif kind == "END":
-            break
-        else:
-            clause, pos = _parse_clause(tokens, pos, anon)
-            end_line, is_fact = tokens[pos - 1][2], clause.is_fact
-            comment = comments.get(end_line)
-        # Lines strictly between two clauses hold no token, so each is blank
-        # unless it holds a comment.
-        if prev_end == 0 or start_line > prev_end + 1 and any(
-            n not in comments for n in range(prev_end + 1, start_line)
-        ):
-            block += 1
-        group = None
-        if is_fact:
-            if fact_block != block:
-                fact_block = block
-                groups += 1
-            group = groups - 1
-        yield clause, comment, group, start_line
-        prev_end = end_line
+    # Whether a blank line has stood between two clauses since the last
+    # fact, so the next fact opens a group; a line holding only a comment
+    # is not blank.
+    gap = True
+    try:
+        for line_no, line in lines:
+            # A line of spaces and tabs alone holds no token.  Strip nothing
+            # else: a line of ``\xa0`` must reach ``_TOKEN`` and be an error.
+            if not line.strip(" \t"):
+                if not tokens:
+                    gap = True
+                continue
+            if not tokens:
+                fact = _FLAT_FACT.fullmatch(line)
+                # The master pattern reads an all-digit functor, which is an
+                # integer, not a name, and an integer too long for ``int``,
+                # an error reported at its position; only text longer than
+                # the limit can hold such an integer.
+                if fact is not None and not fact[1].isdigit() and not (
+                    limit and len(fact[2]) > limit and any(
+                        len(spelling) > limit and spelling.isdigit()
+                        for spelling in map(str.strip, fact[2].split(","))
+                    )
+                ):
+                    if gap:
+                        groups += 1
+                        gap = False
+                    args_text, comment = fact[2], fact[3]
+                    key = (fact[1], args_text.count(",") + 1)
+                    key = keys.setdefault(key, key)
+                    yield (
+                        (key, args_text), None if comment is None else comment.strip(),
+                        groups - 1, line_no,
+                    )
+                    continue
+            comment, dots = _scan(line, line_no, tokens, lines)
+            # A clause ends at its first DOT, and the parser reads no token
+            # past it, so each DOT on the line closes one clause.
+            pos = 0
+            for _ in range(dots):
+                start_line = tokens[pos][2]
+                clause, pos = _parse_clause(tokens, pos, anon)
+                group = None
+                if clause.is_fact:
+                    if gap:
+                        groups += 1
+                        gap = False
+                    group = groups - 1
+                yield clause, comment, group, start_line
+            del tokens[:pos]
+        if tokens:
+            # An END token at the last token's position makes running out of
+            # input one more token kind, reported where that token stands.
+            # With no DOT left, the clause cannot close: this raises.
+            tokens.append(("END", "", *tokens[-1][2:4]))
+            _parse_clause(tokens, 0, anon)
+    except ParseError:
+        # A grammar error, or one a reader threw in: a bad character or name
+        # in the rest of the source is reported ahead of it (and a byte that
+        # is not UTF-8 ahead of that, raised by the source as it is read).
+        # After a bad character, ``_scan`` has read the rest: nothing is left.
+        for line_no, line in lines:
+            _scan(line, line_no, [], lines)
+        raise
+
+
+def _scan(line: str, line_no: int, tokens: list[tuple], rest: Iterator) -> tuple[str | None, int]:
+    """Append the line's ``(kind, value, line, column)`` tokens, columns
+    1-based, to ``tokens``; return its comment text and how many DOT tokens
+    it holds.  A bad character or name raises ParseError after ``rest``, the
+    lines that follow, has been read to its end, so that a byte that is not
+    UTF-8 there is reported first."""
+    comment = None
+    dots = 0
+    for match in _TOKEN.finditer(line):
+        kind = match.lastgroup
+        if kind in _CLAUSE_TOKENS:
+            tokens.append((kind, match.group(), line_no, match.start() + 1))
+            if kind == "DOT":
+                dots += 1
+        elif kind == "COMMENT":
+            # A comment runs to the end of its line, so a line holds at most one.
+            comment = match.group()[1:].strip()
+        elif kind != "SPACE":
+            deque(rest, 0)
+            what = "invalid name" if kind == "NAME" else "unexpected character"
+            raise ParseError(f"{what} {match.group()!r}", line_no, match.start() + 1)
+    return comment, dots
 
 
 def _expect(tokens, pos: int, kind: str) -> int:

@@ -346,7 +346,6 @@ def validate_kb_against_schema(
     expected = dict(schema.signatures)
     findings: list[Finding] = []
     counts: dict[str, int] = {name: 0 for name in expected}
-    consts: dict[str, Term] = {}
 
     for clause in statements:
         if type(clause) is tuple:
@@ -354,7 +353,8 @@ def validate_kb_against_schema(
             if expected.get(name) == arity:
                 counts[name] += 1
                 continue
-            clause = Clause(Struct(name, flat_args(args_text, consts)))
+            # Built only to be checked and printed, so it shares no constants.
+            clause = Clause(Struct(name, flat_args(args_text, {})))
         elif not clause.is_fact:
             continue
         name, arity = indicator(clause.head)

@@ -26,9 +26,10 @@ class ParsedClause:
     line: int
 
 
-def parse_program(text: str) -> list[ParsedClause]:
-    """Every clause of the text, a flat fact line built into its ``Clause``
-    by ``flat_args``, with one constant per spelling across the call."""
+def parse_program(text: str | list[str]) -> list[ParsedClause]:
+    """Every clause of the text, or of its blocks, a flat fact line built
+    into its ``Clause`` by ``flat_args``, with one constant per spelling
+    across the call."""
     consts: dict = {}
     return [
         ParsedClause(

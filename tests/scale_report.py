@@ -9,30 +9,37 @@ groups with the benchmark's seeded input generator (``perfbench/inputs.py``;
 a quarter of the groups are near-miss decoys), then prints the best of
 ``--repeat`` timings of parsing the text alone (``parse_statements``, as the
 load and ``fallacylab validate`` read it; a flat fact line comes out as its
-key and argument text, so ``parse s`` builds no row), of validating it
-against its own code (``validate_kb_against_schema`` over the
-``parse_statements`` list, as ``fallacylab validate`` runs it), of loading
-it (``KnowledgeBase.from_text``: the parse plus the base build, which builds
+key and argument text, so ``parse s`` builds no row), of parsing and
+validating it against its own code in one pass (``validate_kb_against_schema``
+over the ``parse_statements`` stream, as ``fallacylab validate`` runs it, so
+``parse+validate s`` includes ``parse s``), of loading it
+(``KnowledgeBase.from_text``: the parse plus the base build, which builds
 each flat fact's row with ``parser.flat_args``) and, separately, of deriving
-over the loaded
-base (``derive_instances`` plus ``ordering_diagnostic``, as ``fallacylab
-derive`` runs them).  Two more columns split the derive: the join's part
-(``engine.join``, already compiled) and the soundness recheck of every
-derived tuple by its witness (``confirm_instance``).  Each of those two
+over the loaded base (``derive_instances`` plus ``ordering_diagnostic``, as
+``fallacylab derive`` runs them).  Two more columns split the derive: the
+join's part (``engine.join``, already compiled) and the soundness recheck of
+every derived tuple by its witness (``confirm_instance``).  Each of those two
 timings reads a fresh ``fact_table``, so no index an earlier repetition
 built is counted as free.  Each timed call follows a full ``gc.collect()``
 and runs with the cyclic collector paused, so no row pays for walking what
 earlier rows left on the heap, and a single ``--repeat 1`` row is
-comparable between checkouts.  It exits 1 if any code's text has a
-validation finding or derives other tuples than the generator lists.  The
-file name keeps pytest from collecting it.
+comparable between checkouts.  The last column, ``load peak MB``, is the
+tracemalloc peak of one more, untimed load, read from a file of the text a
+block at a time (``jsonl.read_blocks``) as ``fallacylab derive --kb`` reads
+it; the base it returns is part of that peak, and the ``all`` row gives the
+largest.  It exits 1 if any code's text has a validation finding or derives
+other tuples than the generator lists.  The file name keeps pytest from
+collecting it.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import sys
+import tempfile
 import time
+import tracemalloc
+from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -40,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
 
 from fallacylab.engine import join  # noqa: E402
+from fallacylab.jsonl import read_blocks  # noqa: E402
 from fallacylab.kb import KnowledgeBase  # noqa: E402
 from fallacylab.labels import FallacyCode  # noqa: E402
 from fallacylab.parser import parse_statements  # noqa: E402
@@ -74,14 +82,28 @@ def _best(repeat: int, fn, setup=lambda: ()):
     return best, result
 
 
+def _load_peak_mb(text: str) -> float:
+    """The tracemalloc peak, in MB, of loading ``text`` from a file read a
+    block at a time, as ``fallacylab derive --kb`` loads it."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "facts.pl"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            KnowledgeBase.from_text(read_blocks(path))
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+
 _COLUMNS = (
-    ("parse s", 9), ("validate s", 12), ("load s", 9), ("derive s", 10), ("solve s", 9),
-    ("recheck s", 11),
+    ("parse s", 9), ("parse+validate s", 18), ("load s", 9), ("derive s", 10), ("solve s", 9),
+    ("recheck s", 11), ("load peak MB", 14),
 )
 
 
-def _columns(times) -> str:
-    return "".join(f"{seconds:>{width}.3f}" for seconds, (_, width) in zip(times, _COLUMNS))
+def _columns(row) -> str:
+    return "".join(f"{value:>{width}.3f}" for value, (_, width) in zip(row, _COLUMNS))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,14 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, groups in inputs.derive_inputs(args.seed, args.groups).items():
         code = FallacyCode(name)
         text = inputs.groups_text(groups)
-        # The parsed clauses and statements are dropped before the load is
-        # timed, so the collector does not walk them during it.
+        # The parsed clauses are dropped before the load is timed, so the
+        # collector does not walk them during it.
         parse_s = _best(args.repeat, lambda: list(parse_statements(text)))[0]
-        statements = [item for item, _, _, _ in parse_statements(text)]
-        validate_s, report = _best(
-            args.repeat, lambda: validate_kb_against_schema(code, statements)
-        )
-        del statements
+        validate_s, report = _best(args.repeat, lambda: validate_kb_against_schema(
+            code, map(itemgetter(0), parse_statements(text))))
         if not report.clean:
             invalid.append(name)
         load_s, kb = _best(args.repeat, lambda: KnowledgeBase.from_text(text))
@@ -138,9 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         if not certified or list(witnesses) != [t.args for t in tuples]:
             wrong.append(name)
-        times = (parse_s, validate_s, load_s, derive_s, solve_s, recheck_s)
-        totals = [total + seconds for total, seconds in zip(totals, times)]
-        print(f"{name:<5}" + _columns(times) + f"{len(tuples):>8}")
+        row = (parse_s, validate_s, load_s, derive_s, solve_s, recheck_s, _load_peak_mb(text))
+        # The times add up; of the peaks, the largest is the total.
+        totals = [total + seconds for total, seconds in zip(totals[:-1], row)] + [
+            max(totals[-1], row[-1])]
+        print(f"{name:<5}" + _columns(row) + f"{len(tuples):>8}")
     print(f"{'all':<5}" + _columns(totals))
     if invalid:
         print(f"validation findings: {', '.join(invalid)}", file=sys.stderr)

@@ -925,6 +925,25 @@ def _not_utf8_after(kind, head, gap):
     return case
 
 
+def _kb_error_after(command, first, last, message):
+    """A ``derive`` or ``validate`` whose fact file opens with the line
+    ``first``, holds about 100 KB of valid facts after it and then the bytes
+    ``last``; ``message`` is the error reported, with ``{path}``, ``{line}``,
+    the line where ``last`` starts, and ``{next}``, the line after it."""
+    gap = 8_000
+
+    def case(tmp):
+        path = tmp / "f.pl"
+        facts = "".join(f"hp(c{n}, d{n}).\n" for n in range(gap))
+        path.write_bytes(f"{first}\n{facts}".encode() + last)
+        return (
+            [command, "--code", "FC", "--kb", path],
+            [f"error: {message.format(path=path, line=gap + 2, next=gap + 3)}\n"],
+        )
+
+    return case
+
+
 BAD_INPUTS = {
     "generate-out-is-file": lambda tmp: (
         ["generate", "--code", "AF", "--n", 5,
@@ -1126,6 +1145,26 @@ BAD_INPUTS = {
     "config-not-utf8": _not_utf8("run.cfg", lambda tmp: [
         "score", "--sentences", DATA_DIR / "sentences_small.jsonl", "--mode", "replay",
         "--cassette", DATA_DIR / "cassette_score.jsonl", "--config", None, "--out", tmp / "out"]),
+    # A fact file's errors rank as when the whole file was decoded and
+    # scanned before any clause was parsed: a byte that is not UTF-8, then a
+    # bad character or name, then a grammar error or a fact the base
+    # refuses, each the first of its rank however far down the file.
+    **{
+        f"{command}-kb-{name}": _kb_error_after(command, first, last, message)
+        for command in ("derive", "validate")
+        for name, first, last, message in [
+            ("grammar-error-then-not-utf8", "p(a b).", b"hp(\xff, d).\n",
+             "{path}:{line}: not UTF-8 text: byte 0xff at byte 4 of the line (invalid start byte)"),
+            ("grammar-error-then-bad-character", "p(a b).", b"hp(a, d) $\n",
+             "line {line}, column 10: unexpected character '$'"),
+            ("grammar-error-then-bad-character-then-not-utf8", "p(a b).", b"hp(a, $).\n\xff\n",
+             "{path}:{next}: not UTF-8 text: byte 0xff at byte 1 of the line (invalid start byte)"),
+            ("non-ground-fact-then-bad-character", "p(X).", b"hp(a, d) $\n",
+             "line {line}, column 10: unexpected character '$'"),
+        ]
+        # validate counts a non-ground fact as a finding, not an error
+        if command == "derive" or not name.startswith("non-ground")
+    },
     # Read a line at a time, a JSON Lines input still reports a byte that is
     # not UTF-8 before any line's error, however far down the file it is.
     **{

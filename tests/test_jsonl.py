@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fallacylab import jsonl
-from fallacylab.errors import FallacyLabError, JsonlFormatError
+from fallacylab.errors import FallacyLabError, InputDecodeError, JsonlFormatError
 from fallacylab.jsonl import encode_canonical, loads, read_input, read_jsonl, write_jsonl
 
 # Non-ASCII, control characters, lone surrogates, quotes and backslashes,
@@ -224,3 +224,52 @@ def test_a_bad_line_is_reported_as_the_line_without_its_newline(tmp_path, line, 
     with pytest.raises(JsonlFormatError) as raised:
         list(read_jsonl(path))
     assert str(raised.value) == f"{path}:2: {expected.value}"
+
+
+#: Lines of a fact file, each a few to thousands of bytes, multi-byte
+#: characters and every line break ``str.splitlines`` knows included.
+_TEXT_LINES = st.lists(st.one_of(
+    st.sampled_from(["p(a).", "", "% € \U0001f600", "q(b) \r", "x\x85y", "a b\x0cc"]),
+    st.integers(1, 70_000).map(lambda n: "\xe9" * (n // 2)),
+), max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TEXT_LINES, st.sampled_from(["", "\n", "\r\n"]))
+def test_read_blocks_cuts_the_text_after_a_newline(tmp_path_factory, lines, end):
+    path = tmp_path_factory.getbasetemp() / "facts.pl"
+    text = "\n".join(lines) + end
+    path.write_bytes(text.encode())
+    blocks = list(jsonl.read_blocks(path))
+    assert "".join(blocks) == text
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    # Beyond the end of its first line, a block holds at most one read.
+    encoded = [block.encode() for block in blocks]
+    assert all(len(b) <= b.find(b"\n") + 1 + jsonl._BLOCK for b in encoded if b"\n" in b)
+    assert [line for block in blocks for line in block.splitlines()] == text.splitlines()
+
+
+def test_read_blocks_reports_the_files_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "facts.pl"
+    lines = [b"p(a).\n"] * 30_000
+    lines[25_000] = b"p(\xe9).\n"  # in the third block, the file's first bad byte
+    lines[28_000] = b"\xff\n"
+    path.write_bytes(b"".join(lines))
+    blocks = jsonl.read_blocks(path)
+    assert next(blocks) and next(blocks)
+    with pytest.raises(InputDecodeError) as raised:
+        next(blocks)
+    assert str(raised.value) == (
+        f"{path}:25001: not UTF-8 text: byte 0xe9 at byte 3 of the line (invalid continuation byte)")
+
+
+def test_read_blocks_opens_the_file_when_read_and_closes_it_when_closed(tmp_path):
+    blocks = jsonl.read_blocks(tmp_path / "missing.pl")  # nothing is opened yet
+    with pytest.raises(FileNotFoundError):
+        next(blocks)
+    path = tmp_path / "facts.pl"
+    path.write_text("p(a).\n" * 20_000, encoding="utf-8")
+    blocks = jsonl.read_blocks(path)
+    assert next(blocks).startswith("p(a).\n")
+    blocks.close()  # closes the file, which would warn, an error here, if left open
+    assert list(blocks) == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from fallacylab.metrics import (
     ranked_score,
     score_stats,
 )
+from fallacylab.pipeline import write_scores
 
 ALL_CODES = list(FallacyCode)
 
@@ -355,6 +357,22 @@ def test_score_histogram_csv_shape():
     lines = stats.histogram_csv().strip().splitlines()
     assert lines[0] == "method,code,score,count"
     assert "m,AF,3,2" in lines
+
+
+@pytest.mark.parametrize(
+    "tag", ["a\rb", '"a\rb" c', "\r\n"], ids=["return", "return-and-quote", "return-newline"]
+)
+def test_written_histogram_reads_back_a_method_holding_a_carriage_return(tmp_path, tag):
+    # ``score`` refuses such a tag; a direct write still quotes the cell,
+    # so a CSV reader gives the tag back whole.
+    scored = [("s0", triple(FallacyCode.AF, (3, 2, 3))), ("s1", triple(FallacyCode.CT, (0, 0, 1)))]
+    write_scores(scored, tag, tmp_path)
+    with open(tmp_path / "score_histogram.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [
+        ["method", "code", "score", "count"],
+        [tag, "AF", "2", "1"], [tag, "AF", "3", "2"], [tag, "CT", "0", "2"], [tag, "CT", "1", "1"],
+    ]
 
 
 # ---------------------------------------------------------------------------

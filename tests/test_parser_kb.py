@@ -270,6 +270,23 @@ def test_parse_program_matches_reference_parser(text):
     assert _outcome(parse_program, text) == _outcome(parser_oracle.parse_program, text)
 
 
+def _blocks(text, cuts):
+    """``text`` cut after each ``\\n`` that ``cuts`` picks, as
+    ``jsonl.read_blocks`` cuts a file: each block but the last ends in it."""
+    ends = [i + 1 for i, char in enumerate(text) if char == "\n"]
+    picked = sorted({ends[i % len(ends)] for i in cuts} if ends else ())
+    return [text[start:end] for start, end in zip([0, *picked], [*picked, len(text)])]
+
+
+@given(_program_texts(), st.lists(st.integers(0, 100), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_a_text_cut_into_blocks_parses_as_the_whole_text(text, cuts):
+    blocks = _blocks(text, cuts)
+    assert "".join(blocks) == text
+    assert _outcome(lambda _: parse_program(blocks), text) == _outcome(
+        parser_oracle.parse_program, text)
+
+
 #: A fact-like line is a flat fact of these words and gaps, changed in up
 #: to two places by a stray piece: put in, or put in place of a piece.
 _FACT_WORDS = ("p", "foo_bar", "x2", "2_mins", "0", "12", "007")
@@ -389,6 +406,25 @@ def test_non_ground_fact_rejected_at_load():
             KnowledgeBase.from_text(text)
         assert (caught.value.line, caught.value.column) == (line, 1)
         assert str(caught.value).startswith(f"line {line}, column 1: fact is not ground: ")
+
+
+@pytest.mark.parametrize("text, error", [
+    # A bad character anywhere ranks before a fact the base refuses.
+    ("p(X).\nfoo(a) $\n", "line 2, column 8: unexpected character '$'"),
+    ("p(X). q(a).\n\nr(b).\n% c\nfoo(a, !).\n", "line 5, column 8: unexpected character '!'"),
+    ("p(X).\nfooBar(a).\n", "line 2, column 1: invalid name 'fooBar'"),
+    # Of two errors of one rank, the first in the text stands.
+    ("p(a) $\nq(b) !\n", "line 1, column 6: unexpected character '$'"),
+    ("p(X).\nq(a b) !\nr(c) $\n", "line 2, column 8: unexpected character '!'"),
+    # A grammar error after it ranks the same, so the earlier one stands.
+    ("p(X).\nq(a b).\n", "line 1, column 1: fact is not ground: p(X)."),
+    ("q(a b).\np(X).\n", "line 1, column 5: expected RP, found 'b'"),
+    ("p(a). q(X). r(\n", "line 1, column 1: fact is not ground: q(X)."),
+])
+def test_the_first_error_of_the_highest_rank_is_reported(text, error):
+    with pytest.raises(ParseError) as caught:
+        KnowledgeBase.from_text(text)
+    assert str(caught.value) == error
 
 
 def test_compound_fact_argument_rejected_at_load_at_its_functor():
